@@ -95,7 +95,7 @@ let multi_sweep () =
         (fun q -> Array.iter (fun k -> ignore (Btree.find stx k)) q),
         fun ~group q -> ignore (Btree.multi_find ~group stx q) );
       ( "olc",
-        Olc.elastic_memory_bytes olc,
+        Olc.tracked_memory_bytes olc,
         (fun q -> Array.iter (fun k -> ignore (Olc.find olc k)) q),
         fun ~group q -> ignore (Olc.multi_find ~group olc q) );
     ]

@@ -99,7 +99,7 @@ let () =
   in
   List.iter Domain.join (List.init domains (fun d -> Domain.spawn (worker d)));
   Printf.printf "elastic BTreeOLC:  %.2f MiB, %s, %d compact leaves (4 domains)\n"
-    (Clock.mib (Olc.elastic_memory_bytes olc))
+    (Clock.mib (Olc.tracked_memory_bytes olc))
     (Olc.elastic_state_name olc)
     (Olc.elastic_compact_leaves olc);
 

@@ -1,6 +1,8 @@
-(** Standard B+-tree leaf with internal key storage (STX-style): a
-    sorted key array plus the matching tuple ids.  The representation
-    the elastic index converts from and back to. *)
+(** Standard B+-tree leaf with internal key storage (STX-style): sorted
+    keys stored inline in one [capacity * key_len] buffer, plus the
+    matching tuple ids.  The representation the elastic index converts
+    from and back to.  Every stored key must be [key_len] bytes long
+    ([Invalid_argument] otherwise). *)
 
 type t
 
@@ -11,6 +13,8 @@ val count : t -> int
 val capacity : t -> int
 val is_full : t -> bool
 val key_at : t -> int -> string
+(** A fresh copy of slot [i]'s key. *)
+
 val tid_at : t -> int -> int
 val memory_bytes : t -> int
 

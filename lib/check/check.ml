@@ -472,15 +472,16 @@ let check_olc_ctx ?(strict = false) ctx (tree : Btree_olc.t) =
         compacts + if compact then 1 else 0)
       0
   in
+  (* The atomic tracker mirrors the full memory model (leaves plus inner
+     nodes accounted at splits) and must equal a fresh walk, whatever
+     the leaf kind. *)
+  let tracked = Btree_olc.tracked_memory_bytes tree in
+  let walked = Btree_olc.memory_bytes tree in
+  if tracked <> walked then
+    fail ctx "tracker" "tracked %d bytes, recomputed %d" tracked walked;
   match Btree_olc.elastic_config tree with
   | None -> ()
   | Some _ ->
-    (* The atomic tracker mirrors the full memory model (leaves plus
-       inner nodes accounted at splits) and must equal a fresh walk. *)
-    let tracked = Btree_olc.elastic_memory_bytes tree in
-    let walked = Btree_olc.memory_bytes tree in
-    if tracked <> walked then
-      fail ctx "tracker" "tracked %d bytes, recomputed %d" tracked walked;
     let tracked_compact = Btree_olc.elastic_compact_leaves tree in
     if tracked_compact <> compact_sum then
       fail ctx "counters" "compact-leaf counter %d, found %d" tracked_compact

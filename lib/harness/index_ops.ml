@@ -394,11 +394,10 @@ let of_olc name (tree : Ei_olc.Btree_olc.t) =
             acc + 1)
           0);
     memory_bytes =
-      (* the elastic tracker is the only size that is safe to read while
-         other domains mutate; [Olc.memory_bytes] is a full traversal *)
-      (fun () ->
-        if elastic then Olc.elastic_memory_bytes tree
-        else Olc.memory_bytes tree);
+      (* the tracked size: O(1) and safe to read while other domains
+         mutate, for every leaf kind ([Olc.memory_bytes] is a full
+         traversal) *)
+      (fun () -> Olc.tracked_memory_bytes tree);
     count = (fun () -> Olc.count tree);
     set_size_bound = Olc.set_size_bound tree;
     info =

@@ -129,7 +129,9 @@ type node =
 and inner = {
   iversion : int Atomic.t;
   mutable n : int [@ei.guarded_by "iversion"];
-  keys : string array [@ei.guarded_by "iversion"];
+  (* separator [i] is the [key_len] bytes at [i * key_len]: inline, as
+     the memory model's inner node charges them *)
+  keys : Bytes.t [@ei.guarded_by "iversion"];
   children : node array [@ei.guarded_by "iversion"];
 }
 
@@ -175,7 +177,6 @@ let default_elastic_config ~size_bound =
 type elastic_state = {
   cfg : elastic_config;
   ebound : int Atomic.t;     (* live soft bound; coordinator-adjustable *)
-  ebytes : int Atomic.t;
   ecompact : int Atomic.t;   (* number of compact leaves *)
   estate : int Atomic.t;
   econversions : int Atomic.t;
@@ -189,11 +190,14 @@ type t = {
   load : int -> string;
   root_lock : int Atomic.t;  (* guards the root pointer *)
   mutable root : node [@ei.guarded_by "root_lock"];
+  bytes : int Atomic.t;
+  (* size under the memory model, kept by every structure change of
+     every kind, so reading it is O(1) and safe under concurrency *)
   elastic : elastic_state option;
 }
 
 (* The loader handed to compact leaves must never trip the table's bounds
-   assertion on a torn tid; out-of-range loads return a dummy key and the
+   check on a torn tid; out-of-range loads return a dummy key and the
    version validation rejects the result. *)
 let safe_loader ~key_len ~table_length ~load =
   let dummy = String.make key_len '\000' in
@@ -224,7 +228,6 @@ let create ?(leaf_capacity = 16) ?(inner_capacity = 16) ?(kind = Olc_std)
         {
           cfg;
           ebound = Atomic.make cfg.size_bound;
-          ebytes = Atomic.make 0;
           ecompact = Atomic.make 0;
           estate = Atomic.make 0;
           econversions = Atomic.make 0;
@@ -240,22 +243,19 @@ let create ?(leaf_capacity = 16) ?(inner_capacity = 16) ?(kind = Olc_std)
       load;
       root_lock = Atomic.make 0;
       root = Leaf { lversion = Atomic.make 0; repr = Lstd (Std_leaf.create ~key_len ~capacity:2 ()); next = None };
+      bytes = Atomic.make 0;
       elastic;
     }
   in
   let first = empty_leaf t in
   t.root <- Leaf first;
-  (match elastic with
-  | Some e -> Atomic.set e.ebytes (leaf_bytes first)
-  | None -> ());
+  Atomic.set t.bytes (leaf_bytes first);
   t
 
 (* --- Elastic bookkeeping --------------------------------------------- *)
 
 let account t delta =
-  match t.elastic with
-  | Some e -> ignore (Atomic.fetch_and_add e.ebytes delta)
-  | None -> ()
+  if delta <> 0 then ignore (Atomic.fetch_and_add t.bytes delta)
 
 let account_compact t delta =
   match t.elastic with
@@ -276,7 +276,7 @@ let update_elastic_state t =
   match t.elastic with
   | None -> ()
   | Some e ->
-    let bytes = Atomic.get e.ebytes in
+    let bytes = Atomic.get t.bytes in
     let bound = Atomic.get e.ebound in
     let shrink_at =
       int_of_float (e.cfg.shrink_fraction *. float_of_int bound)
@@ -291,8 +291,7 @@ let update_elastic_state t =
       if bytes >= shrink_at then set_estate e 1 ~bytes
       else if Atomic.get e.ecompact = 0 then set_estate e 0 ~bytes)
 
-let elastic_memory_bytes t =
-  match t.elastic with Some e -> Atomic.get e.ebytes | None -> 0
+let tracked_memory_bytes t = Atomic.get t.bytes
 
 let elastic_size_bound t =
   match t.elastic with Some e -> Atomic.get e.ebound | None -> 0
@@ -442,13 +441,29 @@ let elastic_config t =
 
 (* --- Descent helpers ------------------------------------------------ *)
 
-let child_index nd key =
+let separator t nd i = Bytes.sub_string nd.keys (i * t.key_len) t.key_len
+
+let child_index t nd key =
+  let kl = t.key_len in
   let lo = ref 0 and hi = ref nd.n in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if Key.compare_fast nd.keys.(mid) key <= 0 then lo := mid + 1 else hi := mid
+    if Key.compare_at nd.keys (mid * kl) kl key <= 0 then lo := mid + 1
+    else hi := mid
   done;
   !lo
+
+let new_inner t ~n ~fill =
+  {
+    iversion = Atomic.make 0;
+    n;
+    keys = Bytes.make (t.inner_capacity * t.key_len) '\000';
+    children = Array.make (t.inner_capacity + 1) fill;
+  }
+
+let set_separator t nd i sep =
+  if String.length sep <> t.key_len then invalid_arg "Btree_olc: key length";
+  Bytes.blit_string sep 0 nd.keys (i * t.key_len) t.key_len
 
 (* Split a full leaf (write-locked by the caller); returns the separator
    and new right leaf. *)
@@ -473,28 +488,20 @@ let split_leaf t l =
 
 (* Split a full inner node (write-locked); returns separator + right. *)
 let split_inner t nd =
+  let kl = t.key_len in
   let mid = nd.n / 2 in
-  let sep = nd.keys.(mid) in
-  let right =
-    {
-      iversion = Atomic.make 0;
-      n = nd.n - mid - 1;
-      keys = Array.make t.inner_capacity "";
-      children = Array.make (t.inner_capacity + 1) (Leaf (empty_leaf t));
-    }
-  in
-  Array.blit nd.keys (mid + 1) right.keys 0 right.n;
+  let sep = separator t nd mid in
+  let right = new_inner t ~n:(nd.n - mid - 1) ~fill:nd.children.(nd.n) in
+  Bytes.blit nd.keys ((mid + 1) * kl) right.keys 0 (right.n * kl);
   Array.blit nd.children (mid + 1) right.children 0 (right.n + 1);
-  for i = mid to nd.n - 1 do
-    nd.keys.(i) <- ""
-  done;
   nd.n <- mid;
   (sep, Inner right)
 
-let inner_insert_at nd i sep child =
-  Array.blit nd.keys i nd.keys (i + 1) (nd.n - i);
+let inner_insert_at t nd i sep child =
+  let kl = t.key_len in
+  Bytes.blit nd.keys (i * kl) nd.keys ((i + 1) * kl) ((nd.n - i) * kl);
   Array.blit nd.children (i + 1) nd.children (i + 2) (nd.n - i);
-  nd.keys.(i) <- sep;
+  set_separator t nd i sep;
   nd.children.(i + 1) <- child;
   nd.n <- nd.n + 1
 
@@ -513,18 +520,11 @@ let split_child t ~parent ~node ~node_version:nv =
           split_inner t nd
       in
       (match parent with
-      | Some pnd -> inner_insert_at pnd (child_index pnd sep) sep right
+      | Some pnd -> inner_insert_at t pnd (child_index t pnd sep) sep right
       | None ->
         (* Growing the tree: new root above the old one. *)
-        let root =
-          {
-            iversion = Atomic.make 0;
-            n = 1;
-            keys = Array.make t.inner_capacity "";
-            children = Array.make (t.inner_capacity + 1) right;
-          }
-        in
-        root.keys.(0) <- sep;
+        let root = new_inner t ~n:1 ~fill:right in
+        set_separator t root 0 sep;
         root.children.(0) <- node;
         root.children.(1) <- right;
         account t
@@ -601,7 +601,7 @@ let find t key =
           check l.lversion nv;
           r
         | Inner nd ->
-          let i = child_index nd key in
+          let i = child_index t nd key in
           let child = nd.children.(i) in
           let cv = read_lock (node_version child) in
           check nd.iversion nv;
@@ -660,7 +660,7 @@ let multi_find ?(group = 8) t keys =
           out.(first + i) <- r;
           Ei_btree.Interleave.Done
         | Inner nd ->
-          let ci = child_index nd key in
+          let ci = child_index t nd key in
           let child = nd.children.(ci) in
           Ei_util.Prefetch.prefetch child;
           let cv = read_lock (node_version child) in
@@ -720,7 +720,7 @@ let insert t key tid =
           | Std_leaf.Full ->
             Invariant.impossible "Btree_olc.insert: leaf still full after split")
         | Inner nd ->
-          let i = child_index nd key in
+          let i = child_index t nd key in
           let child = nd.children.(i) in
           let cv = read_lock (node_version child) in
           check nd.iversion nv;
@@ -794,7 +794,7 @@ let remove t key =
           write_unlock l.lversion;
           r
         | Inner nd ->
-          let i = child_index nd key in
+          let i = child_index t nd key in
           let child = nd.children.(i) in
           let cv = read_lock (node_version child) in
           check nd.iversion nv;
@@ -823,7 +823,7 @@ let update t key tid =
           write_unlock l.lversion;
           r
         | Inner nd ->
-          let i = child_index nd key in
+          let i = child_index t nd key in
           let child = nd.children.(i) in
           let cv = read_lock (node_version child) in
           check nd.iversion nv;
@@ -846,7 +846,7 @@ let fold_range t ~start ~n f acc =
             check l.lversion nv;
             l
           | Inner nd ->
-            let i = child_index nd start in
+            let i = child_index t nd start in
             let child = nd.children.(i) in
             let cv = read_lock (node_version child) in
             check nd.iversion nv;
@@ -927,12 +927,12 @@ let check_invariants t =
     | Inner nd ->
       assert (nd.n >= 1 && nd.n <= t.inner_capacity);
       for i = 0 to nd.n - 2 do
-        assert (Key.compare nd.keys.(i) nd.keys.(i + 1) < 0)
+        assert (Key.compare (separator t nd i) (separator t nd (i + 1)) < 0)
       done;
       let d = ref (-1) in
       for i = 0 to nd.n do
-        let lo' = if i = 0 then lo else Some nd.keys.(i - 1) in
-        let hi' = if i = nd.n then hi else Some nd.keys.(i) in
+        let lo' = if i = 0 then lo else Some (separator t nd (i - 1)) in
+        let hi' = if i = nd.n then hi else Some (separator t nd i) in
         let di = walk nd.children.(i) ~lo:lo' ~hi:hi' in
         if !d = -1 then d := di else assert (di = !d)
       done;

@@ -30,9 +30,11 @@ and elastic_config = {
 
 val default_elastic_config : size_bound:int -> elastic_config
 
-val elastic_memory_bytes : t -> int
-(** Atomically tracked size (elastic trees only; 0 otherwise).  Safe to
-    read under concurrency, unlike {!memory_bytes}. *)
+val tracked_memory_bytes : t -> int
+(** Size under the memory model, kept in an atomic counter by every
+    structure change of every leaf kind: O(1) and safe to read under
+    concurrency, unlike {!memory_bytes}, which it equals once mutators
+    are quiescent. *)
 
 val elastic_size_bound : t -> int
 (** The live soft bound (elastic trees only; 0 otherwise). *)

@@ -517,8 +517,8 @@ let shard_loop t i ~gen ?wal q =
         end;
         let finish_batch () =
           (* Publish the size the coordinator rebalances from.  Every
-             registry index tracks its size in O(1); the elastic OLC
-             tree's tracker is additionally safe under concurrent
+             registry index tracks its size in O(1); the OLC trees'
+             trackers are additionally safe under concurrent
              mutation. *)
           Atomic.set t.sizes.(i) (part.Index_ops.memory_bytes ());
           Atomic.incr st.heartbeat;

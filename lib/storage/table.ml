@@ -4,7 +4,11 @@
    column(s)).  A tuple identifier (tid) is the row's index in the table.
    Compact index nodes hold only tids and load keys from here, which is
    exactly the "indirect key storage" of the paper: every such access
-   models the extra memory reference into the base table. *)
+   models the extra memory reference into the base table.
+
+   Row keys live in one flat arena: row [tid]'s key is the [key_len]
+   bytes at [tid * key_len], the [n * key_len] bytes the memory model
+   charges for the table.  A load materialises a fresh string. *)
 
 (* Liveness is stored in fixed-size chunks that are appended and never
    moved: growth allocates new chunks and a longer chunk array but
@@ -18,7 +22,7 @@ let live_chunk = 1 lsl live_chunk_bits (* 4096 rows per chunk *)
 
 type t = {
   key_len : int;
-  mutable keys : string array;
+  mutable keys : Bytes.t;  (* capacity * key_len bytes of row keys *)
   mutable live : Bytes.t array;
   (* one byte per row, '\001' = live, chunked (see above).  Maintained
      by callers that treat the table as the recovery source of truth
@@ -33,10 +37,11 @@ type t = {
 let live_chunks_for cap = (cap + live_chunk - 1) / live_chunk
 
 let create ?(initial_capacity = 1024) ~key_len () =
+  assert (key_len > 0);
   let cap = max 1 initial_capacity in
   {
     key_len;
-    keys = Array.make cap "";
+    keys = Bytes.make (cap * key_len) '\000';
     live =
       Array.init (live_chunks_for cap) (fun _ -> Bytes.make live_chunk '\000');
     n = 0;
@@ -46,10 +51,14 @@ let create ?(initial_capacity = 1024) ~key_len () =
 let length t = t.n
 let key_len t = t.key_len
 
+let capacity t = Bytes.length t.keys / t.key_len
+
+(* Fresh slots are zero bytes, so gap rows of a restored table read as
+   zeros. *)
 let grow t =
-  let cap = Array.length t.keys in
-  let keys = Array.make (2 * cap) "" in
-  Array.blit t.keys 0 keys 0 t.n;
+  let cap = capacity t in
+  let keys = Bytes.make (2 * cap * t.key_len) '\000' in
+  Bytes.blit t.keys 0 keys 0 (t.n * t.key_len);
   t.keys <- keys;
   (* Extend the chunk array by appending fresh chunks; existing chunk
      objects stay shared between the old and new arrays, so concurrent
@@ -61,17 +70,23 @@ let grow t =
       Array.init need (fun c ->
           if c < have then t.live.(c) else Bytes.make live_chunk '\000')
 
+let set_key t tid key =
+  if String.length key <> t.key_len then invalid_arg "Table: key length";
+  Bytes.blit_string key 0 t.keys (tid * t.key_len) t.key_len
+
 let append t key =
-  assert (String.length key = t.key_len);
-  if t.n = Array.length t.keys then grow t;
-  t.keys.(t.n) <- key;
+  if t.n = capacity t then grow t;
+  set_key t t.n key;
   t.n <- t.n + 1;
   t.n - 1
 
+(* Bounds-checked against the row count; [Bytes.sub_string] checks the
+   arena too, so a reader holding an arena from before a [grow] fails
+   with [Invalid_argument] rather than reading past it. *)
 let key t tid =
-  assert (tid >= 0 && tid < t.n);
+  if tid < 0 || tid >= t.n then invalid_arg "Table.key";
   t.loads <- t.loads + 1;
-  Array.unsafe_get t.keys tid
+  Bytes.sub_string t.keys (tid * t.key_len) t.key_len
 
 (* Loader closure handed to indexes with indirect key storage. *)
 let loader t = key t
@@ -108,21 +123,21 @@ let fold_live t f init =
   for tid = 0 to t.n - 1 do
     let chunk, off = live_byte t tid in
     if Char.equal (Bytes.get chunk off) '\001' then
-      acc := f tid t.keys.(tid) !acc
+      acc := f tid (Bytes.sub_string t.keys (tid * t.key_len) t.key_len) !acc
   done;
   !acc
 
 (* WAL recovery rematerialises rows at the tids the log recorded, in a
    fresh process where [append] never ran.  Single-writer (the
    recovering domain), like [append].  Gap rows (tids never mentioned
-   by any surviving record) keep the empty key and stay dead, so they
+   by any surviving record) keep zero bytes and stay dead, so they
    are invisible to [fold_live] and unreachable from any index. *)
 let restore_row t ~tid ~key =
-  assert (tid >= 0 && String.length key = t.key_len);
-  while tid >= Array.length t.keys do
+  assert (tid >= 0);
+  while tid >= capacity t do
     grow t
   done;
-  t.keys.(tid) <- key;
+  set_key t tid key;
   if tid >= t.n then t.n <- tid + 1;
   mark_live t tid
 

@@ -3,7 +3,11 @@
     A tuple identifier ([tid]) is the row's index in the table.  Compact
     index nodes store only tids and load keys from the table through
     {!loader}, modelling the paper's indirect key storage.  Every load is
-    counted so benchmarks can report indirect-access costs. *)
+    counted so benchmarks can report indirect-access costs.
+
+    Keys are fixed-length ([key_len] bytes, [Invalid_argument]
+    otherwise) and stored in one flat arena of [key_len] bytes per row,
+    the layout {!Memmodel} charges for the table. *)
 
 type t
 
@@ -16,7 +20,9 @@ val append : t -> string -> int
 (** Append a row with the given indexed key; returns its tid. *)
 
 val key : t -> int -> string
-(** Load the indexed key of a row (counted as an indirect load). *)
+(** Load the indexed key of a row as a fresh string (counted as an
+    indirect load).  Raises [Invalid_argument] for a tid that is not a
+    row. *)
 
 val loader : t -> int -> string
 (** [loader t] is the [load_key] closure handed to indexes. *)
@@ -49,8 +55,8 @@ val restore_row : t -> tid:int -> key:string -> unit
 (** Rematerialise the row at [tid] with [key] and mark it live: the
     {!Ei_wal} recovery path, which replays records holding tids from a
     previous process where the matching {!append}s never ran.  Grows
-    the table as needed; intervening gap rows stay dead with an empty
-    key.  Single-writer, like {!append}. *)
+    the table as needed; intervening gap rows stay dead with a key of
+    zero bytes.  Single-writer, like {!append}. *)
 
 val data_bytes : ?row_bytes:int -> t -> int
 (** Size of the stored row data: [n * (key_len + row_bytes)]. *)

@@ -4,10 +4,11 @@
 
 let now () = Unix.gettimeofday ()
 
-(* Integer wall-clock nanoseconds.  The observability layer stores these
-   in fixed-width ring slots; [gettimeofday] gives microsecond
-   resolution, which is ample for batch spans and elasticity events. *)
-let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
+(* Integer nanoseconds from CLOCK_MONOTONIC: never steps backwards, has
+   nanosecond resolution and allocates nothing.  The observability
+   layer stores these in fixed-width ring slots.  The origin is
+   arbitrary (boot time on Linux), so only differences are meaningful. *)
+external now_ns : unit -> int = "ei_clock_monotonic_ns" [@@noalloc]
 
 let time f =
   let t0 = now () in

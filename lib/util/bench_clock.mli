@@ -4,8 +4,9 @@ val now : unit -> float
 (** Current wall-clock time in seconds. *)
 
 val now_ns : unit -> int
-(** Current wall-clock time in integer nanoseconds (microsecond
-    resolution).  The clock the observability layer timestamps with. *)
+(** Monotonic time in integer nanoseconds ([CLOCK_MONOTONIC]; arbitrary
+    origin, so only differences are meaningful).  Allocation-free.  The
+    clock the observability layer timestamps with. *)
 
 val time : (unit -> 'a) -> 'a * float
 (** [time f] runs [f] and returns its result with elapsed seconds. *)

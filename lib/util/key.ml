@@ -54,7 +54,7 @@ let msb_first_diff_in_byte x =
 
 (* Leading-zero count of a non-zero word: position of its most
    significant set bit in MSB-first numbering (0 for bit 63 set). *)
-let clz64 w =
+let[@inline] clz64 w =
   assert (not (Int64.equal w 0L));
   let n = ref 0 in
   let w = ref w in
@@ -81,31 +81,41 @@ let clz64 w =
   if Int64.equal (Int64.shift_right_logical !w 63) 0L then n := !n + 1;
   !n
 
-(* Word-at-a-time lexicographic comparison: 8-byte big-endian chunks
-   compared as unsigned words (big-endian load order makes unsigned word
-   order coincide with byte order), then a byte tail, then length.
-   Agrees with [String.compare] on every input. *)
-let compare_fast a b =
-  let la = String.length a and lb = String.length b in
-  let n = if la < lb then la else lb in
-  let words = n lsr 3 in
-  let rec word_loop i =
-    if i < words then begin
-      let wa = String.get_int64_be a (i lsl 3)
-      and wb = String.get_int64_be b (i lsl 3) in
-      if Int64.equal wa wb then word_loop (i + 1)
-      else Int64.unsigned_compare wa wb
-    end
-    else byte_loop (words lsl 3)
-  and byte_loop i =
-    if i < n then begin
-      let ca = Char.code (String.unsafe_get a i)
-      and cb = Char.code (String.unsafe_get b i) in
-      if ca = cb then byte_loop (i + 1) else Int.compare ca cb
-    end
-    else Int.compare la lb
-  in
-  word_loop 0
+(* Word-at-a-time lexicographic comparison of the [len] bytes of [b] at
+   [off] with the key [k]: 8-byte big-endian chunks compared as unsigned
+   words (big-endian load order makes unsigned word order coincide with
+   byte order), then a byte tail, then length.  Agrees with
+   [String.compare] on every input.  The loops are top-level functions
+   taking every operand, so a comparison allocates no closure.  The
+   range is checked once up front: a torn optimistic read handing in a
+   stale offset raises [Invalid_argument] (a restart for the OLC reader)
+   instead of reading out of bounds. *)
+let rec cmp_words b off k ~words ~n ~len ~lk i =
+  if i < words then begin
+    let wa = Bytes.get_int64_be b (off + (i lsl 3))
+    and wb = String.get_int64_be k (i lsl 3) in
+    if Int64.equal wa wb then cmp_words b off k ~words ~n ~len ~lk (i + 1)
+    else Int64.unsigned_compare wa wb
+  end
+  else cmp_tail b off k ~n ~len ~lk (words lsl 3)
+
+and cmp_tail b off k ~n ~len ~lk i =
+  if i < n then begin
+    let ca = Char.code (Bytes.unsafe_get b (off + i))
+    and cb = Char.code (String.unsafe_get k i) in
+    if ca = cb then cmp_tail b off k ~n ~len ~lk (i + 1) else Int.compare ca cb
+  end
+  else Int.compare len lk
+
+let compare_at b off len k =
+  if off < 0 || len < 0 || off > Bytes.length b - len then
+    invalid_arg "Key.compare_at";
+  let lk = String.length k in
+  let n = if len < lk then len else lk in
+  cmp_words b off k ~words:(n lsr 3) ~n ~len ~lk 0
+
+(* The bytes are only read. *)
+let compare_fast a b = compare_at (Bytes.unsafe_of_string a) 0 (String.length a) b
 
 (* First 63 bits of the key in big-endian byte order, as a
    non-negative OCaml int.  Monotone in [compare_fast]: [sort_prefix a
@@ -131,28 +141,29 @@ let sort_prefix k =
 
 (* Position of the first bit in which [a] and [b] differ, or None if the
    keys are equal.  Keys must have equal length.  Word-at-a-time: XOR of
-   8-byte chunks, leading-zero count of the first non-zero XOR. *)
+   8-byte chunks, leading-zero count of the first non-zero XOR.  As for
+   [compare_fast], the loops are closure-free top-level functions. *)
+let rec diff_words a b ~words ~n i =
+  if i < words then begin
+    let wa = String.get_int64_be a (i lsl 3)
+    and wb = String.get_int64_be b (i lsl 3) in
+    if Int64.equal wa wb then diff_words a b ~words ~n (i + 1)
+    else Some ((i lsl 6) + clz64 (Int64.logxor wa wb))
+  end
+  else diff_tail a b ~n (words lsl 3)
+
+and diff_tail a b ~n i =
+  if i >= n then None
+  else
+    let xa = Char.code (String.unsafe_get a i)
+    and xb = Char.code (String.unsafe_get b i) in
+    if xa = xb then diff_tail a b ~n (i + 1)
+    else Some ((i * 8) + msb_first_diff_in_byte (xa lxor xb))
+
 let first_diff_bit a b =
   let n = String.length a in
   assert (String.length b = n);
-  let words = n lsr 3 in
-  let rec word_loop i =
-    if i < words then begin
-      let wa = String.get_int64_be a (i lsl 3)
-      and wb = String.get_int64_be b (i lsl 3) in
-      if Int64.equal wa wb then word_loop (i + 1)
-      else Some ((i lsl 6) + clz64 (Int64.logxor wa wb))
-    end
-    else byte_loop (words lsl 3)
-  and byte_loop i =
-    if i >= n then None
-    else
-      let xa = Char.code (String.unsafe_get a i)
-      and xb = Char.code (String.unsafe_get b i) in
-      if xa = xb then byte_loop (i + 1)
-      else Some ((i * 8) + msb_first_diff_in_byte (xa lxor xb))
-  in
-  word_loop 0
+  diff_words a b ~words:(n lsr 3) ~n 0
 
 let to_hex k =
   let buf = Buffer.create (2 * String.length k) in

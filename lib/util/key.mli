@@ -15,6 +15,14 @@ val compare_fast : t -> t -> int
     with {!compare} on every pair of strings; this is the kernel the
     index search paths use. *)
 
+val compare_at : Bytes.t -> int -> int -> t -> int
+(** [compare_at b off len k] orders the [len] bytes of [b] at [off]
+    against [k] exactly as [compare_fast (Bytes.sub_string b off len) k]
+    would, without materialising the string: the probe for keys stored
+    inline in nodes and arenas.  Allocates nothing.  Raises
+    [Invalid_argument] if the range lies outside [b], so a torn
+    optimistic read of an offset never reads out of bounds. *)
+
 val sort_prefix : t -> int
 (** First 63 bits of the key (big-endian byte order, zero-padded) as a
     non-negative int.  Monotone in {!compare_fast}:

@@ -323,7 +323,7 @@ let test_elastic_concurrent_pressure () =
   (* The atomically tracked size is approximate under races but must be
      close to the exact recomputation, and near the soft bound. *)
   let exact = Olc.memory_bytes tree in
-  let tracked = Olc.elastic_memory_bytes tree in
+  let tracked = Olc.tracked_memory_bytes tree in
   let drift = abs (exact - tracked) in
   if drift * 20 > exact then
     Alcotest.failf "accounting drift too large: exact=%d tracked=%d" exact tracked;
@@ -368,6 +368,45 @@ let test_elastic_concurrent_drain () =
       | _ -> Alcotest.fail "drain inconsistency")
     keys
 
+(* A long single-threaded elastic churn: phases of insert-heavy and
+   remove-heavy traffic over a key pool, with a bound low enough that
+   the tree shrinks, then expands as it drains.  The structure, the
+   model and the tracked size must agree at the end. *)
+let test_elastic_churn () =
+  let table, tree = mk ~kind:(elastic_kind ~size_bound:60_000) ~key_len:8 () in
+  let rng = Rng.create (seed + 7) in
+  let pool = 8_000 in
+  let keys = Array.init pool (fun i -> Key.of_int (i * 7919)) in
+  let tids = Array.map (Table.append table) keys in
+  let present = Array.make pool false in
+  for step = 0 to 99_999 do
+    let i = Rng.int rng pool in
+    (* 20k-op phases alternate 80 % and 20 % inserts *)
+    let insert_pct = if step / 20_000 mod 2 = 0 then 80 else 20 in
+    if Rng.int rng 100 < insert_pct then begin
+      if Olc.insert tree keys.(i) tids.(i) = present.(i) then
+        Alcotest.failf "insert %d mismatch at step %d" i step;
+      present.(i) <- true
+    end
+    else begin
+      if Olc.remove tree keys.(i) <> present.(i) then
+        Alcotest.failf "remove %d mismatch at step %d" i step;
+      present.(i) <- false
+    end
+  done;
+  Olc.check_invariants tree;
+  Alcotest.(check bool) "converted" true (Olc.elastic_conversions tree > 0);
+  Alcotest.(check int) "tracked = walked" (Olc.memory_bytes tree)
+    (Olc.tracked_memory_bytes tree);
+  Alcotest.(check int) "count"
+    (Array.fold_left (fun a p -> if p then a + 1 else a) 0 present)
+    (Olc.count tree);
+  Array.iteri
+    (fun i k ->
+      if Olc.find tree k <> (if present.(i) then Some tids.(i) else None) then
+        Alcotest.failf "find %d after churn" i)
+    keys
+
 let () =
   Alcotest.run "ei_olc"
     [
@@ -394,5 +433,7 @@ let () =
           Alcotest.test_case "concurrent pressure" `Quick
             test_elastic_concurrent_pressure;
           Alcotest.test_case "concurrent drain" `Quick test_elastic_concurrent_drain;
+          Alcotest.test_case "invariants after 100k-op churn" `Quick
+            test_elastic_churn;
         ] );
     ]

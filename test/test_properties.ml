@@ -424,6 +424,125 @@ let prop_gapped_leaf =
           && Std_leaf.is_full std = Gapped.is_full gap)
         ops)
 
+(* --- Inline standard leaf vs a sorted-assoc model ----------------------- *)
+
+(* Keys of [key_len] bytes from a pool index.  Length 3 exercises only
+   the byte tail of the inline comparison, 8 one word, 16 a shared first
+   word so the order is decided in the second. *)
+let sized_key ~key_len i =
+  let k = key_of_pool i in
+  if key_len <= 8 then String.sub k (8 - key_len) key_len
+  else String.make (key_len - 8) '\x5a' ^ k
+
+let prop_std_leaf_model key_len =
+  let module Std_leaf = Ei_btree.Std_leaf in
+  let capacity = 16 in
+  QCheck.Test.make
+    ~name:(Printf.sprintf "inline std leaf matches sorted assoc (key_len %d)" key_len)
+    ~count:300 (ops_arbitrary ~pool:24 120)
+    (fun ops ->
+      let leaf = Std_leaf.create ~key_len ~capacity () in
+      let model = ref [] in
+      let key i = sized_key ~key_len i in
+      let from k = List.filter (fun (k', _) -> String.compare k' k >= 0) !model in
+      let step op =
+        match op with
+        | Insert i ->
+          let k = key i in
+          let expect =
+            if List.mem_assoc k !model then Std_leaf.Duplicate
+            else if List.length !model >= capacity then Std_leaf.Full
+            else begin
+              model := List.sort compare ((k, i) :: !model);
+              Std_leaf.Inserted
+            end
+          in
+          Std_leaf.insert leaf k i = expect
+        | Remove i ->
+          let k = key i in
+          let expect =
+            if List.mem_assoc k !model then Std_leaf.Removed else Std_leaf.Not_present
+          in
+          model := List.remove_assoc k !model;
+          Std_leaf.remove leaf k = expect
+        | Find i ->
+          let k = key i in
+          Std_leaf.find leaf k = List.assoc_opt k !model
+          && Std_leaf.lower_bound leaf k = List.length !model - List.length (from k)
+        | Scan (i, n) ->
+          let k = key i in
+          let got =
+            Std_leaf.fold_from leaf (Std_leaf.lower_bound leaf k)
+              (fun acc k' tid -> if List.length acc < n then (k', tid) :: acc else acc)
+              []
+          in
+          List.rev got = List.filteri (fun j _ -> j < n) (from k)
+      in
+      let agrees () =
+        Std_leaf.check_invariants leaf;
+        Std_leaf.count leaf = List.length !model
+        && List.for_all2
+             (fun j (k, tid) -> Std_leaf.key_at leaf j = k && Std_leaf.tid_at leaf j = tid)
+             (List.init (List.length !model) Fun.id)
+             !model
+      in
+      List.for_all (fun op -> step op && agrees ()) ops
+      &&
+      (* split then absorb is the identity on contents *)
+      let right = Std_leaf.split leaf in
+      let halves =
+        Std_leaf.fold_from leaf 0 (fun acc k tid -> (k, tid) :: acc) []
+        |> fun l -> Std_leaf.fold_from right 0 (fun acc k tid -> (k, tid) :: acc) l
+      in
+      Std_leaf.absorb leaf right;
+      List.rev halves = !model && agrees ())
+
+(* --- OLC size tracker -------------------------------------------------- *)
+
+(* The O(1) tracked size every OLC kind reports (and [Serve] publishes
+   after each batch) must equal the memory-model walk once quiescent. *)
+let prop_olc_tracker =
+  let module Olc = Ei_olc.Btree_olc in
+  let kinds =
+    [
+      ("std", Olc.Olc_std);
+      ("seqtree", Olc.Olc_seqtree { capacity = 64; levels = 2; breathing = 4 });
+      ("elastic", Olc.Olc_elastic (Olc.default_elastic_config ~size_bound:6_000));
+    ]
+  in
+  List.map
+    (fun (name, kind) ->
+      QCheck.Test.make
+        ~name:(Printf.sprintf "olc tracked size = memory_bytes walk (%s)" name)
+        ~count:100 (ops_arbitrary ~pool:600 1500)
+        (fun ops ->
+          let table = Table.create ~key_len:8 () in
+          let load =
+            Olc.safe_loader ~key_len:8
+              ~table_length:(fun () -> Table.length table)
+              ~load:(Table.loader table)
+          in
+          let tree = Olc.create ~kind ~key_len:8 ~load () in
+          let tids = Hashtbl.create 64 in
+          List.iter
+            (function
+              | Insert i ->
+                let k = key_of_pool i in
+                let tid =
+                  match Hashtbl.find_opt tids k with
+                  | Some t -> t
+                  | None ->
+                    let t = Table.append table k in
+                    Hashtbl.add tids k t;
+                    t
+                in
+                ignore (Olc.insert tree k tid)
+              | Remove i -> ignore (Olc.remove tree (key_of_pool i))
+              | Find _ | Scan _ -> ())
+            ops;
+          Olc.tracked_memory_bytes tree = Olc.memory_bytes tree))
+    kinds
+
 (* --- multi_find equivalence ------------------------------------------- *)
 
 module Registry = Ei_harness.Registry
@@ -618,6 +737,8 @@ let () =
           qt prop_btree_gapped_dense;
         ] );
       ("gapped-leaf", [ qt prop_gapped_leaf ]);
+      ("std-leaf", List.map (fun kl -> qt (prop_std_leaf_model kl)) [ 3; 8; 16 ]);
+      ("olc-tracker", List.map qt prop_olc_tracker);
       ("multi-find", List.map qt prop_multi_find);
       ("bitsarr", [ qt prop_bitsarr ]);
       ( "memory-model",

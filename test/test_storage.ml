@@ -87,6 +87,50 @@ let test_liveness_grow_race () =
   done;
   Alcotest.(check int) "no mark lost to growth" 0 !missing
 
+(* The flat key arena at two key widths: appends across several grows
+   read back, out-of-range tids and wrong-length keys are rejected. *)
+let test_arena ~key_len () =
+  let key i = Printf.sprintf "%0*d" key_len i in
+  let t = Table.create ~initial_capacity:1 ~key_len () in
+  let n = 1_000 in
+  (* from capacity 1: ten doublings *)
+  for i = 0 to n - 1 do
+    Alcotest.(check int) "tid" i (Table.append t (key i))
+  done;
+  for i = 0 to n - 1 do
+    Alcotest.(check string) "key after grows" (key i) (Table.key t i)
+  done;
+  let rejects name f =
+    match f () with
+    | _ -> Alcotest.failf "%s accepted" name
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "tid = length" (fun () -> ignore (Table.key t n));
+  rejects "negative tid" (fun () -> ignore (Table.key t (-1)));
+  rejects "short key" (fun () -> ignore (Table.append t (String.make (key_len - 1) 'k')));
+  rejects "long key" (fun () -> ignore (Table.append t (String.make (key_len + 1) 'k')));
+  Alcotest.(check int) "rejected appends add no row" n (Table.length t)
+
+(* WAL recovery restores rows out of order and with gaps: the restored
+   rows read back and fold in tid order, gap rows stay dead. *)
+let test_arena_restore ~key_len () =
+  let key i = Printf.sprintf "%0*d" key_len i in
+  let t = Table.create ~initial_capacity:2 ~key_len () in
+  let restored = [ 40; 3; 17; 0; 300; 18 ] in
+  List.iter (fun tid -> Table.restore_row t ~tid ~key:(key tid)) restored;
+  Alcotest.(check int) "length covers the highest tid" 301 (Table.length t);
+  List.iter
+    (fun tid -> Alcotest.(check string) "restored key" (key tid) (Table.key t tid))
+    restored;
+  Alcotest.(check bool) "gap row dead" false (Table.is_live t 1);
+  let folded = Table.fold_live t (fun tid k acc -> (tid, k) :: acc) [] in
+  Alcotest.(check (list (pair int string)))
+    "fold_live: restored rows in tid order"
+    (List.map (fun tid -> (tid, key tid)) (List.sort compare restored))
+    (List.rev folded);
+  (* appends continue after the highest restored tid *)
+  Alcotest.(check int) "next tid" 301 (Table.append t (key 301))
+
 let test_tracker () =
   let tr = Tracker.create () in
   Tracker.add tr 100;
@@ -154,6 +198,12 @@ let () =
           Alcotest.test_case "row liveness across growth" `Quick test_liveness;
           Alcotest.test_case "liveness marks vs grow race" `Quick
             test_liveness_grow_race;
+          Alcotest.test_case "key arena, 8-byte keys" `Quick (test_arena ~key_len:8);
+          Alcotest.test_case "key arena, 16-byte keys" `Quick (test_arena ~key_len:16);
+          Alcotest.test_case "arena restore with gaps, 8-byte keys" `Quick
+            (test_arena_restore ~key_len:8);
+          Alcotest.test_case "arena restore with gaps, 16-byte keys" `Quick
+            (test_arena_restore ~key_len:16);
           Alcotest.test_case "tracker" `Quick test_tracker;
           Alcotest.test_case "memory-model anchors" `Quick test_memmodel_anchors;
         ] );

@@ -8,6 +8,7 @@ module Rng = Ei_util.Rng
    spirit while EI_SEED re-rolls the whole executable. *)
 let seed = Rng.env_seed ~default:0
 module Zipf = Ei_util.Zipf
+module Bench_clock = Ei_util.Bench_clock
 
 let check = Alcotest.check
 
@@ -121,6 +122,76 @@ let test_compare_fast_edges () =
       (sign (Key.compare_fast a ax))
   done
 
+(* compare_at reads a key stored inline in a larger buffer: the key
+   sits at a random offset between random junk, so a loop that strays
+   outside [off, off + len) changes the answer. *)
+let prop_compare_at =
+  let gen =
+    QCheck.Gen.(
+      int_bound 32 >>= fun la ->
+      int_bound 32 >>= fun lb ->
+      string_size (return la) >>= fun a ->
+      string_size (return lb) >>= fun b ->
+      int_bound (min la lb) >>= fun p ->
+      bool >>= fun share ->
+      string_size (int_bound 12) >>= fun pre ->
+      string_size (int_bound 12) >|= fun post ->
+      let b = if share && p > 0 then String.sub a 0 p ^ String.sub b p (lb - p) else b in
+      (a, b, pre, post))
+  in
+  QCheck.Test.make ~name:"compare_at agrees with String.compare" ~count:20_000
+    (QCheck.make
+       ~print:(fun (a, b, pre, post) -> Printf.sprintf "(%S, %S, %S, %S)" a b pre post)
+       gen)
+    (fun (a, b, pre, post) ->
+      let buf = Bytes.of_string (pre ^ a ^ post) in
+      let off = String.length pre and len = String.length a in
+      sign (Key.compare_at buf off len b) = sign (String.compare a b)
+      && Key.compare_at buf off len a = 0)
+
+let test_compare_at_bounds () =
+  let buf = Bytes.make 16 'k' in
+  let raises name f =
+    match f () with
+    | _ -> Alcotest.failf "%s: no Invalid_argument" name
+    | exception Invalid_argument _ -> ()
+  in
+  raises "negative offset" (fun () -> Key.compare_at buf (-1) 8 "kkkkkkkk");
+  raises "past the end" (fun () -> Key.compare_at buf 9 8 "kkkkkkkk");
+  raises "negative length" (fun () -> Key.compare_at buf 0 (-1) "");
+  check Alcotest.int "last slot" 0 (Key.compare_at buf 8 8 "kkkkkkkk")
+
+(* The comparison kernels run on every descent step: they must not
+   allocate (no closure, no boxed word) in native code.  [first_diff_bit]
+   may allocate only its [Some] (two words). *)
+let test_compare_no_alloc () =
+  let a = Sys.opaque_identity (Key.of_int_pair 7 9)
+  and b = Sys.opaque_identity (Key.of_int_pair 7 10) in
+  let buf = Bytes.of_string ("xx" ^ a) in
+  let words_per_call name ~max f =
+    let n = 10_000 in
+    let w0 = Gc.minor_words () in
+    for _ = 1 to n do
+      ignore (Sys.opaque_identity (f ()))
+    done;
+    let w = (Gc.minor_words () -. w0) /. float_of_int n in
+    if w > max then Alcotest.failf "%s: %.2f minor words per call" name w
+  in
+  words_per_call "compare_fast" ~max:0.01 (fun () -> Key.compare_fast a b);
+  words_per_call "compare_at" ~max:0.01 (fun () -> Key.compare_at buf 2 16 b);
+  words_per_call "first_diff_bit" ~max:2.01 (fun () -> Key.first_diff_bit a b)
+
+(* --- Clock ---------------------------------------------------------- *)
+
+let test_clock_monotonic () =
+  let prev = ref (Bench_clock.now_ns ()) in
+  for _ = 1 to 1_000_000 do
+    let t = Bench_clock.now_ns () in
+    if t < !prev then Alcotest.failf "clock went back: %d after %d" t !prev;
+    prev := t
+  done;
+  check Alcotest.bool "positive" true (!prev > 0)
+
 (* --- RNG ----------------------------------------------------------- *)
 
 let test_rng_deterministic () =
@@ -203,7 +274,12 @@ let () =
           qt prop_compare_fast;
           Alcotest.test_case "compare_fast edges" `Quick
             test_compare_fast_edges;
+          qt prop_compare_at;
+          Alcotest.test_case "compare_at bounds" `Quick test_compare_at_bounds;
+          Alcotest.test_case "comparisons allocate nothing" `Quick
+            test_compare_no_alloc;
         ] );
+      ("clock", [ Alcotest.test_case "monotonic over 1M reads" `Quick test_clock_monotonic ]);
       ( "rng",
         [
           Alcotest.test_case "deterministic" `Quick test_rng_deterministic;

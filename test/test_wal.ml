@@ -46,6 +46,33 @@ let mk_part ?(bound = 1 lsl 20) table name =
 
 (* --- a. frame codec --------------------------------------------------- *)
 
+(* Domains compute their first CRC at the same moment, as shard
+   domains' first WAL commits do.  A table built on first use raises
+   [CamlinternalLazy.Undefined] in a domain that asks while another is
+   building it.  The window is about a microsecond, so the rounds of
+   spawns before the real one warm the domain pool until four domains
+   leave the barrier together (on a two-core box this catches a lazy
+   table in most runs).  Must run before anything else in this process
+   computes a CRC.  Check value: CRC-32 of "123456789". *)
+let test_crc_concurrent_first_use () =
+  let domains = 4 in
+  let round f =
+    let ready = Atomic.make 0 in
+    let worker () =
+      Atomic.incr ready;
+      while Atomic.get ready < domains do
+        Domain.cpu_relax ()
+      done;
+      f ()
+    in
+    List.map Domain.join (List.init domains (fun _ -> Domain.spawn worker))
+  in
+  for _ = 1 to 32 do
+    ignore (round (fun () -> Sys.opaque_identity (Array.make 300 0)))
+  done;
+  round (fun () -> List.init 3 (fun _ -> Ei_wal.Crc32.string "123456789"))
+  |> List.iter (List.iter (Alcotest.(check int) "crc" 0xcbf43926))
+
 let record_gen =
   QCheck.Gen.(
     let key = string_size ~gen:char (int_range 0 40) in
@@ -455,6 +482,8 @@ let () =
     [
       ( "codec",
         [
+          Alcotest.test_case "concurrent first CRC" `Quick
+            test_crc_concurrent_first_use;
           qt prop_roundtrip;
           qt prop_stream_roundtrip;
           qt prop_random_flip;
