@@ -9,9 +9,19 @@
      entry is an index into BlindiBits, or ET when the trie node is absent;
    - the tuple-id array, optionally sized by the breathing rule (§5.4).
 
+   BlindiBits and BlindiTree share one packed buffer, [meta]: the
+   [capacity - 1] BlindiBits entries first, then the BlindiTree slots.
+   Entries are 1 or 2 bytes wide, at the widths the memory model charges
+   ({!Ei_storage.Memmodel.bits_entry_bytes} / [tree_entry_bytes]); both
+   widths follow from [key_len] and [capacity], so the record does not
+   store them.  A BlindiTree slot holds its BlindiBits index plus one, so
+   the zero-filled buffer starts with every slot absent.
+
    Keys are NOT stored: searches verify their candidate by loading the
    key from the base table through the [load] closure.  [levels = 0]
    degenerates to the pure SeqTrie of Ferguson [12]. *)
+
+module Memmodel = Ei_storage.Memmodel
 
 type t = {
   key_len : int;
@@ -19,8 +29,7 @@ type t = {
   levels : int;
   breathing : int;  (* slack s; 0 disables breathing *)
   mutable n : int;
-  bits : Bitsarr.t;         (* capacity - 1 entries, n - 1 in use *)
-  tree : int array;         (* 2^levels - 1 entries; et when absent *)
+  meta : Bytes.t;  (* BlindiBits (capacity - 1, n - 1 in use), BlindiTree *)
   mutable tids : int array; (* key order; length per breathing rule *)
 }
 
@@ -31,19 +40,86 @@ type load = int -> string
 
 let tree_size levels = (1 lsl levels) - 1
 
+(* Allocated BlindiTree slots: one even for [levels = 0]. *)
+let tree_slots levels = max 1 (tree_size levels)
+
 let tid_slots_for ~capacity ~breathing n =
   if breathing = 0 then capacity else min capacity (max 1 (n + breathing))
+
+(* --- The packed metadata buffer ------------------------------------- *)
+
+let bits_width t = Memmodel.bits_entry_bytes ~key_len:t.key_len
+let tree_width t = Memmodel.tree_entry_bytes ~capacity:t.capacity
+
+(* Byte offset of the BlindiTree, just past the BlindiBits entries. *)
+let tree_base t = (t.capacity - 1) * bits_width t
+
+let get_entry meta ~width off =
+  if width = 1 then Char.code (Bytes.unsafe_get meta off)
+  else Bytes.get_uint16_le meta off
+
+let set_entry meta ~width off v =
+  if width = 1 then begin
+    assert (v >= 0 && v <= 0xff);
+    Bytes.unsafe_set meta off (Char.unsafe_chr v)
+  end
+  else begin
+    assert (v >= 0 && v <= 0xffff);
+    Bytes.set_uint16_le meta off v
+  end
+
+(* BlindiBits entry [i]. *)
+let bit t i =
+  let width = bits_width t in
+  get_entry t.meta ~width (i * width)
+
+let set_bit t i v =
+  let width = bits_width t in
+  set_entry t.meta ~width (i * width) v
+
+(* Shift BlindiBits entries [i, count) one slot right and write [v] at
+   [i]; requires room for [count + 1] entries. *)
+let insert_bit t ~count (i : int) v =
+  assert (i >= 0 && i <= count && count + 1 <= t.capacity - 1);
+  let w = bits_width t in
+  Bytes.blit t.meta (i * w) t.meta ((i + 1) * w) ((count - i) * w);
+  set_bit t i v
+
+(* Remove BlindiBits entry [i], shifting entries [i+1, count) left. *)
+let remove_bit t ~count (i : int) =
+  assert (i >= 0 && i < count);
+  let w = bits_width t in
+  Bytes.blit t.meta ((i + 1) * w) t.meta (i * w) ((count - i - 1) * w)
+
+(* Copy [len] BlindiBits entries between nodes of the same key length. *)
+let blit_bits src spos dst dpos len =
+  let w = bits_width src in
+  Bytes.blit src.meta (spos * w) dst.meta (dpos * w) (len * w)
+
+(* BlindiTree slot [p]: a BlindiBits index, or [et] when absent. *)
+let slot t p =
+  let width = tree_width t in
+  get_entry t.meta ~width (tree_base t + (p * width)) - 1
+
+let set_slot t p m =
+  let width = tree_width t in
+  set_entry t.meta ~width (tree_base t + (p * width)) (m + 1)
+
+let clear_tree t =
+  Bytes.fill t.meta (tree_base t) (tree_slots t.levels * tree_width t) '\000'
 
 let create ~key_len ~capacity ~levels ~breathing () =
   assert (capacity >= 2);
   assert (levels >= 0);
   assert (breathing >= 0);
-  let width = Bitsarr.width_for_bits (key_len * 8) in
+  let meta_bytes =
+    ((capacity - 1) * Memmodel.bits_entry_bytes ~key_len)
+    + (tree_slots levels * Memmodel.tree_entry_bytes ~capacity)
+  in
   {
     key_len; capacity; levels; breathing;
     n = 0;
-    bits = Bitsarr.create ~width ~capacity:(capacity - 1);
-    tree = Array.make (max 1 (tree_size levels)) et;
+    meta = Bytes.make meta_bytes '\000';
     tids = Array.make (tid_slots_for ~capacity ~breathing 0) 0;
   }
 
@@ -64,14 +140,18 @@ let tid_slots t = Array.length t.tids
    entries, BlindiTree slots, and the absent-marker. *)
 let bit_at t i =
   assert (i >= 0 && i < t.n - 1);
-  Bitsarr.get t.bits i
+  bit t i
 
-let tree_slot_count t = Array.length t.tree
-let tree_slot t i = t.tree.(i)
+let tree_slot_count t = tree_slots t.levels
+
+let tree_slot t (p : int) =
+  assert (p >= 0 && p < tree_slots t.levels);
+  slot t p
+
 let absent_slot = et
 
 let memory_bytes t =
-  Ei_storage.Memmodel.seqtree_bytes ~capacity:t.capacity ~key_len:t.key_len
+  Memmodel.seqtree_bytes ~capacity:t.capacity ~key_len:t.key_len
     ~levels:t.levels ~tid_slots:(Array.length t.tids)
     ~breathing:(t.breathing > 0)
 
@@ -82,9 +162,9 @@ let memory_bytes t =
    called on are in-order segments of trie subtrees, where the minimum is
    the subtree root. *)
 let min_entry_index t lo hi =
-  let best = ref lo and best_v = ref (Bitsarr.get t.bits lo) in
+  let best = ref lo and best_v = ref (bit t lo) in
   for i = lo + 1 to hi do
-    let v = Bitsarr.get t.bits i in
+    let v = bit t i in
     if v < !best_v then begin
       best := i;
       best_v := v
@@ -97,12 +177,11 @@ let min_entry_index t lo hi =
 let rebuild_tree t =
   Stats.global.rebuilds <- Stats.global.rebuilds + 1;
   let size = tree_size t.levels in
-  let tree = t.tree in
-  Array.fill tree 0 (Array.length tree) et;
+  clear_tree t;
   let rec fill p (lo : int) hi =
     if p < size && lo <= hi then begin
       let m = min_entry_index t lo hi in
-      tree.(p) <- m;
+      set_slot t p m;
       fill ((2 * p) + 1) lo (m - 1);
       fill ((2 * p) + 2) (m + 1) hi
     end
@@ -120,7 +199,7 @@ let seq_scan t key lo hi =
   let j = ref lo and threshold = ref max_int in
   for i = lo to hi do
     Stats.global.scan_steps <- Stats.global.scan_steps + 1;
-    let b = Bitsarr.get t.bits i in
+    let b = bit t i in
     if b <= !threshold then
       if key_bit key b = 1 then begin
         j := i + 1;
@@ -140,7 +219,7 @@ let assumed_position t key =
     let p = ref 0 in
     let fell_off = ref false in
     while (not !fell_off) && !p < size && !lo <= !hi do
-      let m = t.tree.(!p) in
+      let m = slot t !p in
       if m = et then begin
         (* Absent trie node: the candidate is the range's first key. *)
         hi := !lo - 1;
@@ -148,7 +227,7 @@ let assumed_position t key =
       end
       else begin
         Stats.global.tree_steps <- Stats.global.tree_steps + 1;
-        let b = Bitsarr.get t.bits m in
+        let b = bit t m in
         if key_bit key b = 1 then begin
           lo := m + 1;
           p := (2 * !p) + 2
@@ -185,7 +264,7 @@ let locate t ~(load : load) key =
         (* key > kj: scan right for the first entry below bd. *)
         let rec right i =
           if i > t.n - 2 then t.n - 1
-          else if Bitsarr.get t.bits i < bd then i
+          else if bit t i < bd then i
           else right (i + 1)
         in
         Pred (right j)
@@ -194,7 +273,7 @@ let locate t ~(load : load) key =
         (* key < kj: scan left for the first entry below bd. *)
         let rec left i =
           if i < 0 then -1
-          else if Bitsarr.get t.bits i < bd then i
+          else if bit t i < bd then i
           else left (i - 1)
         in
         Pred (left (j - 1))
@@ -258,7 +337,7 @@ let fill_subtree t p lo hi =
   let size = tree_size t.levels in
   let rec clear p =
     if p < size then begin
-      t.tree.(p) <- et;
+      set_slot t p et;
       clear ((2 * p) + 1);
       clear ((2 * p) + 2)
     end
@@ -266,7 +345,7 @@ let fill_subtree t p lo hi =
   let rec fill p (lo : int) hi =
     if p < size && lo <= hi then begin
       let m = min_entry_index t lo hi in
-      t.tree.(p) <- m;
+      set_slot t p m;
       fill ((2 * p) + 1) lo (m - 1);
       fill ((2 * p) + 2) (m + 1) hi
     end
@@ -274,7 +353,7 @@ let fill_subtree t p lo hi =
   clear p;
   fill p lo hi
 
-let tree_after_insert t q' v_new =
+let tree_after_insert t (q' : int) v_new =
   let size = tree_size t.levels in
   if size > 0 then begin
     let entries = t.n - 1 in
@@ -282,16 +361,17 @@ let tree_after_insert t q' v_new =
     else begin
       (* Shift stored indices for the slide of entries >= q'. *)
       for p = 0 to size - 1 do
-        if t.tree.(p) <> et && t.tree.(p) >= q' then t.tree.(p) <- t.tree.(p) + 1
+        let m = slot t p in
+        if m <> et && m >= q' then set_slot t p (m + 1)
       done;
       let rec fix p lo hi =
         if p < size then begin
-          if t.tree.(p) = et then
+          let m = slot t p in
+          if m = et then
             (* The range was empty; it now holds exactly the new entry. *)
-            t.tree.(p) <- q'
+            set_slot t p q'
           else begin
-            let m = t.tree.(p) in
-            if v_new < Bitsarr.get t.bits m then
+            if v_new < bit t m then
               (* The new entry becomes this subtree's root: splice by
                  rebuilding the (small) subtree over the new range. *)
               fill_subtree t p lo hi
@@ -307,7 +387,7 @@ let tree_after_insert t q' v_new =
 (* After removing logical entry [r] (stored entries > r slid left), drop
    it from the tree: shift indices, and if [r] was represented, rebuild
    the subtree that lost its root. *)
-let tree_after_remove t r =
+let tree_after_remove t (r : int) =
   let size = tree_size t.levels in
   if size > 0 then begin
     let entries = t.n - 1 in
@@ -315,8 +395,9 @@ let tree_after_remove t r =
     else begin
       let holder = ref (-1) in
       for p = 0 to size - 1 do
-        if t.tree.(p) = r then holder := p;
-        if t.tree.(p) <> et && t.tree.(p) > r then t.tree.(p) <- t.tree.(p) - 1
+        let m = slot t p in
+        if m = r then holder := p;
+        if m <> et && m > r then set_slot t p (m - 1)
       done;
       if !holder >= 0 then begin
         (* Recover the range of the node that held [r] by walking down
@@ -331,7 +412,7 @@ let tree_after_remove t r =
         let cur = ref 0 in
         List.iter
           (fun child ->
-            let m = t.tree.(!cur) in
+            let m = slot t !cur in
             if child = (2 * !cur) + 1 then hi := m - 1 else lo := m + 1;
             cur := child)
           !path;
@@ -356,14 +437,14 @@ let insert t ~(load : load) key tid =
       if t.n > 0 then begin
         if q = 0 then begin
           let v = diff_bit key (load t.tids.(0)) in
-          Bitsarr.insert t.bits ~count:(t.n - 1) 0 v;
+          insert_bit t ~count:(t.n - 1) 0 v;
           insert_tid t q tid;
           t.n <- t.n + 1;
           tree_after_insert t 0 v
         end
         else if q = t.n then begin
           let v = diff_bit (load t.tids.(t.n - 1)) key in
-          Bitsarr.insert t.bits ~count:(t.n - 1) (t.n - 1) v;
+          insert_bit t ~count:(t.n - 1) (t.n - 1) v;
           insert_tid t q tid;
           t.n <- t.n + 1;
           tree_after_insert t (t.n - 2) v
@@ -371,14 +452,14 @@ let insert t ~(load : load) key tid =
         else begin
           let left = diff_bit (load t.tids.(q - 1)) key in
           let right = diff_bit key (load t.tids.(q)) in
-          let d_old = Bitsarr.get t.bits (q - 1) in
+          let d_old = bit t (q - 1) in
           (* Entry q-1 covered the old (pred, succ) pair; it becomes the
              (pred, new) bit and a new entry for (new, succ) is added.
              Exactly one of [left]/[right] equals the old bit; the other
              is the logically-new entry. *)
           assert (min left right = d_old);
-          Bitsarr.set t.bits (q - 1) left;
-          Bitsarr.insert t.bits ~count:(t.n - 1) q right;
+          set_bit t (q - 1) left;
+          insert_bit t ~count:(t.n - 1) q right;
           insert_tid t q tid;
           t.n <- t.n + 1;
           if left = d_old then tree_after_insert t q right
@@ -400,13 +481,13 @@ let remove t ~(load : load) key =
     Stats.global.removes <- Stats.global.removes + 1;
     if t.n >= 2 then begin
       if j = 0 then begin
-        Bitsarr.remove t.bits ~count:(t.n - 1) 0;
+        remove_bit t ~count:(t.n - 1) 0;
         remove_tid t j;
         t.n <- t.n - 1;
         tree_after_remove t 0
       end
       else if j = t.n - 1 then begin
-        Bitsarr.remove t.bits ~count:(t.n - 1) (t.n - 2);
+        remove_bit t ~count:(t.n - 1) (t.n - 2);
         remove_tid t j;
         t.n <- t.n - 1;
         tree_after_remove t (t.n - 1)
@@ -415,9 +496,9 @@ let remove t ~(load : load) key =
         (* Pairs (j-1, j) and (j, j+1) merge; the first differing bit of
            the outer keys is the minimum of the two old entries, so the
            logically-removed entry is the one holding the maximum. *)
-        let a = Bitsarr.get t.bits (j - 1) and b = Bitsarr.get t.bits j in
-        Bitsarr.set t.bits (j - 1) (min a b);
-        Bitsarr.remove t.bits ~count:(t.n - 1) j;
+        let a = bit t (j - 1) and b = bit t j in
+        set_bit t (j - 1) (min a b);
+        remove_bit t ~count:(t.n - 1) j;
         remove_tid t j;
         t.n <- t.n - 1;
         tree_after_remove t (if a > b then j - 1 else j)
@@ -441,7 +522,7 @@ let of_sorted ~key_len ~capacity ~levels ~breathing keys tids (n : int) =
   Array.blit tids 0 t.tids 0 n;
   t.n <- n;
   for i = 0 to n - 2 do
-    Bitsarr.set t.bits i (diff_bit keys.(i) keys.(i + 1))
+    set_bit t i (diff_bit keys.(i) keys.(i + 1))
   done;
   rebuild_tree t;
   t
@@ -462,8 +543,8 @@ let split t ~left_capacity ~right_capacity =
   let left = mk left_capacity nl and right = mk right_capacity nr in
   Array.blit t.tids 0 left.tids 0 nl;
   Array.blit t.tids m right.tids 0 nr;
-  if nl >= 2 then Bitsarr.blit t.bits 0 left.bits 0 (nl - 1);
-  if nr >= 2 then Bitsarr.blit t.bits m right.bits 0 (nr - 1);
+  if nl >= 2 then blit_bits t 0 left 0 (nl - 1);
+  if nr >= 2 then blit_bits t m right 0 (nr - 1);
   rebuild_tree left;
   rebuild_tree right;
   (left, right)
@@ -480,10 +561,10 @@ let merge a b ~(load : load) ~capacity ~levels =
   t.n <- n;
   Array.blit a.tids 0 t.tids 0 a.n;
   Array.blit b.tids 0 t.tids a.n b.n;
-  if a.n >= 2 then Bitsarr.blit a.bits 0 t.bits 0 (a.n - 1);
+  if a.n >= 2 then blit_bits a 0 t 0 (a.n - 1);
   if a.n >= 1 && b.n >= 1 then
-    Bitsarr.set t.bits (a.n - 1) (diff_bit (load a.tids.(a.n - 1)) (load b.tids.(0)));
-  if b.n >= 2 then Bitsarr.blit b.bits 0 t.bits a.n (b.n - 1);
+    set_bit t (a.n - 1) (diff_bit (load a.tids.(a.n - 1)) (load b.tids.(0)));
+  if b.n >= 2 then blit_bits b 0 t a.n (b.n - 1);
   rebuild_tree t;
   t
 
@@ -495,7 +576,7 @@ let with_capacity t ~capacity ~levels =
   s.tids <- Array.make (tid_slots_for ~capacity ~breathing:t.breathing t.n) 0;
   s.n <- t.n;
   Array.blit t.tids 0 s.tids 0 t.n;
-  if t.n >= 2 then Bitsarr.blit t.bits 0 s.bits 0 (t.n - 1);
+  if t.n >= 2 then blit_bits t 0 s 0 (t.n - 1);
   rebuild_tree s;
   s
 
@@ -532,22 +613,22 @@ let check_invariants t ~load =
   for i = 0 to t.n - 2 do
     let a = load t.tids.(i) and b = load t.tids.(i + 1) in
     assert (Ei_util.Key.compare a b < 0);
-    assert (Bitsarr.get t.bits i = diff_bit a b)
+    assert (bit t i = diff_bit a b)
   done;
   (* BlindiTree entries are range minima of their in-order segments. *)
   let size = tree_size t.levels in
   let rec check p (lo : int) hi =
     if p < size then
       if lo > hi then begin
-        assert (t.tree.(p) = et);
+        assert (slot t p = et);
         check ((2 * p) + 1) 1 0;
         check ((2 * p) + 2) 1 0
       end
       else begin
-        let m = t.tree.(p) in
+        let m = slot t p in
         assert (m >= lo && m <= hi);
         for i = lo to hi do
-          if i <> m then assert (Bitsarr.get t.bits i > Bitsarr.get t.bits m)
+          if i <> m then assert (bit t i > bit t m)
         done;
         check ((2 * p) + 1) lo (m - 1);
         check ((2 * p) + 2) (m + 1) hi

@@ -122,25 +122,35 @@ let critical a f =
 
 type leaf_repr = Lstd of Std_leaf.t | Lseq of Seqtree.t
 
+(* Nodes are inline records: the constructor's block is the node itself,
+   so a child slot points straight at the version word and payload, and
+   prefetching a child fetches the node rather than a box in front of
+   it. *)
 type node =
-  | Inner of inner
-  | Leaf of leaf
+  | Inner of {
+      iversion : int Atomic.t;
+      mutable n : int [@ei.guarded_by "iversion"];
+      (* separator [i] is the [key_len] bytes at [i * key_len]: inline,
+         as the memory model's inner node charges them *)
+      keys : Bytes.t [@ei.guarded_by "iversion"];
+      children : node array [@ei.guarded_by "iversion"];
+    }
+  | Leaf of {
+      lversion : int Atomic.t;
+      mutable repr : leaf_repr [@ei.guarded_by "lversion"];
+      (* sibling chain, ended by {!chain_end}; never unlinked *)
+      mutable next : node [@ei.guarded_by "lversion"];
+    }
 
-and inner = {
-  iversion : int Atomic.t;
-  mutable n : int [@ei.guarded_by "iversion"];
-  (* separator [i] is the [key_len] bytes at [i * key_len]: inline, as
-     the memory model's inner node charges them *)
-  keys : Bytes.t [@ei.guarded_by "iversion"];
-  children : node array [@ei.guarded_by "iversion"];
-}
-
-and leaf = {
-  lversion : int Atomic.t;
-  mutable repr : leaf_repr [@ei.guarded_by "lversion"];
-  (* sibling chain; never unlinked *)
-  mutable next : leaf option [@ei.guarded_by "lversion"];
-}
+(* The end of every sibling chain: one static leaf that no tree links in
+   as a node and no operation writes, compared by address. *)
+let rec chain_end =
+  Leaf
+    {
+      lversion = Atomic.make 0;
+      repr = Lstd (Std_leaf.create ~key_len:1 ~capacity:2 ());
+      next = chain_end;
+    }
 
 type leaf_kind =
   | Olc_std
@@ -204,18 +214,7 @@ let safe_loader ~key_len ~table_length ~load =
   fun (tid : int) ->
     if tid >= 0 && tid < table_length () then load tid else dummy
 
-let empty_leaf t =
-  let repr =
-    match t.kind with
-    | Olc_std | Olc_elastic _ ->
-      Lstd (Std_leaf.create ~key_len:t.key_len ~capacity:t.leaf_capacity ())
-    | Olc_seqtree { capacity; levels; breathing } ->
-      Lseq (Seqtree.create ~key_len:t.key_len ~capacity ~levels ~breathing ())
-  in
-  { lversion = Atomic.make 0; repr; next = None }
-
-let leaf_bytes l =
-  match l.repr with
+let repr_bytes = function
   | Lstd x -> Std_leaf.memory_bytes x
   | Lseq x -> Seqtree.memory_bytes x
 
@@ -234,23 +233,24 @@ let create ?(leaf_capacity = 16) ?(inner_capacity = 16) ?(kind = Olc_std)
         }
     | Olc_std | Olc_seqtree _ -> None
   in
-  let t =
-    {
-      key_len;
-      leaf_capacity;
-      inner_capacity;
-      kind;
-      load;
-      root_lock = Atomic.make 0;
-      root = Leaf { lversion = Atomic.make 0; repr = Lstd (Std_leaf.create ~key_len ~capacity:2 ()); next = None };
-      bytes = Atomic.make 0;
-      elastic;
-    }
+  let repr =
+    match kind with
+    | Olc_std | Olc_elastic _ ->
+      Lstd (Std_leaf.create ~key_len ~capacity:leaf_capacity ())
+    | Olc_seqtree { capacity; levels; breathing } ->
+      Lseq (Seqtree.create ~key_len ~capacity ~levels ~breathing ())
   in
-  let first = empty_leaf t in
-  t.root <- Leaf first;
-  Atomic.set t.bytes (leaf_bytes first);
-  t
+  {
+    key_len;
+    leaf_capacity;
+    inner_capacity;
+    kind;
+    load;
+    root_lock = Atomic.make 0;
+    root = Leaf { lversion = Atomic.make 0; repr; next = chain_end };
+    bytes = Atomic.make (repr_bytes repr);
+    elastic;
+  }
 
 (* --- Elastic bookkeeping --------------------------------------------- *)
 
@@ -325,17 +325,18 @@ let elastic_compact_leaves t =
 let elastic_conversions t =
   match t.elastic with Some e -> Atomic.get e.econversions | None -> 0
 
-(* Convert a write-locked leaf's representation in place (std -> compact
-   or compact capacity change), adjusting the shared accounting. *)
-let convert_locked_leaf t l ~capacity ~levels ~breathing =
+(* The new representation of a write-locked leaf's [repr] (std -> compact
+   or compact capacity change), adjusting the shared accounting; the
+   caller stores it back into the leaf. *)
+let convert_repr t repr ~capacity ~levels ~breathing =
   Fault.point yp_convert;
-  let before = leaf_bytes l in
-  let was_compact = match l.repr with Lstd _ -> false | Lseq _ -> true in
+  let before = repr_bytes repr in
+  let was_compact = match repr with Lstd _ -> false | Lseq _ -> true in
   let from_capacity =
-    match l.repr with Lstd _ -> 0 | Lseq x -> Seqtree.capacity x
+    match repr with Lstd _ -> 0 | Lseq x -> Seqtree.capacity x
   in
   let n, keys, tids =
-    match l.repr with
+    match repr with
     | Lstd x ->
       let n = Std_leaf.count x in
       ( n,
@@ -346,15 +347,16 @@ let convert_locked_leaf t l ~capacity ~levels ~breathing =
       let tids = Array.init n (fun i -> Seqtree.tid_at x i) in
       (n, Array.map t.load tids, tids)
   in
-  l.repr <-
-    (if capacity <= t.leaf_capacity then
-       Lstd (Std_leaf.of_sorted ~key_len:t.key_len ~capacity:t.leaf_capacity keys tids n)
-     else
-       Lseq
-         (Seqtree.of_sorted ~key_len:t.key_len ~capacity ~levels ~breathing keys
-            tids n));
-  let is_compact = match l.repr with Lstd _ -> false | Lseq _ -> true in
-  account t (leaf_bytes l - before);
+  let repr =
+    if capacity <= t.leaf_capacity then
+      Lstd (Std_leaf.of_sorted ~key_len:t.key_len ~capacity:t.leaf_capacity keys tids n)
+    else
+      Lseq
+        (Seqtree.of_sorted ~key_len:t.key_len ~capacity ~levels ~breathing keys
+           tids n)
+  in
+  let is_compact = match repr with Lstd _ -> false | Lseq _ -> true in
+  account t (repr_bytes repr - before);
   if is_compact && not was_compact then account_compact t 1
   else if (not is_compact) && was_compact then account_compact t (-1);
   (match t.elastic with
@@ -365,13 +367,12 @@ let convert_locked_leaf t l ~capacity ~levels ~breathing =
       (if capacity <= t.leaf_capacity then 0 else capacity)
       from_capacity
   | None -> ());
-  update_elastic_state t
+  update_elastic_state t;
+  repr
 
-let leaf_count l =
-  match l.repr with Lstd x -> Std_leaf.count x | Lseq x -> Seqtree.count x
-
-let leaf_full l =
-  match l.repr with Lstd x -> Std_leaf.is_full x | Lseq x -> Seqtree.is_full x
+let repr_count = function
+  | Lstd x -> Std_leaf.count x
+  | Lseq x -> Seqtree.count x
 
 let node_version = function
   | Inner nd -> nd.iversion
@@ -379,7 +380,10 @@ let node_version = function
 
 let node_full t = function
   | Inner nd -> nd.n >= t.inner_capacity
-  | Leaf l -> leaf_full l
+  | Leaf l -> (
+    match l.repr with
+    | Lstd x -> Std_leaf.is_full x
+    | Lseq x -> Seqtree.is_full x)
 
 (* --- Memory model --------------------------------------------------- *)
 
@@ -395,10 +399,7 @@ let memory_bytes t =
         s := !s + go nd.children.(i)
       done;
       !s
-    | Leaf l -> (
-      match l.repr with
-      | Lstd x -> Std_leaf.memory_bytes x
-      | Lseq x -> Seqtree.memory_bytes x)
+    | Leaf l -> repr_bytes l.repr
   in
   go t.root
 
@@ -410,7 +411,7 @@ let count t =
         s := !s + go nd.children.(i)
       done;
       !s
-    | Leaf l -> leaf_count l
+    | Leaf l -> repr_count l.repr
   in
   go t.root
 
@@ -430,7 +431,8 @@ let fold_leaves t f acc =
         | Lstd x -> (false, Std_leaf.capacity x)
         | Lseq x -> (true, Seqtree.capacity x)
       in
-      f acc ~compact ~capacity ~count:(leaf_count l) ~bytes:(leaf_bytes l)
+      f acc ~compact ~capacity ~count:(repr_count l.repr)
+        ~bytes:(repr_bytes l.repr)
   in
   go acc t.root
 
@@ -441,96 +443,97 @@ let elastic_config t =
 
 (* --- Descent helpers ------------------------------------------------ *)
 
-let separator t nd i = Bytes.sub_string nd.keys (i * t.key_len) t.key_len
+let separator t keys i = Bytes.sub_string keys (i * t.key_len) t.key_len
 
-let child_index t nd key =
+(* The child slot of an inner node with [n] separators in [keys] that
+   covers [key]. *)
+let child_index t keys n key =
   let kl = t.key_len in
-  let lo = ref 0 and hi = ref nd.n in
+  let lo = ref 0 and hi = ref n in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if Key.compare_at nd.keys (mid * kl) kl key <= 0 then lo := mid + 1
+    if Key.compare_at keys (mid * kl) kl key <= 0 then lo := mid + 1
     else hi := mid
   done;
   !lo
 
-let new_inner t ~n ~fill =
-  {
-    iversion = Atomic.make 0;
-    n;
-    keys = Bytes.make (t.inner_capacity * t.key_len) '\000';
-    children = Array.make (t.inner_capacity + 1) fill;
-  }
+let inner_keys t = Bytes.make (t.inner_capacity * t.key_len) '\000'
+let inner_children t fill = Array.make (t.inner_capacity + 1) fill
 
-let set_separator t nd i sep =
+let set_separator t keys i sep =
   if String.length sep <> t.key_len then invalid_arg "Btree_olc: key length";
-  Bytes.blit_string sep 0 nd.keys (i * t.key_len) t.key_len
+  Bytes.blit_string sep 0 keys (i * t.key_len) t.key_len
 
-(* Split a full leaf (write-locked by the caller); returns the separator
-   and new right leaf. *)
-let split_leaf t l =
-  let before = leaf_bytes l in
-  let right_repr, sep =
-    match l.repr with
-    | Lstd x ->
-      let right = Std_leaf.split x in
-      (Lstd right, Std_leaf.key_at right 0)
-    | Lseq x ->
-      let c = Seqtree.capacity x in
-      let left, right = Seqtree.split x ~left_capacity:c ~right_capacity:c in
-      l.repr <- Lseq left;
-      (Lseq right, t.load (Seqtree.tid_at right 0))
-  in
-  let right = { lversion = Atomic.make 0; repr = right_repr; next = l.next } in
-  l.next <- Some right;
-  account t (leaf_bytes l + leaf_bytes right - before);
-  (match right.repr with Lseq _ -> account_compact t 1 | Lstd _ -> ());
-  (sep, Leaf right)
+(* Split a full leaf representation: the left half (in place for
+   standard leaves), the right half and the separator between them. *)
+let split_repr t = function
+  | Lstd x as left ->
+    let right = Std_leaf.split x in
+    (left, Lstd right, Std_leaf.key_at right 0)
+  | Lseq x ->
+    let c = Seqtree.capacity x in
+    let left, right = Seqtree.split x ~left_capacity:c ~right_capacity:c in
+    (Lseq left, Lseq right, t.load (Seqtree.tid_at right 0))
 
-(* Split a full inner node (write-locked); returns separator + right. *)
-let split_inner t nd =
-  let kl = t.key_len in
-  let mid = nd.n / 2 in
-  let sep = separator t nd mid in
-  let right = new_inner t ~n:(nd.n - mid - 1) ~fill:nd.children.(nd.n) in
-  Bytes.blit nd.keys ((mid + 1) * kl) right.keys 0 (right.n * kl);
-  Array.blit nd.children (mid + 1) right.children 0 (right.n + 1);
-  nd.n <- mid;
-  (sep, Inner right)
+(* Split a full node (write-locked by the caller); returns the separator
+   and the new right sibling. *)
+let split_node t = function
+  | Leaf l ->
+    let before = repr_bytes l.repr in
+    let left, right_repr, sep = split_repr t l.repr in
+    let right = Leaf { lversion = Atomic.make 0; repr = right_repr; next = l.next } in
+    l.repr <- left;
+    l.next <- right;
+    account t (repr_bytes left + repr_bytes right_repr - before);
+    (match right_repr with Lseq _ -> account_compact t 1 | Lstd _ -> ());
+    (sep, right)
+  | Inner nd ->
+    account t
+      (Ei_storage.Memmodel.inner_bytes ~capacity:t.inner_capacity
+         ~key_len:t.key_len);
+    let kl = t.key_len in
+    let mid = nd.n / 2 in
+    let sep = separator t nd.keys mid in
+    let n = nd.n - mid - 1 in
+    let keys = inner_keys t in
+    let children = inner_children t nd.children.(nd.n) in
+    Bytes.blit nd.keys ((mid + 1) * kl) keys 0 (n * kl);
+    Array.blit nd.children (mid + 1) children 0 (n + 1);
+    nd.n <- mid;
+    (sep, Inner { iversion = Atomic.make 0; n; keys; children })
 
-let inner_insert_at t nd i sep child =
-  let kl = t.key_len in
-  Bytes.blit nd.keys (i * kl) nd.keys ((i + 1) * kl) ((nd.n - i) * kl);
-  Array.blit nd.children (i + 1) nd.children (i + 2) (nd.n - i);
-  set_separator t nd i sep;
-  nd.children.(i + 1) <- child;
-  nd.n <- nd.n + 1
+(* Insert separator [sep] and its right child into a write-locked,
+   non-full inner node. *)
+let inner_insert t parent sep child =
+  match parent with
+  | Inner nd ->
+    let kl = t.key_len in
+    let i = child_index t nd.keys nd.n sep in
+    Bytes.blit nd.keys (i * kl) nd.keys ((i + 1) * kl) ((nd.n - i) * kl);
+    Array.blit nd.children (i + 1) nd.children (i + 2) (nd.n - i);
+    set_separator t nd.keys i sep;
+    nd.children.(i + 1) <- child;
+    nd.n <- nd.n + 1
+  | Leaf _ -> Invariant.impossible "Btree_olc.inner_insert: leaf parent"
 
 (* Split a full node, with the parent (or the root lock) already
    write-locked by the caller.  The node itself is locked here. *)
 let split_child t ~parent ~node ~node_version:nv =
   upgrade_or_restart (node_version node) nv;
   critical (node_version node) (fun () ->
-      let sep, right =
-        match node with
-        | Leaf l -> split_leaf t l
-        | Inner nd ->
-          account t
-            (Ei_storage.Memmodel.inner_bytes ~capacity:t.inner_capacity
-               ~key_len:t.key_len);
-          split_inner t nd
-      in
+      let sep, right = split_node t node in
       (match parent with
-      | Some pnd -> inner_insert_at t pnd (child_index t pnd sep) sep right
+      | Some p -> inner_insert t p sep right
       | None ->
         (* Growing the tree: new root above the old one. *)
-        let root = new_inner t ~n:1 ~fill:right in
-        set_separator t root 0 sep;
-        root.children.(0) <- node;
-        root.children.(1) <- right;
+        let keys = inner_keys t in
+        let children = inner_children t right in
+        set_separator t keys 0 sep;
+        children.(0) <- node;
         account t
           (Ei_storage.Memmodel.inner_bytes ~capacity:t.inner_capacity
              ~key_len:t.key_len);
-        t.root <- Inner root);
+        t.root <- Inner { iversion = Atomic.make 0; n = 1; keys; children });
       update_elastic_state t);
   write_unlock (node_version node)
 
@@ -559,8 +562,9 @@ let convert_full_leaf t node nv capacity =
       | Leaf l -> (
         match t.elastic with
         | Some e ->
-          convert_locked_leaf t l ~capacity ~levels:e.cfg.seq_levels
-            ~breathing:e.cfg.breathing
+          l.repr <-
+            convert_repr t l.repr ~capacity ~levels:e.cfg.seq_levels
+              ~breathing:e.cfg.breathing
         | None ->
           Invariant.impossible "Btree_olc.convert_full_leaf: no elastic config")
       | Inner _ -> Invariant.impossible "Btree_olc.convert_full_leaf: inner node");
@@ -601,7 +605,7 @@ let find t key =
           check l.lversion nv;
           r
         | Inner nd ->
-          let i = child_index t nd key in
+          let i = child_index t nd.keys nd.n key in
           let child = nd.children.(i) in
           let cv = read_lock (node_version child) in
           check nd.iversion nv;
@@ -660,7 +664,7 @@ let multi_find ?(group = 8) t keys =
           out.(first + i) <- r;
           Ei_btree.Interleave.Done
         | Inner nd ->
-          let ci = child_index t nd key in
+          let ci = child_index t nd.keys nd.n key in
           let child = nd.children.(ci) in
           Ei_util.Prefetch.prefetch child;
           let cv = read_lock (node_version child) in
@@ -693,14 +697,14 @@ let insert t key tid =
           write_unlock t.root_lock;
           raise Restart
       end;
-      let rec go parent node nv =
-        (* Invariant: [node] is not full; parent has room. *)
+      let rec go node nv =
+        (* Invariant: [node] is not full; its parent has room. *)
         match node with
         | Leaf l ->
           upgrade_or_restart l.lversion nv;
           let r =
             critical l.lversion (fun () ->
-                let before = leaf_bytes l in
+                let before = repr_bytes l.repr in
                 let r =
                   match l.repr with
                   | Lstd x -> Std_leaf.insert x key tid
@@ -710,7 +714,7 @@ let insert t key tid =
                     | Seqtree.Full -> Std_leaf.Full
                     | Seqtree.Duplicate -> Std_leaf.Duplicate)
                 in
-                account t (leaf_bytes l - before);
+                account t (repr_bytes l.repr - before);
                 r)
           in
           write_unlock l.lversion;
@@ -720,7 +724,7 @@ let insert t key tid =
           | Std_leaf.Full ->
             Invariant.impossible "Btree_olc.insert: leaf still full after split")
         | Inner nd ->
-          let i = child_index t nd key in
+          let i = child_index t nd.keys nd.n key in
           let child = nd.children.(i) in
           let cv = read_lock (node_version child) in
           check nd.iversion nv;
@@ -733,19 +737,16 @@ let insert t key tid =
             | None ->
               (* Eager split with this (non-full) node locked as parent. *)
               upgrade_or_restart nd.iversion nv;
-              (try split_child t ~parent:(Some nd) ~node:child ~node_version:cv
+              (try split_child t ~parent:(Some node) ~node:child ~node_version:cv
                with Restart ->
                  write_abort nd.iversion;
                  raise Restart);
               write_unlock nd.iversion;
               raise Restart
           end
-          else begin
-            ignore parent;
-            go (Some nd) child cv
-          end
+          else go child cv
       in
-      go None node nv)
+      go node nv)
 
 let remove t key =
   (* Lazy deletion: lock the leaf and remove; leaves are never merged. *)
@@ -760,7 +761,7 @@ let remove t key =
           upgrade_or_restart l.lversion nv;
           let r =
             critical l.lversion (fun () ->
-                let before = leaf_bytes l in
+                let before = repr_bytes l.repr in
                 let r =
                   match l.repr with
                   | Lstd x -> (
@@ -772,7 +773,7 @@ let remove t key =
                     | Seqtree.Removed -> true
                     | Seqtree.Not_present -> false)
                 in
-                account t (leaf_bytes l - before);
+                account t (repr_bytes l.repr - before);
                 (* Elastic underflow: a compact leaf below the §4
                    invariant shrinks back down the capacity progression,
                    while holding the write lock. *)
@@ -783,9 +784,10 @@ let remove t key =
                     let capacity =
                       if c / 2 > t.leaf_capacity then c / 2 else 0
                     in
-                    convert_locked_leaf t l
-                      ~capacity:(max capacity t.leaf_capacity)
-                      ~levels:e.cfg.seq_levels ~breathing:e.cfg.breathing
+                    l.repr <-
+                      convert_repr t l.repr
+                        ~capacity:(max capacity t.leaf_capacity)
+                        ~levels:e.cfg.seq_levels ~breathing:e.cfg.breathing
                   end
                 | _ -> ());
                 update_elastic_state t;
@@ -794,7 +796,7 @@ let remove t key =
           write_unlock l.lversion;
           r
         | Inner nd ->
-          let i = child_index t nd key in
+          let i = child_index t nd.keys nd.n key in
           let child = nd.children.(i) in
           let cv = read_lock (node_version child) in
           check nd.iversion nv;
@@ -823,7 +825,7 @@ let update t key tid =
           write_unlock l.lversion;
           r
         | Inner nd ->
-          let i = child_index t nd key in
+          let i = child_index t nd.keys nd.n key in
           let child = nd.children.(i) in
           let cv = read_lock (node_version child) in
           check nd.iversion nv;
@@ -844,9 +846,9 @@ let fold_range t ~start ~n f acc =
           match node with
           | Leaf l ->
             check l.lversion nv;
-            l
+            node
           | Inner nd ->
-            let i = child_index t nd start in
+            let i = child_index t nd.keys nd.n start in
             let child = nd.children.(i) in
             let cv = read_lock (node_version child) in
             check nd.iversion nv;
@@ -856,37 +858,40 @@ let fold_range t ~start ~n f acc =
   in
   (* Snapshot one leaf's entries >= start (with key loads for compact
      leaves), retrying on version conflicts. *)
-  let snapshot l =
-    with_restart (fun () ->
-        let v = read_lock l.lversion in
-        let entries =
-          match l.repr with
-          | Lstd x ->
-            let out = ref [] in
-            for i = Std_leaf.count x - 1 downto 0 do
-              let k = Std_leaf.key_at x i in
-              if Key.compare k start >= 0 then
-                out := (k, Std_leaf.tid_at x i) :: !out
-            done;
-            !out
-          | Lseq x ->
-            let out = ref [] in
-            for i = Seqtree.count x - 1 downto 0 do
-              let tid = Seqtree.tid_at x i in
-              let k = t.load tid in
-              if Key.compare k start >= 0 then out := (k, tid) :: !out
-            done;
-            !out
-        in
-        let next = l.next in
-        check l.lversion v;
-        (entries, next))
+  let snapshot = function
+    | Inner _ ->
+      Invariant.impossible "Btree_olc.fold_range: inner node in the chain"
+    | Leaf l ->
+      with_restart (fun () ->
+          let v = read_lock l.lversion in
+          let entries =
+            match l.repr with
+            | Lstd x ->
+              let out = ref [] in
+              for i = Std_leaf.count x - 1 downto 0 do
+                let k = Std_leaf.key_at x i in
+                if Key.compare k start >= 0 then
+                  out := (k, Std_leaf.tid_at x i) :: !out
+              done;
+              !out
+            | Lseq x ->
+              let out = ref [] in
+              for i = Seqtree.count x - 1 downto 0 do
+                let tid = Seqtree.tid_at x i in
+                let k = t.load tid in
+                if Key.compare k start >= 0 then out := (k, tid) :: !out
+              done;
+              !out
+          in
+          let next = l.next in
+          check l.lversion v;
+          (entries, next))
   in
-  let rec walk l remaining acc =
+  let rec walk node remaining acc =
     if remaining <= 0 then acc
     else begin
       Fault.point yp_scan;
-      let entries, next = snapshot l in
+      let entries, next = snapshot node in
       let taken = ref 0 in
       let acc =
         List.fold_left
@@ -898,9 +903,9 @@ let fold_range t ~start ~n f acc =
             else acc)
           acc entries
       in
-      match next with
-      | Some nxt when remaining - !taken > 0 -> walk nxt (remaining - !taken) acc
-      | _ -> acc
+      if next != chain_end && remaining - !taken > 0 then
+        walk next (remaining - !taken) acc
+      else acc
     end
   in
   walk first n acc
@@ -910,7 +915,7 @@ let check_invariants t =
   let rec walk node ~lo ~hi =
     match node with
     | Leaf l ->
-      let n = leaf_count l in
+      let n = repr_count l.repr in
       let key_at i =
         match l.repr with
         | Lstd x -> Std_leaf.key_at x i
@@ -927,12 +932,12 @@ let check_invariants t =
     | Inner nd ->
       assert (nd.n >= 1 && nd.n <= t.inner_capacity);
       for i = 0 to nd.n - 2 do
-        assert (Key.compare (separator t nd i) (separator t nd (i + 1)) < 0)
+        assert (Key.compare (separator t nd.keys i) (separator t nd.keys (i + 1)) < 0)
       done;
       let d = ref (-1) in
       for i = 0 to nd.n do
-        let lo' = if i = 0 then lo else Some (separator t nd (i - 1)) in
-        let hi' = if i = nd.n then hi else Some (separator t nd i) in
+        let lo' = if i = 0 then lo else Some (separator t nd.keys (i - 1)) in
+        let hi' = if i = nd.n then hi else Some (separator t nd.keys i) in
         let di = walk nd.children.(i) ~lo:lo' ~hi:hi' in
         if !d = -1 then d := di else assert (di = !d)
       done;

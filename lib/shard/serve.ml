@@ -240,7 +240,10 @@ type t = {
   mutable aux : unit Domain.t list [@ei.single_domain];
 }
 
-let now () = Unix.gettimeofday ()
+(* Seconds on the monotonic clock (arbitrary origin): client deadlines
+   and stall detection compare only differences, so a wall-clock step
+   cannot expire in-flight requests or hide a wedged shard. *)
+let now () = float_of_int (Clock.now_ns ()) *. 1e-9
 
 (* --- Shard domains --------------------------------------------------- *)
 

@@ -269,6 +269,24 @@ let seqtree_grid =
         [ (2, [ 0 ]); (16, [ 0; 2; 3 ]); (64, [ 0; 2; 5 ]); (128, [ 2; 6 ]) ])
     [ 8; 16; 30 ]
 
+(* Packed-entry width switches: BlindiTree slots go to 2 bytes from
+   capacity 255 on, BlindiBits entries once keys exceed 32 bytes.  The
+   grid above stays within 1-byte entries throughout. *)
+let seqtree_wide =
+  List.concat_map
+    (fun (key_len, capacity, levels) ->
+      List.map
+        (fun breathing ->
+          let name =
+            Printf.sprintf "seqtree k=%dB cap=%d lvl=%d s=%d" key_len capacity
+              levels breathing
+          in
+          Alcotest.test_case name `Quick
+            (seqtree_case ~key_len ~capacity ~levels ~breathing
+               ~seed:(key_len + capacity + levels + breathing)))
+        [ 0; 4 ])
+    [ (8, 300, 3); (8, 300, 9); (40, 64, 2); (40, 300, 9) ]
+
 let subtrie_grid =
   List.concat_map
     (fun key_len ->
@@ -381,6 +399,39 @@ let test_with_capacity () =
       if Seqtree.find grown ~load k = None then Alcotest.fail "key lost by grow")
     keys
 
+(* of_sorted / split / merge / with_capacity at capacity 300, where
+   BlindiTree slots are 2 bytes wide. *)
+let test_round_trip_wide () =
+  let rng = Rng.stream seed 41 in
+  let table = Table.create ~key_len:8 () in
+  let load = Table.loader table in
+  let keys, tids = sorted_fixture rng table ~key_len:8 ~n:280 in
+  let all_found what t =
+    Seqtree.check_invariants t ~load;
+    Array.iteri
+      (fun i k ->
+        match Seqtree.find t ~load k with
+        | Some tid -> Alcotest.(check int) what tids.(i) tid
+        | None -> Alcotest.failf "key %d lost by %s" i what)
+      keys
+  in
+  let t =
+    Seqtree.of_sorted ~key_len:8 ~capacity:300 ~levels:9 ~breathing:4 keys tids
+      280
+  in
+  all_found "of_sorted" t;
+  let left, right = Seqtree.split t ~left_capacity:300 ~right_capacity:300 in
+  Seqtree.check_invariants left ~load;
+  Seqtree.check_invariants right ~load;
+  Alcotest.(check int) "left count" 140 (Seqtree.count left);
+  let merged = Seqtree.merge left right ~load ~capacity:300 ~levels:9 in
+  all_found "merge" merged;
+  let shrunk = Seqtree.with_capacity merged ~capacity:280 ~levels:3 in
+  all_found "with_capacity down" shrunk;
+  let grown = Seqtree.with_capacity shrunk ~capacity:300 ~levels:9 in
+  all_found "with_capacity up" grown;
+  Alcotest.(check int) "capacity" 300 (Seqtree.capacity grown)
+
 (* ------------------------------------------------------------------ *)
 (* Scans.                                                              *)
 
@@ -446,10 +497,33 @@ let test_breathing_memory () =
   Alcotest.(check bool) "converted compact leaf < std leaf, 8B keys" true
     (converted < std8)
 
+(* --- Heap footprint pin -------------------------------------------- *)
+
+(* A SeqTree is three heap blocks: its record, one metadata buffer
+   holding BlindiBits then BlindiTree at 1 byte per entry here, and the
+   tid array.  Any further block (a separate BlindiTree array, a
+   wrapper record) changes the count. *)
+let test_seqtree_footprint () =
+  let rng = Rng.stream seed 55 in
+  let table = Table.create ~key_len:8 () in
+  let keys, tids = sorted_fixture rng table ~key_len:8 ~n:20 in
+  let t =
+    Seqtree.of_sorted ~key_len:8 ~capacity:32 ~levels:2 ~breathing:4 keys tids
+      20
+  in
+  let block fields = 1 + fields in
+  let bytes len = block ((len / (Sys.word_size / 8)) + 1) in
+  let record = block 7 in
+  let meta = bytes ((32 - 1) + 3) in
+  let tid_array = block (Seqtree.tid_slots t) in
+  Alcotest.(check int) "tid slots" 24 (Seqtree.tid_slots t);
+  Alcotest.(check int) "reachable words" (record + meta + tid_array)
+    (Obj.reachable_words (Obj.repr t))
+
 let () =
   Alcotest.run "ei_blindi"
     [
-      ("seqtree-grid", seqtree_grid);
+      ("seqtree-grid", seqtree_grid @ seqtree_wide);
       ("subtrie-grid", subtrie_grid);
       ("stringtrie-grid", stringtrie_grid);
       ( "bulk",
@@ -458,9 +532,14 @@ let () =
           Alcotest.test_case "split/merge" `Quick test_split_merge;
           Alcotest.test_case "subtrie split/merge" `Quick test_subtrie_split_merge;
           Alcotest.test_case "with_capacity" `Quick test_with_capacity;
+          Alcotest.test_case "round trip at capacity 300" `Quick
+            test_round_trip_wide;
         ] );
       ( "scan",
         [ Alcotest.test_case "lower_bound + fold" `Quick test_lower_bound_scan ] );
       ( "memory",
-        [ Alcotest.test_case "breathing model" `Quick test_breathing_memory ] );
+        [
+          Alcotest.test_case "breathing model" `Quick test_breathing_memory;
+          Alcotest.test_case "seqtree heap words" `Quick test_seqtree_footprint;
+        ] );
     ]

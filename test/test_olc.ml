@@ -407,6 +407,31 @@ let test_elastic_churn () =
         Alcotest.failf "find %d after churn" i)
     keys
 
+(* --- Heap footprint pin ---------------------------------------------- *)
+
+(* A standard-leaf tree's whole heap: nodes are inline records and the
+   sibling chain ends in one shared sentinel, so a leaf is the node
+   block, its version Atomic, the [Lstd] box and the Std_leaf record
+   with its key buffer and tid array, and an inner node is the node
+   block, its Atomic, key buffer and child array.  A re-added per-node
+   block (a constructor box, a [Some] sibling link) raises the count.
+   The loader captures nothing, so the words are the tree's alone; the
+   insertion order is a fixed permutation, so the shape is too. *)
+let olc_std_words = 51_675
+
+let test_olc_std_footprint () =
+  let load (_ : int) = invalid_arg "standard leaves never load keys" in
+  let tree = Olc.create ~kind:Olc.Olc_std ~key_len:8 ~load () in
+  for i = 0 to 9_999 do
+    ignore (Olc.insert tree (Key.of_int (i * 7919 mod 10_007)) i)
+  done;
+  Olc.check_invariants tree;
+  Alcotest.(check int) "keys" 10_000 (Olc.count tree);
+  let words = Obj.reachable_words (Obj.repr tree) in
+  if words > olc_std_words then
+    Alcotest.failf "10k-key Olc_std tree holds %d heap words, pinned at %d"
+      words olc_std_words
+
 let () =
   Alcotest.run "ei_olc"
     [
@@ -435,5 +460,10 @@ let () =
           Alcotest.test_case "concurrent drain" `Quick test_elastic_concurrent_drain;
           Alcotest.test_case "invariants after 100k-op churn" `Quick
             test_elastic_churn;
+        ] );
+      ( "footprint",
+        [
+          Alcotest.test_case "10k-key Olc_std heap words" `Quick
+            test_olc_std_footprint;
         ] );
     ]
