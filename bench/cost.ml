@@ -45,7 +45,7 @@ let run () =
           (fun (k, tid) -> ignore (Ei_core.Elastic_btree.insert tree k tid))
           keys)
   in
-  let s = Stats.global in
+  let s = Stats.current () in
   let bstats = Ei_core.Elastic_btree.stats tree in
   emit ~name:"cost"
     ~params:[ ("index", "stx"); ("phase", "insert") ]

@@ -1778,7 +1778,7 @@ let analyze_cmd =
                    single .cmt files; given paths are tried as-is, then \
                    under _build/default.  Defaults to the concurrent \
                    libraries: lib/olc lib/shard lib/core lib/fault \
-                   lib/obs.")
+                   lib/obs lib/btree lib/wal lib/blindi.")
   in
   let baseline_arg =
     Arg.(value & opt (some string) None

@@ -24,6 +24,9 @@ type t = {
   right : int array;
   tids : int array;
 }
+(* A node belongs to one single-threaded tree (a {!Ei_btree.Leaf}), and
+   so to the one domain that owns that tree. *)
+[@@ei.single_domain]
 
 type load = int -> string
 
@@ -68,7 +71,7 @@ let key_bit key b = Ei_util.Key.bit key b
 let assumed_position t key =
   let rec go c =
     if is_node t c then begin
-      Stats.global.tree_steps <- Stats.global.tree_steps + 1;
+      (let st = Stats.current () in st.Stats.tree_steps <- st.Stats.tree_steps + 1);
       let i = node_index t c in
       if key_bit key (Bitsarr.get t.bits i) = 0 then go t.left.(i)
       else go t.right.(i)
@@ -94,7 +97,7 @@ let fixup_position t key bd go_right =
 type locate_result = Found of int | Pred of int
 
 let locate t ~(load : load) key =
-  Stats.global.searches <- Stats.global.searches + 1;
+  (let st = Stats.current () in st.Stats.searches <- st.Stats.searches + 1);
   if t.n = 0 then Pred (-1)
   else if t.n = 1 then begin
     let c = Ei_util.Key.compare key (load t.tids.(0)) in
@@ -103,7 +106,7 @@ let locate t ~(load : load) key =
   else begin
     let j = assumed_position t key in
     let kj = load t.tids.(j) in
-    Stats.global.key_compares <- Stats.global.key_compares + 1;
+    (let st = Stats.current () in st.Stats.key_compares <- st.Stats.key_compares + 1);
     match Ei_util.Key.first_diff_bit key kj with
     | None -> Found j
     | Some bd ->
@@ -151,7 +154,7 @@ let insert t ~(load : load) key tid =
   | Found _ -> Duplicate
   | Pred _ when t.n >= t.capacity -> Full
   | Pred p ->
-    Stats.global.inserts <- Stats.global.inserts + 1;
+    (let st = Stats.current () in st.Stats.inserts <- st.Stats.inserts + 1);
     let q = p + 1 in
     if t.n = 0 then begin
       t.tids.(0) <- tid;
@@ -223,7 +226,7 @@ let remove t ~(load : load) key =
   match locate t ~load key with
   | Pred _ -> Not_present
   | Found j ->
-    Stats.global.removes <- Stats.global.removes + 1;
+    (let st = Stats.current () in st.Stats.removes <- st.Stats.removes + 1);
     if t.n >= 2 then begin
       (* Find the leaf's parent node (descending by the removed key's
          bits) and splice its sibling into the grandparent pointer. *)

@@ -20,6 +20,9 @@ type t = {
   sizes : Bitsarr.t;  (* preorder left-subtree sizes, n - 1 in use *)
   tids : int array;   (* key order *)
 }
+(* A node belongs to one single-threaded tree (a {!Ei_btree.Leaf}), and
+   so to the one domain that owns that tree. *)
+[@@ei.single_domain]
 
 type load = int -> string
 
@@ -96,7 +99,7 @@ let assumed_position t key =
   let rec go p (klo : int) khi =
     if klo = khi then klo
     else begin
-      Stats.global.tree_steps <- Stats.global.tree_steps + 1;
+      (let st = Stats.current () in st.Stats.tree_steps <- st.Stats.tree_steps + 1);
       let l = Bitsarr.get t.sizes p in
       if key_bit key (Bitsarr.get t.bits p) = 0 then
         if l = 1 then klo else go (p + 1) klo (klo + l - 1)
@@ -131,12 +134,12 @@ let fixup_position t key bd go_right =
 type locate_result = Found of int | Pred of int
 
 let locate t ~(load : load) key =
-  Stats.global.searches <- Stats.global.searches + 1;
+  (let st = Stats.current () in st.Stats.searches <- st.Stats.searches + 1);
   if t.n = 0 then Pred (-1)
   else begin
     let j = assumed_position t key in
     let kj = load t.tids.(j) in
-    Stats.global.key_compares <- Stats.global.key_compares + 1;
+    (let st = Stats.current () in st.Stats.key_compares <- st.Stats.key_compares + 1);
     match Ei_util.Key.first_diff_bit key kj with
     | None -> Found j
     | Some bd ->
@@ -175,7 +178,7 @@ let insert t ~(load : load) key tid =
   | Found _ -> Duplicate
   | Pred _ when t.n >= t.capacity -> Full
   | Pred p ->
-      Stats.global.inserts <- Stats.global.inserts + 1;
+      (let st = Stats.current () in st.Stats.inserts <- st.Stats.inserts + 1);
       let q = p + 1 in
       let old = to_inorder t in
       let inorder = Array.make t.n 0 in
@@ -206,7 +209,7 @@ let remove t ~(load : load) key =
   match locate t ~load key with
   | Pred _ -> Not_present
   | Found j ->
-    Stats.global.removes <- Stats.global.removes + 1;
+    (let st = Stats.current () in st.Stats.removes <- st.Stats.removes + 1);
     let old = to_inorder t in
     let inorder = Array.make (max 0 (t.n - 2)) 0 in
     if t.n >= 2 then begin

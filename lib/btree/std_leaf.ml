@@ -3,57 +3,84 @@
    the representation the elastic index converts *from* under memory
    pressure and back *to* when pressure subsides.
 
-   Keys are stored inline: slot [i] is the [key_len] bytes at
-   [i * key_len] of one [capacity * key_len] buffer, which is exactly
-   what {!Ei_storage.Memmodel.std_leaf_bytes} charges.  Searches compare
-   in place; {!key_at} materialises a fresh string. *)
+   A leaf is one [Bytes] image, sized by
+   {!Ei_storage.Memmodel.std_leaf_image_bytes}:
+   - bytes 0-7, the header: byte 0 the kind tag, 2-3 the count [n]
+     (u16 LE), 4-5 the capacity, 6-7 the key length;
+   - [capacity] inline keys, slot [i] the [key_len] bytes at
+     [8 + i * key_len], padded to a word;
+   - [capacity] tuple ids, one 8-byte word each.
+   Only [n] and the entries change in place.  Searches compare keys in
+   place; {!key_at} materialises a fresh string.  Every read is
+   bounds-checked, so an optimistic reader's torn count or offset raises
+   [Invalid_argument] rather than reading outside the image. *)
 
-type t = {
-  key_len : int;
-  capacity : int;
-  mutable n : int;
-  keys : Bytes.t;
-  tids : int array;
-}
+module Memmodel = Ei_storage.Memmodel
+
+type t = Bytes.t
+
+let tag = '\x01'
+let header = Memmodel.leaf_image_header
+
+let is_image b = Bytes.length b >= header && Bytes.get b 0 = tag
+
+let of_image b =
+  if is_image b then b else invalid_arg "Std_leaf.of_image: not a standard leaf image"
+
+let count t = Bytes.get_uint16_le t 2
+let set_count t n = Bytes.set_uint16_le t 2 n
+let capacity t = Bytes.get_uint16_le t 4
+let key_len t = Bytes.get_uint16_le t 6
+let is_full t = count t >= capacity t
 
 let create ~key_len ~capacity () =
   assert (capacity >= 2);
-  {
-    key_len;
-    capacity;
-    n = 0;
-    keys = Bytes.make (capacity * key_len) '\000';
-    tids = Array.make capacity 0;
-  }
+  if capacity > 0xffff || key_len > 0xffff then
+    invalid_arg "Std_leaf: parameter exceeds its header field";
+  let t =
+    Bytes.make (Memmodel.std_leaf_image_bytes ~capacity ~key_len) '\000'
+  in
+  Bytes.set t 0 tag;
+  Bytes.set_uint16_le t 4 capacity;
+  Bytes.set_uint16_le t 6 key_len;
+  t
 
-let count t = t.n
-let capacity t = t.capacity
-let is_full t = t.n >= t.capacity
-let key_at t i = Bytes.sub_string t.keys (i * t.key_len) t.key_len
-let tid_at t i = t.tids.(i)
+(* Byte offset of tid slot 0, past the padded key slots. *)
+let tids_base t = header + Memmodel.align_word (capacity t * key_len t)
+
+let key_at t i =
+  let kl = key_len t in
+  Bytes.sub_string t (header + (i * kl)) kl
+
+let tid_at t i = Int64.to_int (Bytes.get_int64_le t (tids_base t + (i * 8)))
+let set_tid t i v = Bytes.set_int64_le t (tids_base t + (i * 8)) (Int64.of_int v)
 
 let memory_bytes t =
-  Ei_storage.Memmodel.std_leaf_bytes ~capacity:t.capacity ~key_len:t.key_len
+  Memmodel.std_leaf_bytes ~capacity:(capacity t) ~key_len:(key_len t)
 
 let compare_slot t i key =
-  Ei_util.Key.compare_at t.keys (i * t.key_len) t.key_len key
+  let kl = key_len t in
+  Ei_util.Key.compare_at t (header + (i * kl)) kl key
 
 (* Copy [key] into slot [i]; keys shorter or longer than [key_len] are
    rejected, as the inline layout has no room for them. *)
 let set_slot t i key =
-  if String.length key <> t.key_len then invalid_arg "Std_leaf: key length";
-  Bytes.blit_string key 0 t.keys (i * t.key_len) t.key_len
+  let kl = key_len t in
+  if String.length key <> kl then invalid_arg "Std_leaf: key length";
+  Bytes.blit_string key 0 t (header + (i * kl)) kl
 
-(* Move slots [src, src + len) to [dst, dst + len), keys and tids. *)
-let move_slots t ~src ~dst len =
-  Bytes.blit t.keys (src * t.key_len) t.keys (dst * t.key_len) (len * t.key_len);
-  Array.blit t.tids src t.tids dst len
+(* Copy [len] slots, keys and tids, from [src] at [spos] to [dst] at
+   [dpos]; the two may be the same image. *)
+let blit_slots src spos dst dpos len =
+  let kl = key_len src in
+  Bytes.blit src (header + (spos * kl)) dst (header + (dpos * kl)) (len * kl);
+  Bytes.blit src (tids_base src + (spos * 8)) dst (tids_base dst + (dpos * 8)) (len * 8)
 
 type locate_result = Found of int | Pred of int
 
 (* Binary search with predecessor semantics. *)
 let locate t key =
-  let lo = ref 0 and hi = ref (t.n - 1) in
+  let lo = ref 0 and hi = ref (count t - 1) in
   let res = ref (-1) and found = ref false in
   while !lo <= !hi do
     let mid = (!lo + !hi) / 2 in
@@ -72,27 +99,28 @@ let locate t key =
   if !found then Found !res else Pred !res
 
 let find t key =
-  match locate t key with Found i -> Some t.tids.(i) | Pred _ -> None
+  match locate t key with Found i -> Some (tid_at t i) | Pred _ -> None
 
 type insert_result = Inserted | Full | Duplicate
 
 let insert t key tid =
   match locate t key with
   | Found _ -> Duplicate
-  | Pred _ when t.n >= t.capacity -> Full
+  | Pred _ when is_full t -> Full
   | Pred p ->
+    let n = count t in
     let q = p + 1 in
-    move_slots t ~src:q ~dst:(q + 1) (t.n - q);
+    blit_slots t q t (q + 1) (n - q);
     set_slot t q key;
-    t.tids.(q) <- tid;
-    t.n <- t.n + 1;
+    set_tid t q tid;
+    set_count t (n + 1);
     Inserted
 
 (* Overwrite the tid of an existing key (value update). *)
 let update t key tid =
   match locate t key with
   | Found j ->
-    t.tids.(j) <- tid;
+    set_tid t j tid;
     true
   | Pred _ -> false
 
@@ -102,41 +130,44 @@ let remove t key =
   match locate t key with
   | Pred _ -> Not_present
   | Found j ->
-    move_slots t ~src:(j + 1) ~dst:j (t.n - j - 1);
-    t.n <- t.n - 1;
+    let n = count t in
+    blit_slots t (j + 1) t j (n - j - 1);
+    set_count t (n - 1);
     Removed
 
 let of_sorted ~key_len ~capacity keys tids (n : int) =
   assert (n <= capacity);
   let t = create ~key_len ~capacity () in
   for i = 0 to n - 1 do
-    set_slot t i keys.(i)
+    set_slot t i keys.(i);
+    set_tid t i tids.(i)
   done;
-  Array.blit tids 0 t.tids 0 n;
-  t.n <- n;
+  set_count t n;
   t
 
 (* Append all entries of [b] to [a]; caller guarantees order and room. *)
 let absorb a b =
-  assert (a.n + b.n <= a.capacity && a.key_len = b.key_len);
-  Bytes.blit b.keys 0 a.keys (a.n * a.key_len) (b.n * b.key_len);
-  Array.blit b.tids 0 a.tids a.n b.n;
-  a.n <- a.n + b.n
+  let na = count a and nb = count b in
+  assert (na + nb <= capacity a && Int.equal (key_len a) (key_len b));
+  blit_slots b 0 a na nb;
+  set_count a (na + nb)
 
 let split t =
-  let m = t.n / 2 in
-  let moved = t.n - m in
-  let right = create ~key_len:t.key_len ~capacity:t.capacity () in
-  Bytes.blit t.keys (m * t.key_len) right.keys 0 (moved * t.key_len);
-  Array.blit t.tids m right.tids 0 moved;
-  right.n <- moved;
-  t.n <- m;
+  let n = count t in
+  let m = n / 2 in
+  let moved = n - m in
+  let right = create ~key_len:(key_len t) ~capacity:(capacity t) () in
+  blit_slots t m right 0 moved;
+  set_count right moved;
+  set_count t m;
   right
 
 let fold_from t pos f acc =
+  let kl = key_len t and base = tids_base t in
   let acc = ref acc in
-  for i = max 0 pos to t.n - 1 do
-    acc := f !acc (key_at t i) t.tids.(i)
+  for i = max 0 pos to count t - 1 do
+    let k = Bytes.sub_string t (header + (i * kl)) kl in
+    acc := f !acc k (Int64.to_int (Bytes.get_int64_le t (base + (i * 8))))
   done;
   !acc
 
@@ -144,7 +175,12 @@ let lower_bound t key =
   match locate t key with Found j -> j | Pred p -> p + 1
 
 let check_invariants t =
-  assert (t.n >= 0 && t.n <= t.capacity);
-  for i = 0 to t.n - 2 do
+  let n = count t in
+  assert (is_image t);
+  assert (n >= 0 && n <= capacity t);
+  assert (
+    Bytes.length t
+    = Memmodel.std_leaf_image_bytes ~capacity:(capacity t) ~key_len:(key_len t));
+  for i = 0 to n - 2 do
     assert (compare_slot t i (key_at t (i + 1)) < 0)
   done

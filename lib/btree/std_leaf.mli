@@ -2,15 +2,33 @@
     keys stored inline in one [capacity * key_len] buffer, plus the
     matching tuple ids.  The representation the elastic index converts
     from and back to.  Every stored key must be [key_len] bytes long
-    ([Invalid_argument] otherwise). *)
+    ([Invalid_argument] otherwise).
 
-type t
+    A leaf is one [Bytes] image laid out as
+    {!Ei_storage.Memmodel.std_leaf_image_bytes} sizes it: an 8-byte
+    header whose byte 0 is a kind tag, the inline keys, then the tids as
+    8-byte words.  Only the count and the entries change in place.
+    Every read is bounds-checked, so a torn optimistic read raises
+    [Invalid_argument], never reads outside the image. *)
+
+type t = private Bytes.t
+(** The image; [(t :> Bytes.t)] is the leaf's one heap block. *)
+
+val is_image : Bytes.t -> bool
+(** Whether byte 0 carries the standard-leaf kind tag. *)
+
+val of_image : Bytes.t -> t
+(** The leaf an image holds; [Invalid_argument] unless {!is_image}. *)
 
 val create : key_len:int -> capacity:int -> unit -> t
+(** [Invalid_argument] when [capacity] or [key_len] is above 65535, the
+    range of its header field. *)
+
 val of_sorted : key_len:int -> capacity:int -> string array -> int array -> int -> t
 
 val count : t -> int
 val capacity : t -> int
+val key_len : t -> int
 val is_full : t -> bool
 val key_at : t -> int -> string
 (** A fresh copy of slot [i]'s key. *)

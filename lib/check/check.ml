@@ -25,6 +25,7 @@ module Key = Ei_util.Key
 module Invariant = Ei_util.Invariant
 module Memmodel = Ei_storage.Memmodel
 module Seqtree = Ei_blindi.Seqtree
+module Std_leaf = Ei_btree.Std_leaf
 module Btree = Ei_btree.Btree
 module Leaf = Ei_btree.Leaf
 module Policy = Ei_btree.Policy
@@ -98,6 +99,18 @@ let key_preview k =
 (* ------------------------------------------------------------------ *)
 (* SeqTree: BlindiBits / BlindiTree / breathing (§5).                  *)
 
+(* The node is one image of exactly the length its layout prices. *)
+let check_seqtree_image ctx ~what (seg : Seqtree.t) =
+  let image = Bytes.length (seg :> Bytes.t) in
+  let expect =
+    Memmodel.seqtree_image_bytes ~capacity:(Seqtree.capacity seg)
+      ~key_len:(Seqtree.key_len seg) ~levels:(Seqtree.levels seg)
+      ~tid_slots:(Seqtree.tid_slots seg)
+  in
+  if image <> expect then
+    fail ctx "seqtree" "%s: image holds %d bytes, its layout %d" what image
+      expect
+
 let check_seqtree_ctx ctx ~what ~load (seg : Seqtree.t) =
   let v = "seqtree" in
   let n = Seqtree.count seg in
@@ -117,6 +130,7 @@ let check_seqtree_ctx ctx ~what ~load (seg : Seqtree.t) =
   else if slots < min cap (max 1 n) || slots > cap then
     fail ctx v "%s: %d tid slots for %d keys (capacity %d, slack %d)" what
       slots n cap breathing;
+  check_seqtree_image ctx ~what seg;
   if n = 0 then ()
   else begin
     let keys = Array.init n (fun i -> load (Seqtree.tid_at seg i)) in
@@ -182,6 +196,18 @@ let check_seqtree_ctx ctx ~what ~load (seg : Seqtree.t) =
           fail ctx v "%s: BlindiTree[%d] live with %d key(s)" what p n
       done
   end
+
+(* A standard leaf is one image of exactly the length its layout
+   prices. *)
+let check_std_image ctx ~what (l : Std_leaf.t) =
+  let image = Bytes.length (l :> Bytes.t) in
+  let expect =
+    Memmodel.std_leaf_image_bytes ~capacity:(Std_leaf.capacity l)
+      ~key_len:(Std_leaf.key_len l)
+  in
+  if image <> expect then
+    fail ctx "std-leaf" "%s: image holds %d bytes, its layout %d" what image
+      expect
 
 (* ------------------------------------------------------------------ *)
 (* B+-tree (any policy).                                               *)
@@ -284,8 +310,8 @@ let check_btree_ctx ?(strict = false) ctx (tree : Btree.t) =
             (if strict then Error else Advisory)
             "leaf %d: compact capacity %d holds %d keys (< %d)" i cap count
             ((cap / 2) + 1)
-      | Leaf.Std _ | Leaf.Sub _ | Leaf.Pre _ | Leaf.Str _ | Leaf.Bw _
-      | Leaf.Gap _ -> ())
+      | Leaf.Std l -> check_std_image ctx ~what:(Printf.sprintf "leaf %d" i) l
+      | Leaf.Sub _ | Leaf.Pre _ | Leaf.Str _ | Leaf.Bw _ | Leaf.Gap _ -> ())
     it.Btree.leaves;
   (* O(1) counters vs recomputation. *)
   if !item_sum <> it.Btree.items then
@@ -472,6 +498,18 @@ let check_olc_ctx ?(strict = false) ctx (tree : Btree_olc.t) =
         compacts + if compact then 1 else 0)
       0
   in
+  (* Every leaf payload is one tagged image of its layout's length. *)
+  ignore
+    (Btree_olc.fold_images tree
+       (fun i img ->
+         let what = Printf.sprintf "leaf %d" i in
+         if Seqtree.is_image img then
+           check_seqtree_image ctx ~what (Seqtree.of_image img)
+         else if Std_leaf.is_image img then
+           check_std_image ctx ~what (Std_leaf.of_image img)
+         else fail ctx v "%s: payload carries no leaf kind tag" what;
+         i + 1)
+       0);
   (* The atomic tracker mirrors the full memory model (leaves plus inner
      nodes accounted at splits) and must equal a fresh walk, whatever
      the leaf kind. *)

@@ -449,6 +449,86 @@ let olc_multi_find_scenario () =
   in
   { Sched.fibers = [| ("churn", churn); ("batch", reader) |]; check }
 
+(* Readers racing breathing growth (§5.4): every leaf is a compact
+   SeqTree with slack 1, so nearly every insert finds its leaf's tid
+   slots full and swaps in a larger image under the leaf's write lock.
+   A writer fills the leaves with the odd keys (and drops some again)
+   while [find], [multi_find] and [fold_range] fibers read the stable
+   even keys, whose images are shifted in place or replaced under them;
+   each read must return exactly the stable key's tid. *)
+let olc_breathe_scenario () =
+  let key_len = 8 in
+  let table = Table.create ~key_len () in
+  let n = 96 in
+  let keys = Array.init n Key.of_int in
+  let tids = Array.map (fun k -> Table.append table k) keys in
+  let tree =
+    Olc.create ~leaf_capacity:8
+      ~kind:(Olc.Olc_seqtree { capacity = 16; levels = 2; breathing = 1 })
+      ~key_len ~load:(Table.loader table) ()
+  in
+  Array.iteri
+    (fun i k -> if i mod 2 = 0 then ignore (Olc.insert tree k tids.(i)))
+    keys;
+  let stable = Array.init (n / 2) (fun j -> 2 * j) in
+  let expect what i got =
+    if not (Option.equal Int.equal got (Some tids.(i))) then
+      Invariant.brokenf "olc-breathe: %s: stable key %d wrong" what i
+  in
+  let writer () =
+    for i = 0 to n - 1 do
+      if i mod 2 = 1 then begin
+        ignore (Olc.insert tree keys.(i) tids.(i));
+        if i mod 4 = 1 then ignore (Olc.remove tree keys.(i))
+      end
+    done
+  in
+  let finder () =
+    for _ = 1 to 6 do
+      Array.iter (fun i -> expect "find" i (Olc.find tree keys.(i))) stable;
+      Sched.pause ()
+    done
+  in
+  let batcher () =
+    let probe = Array.map (fun i -> keys.(i)) stable in
+    for _ = 1 to 6 do
+      let got = Olc.multi_find tree probe in
+      Array.iteri (fun j i -> expect "multi_find" i got.(j)) stable;
+      Sched.pause ()
+    done
+  in
+  let scanner () =
+    for _ = 1 to 6 do
+      let seen = Strtbl.create n in
+      Olc.fold_range tree ~start:(low_key key_len) ~n:max_int
+        (fun () k tid -> Strtbl.replace seen k tid)
+        ();
+      Array.iter (fun i -> expect "fold_range" i (Strtbl.find_opt seen keys.(i))) stable;
+      Sched.pause ()
+    done
+  in
+  let check () =
+    Olc.check_invariants tree;
+    Array.iteri
+      (fun i k ->
+        let want =
+          if i mod 2 = 0 || i mod 4 = 3 then Some tids.(i) else None
+        in
+        if not (Option.equal Int.equal want (Olc.find tree k)) then
+          Invariant.brokenf "olc-breathe: key %d: wrong final state" i)
+      keys
+  in
+  {
+    Sched.fibers =
+      [|
+        ("writer", writer);
+        ("find", finder);
+        ("batch", batcher);
+        ("scan", scanner);
+      |];
+    check;
+  }
+
 (* A WAL writer racing a crash lever under schedule exploration: the
    durability-prefix contract of {!Ei_wal.Wal}.  One fiber applies a
    fixed op tape (inserts, removes, in-place updates, elastic bound
@@ -738,6 +818,7 @@ let () =
   register_scenario "olc-race" olc_race_scenario;
   register_scenario "olc-convert-scan" olc_convert_scan_scenario;
   register_scenario "olc-multi-find" olc_multi_find_scenario;
+  register_scenario "olc-breathe" olc_breathe_scenario;
   register_scenario "wal-torn" wal_torn_scenario;
   register_scenario "wal-fsync" wal_fsync_scenario;
   register_scenario "net-pipeline" net_pipeline_scenario

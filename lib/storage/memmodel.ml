@@ -68,6 +68,34 @@ let seqtree_bytes ~capacity ~key_len ~levels ~tid_slots ~breathing =
   in
   node_header + (2 * word) + bits_bytes + tree_bytes + tid_bytes
 
+(* Heap images of the leaf payloads: the one [Bytes] block each leaf
+   payload is, in the layout the two functions above price.  An image
+   opens with a [leaf_image_header] of small fields (kind tag, count,
+   capacity, ...); the variable regions follow, padded so the trailing
+   tid words are 8-byte aligned.  The model charges a node header and
+   two sibling words that the image does not hold (they live in the
+   owning tree node), and a SeqTree model omits trees of <= 7 entries;
+   DESIGN §3 gives [model - image] for both. *)
+let leaf_image_header = 8
+
+let align_word b = (b + word - 1) land lnot (word - 1)
+
+(* Header, [capacity] inline keys, [capacity] tid words. *)
+let std_leaf_image_bytes ~capacity ~key_len =
+  leaf_image_header + align_word (capacity * key_len) + (capacity * word)
+
+(* BlindiTree slots an image allocates: [2^levels - 1], at least one. *)
+let tree_slots ~levels = max 1 ((1 lsl levels) - 1)
+
+(* Header, BlindiBits ([capacity - 1] entries) and the BlindiTree at
+   their entry widths, then [tid_slots] tid words. *)
+let seqtree_image_bytes ~capacity ~key_len ~levels ~tid_slots =
+  leaf_image_header
+  + align_word
+      (((capacity - 1) * bits_entry_bytes ~key_len)
+      + (tree_slots ~levels * tree_entry_bytes ~capacity))
+  + (tid_slots * word)
+
 (* String B-Trie compact leaf (Ferragina & Grossi): per internal node a
    discriminating-bit entry plus two child slots, each 1 byte while the
    child space (2 * capacity values) fits a byte — the ~3 B/key layout of

@@ -30,6 +30,27 @@ val seqtree_bytes :
 (** SeqTree compact leaf (§5): BlindiBits + BlindiTree + tuple-id array.
     Trees of at most 7 entries fit node padding and are charged 0. *)
 
+val leaf_image_header : int
+(** Bytes of small header fields at the front of every leaf image. *)
+
+val align_word : int -> int
+(** Round a byte count up to a whole number of words. *)
+
+val tree_slots : levels:int -> int
+(** BlindiTree slots a SeqTree image allocates: [2^levels - 1], at
+    least one. *)
+
+val std_leaf_image_bytes : capacity:int -> key_len:int -> int
+(** Length of a standard leaf's heap image: header, [capacity] inline
+    keys (padded to a word), [capacity] tid words.  The model's
+    {!std_leaf_bytes} is this plus the node header and sibling words the
+    image leaves to its tree node (DESIGN §3). *)
+
+val seqtree_image_bytes :
+  capacity:int -> key_len:int -> levels:int -> tid_slots:int -> int
+(** Length of a SeqTree leaf's heap image: header, BlindiBits and
+    BlindiTree (padded to a word), [tid_slots] tid words. *)
+
 val subtrie_bytes : capacity:int -> key_len:int -> int
 (** SubTrie compact leaf: preorder bit and subtree-size arrays. *)
 

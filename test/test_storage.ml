@@ -189,6 +189,71 @@ let test_memmodel_anchors () =
   Alcotest.(check bool) "~1B/key steps" true
     (sub -. seq > 0.8 && sub -. seq < 1.2 && str -. sub > 0.8 && str -. sub < 1.4)
 
+(* The memory model against the heap images it prices.  A leaf image
+   is one [Bytes] block; the model additionally charges the node header
+   and the two sibling words, which live in the owning tree node, while
+   the image has its own 8-byte header.  That fixed difference is
+   [node_overhead].  On top of it a SeqTree model charges a breathing
+   node one indirection word, charges nothing for BlindiTrees of
+   levels <= 3 (they "fit node padding"), and never pads BlindiBits and
+   BlindiTree to a word as the image does (DESIGN §3). *)
+let node_overhead = 16 + 16 - 8
+
+let test_memmodel_images () =
+  let pad b = (8 - (b mod 8)) mod 8 in
+  List.iter
+    (fun key_len ->
+      List.iter
+        (fun capacity ->
+          let std = Ei_btree.Std_leaf.create ~key_len ~capacity () in
+          let image = Bytes.length (std :> Bytes.t) in
+          Alcotest.(check int) "std image = its layout"
+            (Memmodel.std_leaf_image_bytes ~capacity ~key_len)
+            image;
+          Alcotest.(check int)
+            (Printf.sprintf "std model - image, key %d cap %d" key_len capacity)
+            (node_overhead - pad (capacity * key_len))
+            (Ei_btree.Std_leaf.memory_bytes std - image);
+          List.iter
+            (fun levels ->
+              List.iter
+                (fun breathing ->
+                  (* half full, so breathing leaves n + slack tid slots *)
+                  let n = capacity / 2 in
+                  let keys =
+                    Array.init n (fun i ->
+                        String.make (key_len - 8) '\000' ^ Ei_util.Key.of_int i)
+                  in
+                  let seq =
+                    Ei_blindi.Seqtree.of_sorted ~key_len ~capacity ~levels
+                      ~breathing keys (Array.init n Fun.id) n
+                  in
+                  let image = Bytes.length (seq :> Bytes.t) in
+                  let tid_slots = Ei_blindi.Seqtree.tid_slots seq in
+                  Alcotest.(check int) "tid slots"
+                    (if breathing = 0 then capacity else n + breathing)
+                    tid_slots;
+                  Alcotest.(check int) "seqtree image = its layout"
+                    (Memmodel.seqtree_image_bytes ~capacity ~key_len ~levels
+                       ~tid_slots)
+                    image;
+                  let bits = (capacity - 1) * if key_len <= 32 then 1 else 2 in
+                  let tree =
+                    max 1 ((1 lsl levels) - 1) * if capacity < 255 then 1 else 2
+                  in
+                  Alcotest.(check int)
+                    (Printf.sprintf "seqtree model - image, key %d cap %d lv %d br %d"
+                       key_len capacity levels breathing)
+                    (node_overhead
+                    + (if breathing > 0 then 8 else 0)
+                    - (if levels <= 3 then tree else 0)
+                    - pad (bits + tree))
+                    (Ei_blindi.Seqtree.memory_bytes seq - image))
+                [ 0; 4 ])
+            [ 0; 2; 3; 9 ])
+        [ 16; 32; 64; 128; 300 ])
+    [ 8; 16; 40 ]
+
 let () =
   Alcotest.run "ei_storage"
     [
@@ -206,5 +271,7 @@ let () =
             (test_arena_restore ~key_len:16);
           Alcotest.test_case "tracker" `Quick test_tracker;
           Alcotest.test_case "memory-model anchors" `Quick test_memmodel_anchors;
+          Alcotest.test_case "memory model vs leaf images" `Quick
+            test_memmodel_images;
         ] );
     ]

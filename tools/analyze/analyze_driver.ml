@@ -5,7 +5,7 @@
 let default_roots =
   [
     "lib/olc"; "lib/shard"; "lib/core"; "lib/fault"; "lib/obs"; "lib/btree";
-    "lib/wal";
+    "lib/wal"; "lib/blindi";
   ]
 
 let rec collect path acc =
