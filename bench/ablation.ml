@@ -284,7 +284,7 @@ let skiplist_ablation () =
   pf "(elastic segments: %d, state %s — the same transformation, size\n\
       bound and state machine as the elastic B+-tree, on a skip list)\n"
     (Ei_core.Elastic_skiplist.segments elastic)
-    (Ei_core.Elastic_skiplist.state_name (Ei_core.Elastic_skiplist.state elastic))
+    (Ei_btree.Hysteresis.state_name (Ei_core.Elastic_skiplist.state elastic))
 
 (* --- f. the dominated baselines of §6.1 -------------------------------- *)
 

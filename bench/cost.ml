@@ -74,4 +74,4 @@ let run () =
     (Ei_core.Elastic_btree.compact_leaves tree)
     (Ei_core.Elastic_btree.count tree);
   pf "final state:               %s\n%!"
-    (Ei_core.Elasticity.state_name (Ei_core.Elastic_btree.state tree))
+    (Ei_btree.Hysteresis.state_name (Ei_core.Elastic_btree.state tree))

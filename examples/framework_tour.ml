@@ -60,7 +60,7 @@ let () =
   Array.iteri (fun i k -> ignore (Ei_core.Elastic_btree.insert eb k tids.(i))) keys;
   Printf.printf "elastic B+-tree:   %.2f MiB, %s, %d compact leaves\n"
     (Clock.mib (Ei_core.Elastic_btree.memory_bytes eb))
-    (Ei_core.Elasticity.state_name (Ei_core.Elastic_btree.state eb))
+    (Ei_btree.Hysteresis.state_name (Ei_core.Elastic_btree.state eb))
     (Ei_core.Elastic_btree.compact_leaves eb);
 
   (* 2. Elastic skip list: same bound, same compact representation. *)
@@ -72,7 +72,7 @@ let () =
   Array.iteri (fun i k -> ignore (Ei_core.Elastic_skiplist.insert esl k tids.(i))) keys;
   Printf.printf "elastic skiplist:  %.2f MiB, %s, %d compact segments\n"
     (Clock.mib (Ei_core.Elastic_skiplist.memory_bytes esl))
-    (Ei_core.Elastic_skiplist.state_name (Ei_core.Elastic_skiplist.state esl))
+    (Ei_btree.Hysteresis.state_name (Ei_core.Elastic_skiplist.state esl))
     (Ei_core.Elastic_skiplist.segments esl);
 
   (* 3. Elastic BTreeOLC: four domains inserting concurrently. *)
@@ -100,7 +100,8 @@ let () =
   List.iter Domain.join (List.init domains (fun d -> Domain.spawn (worker d)));
   Printf.printf "elastic BTreeOLC:  %.2f MiB, %s, %d compact leaves (4 domains)\n"
     (Clock.mib (Olc.tracked_memory_bytes olc))
-    (Olc.elastic_state_name olc)
+    (Option.fold ~none:"" ~some:Ei_btree.Hysteresis.state_name
+       (Olc.elastic_state olc))
     (Olc.elastic_compact_leaves olc);
 
   (* All three still answer queries correctly. *)

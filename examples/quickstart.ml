@@ -36,7 +36,7 @@ let () =
   Printf.printf "inserted %d keys; index uses %.1f KiB (%s state, %d compact leaves)\n"
     (Elastic.count index)
     (float_of_int (Elastic.memory_bytes index) /. 1024.0)
-    (Elasticity.state_name (Elastic.state index))
+    (Ei_btree.Hysteresis.state_name (Elastic.state index))
     (Elastic.compact_leaves index);
 
   (* Point lookup. *)
@@ -67,5 +67,5 @@ let () =
     "after deleting 80%%: %d keys, %.1f KiB, %s state, %d compact leaves\n"
     survivors
     (float_of_int (Elastic.memory_bytes index) /. 1024.0)
-    (Elasticity.state_name (Elastic.state index))
+    (Ei_btree.Hysteresis.state_name (Elastic.state index))
     (Elastic.compact_leaves index)

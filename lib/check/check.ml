@@ -29,6 +29,7 @@ module Std_leaf = Ei_btree.Std_leaf
 module Btree = Ei_btree.Btree
 module Leaf = Ei_btree.Leaf
 module Policy = Ei_btree.Policy
+module Hysteresis = Ei_btree.Hysteresis
 module Elastic_btree = Ei_core.Elastic_btree
 module Elasticity = Ei_core.Elasticity
 module Elastic_skiplist = Ei_core.Elastic_skiplist
@@ -212,13 +213,6 @@ let check_std_image ctx ~what (l : Std_leaf.t) =
 (* ------------------------------------------------------------------ *)
 (* B+-tree (any policy).                                               *)
 
-(* Compact capacities reachable from [initial] by the elastic doubling /
-   halving progression, within (std_capacity, max]. *)
-let legal_compact_capacity ~std ~initial ~max_cap c =
-  let rec up x = x = c || (x < max_cap && up (2 * x)) in
-  let rec down x = x = c || (x / 2 > std && down (x / 2)) in
-  c > std && c <= max_cap && (up initial || down initial)
-
 let check_btree_ctx ?(strict = false) ctx (tree : Btree.t) =
   let v = "btree" in
   let it = Btree.introspect tree in
@@ -305,11 +299,11 @@ let check_btree_ctx ?(strict = false) ctx (tree : Btree.t) =
       | Leaf.Seq seg ->
         check_seqtree_ctx ctx ~what:(Printf.sprintf "leaf %d" i) ~load seg;
         let cap = Seqtree.capacity seg in
-        if count < (cap / 2) + 1 then
+        if Hysteresis.underflows ~capacity:cap ~count then
           emit ctx "occupancy"
             (if strict then Error else Advisory)
             "leaf %d: compact capacity %d holds %d keys (< %d)" i cap count
-            ((cap / 2) + 1)
+            (Hysteresis.min_count cap)
       | Leaf.Std l -> check_std_image ctx ~what:(Printf.sprintf "leaf %d" i) l
       | Leaf.Sub _ | Leaf.Pre _ | Leaf.Str _ | Leaf.Bw _ | Leaf.Gap _ -> ())
     it.Btree.leaves;
@@ -336,22 +330,19 @@ let check_elastic_ctx ?strict ctx (tree : Elastic_btree.t) =
   check_btree_ctx ?strict ctx (Elastic_btree.tree tree);
   let cfg = Elastic_btree.config tree in
   let std = Elastic_btree.std_capacity tree in
-  (* Mirror {!Elasticity.create}'s adjustment: the progression starts
-     above the standard capacity. *)
-  let initial, max_cap =
-    if cfg.Elasticity.initial_compact_capacity > std then
-      (cfg.Elasticity.initial_compact_capacity, cfg.Elasticity.max_compact_capacity)
-    else (2 * std, max cfg.Elasticity.max_compact_capacity (4 * std))
+  let initial, max_capacity =
+    Hysteresis.lift ~std ~initial:cfg.Elasticity.initial_compact_capacity
+      ~max_capacity:cfg.Elasticity.max_compact_capacity
   in
   ignore
     (Btree.fold_leaves (Elastic_btree.tree tree)
        (fun i spec _count ->
          (match spec with
          | Policy.Spec_seq c ->
-           if not (legal_compact_capacity ~std ~initial ~max_cap c) then
+           if not (Hysteresis.legal_capacity ~std ~initial ~max_capacity c) then
              fail ctx "elasticity"
                "leaf %d: compact capacity %d unreachable from %d (std %d, max %d)"
-               i c initial std max_cap
+               i c initial std max_capacity
          | Policy.Spec_std -> ()
          | Policy.Spec_sub _ | Policy.Spec_pre | Policy.Spec_str _
          | Policy.Spec_bw | Policy.Spec_gap ->
@@ -445,9 +436,9 @@ let check_elastic_skiplist_ctx ctx (esl : Elastic_skiplist.t) =
              let c = Seqtree.capacity seg in
              if
                not
-                 (legal_compact_capacity ~std
+                 (Hysteresis.legal_capacity ~std
                     ~initial:cfg.Elastic_skiplist.segment_capacity
-                    ~max_cap:cfg.Elastic_skiplist.max_segment_capacity c)
+                    ~max_capacity:cfg.Elastic_skiplist.max_segment_capacity c)
              then
                fail ctx v "%s: capacity %d unreachable from %d (max %d)" what c
                  cfg.Elastic_skiplist.segment_capacity
@@ -481,19 +472,19 @@ let check_olc_ctx ?(strict = false) ctx (tree : Btree_olc.t) =
           let std = Btree_olc.leaf_capacity tree in
           if
             not
-              (legal_compact_capacity ~std
+              (Hysteresis.legal_capacity ~std
                  ~initial:cfg.Btree_olc.initial_compact_capacity
-                 ~max_cap:cfg.Btree_olc.max_compact_capacity capacity)
+                 ~max_capacity:cfg.Btree_olc.max_compact_capacity capacity)
           then
             fail ctx "elasticity"
               "compact capacity %d unreachable from %d (std %d, max %d)"
               capacity cfg.Btree_olc.initial_compact_capacity std
               cfg.Btree_olc.max_compact_capacity;
-          if count < (capacity / 2) + 1 then
+          if Hysteresis.underflows ~capacity ~count then
             emit ctx "occupancy"
               (if strict then Error else Advisory)
               "compact capacity %d holds %d keys (< %d)" capacity count
-              ((capacity / 2) + 1)
+              (Hysteresis.min_count capacity)
         | Some _ | None -> ());
         compacts + if compact then 1 else 0)
       0

@@ -8,6 +8,7 @@
    subsides.  See {!Elasticity} for the state machine. *)
 
 module Btree = Ei_btree.Btree
+module Hysteresis = Ei_btree.Hysteresis
 
 (* Serial structure: one elastic tree is owned by one domain at a time
    ({!Ei_shard.Serve} gives each part its own domain and queue). *)
@@ -37,11 +38,9 @@ let maybe_cold_sweep t =
     t.ops <- t.ops + 1;
     if
       t.ops mod p = 0
-      && Elasticity.state_equal (Elasticity.state t.elasticity) Elasticity.Shrinking
+      && Hysteresis.state_equal (Elasticity.state t.elasticity) Hysteresis.Shrinking
       && Btree.memory_bytes t.tree
-         >= int_of_float
-              (t.config.Elasticity.shrink_fraction
-              *. float_of_int t.config.Elasticity.size_bound)
+         >= Hysteresis.shrink_at t.config.Elasticity.size_bound
     then
       ignore
         (Btree.compact_cold t.tree ~batch:t.config.Elasticity.cold_sweep_batch

@@ -49,7 +49,7 @@ val key_len : t -> int
 val memory_bytes : t -> int
 val high_water_bytes : t -> int
 val compact_leaves : t -> int
-val state : t -> Elasticity.state
+val state : t -> Ei_btree.Hysteresis.state
 val transitions : t -> int
 val stats : t -> Ei_btree.Btree.stats
 

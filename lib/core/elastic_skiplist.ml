@@ -25,6 +25,7 @@ module Rng = Ei_util.Rng
 module Invariant = Ei_util.Invariant
 module Seqtree = Ei_blindi.Seqtree
 module Memmodel = Ei_storage.Memmodel
+module Hysteresis = Ei_btree.Hysteresis
 module Metrics = Ei_obs.Metrics
 module Trace = Ei_obs.Trace
 
@@ -51,12 +52,8 @@ type node = {
 }
 [@@ei.single_domain]
 
-type state = Normal | Shrinking | Expanding
-
 type config = {
   size_bound : int;
-  shrink_fraction : float;
-  expand_fraction : float;
   segment_capacity : int;        (* capacity of a fresh segment *)
   max_segment_capacity : int;
   seq_levels : int;
@@ -68,8 +65,6 @@ type config = {
 let default_config ~size_bound =
   {
     size_bound;
-    shrink_fraction = 0.9;
-    expand_fraction = 0.75;
     segment_capacity = 32;
     max_segment_capacity = 128;
     seq_levels = 2;
@@ -89,26 +84,13 @@ type t = {
   mutable items : int;
   mutable bytes : int;
   mutable segments : int;
-  mutable state : state;
+  mutable state : Hysteresis.state;
   mutable transitions : int;
   mutable conversions : int;
 }
 [@@ei.single_domain]
 
-let state_name = function
-  | Normal -> "normal"
-  | Shrinking -> "shrinking"
-  | Expanding -> "expanding"
-
-(* Monomorphic equality: state tests sit on hot paths and must not go
-   through the polymorphic comparator (ei_lint poly-compare rule). *)
-let state_equal a b =
-  match (a, b) with
-  | Normal, Normal | Shrinking, Shrinking | Expanding, Expanding -> true
-  | (Normal | Shrinking | Expanding), _ -> false
-
 let create ~key_len ~load config () =
-  assert (Float.compare config.expand_fraction config.shrink_fraction < 0);
   {
     key_len;
     config;
@@ -123,7 +105,7 @@ let create ~key_len ~load config () =
     items = 0;
     bytes = 0;
     segments = 0;
-    state = Normal;
+    state = Hysteresis.Normal;
     transitions = 0;
   conversions = 0;
   }
@@ -176,14 +158,16 @@ let track_sub t node =
 
 (* --- state machine ---------------------------------------------------- *)
 
-let set_state t s =
-  if not (state_equal t.state s) then begin
+let update_state t =
+  let s =
+    Hysteresis.step t.state ~bound:t.config.size_bound ~bytes:t.bytes
+      ~compact:t.segments
+  in
+  if not (Hysteresis.state_equal t.state s) then begin
     t.state <- s;
     t.transitions <- t.transitions + 1;
     Metrics.incr c_transitions;
-    Trace.emit ev_state
-      (match s with Normal -> 0 | Shrinking -> 1 | Expanding -> 2)
-      t.bytes
+    Trace.emit ev_state (Hysteresis.code s) t.bytes
   end
 
 (* Segment<->singleton conversions all funnel their count through here
@@ -191,20 +175,6 @@ let set_state t s =
 let note_conversion t =
   t.conversions <- t.conversions + 1;
   Metrics.incr c_conversions
-
-let shrink_threshold t =
-  int_of_float (t.config.shrink_fraction *. float_of_int t.config.size_bound)
-
-let expand_threshold t =
-  int_of_float (t.config.expand_fraction *. float_of_int t.config.size_bound)
-
-let update_state t =
-  match t.state with
-  | Normal -> if t.bytes >= shrink_threshold t then set_state t Shrinking
-  | Shrinking -> if t.bytes <= expand_threshold t then set_state t Expanding
-  | Expanding ->
-    if t.bytes >= shrink_threshold t then set_state t Shrinking
-    else if t.segments = 0 then set_state t Normal
 
 (* --- ordering ---------------------------------------------------------- *)
 
@@ -274,7 +244,7 @@ let rec find t key =
   (* Expansion: a search that lands in a segment may dissolve it. *)
   (match target with
   | Some ({ payload = Segment _; _ } as node)
-    when state_equal t.state Expanding
+    when Hysteresis.state_equal t.state Hysteresis.Expanding
          && Float.compare (Rng.float t.rng) t.config.search_split_probability
             < 0 ->
     dissolve t node
@@ -401,27 +371,26 @@ let seg_insert t seg key tid =
 let insert_into_segment t node key tid =
   match node.payload with
   | Single _ -> Invariant.impossible "Elastic_skiplist.insert_into_segment: singleton node"
-  | Segment seg ->
-    if not (Seqtree.is_full seg) then begin
-      let before = node_bytes t node in
-      node.payload <- Segment (seg_insert t seg key tid);
-      t.bytes <- t.bytes + (node_bytes t node - before)
-    end
-    else if
-      state_equal t.state Shrinking
-      && Seqtree.capacity seg < t.config.max_segment_capacity
-    then begin
+  | Segment seg when not (Seqtree.is_full seg) ->
+    let before = node_bytes t node in
+    node.payload <- Segment (seg_insert t seg key tid);
+    t.bytes <- t.bytes + (node_bytes t node - before)
+  | Segment seg -> (
+    match
+      ( t.state,
+        Hysteresis.double ~max_capacity:t.config.max_segment_capacity
+          (Seqtree.capacity seg) )
+    with
+    | Hysteresis.Shrinking, Some capacity ->
       (* Grow the segment instead of splitting: the §4 shrink rule. *)
       let before = node_bytes t node in
       let grown =
-        Seqtree.with_capacity seg ~capacity:(2 * Seqtree.capacity seg)
-          ~levels:t.config.seq_levels
+        Seqtree.with_capacity seg ~capacity ~levels:t.config.seq_levels
       in
       node.payload <- Segment (seg_insert t grown key tid);
       t.bytes <- t.bytes + (node_bytes t node - before);
       note_conversion t
-    end
-    else begin
+    | _ ->
       (* Split in half; the right half becomes a new node. *)
       let before = node_bytes t node in
       let c = Seqtree.capacity seg in
@@ -439,8 +408,7 @@ let insert_into_segment t node key tid =
       let upd2 = Array.make max_level t.head in
       ignore (find_predecessors t right_first upd2);
       link t upd2 rnode;
-      t.segments <- t.segments + 1
-    end
+      t.segments <- t.segments + 1)
 
 let insert t key tid =
   assert (String.length key = t.key_len);
@@ -475,7 +443,10 @@ let insert t key tid =
        (piggybacking on the insert, as §4 piggybacks on splits).  Only
        while the size still exceeds the shrink threshold, so the index
        stabilises just below it instead of over-compacting. *)
-    if state_equal t.state Shrinking && t.bytes >= shrink_threshold t then
+    if
+      Hysteresis.state_equal t.state Hysteresis.Shrinking
+      && t.bytes >= Hysteresis.shrink_at t.config.size_bound
+    then
       compact_run t update node;
     t.items <- t.items + 1;
     update_state t;
@@ -507,17 +478,19 @@ let remove_from_segment t update node key =
         unlink t upd node;
         t.segments <- t.segments - 1
       end
-      else if n < (c / 2) + 1 then begin
-        if c > t.config.segment_capacity then begin
+      else if Hysteresis.underflows ~capacity:c ~count:n then begin
+        (* A fresh segment is the progression's 2n: halving stops there. *)
+        match Hysteresis.halve ~floor:(t.config.segment_capacity / 2) c with
+        | Some capacity ->
           let before = node_bytes t node in
           node.payload <-
             Segment
-              (Seqtree.with_capacity seg ~capacity:(c / 2)
-                 ~levels:t.config.seq_levels);
+              (Seqtree.with_capacity seg ~capacity ~levels:t.config.seq_levels);
           t.bytes <- t.bytes + (node_bytes t node - before);
           note_conversion t
-        end
-        else if not (state_equal t.state Shrinking) then dissolve t node
+        | None ->
+          if not (Hysteresis.state_equal t.state Hysteresis.Shrinking) then
+            dissolve t node
       end;
       update_state t;
       true)

@@ -10,17 +10,8 @@
 
 type t
 
-type state = Normal | Shrinking | Expanding
-
-val state_name : state -> string
-
-val state_equal : state -> state -> bool
-(** Monomorphic equality (hot-path state tests, ei_lint rule). *)
-
 type config = {
   size_bound : int;
-  shrink_fraction : float;
-  expand_fraction : float;
   segment_capacity : int;
   max_segment_capacity : int;
   seq_levels : int;
@@ -48,7 +39,7 @@ val memory_bytes : t -> int
 val segments : t -> int
 (** Number of compact segment nodes. *)
 
-val state : t -> state
+val state : t -> Ei_btree.Hysteresis.state
 val transitions : t -> int
 val conversions : t -> int
 

@@ -1,11 +1,8 @@
 (* The B+-tree elasticity algorithm (§4).
 
-   The algorithm keeps the index size below a soft bound.  It enters the
-   *shrinking* state when the tracked index size reaches
-   [shrink_fraction] of the bound, and — with hysteresis to avoid
-   oscillation — the *expanding* state when the size falls back below
-   [expand_fraction] of the bound.  It returns to *normal* once no
-   compact leaves remain.
+   The algorithm keeps the index size below a soft bound with the
+   hysteresis of {!Ei_btree.Hysteresis}: shrinking at 90 % of the
+   bound, expanding at 75 %, normal once no compact leaves remain.
 
    All conversions piggyback on structure-modification events:
    - shrinking: a standard-leaf overflow converts the leaf to a SeqTree
@@ -20,10 +17,9 @@
      the progression), so hot read-only leaves also decompact. *)
 
 module Policy = Ei_btree.Policy
+module Hysteresis = Ei_btree.Hysteresis
 module Metrics = Ei_obs.Metrics
 module Trace = Ei_obs.Trace
-
-type state = Normal | Shrinking | Expanding
 
 (* --- Observability (shared across instances; per-domain sharded) ----- *)
 
@@ -49,24 +45,8 @@ let ev_search_split =
   Trace.define ~cat:"elastic" ~arg0:"to_capacity" ~arg1:"from_capacity"
     "elastic.search_split"
 
-let state_code = function Normal -> 0 | Shrinking -> 1 | Expanding -> 2
-
-let state_name = function
-  | Normal -> "normal"
-  | Shrinking -> "shrinking"
-  | Expanding -> "expanding"
-
-(* Monomorphic equality so state tests on hot paths never go through
-   the polymorphic comparator (ei_lint poly-compare rule). *)
-let state_equal a b =
-  match (a, b) with
-  | Normal, Normal | Shrinking, Shrinking | Expanding, Expanding -> true
-  | (Normal | Shrinking | Expanding), _ -> false
-
 type config = {
   size_bound : int;                 (* soft index size bound, bytes *)
-  shrink_fraction : float;          (* enter shrinking at this * bound *)
-  expand_fraction : float;          (* enter expanding below this * bound *)
   initial_compact_capacity : int;   (* first SeqTree capacity (2n, §4) *)
   max_compact_capacity : int;       (* compact capacity cap (128, §4) *)
   seq_levels : int;                 (* BlindiTree levels (2, §6.1) *)
@@ -83,8 +63,6 @@ type config = {
 let default_config ~size_bound =
   {
     size_bound;
-    shrink_fraction = 0.9;
-    expand_fraction = 0.75;
     initial_compact_capacity = 32;
     max_compact_capacity = 128;
     seq_levels = 2;
@@ -103,7 +81,7 @@ type t = {
   (* mutable so a coordinator can retune [size_bound] on a live index *)
   std_capacity : int;
   rng : Ei_util.Rng.t;
-  mutable state : state;
+  mutable state : Hysteresis.state;
   mutable transitions : int;
   slash : Ei_fault.Fault.site option;
   mutable slashes : int;
@@ -112,21 +90,12 @@ type t = {
 
 let create ~std_capacity config =
   assert (config.size_bound > 0);
-  assert (Float.compare config.expand_fraction config.shrink_fraction < 0);
-  (* The first compact capacity must exceed the standard leaf's (§4 uses
-     2n); lift it when the tree uses larger leaves than the default. *)
-  let config =
-    if config.initial_compact_capacity > std_capacity then config
-    else
-      {
-        config with
-        initial_compact_capacity = 2 * std_capacity;
-        max_compact_capacity =
-          max config.max_compact_capacity (4 * std_capacity);
-      }
+  let initial_compact_capacity, max_compact_capacity =
+    Hysteresis.lift ~std:std_capacity ~initial:config.initial_compact_capacity
+      ~max_capacity:config.max_compact_capacity
   in
   {
-    config;
+    config = { config with initial_compact_capacity; max_compact_capacity };
     std_capacity;
     rng = Ei_util.Rng.create config.seed;
     state = Normal;
@@ -149,19 +118,6 @@ let set_size_bound t bound =
   assert (bound > 0);
   t.config <- { t.config with size_bound = bound }
 
-let shrink_at t =
-  int_of_float (t.config.shrink_fraction *. float_of_int t.config.size_bound)
-
-let expand_at t =
-  int_of_float (t.config.expand_fraction *. float_of_int t.config.size_bound)
-
-let set_state t ~bytes s =
-  if not (state_equal t.state s) then begin
-    t.state <- s;
-    t.transitions <- t.transitions + 1;
-    Metrics.incr c_transitions;
-    Trace.emit ev_state (state_code s) bytes
-  end
 
 (* State transition check, run whenever the policy is consulted.  The
    injected memory-pressure spike fires here — the same moments a real
@@ -178,41 +134,53 @@ let update t (view : Policy.view) =
     Metrics.incr c_slashes;
     Trace.emit ev_slash t.config.size_bound old_bound
   | _ -> ());
-  let bytes = view.bytes in
-  match t.state with
-  | Normal -> if view.bytes >= shrink_at t then set_state t ~bytes Shrinking
-  | Shrinking -> if view.bytes <= expand_at t then set_state t ~bytes Expanding
-  | Expanding ->
-    if view.bytes >= shrink_at t then set_state t ~bytes Shrinking
-    else if view.compact_leaves = 0 then set_state t ~bytes Normal
+  let s =
+    Hysteresis.step t.state ~bound:t.config.size_bound ~bytes:view.bytes
+      ~compact:view.compact_leaves
+  in
+  if not (Hysteresis.state_equal t.state s) then begin
+    t.state <- s;
+    t.transitions <- t.transitions + 1;
+    Metrics.incr c_transitions;
+    Trace.emit ev_state (Hysteresis.code s) view.bytes
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Policy construction.                                                *)
 
+(* One step down the capacity progression: the next compact capacity,
+   or a standard leaf at the floor. *)
+let below t c =
+  match Hysteresis.halve ~floor:t.std_capacity c with
+  | Some k -> Policy.Spec_seq k
+  | None -> Policy.Spec_std
+
+(* A leaf's capacity in a conversion event (0 = standard leaf). *)
+let traced_capacity = function Policy.Spec_seq k -> k | _ -> 0
+
 let on_overflow t view ~current =
   update t view;
   match (current, t.state) with
-  | Policy.Spec_std, Shrinking ->
+  | Policy.Spec_std, Hysteresis.Shrinking ->
     (* Convert instead of splitting: saves leaf space and avoids the
        separator insertions a split would push into inner nodes. *)
     Metrics.incr c_conversions;
     Trace.emit ev_convert t.config.initial_compact_capacity 0;
     Policy.Convert (Policy.Spec_seq t.config.initial_compact_capacity)
-  | Policy.Spec_std, (Normal | Expanding) -> Policy.Split Policy.Spec_std
-  | Policy.Spec_seq c, Shrinking ->
-    if c < t.config.max_compact_capacity then begin
+  | Policy.Spec_std, (Hysteresis.Normal | Hysteresis.Expanding) ->
+    Policy.Split Policy.Spec_std
+  | Policy.Spec_seq c, Hysteresis.Shrinking -> (
+    match Hysteresis.double ~max_capacity:t.config.max_compact_capacity c with
+    | Some d ->
       Metrics.incr c_conversions;
-      Trace.emit ev_convert (2 * c) c;
-      Policy.Convert (Policy.Spec_seq (2 * c))
-    end
-    else Policy.Split (Policy.Spec_seq c)
-  | Policy.Spec_seq c, (Normal | Expanding) ->
+      Trace.emit ev_convert d c;
+      Policy.Convert (Policy.Spec_seq d)
+    | None -> Policy.Split (Policy.Spec_seq c))
+  | Policy.Spec_seq c, (Hysteresis.Normal | Hysteresis.Expanding) ->
     (* Outside the shrinking state an overflowing compact leaf walks back
        down the capacity progression, so write-hot regions decompact even
        without searches (mirrors the expansion split rule of §4). *)
-    let k = c / 2 in
-    if k <= t.std_capacity then Policy.Split Policy.Spec_std
-    else Policy.Split (Policy.Spec_seq k)
+    Policy.Split (below t c)
   | Policy.Spec_sub c, _ -> Policy.Split (Policy.Spec_sub c)
   | Policy.Spec_pre, _ -> Policy.Split Policy.Spec_pre
   | Policy.Spec_str c, _ -> Policy.Split (Policy.Spec_str c)
@@ -226,34 +194,22 @@ let on_underflow t view ~current ~count:_ =
   | Policy.Spec_bw | Policy.Spec_gap ->
     Policy.Rebalance
   | Policy.Spec_seq c ->
-    let k = c / 2 in
+    let spec = below t c in
     Metrics.incr c_conversions;
-    if k > t.std_capacity then begin
-      Trace.emit ev_convert k c;
-      Policy.Replace (Policy.Spec_seq k)
-    end
-    else begin
-      Trace.emit ev_convert 0 c;
-      Policy.Replace Policy.Spec_std
-    end
+    Trace.emit ev_convert (traced_capacity spec) c;
+    Policy.Replace spec
 
 let on_search_compact t view ~current =
   update t view;
   match (t.state, current) with
-  | Expanding, Policy.Spec_seq c
+  | Hysteresis.Expanding, Policy.Spec_seq c
     when Float.compare (Ei_util.Rng.float t.rng)
            t.config.search_split_probability
          < 0 ->
-    let k = c / 2 in
+    let spec = below t c in
     Metrics.incr c_search_splits;
-    if k <= t.std_capacity then begin
-      Trace.emit ev_search_split 0 c;
-      Some Policy.Spec_std
-    end
-    else begin
-      Trace.emit ev_search_split k c;
-      Some (Policy.Spec_seq k)
-    end
+    Trace.emit ev_search_split (traced_capacity spec) c;
+    Some spec
   | _ -> None
 
 let on_merge t view ~total ~left ~right =
@@ -264,9 +220,12 @@ let on_merge t view ~total ~left ~right =
      otherwise the merged leaf reverts to standard whenever it fits, so
      removes drive expansion (§4).  A merge too large for a standard leaf
      must stay compact regardless of state. *)
-  if state_equal t.state Shrinking || total > t.std_capacity then begin
+  let shrinking = Hysteresis.state_equal t.state Hysteresis.Shrinking in
+  if shrinking || total > t.std_capacity then begin
     let rec fit (c : int) =
-      if c >= total || c >= t.config.max_compact_capacity then c else fit (2 * c)
+      match Hysteresis.double ~max_capacity:t.config.max_compact_capacity c with
+      | Some d when c < total -> fit d
+      | Some _ | None -> c
     in
     Policy.Spec_seq (fit t.config.initial_compact_capacity)
   end
@@ -278,9 +237,7 @@ let underflow_at _t spec ~std_capacity ~count =
   | Policy.Spec_gap ->
     count < std_capacity / 2
   | Policy.Spec_str c -> count < c / 2
-  | Policy.Spec_seq c ->
-    (* The paper's compact-leaf invariant: capacity 2k holds >= k+1. *)
-    count < (c / 2) + 1
+  | Policy.Spec_seq capacity -> Hysteresis.underflows ~capacity ~count
 
 let policy t =
   {

@@ -1,11 +1,9 @@
 (** The B+-tree elasticity algorithm (§4 of the paper).
 
-    The algorithm keeps the index size near a soft bound: it enters the
-    {e shrinking} state when the tracked size reaches
-    [shrink_fraction * size_bound] and — with hysteresis — the
-    {e expanding} state when the size falls below
-    [expand_fraction * size_bound], returning to {e normal} once no
-    compact leaves remain.
+    The algorithm keeps the index size near a soft bound with the
+    hysteresis of {!Ei_btree.Hysteresis}: {e shrinking} at 90 % of the
+    bound, {e expanding} at 75 %, {e normal} once no compact leaves
+    remain.
 
     Conversions piggyback on structure modifications: overflowing
     standard leaves convert to SeqTrees of twice the capacity instead of
@@ -14,18 +12,8 @@
     walk back down the progression; and in the expanding state a search
     reaching a compact leaf randomly splits it. *)
 
-type state = Normal | Shrinking | Expanding
-
-val state_name : state -> string
-
-val state_equal : state -> state -> bool
-(** Monomorphic state equality (hot paths must not use polymorphic
-    comparison; the ei_lint poly-compare rule enforces this). *)
-
 type config = {
   size_bound : int;                 (** soft index size bound, bytes *)
-  shrink_fraction : float;          (** enter shrinking at this * bound *)
-  expand_fraction : float;          (** enter expanding below this * bound *)
   initial_compact_capacity : int;   (** first SeqTree capacity (2n) *)
   max_compact_capacity : int;       (** compact capacity cap (128) *)
   seq_levels : int;                 (** BlindiTree levels (2) *)
@@ -43,8 +31,8 @@ type config = {
 }
 
 val default_config : size_bound:int -> config
-(** The paper's §6.1 parameters: shrink at 90%, expand below 75%,
-    capacities 32..128, tree levels 2, breathing 4. *)
+(** The paper's §6.1 parameters: capacities 32..128, tree levels 2,
+    breathing 4. *)
 
 type t
 
@@ -52,7 +40,7 @@ val create : std_capacity:int -> config -> t
 (** [std_capacity] is the standard-leaf capacity of the tree the policy
     will drive. *)
 
-val state : t -> state
+val state : t -> Ei_btree.Hysteresis.state
 val transitions : t -> int
 (** Number of state transitions so far. *)
 

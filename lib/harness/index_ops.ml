@@ -239,7 +239,7 @@ let of_elastic name (tree : Ei_core.Elastic_btree.t) =
     set_size_bound = Ei_core.Elastic_btree.set_size_bound tree;
     info =
       (fun () ->
-        Ei_core.Elasticity.state_name (Ei_core.Elastic_btree.state tree));
+        Ei_btree.Hysteresis.state_name (Ei_core.Elastic_btree.state tree));
   }
 
 let of_radix name (tree : Ei_baselines.Radix.t) =
@@ -301,7 +301,7 @@ let of_elastic_skiplist name (tree : Ei_core.Elastic_skiplist.t) =
     set_size_bound = Ei_core.Elastic_skiplist.set_size_bound tree;
     info =
       (fun () ->
-        Ei_core.Elastic_skiplist.state_name (Ei_core.Elastic_skiplist.state tree));
+        Ei_btree.Hysteresis.state_name (Ei_core.Elastic_skiplist.state tree));
   }
 
 let of_hybrid name (tree : Ei_baselines.Hybrid.t) =
@@ -369,7 +369,6 @@ let of_skiplist name (tree : Ei_baselines.Skiplist.t) =
 
 let of_olc name (tree : Ei_olc.Btree_olc.t) =
   let module Olc = Ei_olc.Btree_olc in
-  let elastic = not (String.equal (Olc.elastic_state_name tree) "") in
   {
     name;
     backend = B_olc tree;
@@ -402,10 +401,11 @@ let of_olc name (tree : Ei_olc.Btree_olc.t) =
     set_size_bound = Olc.set_size_bound tree;
     info =
       (fun () ->
-        if elastic then
+        match Olc.elastic_state tree with
+        | Some s ->
           Printf.sprintf "%s, %d compact, %d conversions"
-            (Olc.elastic_state_name tree)
+            (Ei_btree.Hysteresis.state_name s)
             (Olc.elastic_compact_leaves tree)
             (Olc.elastic_conversions tree)
-        else "");
+        | None -> "");
   }

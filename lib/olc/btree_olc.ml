@@ -21,6 +21,7 @@
 module Key = Ei_util.Key
 module Invariant = Ei_util.Invariant
 module Std_leaf = Ei_btree.Std_leaf
+module Hysteresis = Ei_btree.Hysteresis
 module Seqtree = Ei_blindi.Seqtree
 module Metrics = Ei_obs.Metrics
 module Trace = Ei_obs.Trace
@@ -70,6 +71,7 @@ let yp_locked = Fault.site "olc.yield.locked"
 let yp_convert = Fault.site "olc.yield.convert"
 let yp_scan = Fault.site "olc.yield.scan"
 let yp_multi = Fault.site "olc.yield.multi"
+let yp_state = Fault.site "olc.yield.state"
 
 (* --- Version locks -------------------------------------------------- *)
 
@@ -165,8 +167,6 @@ type leaf_kind =
 
 and elastic_config = {
   size_bound : int;
-  shrink_fraction : float;
-  expand_fraction : float;
   initial_compact_capacity : int;
   max_compact_capacity : int;
   seq_levels : int;
@@ -176,20 +176,17 @@ and elastic_config = {
 let default_elastic_config ~size_bound =
   {
     size_bound;
-    shrink_fraction = 0.9;
-    expand_fraction = 0.75;
     initial_compact_capacity = 32;
     max_compact_capacity = 128;
     seq_levels = 2;
     breathing = 4;
   }
 
-(* Concurrent elasticity state: 0 = normal, 1 = shrinking, 2 = expanding. *)
 type elastic_state = {
   cfg : elastic_config;
   ebound : int Atomic.t;     (* live soft bound; coordinator-adjustable *)
   ecompact : int Atomic.t;   (* number of compact leaves *)
-  estate : int Atomic.t;
+  estate : Hysteresis.state Atomic.t;
   econversions : int Atomic.t;
 }
 
@@ -256,7 +253,7 @@ let create ?(leaf_capacity = 16) ?(inner_capacity = 16) ?(kind = Olc_std)
           cfg;
           ebound = Atomic.make cfg.size_bound;
           ecompact = Atomic.make 0;
-          estate = Atomic.make 0;
+          estate = Atomic.make Hysteresis.Normal;
           econversions = Atomic.make 0;
         }
     | Olc_std | Olc_seqtree _ -> None
@@ -290,34 +287,26 @@ let account_compact t delta =
   | Some e -> ignore (Atomic.fetch_and_add e.ecompact delta)
   | None -> ()
 
-(* Transition the elastic state machine, making the change visible to
-   the shared registry and trace ring.  Callers only reach here when the
-   new state differs from the one they just observed, so every call is a
-   real transition (races between domains can at worst double-report a
-   transition, never invent a state). *)
-let set_estate e s ~bytes =
-  Atomic.set e.estate s;
-  Metrics.incr c_transitions;
-  Trace.emit ev_state s bytes
-
+(* Step the elastic state machine from the state this domain read and
+   publish it with a CAS: a transition is always an edge from the state
+   it replaces, and only the winning domain counts and traces it. *)
 let update_elastic_state t =
   match t.elastic with
   | None -> ()
   | Some e ->
+    let seen = Atomic.get e.estate in
     let bytes = Atomic.get t.bytes in
-    let bound = Atomic.get e.ebound in
-    let shrink_at =
-      int_of_float (e.cfg.shrink_fraction *. float_of_int bound)
+    let next =
+      Hysteresis.step seen ~bound:(Atomic.get e.ebound) ~bytes
+        ~compact:(Atomic.get e.ecompact)
     in
-    let expand_at =
-      int_of_float (e.cfg.expand_fraction *. float_of_int bound)
-    in
-    (match Atomic.get e.estate with
-    | 0 -> if bytes >= shrink_at then set_estate e 1 ~bytes
-    | 1 -> if bytes <= expand_at then set_estate e 2 ~bytes
-    | _ ->
-      if bytes >= shrink_at then set_estate e 1 ~bytes
-      else if Atomic.get e.ecompact = 0 then set_estate e 0 ~bytes)
+    if not (Hysteresis.state_equal next seen) then begin
+      Fault.point yp_state;
+      if Atomic.compare_and_set e.estate seen next then begin
+        Metrics.incr c_transitions;
+        Trace.emit ev_state (Hysteresis.code next) bytes
+      end
+    end
 
 let tracked_memory_bytes t = Atomic.get t.bytes
 
@@ -338,14 +327,8 @@ let set_size_bound t bound =
 
 let key_len t = t.key_len
 
-let elastic_state_name t =
-  match t.elastic with
-  | None -> ""
-  | Some e -> (
-    match Atomic.get e.estate with
-    | 0 -> "normal"
-    | 1 -> "shrinking"
-    | _ -> "expanding")
+let elastic_state t =
+  match t.elastic with Some e -> Some (Atomic.get e.estate) | None -> None
 
 let elastic_compact_leaves t =
   match t.elastic with Some e -> Atomic.get e.ecompact | None -> 0
@@ -562,12 +545,11 @@ let elastic_overflow t node =
   match (t.elastic, node) with
   | Some e, Leaf l ->
     update_elastic_state t;
-    if Atomic.get e.estate = 1 then begin
+    if Hysteresis.state_equal (Atomic.get e.estate) Hysteresis.Shrinking then begin
       let repr = l.repr in
-      if is_compact repr then begin
-        let c = Seqtree.capacity (seq repr) in
-        if c < e.cfg.max_compact_capacity then Some (2 * c) else None
-      end
+      if is_compact repr then
+        Hysteresis.double ~max_capacity:e.cfg.max_compact_capacity
+          (Seqtree.capacity (seq repr))
       else Some e.cfg.initial_compact_capacity
     end
     else None
@@ -796,14 +778,15 @@ let remove t key =
                 | Some e when r && is_compact l.repr ->
                   let x = seq l.repr in
                   let c = Seqtree.capacity x in
-                  if Seqtree.count x < (c / 2) + 1 then begin
+                  if Hysteresis.underflows ~capacity:c ~count:(Seqtree.count x)
+                  then begin
                     let capacity =
-                      if c / 2 > t.leaf_capacity then c / 2 else 0
+                      Option.value ~default:t.leaf_capacity
+                        (Hysteresis.halve ~floor:t.leaf_capacity c)
                     in
                     l.repr <-
-                      convert_repr t l.repr
-                        ~capacity:(max capacity t.leaf_capacity)
-                        ~levels:e.cfg.seq_levels ~breathing:e.cfg.breathing
+                      convert_repr t l.repr ~capacity ~levels:e.cfg.seq_levels
+                        ~breathing:e.cfg.breathing
                   end
                 | _ -> ());
                 update_elastic_state t;

@@ -20,8 +20,6 @@ type leaf_kind =
 
 and elastic_config = {
   size_bound : int;
-  shrink_fraction : float;
-  expand_fraction : float;
   initial_compact_capacity : int;
   max_compact_capacity : int;
   seq_levels : int;
@@ -44,7 +42,9 @@ val set_size_bound : t -> int -> unit
     re-evaluate the state machine.  Safe from any domain — this is the
     lever the global memory coordinator pulls. *)
 
-val elastic_state_name : t -> string
+val elastic_state : t -> Ei_btree.Hysteresis.state option
+(** The live elasticity state; [None] for a tree that is not elastic. *)
+
 val elastic_compact_leaves : t -> int
 val elastic_conversions : t -> int
 

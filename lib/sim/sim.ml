@@ -30,8 +30,10 @@ module Table = Ei_storage.Table
 module Index_ops = Ei_harness.Index_ops
 module Registry = Ei_harness.Registry
 module Olc = Ei_olc.Btree_olc
+module Hysteresis = Ei_btree.Hysteresis
+module Trace = Ei_obs.Trace
 module Wal = Ei_wal.Wal
-module J = Mini_json
+module J = Ei_util.Mini_json
 
 (* --- Subjects --------------------------------------------------------- *)
 
@@ -315,11 +317,10 @@ let olc_race_scenario () =
     check;
   }
 
-(* A scanner crossing compact/standard leaf boundaries while a churn
-   fiber slashes the bound and forces in-place conversions on the very
-   leaves being scanned — the elasticity §4 edge.  Stable keys (evens)
-   are never mutated, so every scan must return them all, in order. *)
-let olc_convert_scan_scenario () =
+(* An elastic OLC tree of keys 0..95 holding the even (stable) ones, and
+   a churn fiber: slash the bound, insert the odd keys, drop those with
+   [i mod 4 = 1] again, restore the bound. *)
+let churned_olc () =
   let key_len = 8 in
   let table = Table.create ~key_len () in
   let n = 96 in
@@ -334,7 +335,6 @@ let olc_convert_scan_scenario () =
   Array.iteri
     (fun i k -> if i mod 2 = 0 then ignore (Olc.insert tree k tids.(i)))
     keys;
-  let start = keys.(n / 4) in
   let churn () =
     Olc.set_size_bound tree 256;  (* enter shrinking: conversions start *)
     for i = 0 to n - 1 do
@@ -343,8 +343,17 @@ let olc_convert_scan_scenario () =
         if i mod 4 = 1 then ignore (Olc.remove tree keys.(i))
       end
     done;
-    Olc.set_size_bound tree (1 lsl 20)  (* re-expand mid-scan *)
+    Olc.set_size_bound tree (1 lsl 20)  (* re-expand *)
   in
+  (keys, tids, tree, churn)
+
+(* A scanner crossing compact/standard leaf boundaries while a churn
+   fiber slashes the bound and forces in-place conversions on the very
+   leaves being scanned — the elasticity §4 edge.  Stable keys (evens)
+   are never mutated, so every scan must return them all, in order. *)
+let olc_convert_scan_scenario () =
+  let keys, tids, tree, churn = churned_olc () in
+  let start = keys.(Array.length keys / 4) in
   let scan () =
     for _ = 1 to 6 do
       let seen = ref [] in
@@ -393,32 +402,10 @@ let olc_convert_scan_scenario () =
    must return exactly their tids — and the final check demands
    bit-equivalence with a sequential [find] loop. *)
 let olc_multi_find_scenario () =
-  let key_len = 8 in
-  let table = Table.create ~key_len () in
-  let n = 96 in
-  let keys = Array.init n Key.of_int in
-  let tids = Array.map (fun k -> Table.append table k) keys in
-  let tree =
-    Olc.create ~leaf_capacity:8
-      ~kind:
-        (Olc.Olc_elastic (Olc.default_elastic_config ~size_bound:(1 lsl 20)))
-      ~key_len ~load:(Table.loader table) ()
-  in
-  Array.iteri
-    (fun i k -> if i mod 2 = 0 then ignore (Olc.insert tree k tids.(i)))
-    keys;
+  let keys, tids, tree, churn = churned_olc () in
+  let n = Array.length keys in
   (* the batch mixes stable, churned and duplicate keys *)
   let probe = Array.init 24 (fun j -> keys.(j * 4 mod n)) in
-  let churn () =
-    Olc.set_size_bound tree 256;  (* enter shrinking: conversions start *)
-    for i = 0 to n - 1 do
-      if i mod 2 = 1 then begin
-        ignore (Olc.insert tree keys.(i) tids.(i));
-        if i mod 4 = 1 then ignore (Olc.remove tree keys.(i))
-      end
-    done;
-    Olc.set_size_bound tree (1 lsl 20)
-  in
   let reader () =
     for _ = 1 to 6 do
       let got = Olc.multi_find tree probe in
@@ -448,6 +435,47 @@ let olc_multi_find_scenario () =
       keys
   in
   { Sched.fibers = [| ("churn", churn); ("batch", reader) |]; check }
+
+(* The churn fiber and a bound-flipping fiber consult the state machine
+   at the same crossings.  Every traced [olc.elastic.state] must be a
+   {!Hysteresis.step} edge from the state traced before it: a stale
+   overwrite (shrinking -> normal) or a crossing traced twice is not. *)
+let olc_hysteresis_scenario () =
+  let _, _, tree, churn = churned_olc () in
+  let traced = Trace.enabled () in
+  Trace.reset ();
+  Trace.set_enabled true;
+  let bounds () =
+    for _ = 1 to 4 do
+      Olc.set_size_bound tree 256;
+      Sched.pause ();
+      Olc.set_size_bound tree (1 lsl 20);
+      Sched.pause ()
+    done
+  in
+  let check () =
+    Trace.set_enabled traced;
+    Olc.check_invariants tree;
+    ignore
+      (Trace.fold_events
+         (fun prev ~domain:_ ~ts:_ ~id ~a ~b:_ ->
+           if String.equal (fst (Trace.kind_info id)) "olc.elastic.state" then
+             (* [step] at an empty and at a full size takes every edge *)
+             match
+               List.find_opt
+                 (fun s -> Int.equal (Hysteresis.code s) a)
+                 (List.map
+                    (fun bytes -> Hysteresis.step prev ~bound:8 ~bytes ~compact:0)
+                    [ 0; 8 ])
+             with
+             | Some s when not (Hysteresis.state_equal s prev) -> s
+             | Some _ | None ->
+               Invariant.brokenf "olc-hysteresis: state %d traced after %s" a
+                 (Hysteresis.state_name prev)
+           else prev)
+         Hysteresis.Normal)
+  in
+  { Sched.fibers = [| ("bounds", bounds); ("churn", churn) |]; check }
 
 (* Readers racing breathing growth (§5.4): every leaf is a compact
    SeqTree with slack 1, so nearly every insert finds its leaf's tid
@@ -819,6 +847,7 @@ let () =
   register_scenario "olc-convert-scan" olc_convert_scan_scenario;
   register_scenario "olc-multi-find" olc_multi_find_scenario;
   register_scenario "olc-breathe" olc_breathe_scenario;
+  register_scenario "olc-hysteresis" olc_hysteresis_scenario;
   register_scenario "wal-torn" wal_torn_scenario;
   register_scenario "wal-fsync" wal_fsync_scenario;
   register_scenario "net-pipeline" net_pipeline_scenario

@@ -56,7 +56,7 @@ let run_trial seed =
   in
   let states = Hashtbl.create 4 in
   let note_state () =
-    Hashtbl.replace states (Elasticity.state_name (Elastic.state tree)) ()
+    Hashtbl.replace states (Ei_btree.Hysteresis.state_name (Elastic.state tree)) ()
   in
   note_state ();
   (* insert/remove percentage biases per phase; the remainder splits

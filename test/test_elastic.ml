@@ -14,6 +14,7 @@ module Table = Ei_storage.Table
 module Btree = Ei_btree.Btree
 module Policy = Ei_btree.Policy
 module Elasticity = Ei_core.Elasticity
+module Hysteresis = Ei_btree.Hysteresis
 module Elastic = Ei_core.Elastic_btree
 
 module Smap = Map.Make (String)
@@ -92,11 +93,11 @@ let test_lifecycle () =
       keys.(i) <- k)
     keys;
   Alcotest.(check string) "starts normal" "normal"
-    (Elasticity.state_name (Elastic.state tree));
+    (Hysteresis.state_name (Elastic.state tree));
   Array.iter (fun k -> ignore (Elastic.insert tree k (Table.append table k))) keys;
   Elastic.check_invariants tree;
   Alcotest.(check string) "shrinking under pressure" "shrinking"
-    (Elasticity.state_name (Elastic.state tree));
+    (Hysteresis.state_name (Elastic.state tree));
   Alcotest.(check bool) "has compact leaves" true (Elastic.compact_leaves tree > 0);
   (* The index must stay close to the soft bound despite holding far more
      items than a standard tree could: allow 15% overshoot. *)
@@ -114,7 +115,7 @@ let test_lifecycle () =
     (fun i k -> if i mod 10 <> 0 then ignore (Elastic.remove tree k))
     keys;
   Elastic.check_invariants tree;
-  Alcotest.(check bool) "left shrinking" true (Elastic.state tree <> Elasticity.Shrinking);
+  Alcotest.(check bool) "left shrinking" true (Elastic.state tree <> Hysteresis.Shrinking);
   (* Drive searches so the random search-split decompacts hot leaves, and
      verify convergence to a fully standard tree. *)
   let survivors = Array.of_list
@@ -127,7 +128,7 @@ let test_lifecycle () =
   done;
   Alcotest.(check int) "fully decompacted" 0 (Elastic.compact_leaves tree);
   Alcotest.(check string) "back to normal" "normal"
-    (Elasticity.state_name (Elastic.state tree));
+    (Hysteresis.state_name (Elastic.state tree));
   Elastic.check_invariants tree;
   Array.iter
     (fun k -> if Elastic.find tree k = None then Alcotest.fail "survivor lost")
@@ -173,29 +174,87 @@ let test_state_machine () =
       ((Elasticity.policy e).Policy.on_underflow v ~current:Policy.Spec_std
          ~count:0)
   in
-  Alcotest.(check string) "initial" "normal" (Elasticity.state_name (Elasticity.state e));
+  Alcotest.(check string) "initial" "normal" (Hysteresis.state_name (Elasticity.state e));
   touch (view 500 0);
   Alcotest.(check string) "below threshold stays normal" "normal"
-    (Elasticity.state_name (Elasticity.state e));
+    (Hysteresis.state_name (Elasticity.state e));
   touch (view 901 0);
   Alcotest.(check string) "shrinks at 90%" "shrinking"
-    (Elasticity.state_name (Elasticity.state e));
+    (Hysteresis.state_name (Elasticity.state e));
   (* Hysteresis: dropping just below the shrink threshold must NOT expand. *)
   touch (view 880 5);
   Alcotest.(check string) "hysteresis holds" "shrinking"
-    (Elasticity.state_name (Elasticity.state e));
+    (Hysteresis.state_name (Elasticity.state e));
   touch (view 700 5);
   Alcotest.(check string) "expands below 75%" "expanding"
-    (Elasticity.state_name (Elasticity.state e));
+    (Hysteresis.state_name (Elasticity.state e));
   touch (view 800 5);
   Alcotest.(check string) "expanding persists mid-band" "expanding"
-    (Elasticity.state_name (Elasticity.state e));
+    (Hysteresis.state_name (Elasticity.state e));
   touch (view 800 0);
   Alcotest.(check string) "normal once decompacted" "normal"
-    (Elasticity.state_name (Elasticity.state e));
+    (Hysteresis.state_name (Elasticity.state e));
   touch (view 950 0);
   Alcotest.(check string) "re-shrinks" "shrinking"
-    (Elasticity.state_name (Elasticity.state e))
+    (Hysteresis.state_name (Elasticity.state e))
+
+(* --- The engine, exhaustively ---------------------------------------- *)
+
+let test_engine_exhaustive () =
+  (* Bounds 1-4 are left out: both thresholds round to the same byte
+     count there, so the hysteresis band is empty. *)
+  for bound = 5 to 64 do
+    for bytes = 0 to 2 * bound do
+      List.iter
+        (fun compact ->
+          List.iter
+            (fun s ->
+              let step s = Hysteresis.step s ~bound ~bytes ~compact in
+              let fail what =
+                Alcotest.failf "bound %d, bytes %d, compact %d, from %s: %s"
+                  bound bytes compact (Hysteresis.state_name s) what
+              in
+              let s1 = step s in
+              (match (s, s1) with
+              | Hysteresis.Shrinking, Hysteresis.Normal ->
+                fail "shrinking stepped straight to normal"
+              | Hysteresis.Normal, Hysteresis.Expanding ->
+                fail "normal stepped straight to expanding"
+              | _ -> ());
+              let s2 = step s1 in
+              if not (Hysteresis.state_equal (step s2) s2) then
+                fail "no fixed point within two steps")
+            Hysteresis.[ Normal; Shrinking; Expanding ])
+        [ 0; 1 ]
+    done
+  done
+
+let test_capacity_closure () =
+  (* The capacities doubling and halving reach from the first compact
+     capacity are exactly the ones the legal-capacity check accepts. *)
+  List.iter
+    (fun std ->
+      let initial, max_capacity =
+        Hysteresis.lift ~std ~initial:32 ~max_capacity:128
+      in
+      let rec close seen = function
+        | [] -> seen
+        | c :: rest when List.mem c seen -> close seen rest
+        | c :: rest ->
+          close (c :: seen)
+            (List.filter_map
+               (fun next -> next c)
+               [ Hysteresis.double ~max_capacity; Hysteresis.halve ~floor:std ]
+            @ rest)
+      in
+      let reachable = close [] [ initial ] in
+      for c = 1 to 4 * max_capacity do
+        let legal = Hysteresis.legal_capacity ~std ~initial ~max_capacity c in
+        if legal <> List.mem c reachable then
+          Alcotest.failf "std %d: capacity %d legal %b, reachable %b" std c
+            legal (List.mem c reachable)
+      done)
+    [ 8; 16; 32 ]
 
 (* --- Elastic vs STX space at equal item counts ---------------------- *)
 
@@ -333,7 +392,13 @@ let () =
           Alcotest.test_case "space savings vs STX" `Quick test_space_savings;
         ] );
       ( "state-machine",
-        [ Alcotest.test_case "transitions + hysteresis" `Quick test_state_machine ] );
+        [
+          Alcotest.test_case "transitions + hysteresis" `Quick test_state_machine;
+          Alcotest.test_case "engine over every small bound" `Quick
+            test_engine_exhaustive;
+          Alcotest.test_case "capacity progression closure" `Quick
+            test_capacity_closure;
+        ] );
       ( "bulk",
         [ Alcotest.test_case "of_sorted + elasticity" `Quick test_bulk_load_elastic ] );
       ( "cold-sweep",

@@ -96,7 +96,7 @@ let test_lifecycle () =
   in
   Array.iter (fun k -> ignore (Esl.insert t k (Table.append table k))) keys;
   Esl.check_invariants t;
-  Alcotest.(check string) "shrinking" "shrinking" (Esl.state_name (Esl.state t));
+  Alcotest.(check string) "shrinking" "shrinking" (Ei_btree.Hysteresis.state_name (Esl.state t));
   Alcotest.(check bool) "has segments" true (Esl.segments t > 0);
   let overshoot = float_of_int (Esl.memory_bytes t) /. float_of_int size_bound in
   if overshoot > 1.2 then Alcotest.failf "overshoot %.2f" overshoot;

@@ -711,9 +711,9 @@ let prop_state_machine =
           let view = { Policy.bytes; compact_leaves = compact; items = 0 } in
           ignore (policy.Policy.on_underflow view ~current:Policy.Spec_std ~count:0);
           match Elasticity.state e with
-          | Elasticity.Normal -> bytes < 900
-          | Elasticity.Shrinking -> true
-          | Elasticity.Expanding -> bytes < 900)
+          | Ei_btree.Hysteresis.Normal -> bytes < 900
+          | Ei_btree.Hysteresis.Shrinking -> true
+          | Ei_btree.Hysteresis.Expanding -> bytes < 900)
         observations)
 
 let () =

@@ -17,7 +17,7 @@ module Index_ops = Ei_harness.Index_ops
 module Tape = Ei_sim.Tape
 module Sim = Ei_sim.Sim
 module Sched = Ei_sim.Sched
-module Mini_json = Ei_sim.Mini_json
+module Mini_json = Ei_util.Mini_json
 
 let seed = Rng.env_seed ~default:42
 
@@ -280,7 +280,7 @@ let test_olc_scenarios_survive_exploration () =
         Alcotest.fail
           (Printf.sprintf "%s failed at round %d: %s" name f.Sched.round
              f.Sched.error))
-    [ "olc-race"; "olc-convert-scan"; "olc-multi-find" ]
+    [ "olc-race"; "olc-convert-scan"; "olc-multi-find"; "olc-hysteresis" ]
 
 let test_olc_convert_scan_enumerated () =
   let failure, distinct =
