@@ -18,10 +18,9 @@ module Client = Ei_net.Client
 module Wire = Ei_net.Wire
 module Server = Ei_net.Server
 module Serve = Ei_shard.Serve
-module Shard = Ei_shard.Shard
+module Fleet = Ei_shard.Fleet
 module Olc = Ei_olc.Btree_olc
 module Registry = Ei_harness.Registry
-module Table = Ei_storage.Table
 module Key = Ei_util.Key
 
 type mode = Closed | Open
@@ -112,25 +111,12 @@ let read_stats rfd : Client.stats =
 
 (* --- Parent side ------------------------------------------------------- *)
 
-let mk_fleet shards =
-  let table = Table.create ~key_len:8 () in
-  let load =
-    Olc.safe_loader ~key_len:8
-      ~table_length:(fun () -> Table.length table)
-      ~load:(Table.loader table)
-  in
-  let mk i =
-    Registry.make
-      ~name:(Printf.sprintf "olc/%d" i)
-      ~key_len:8 ~load (Registry.Olc Olc.Olc_std)
-  in
-  (table, Shard.create (Array.init shards mk))
-
 let numbered = List.mapi (fun i c -> (c, i)) cells
 
 let run_cell ~shards ~mode ~kids =
-  let table, router = mk_fleet shards in
-  let serve = Serve.start router in
+  let { Fleet.table; serve; _ } =
+    Fleet.start ~shards ~part:(Fleet.part (Registry.Olc Olc.Olc_std)) ()
+  in
   let server =
     Server.start ~serve ~table
       (Unix.ADDR_UNIX (sock_path (List.assoc (shards, mode) numbered)))

@@ -13,11 +13,10 @@
 
 open Bench_util
 module Table = Ei_storage.Table
-module Registry = Ei_harness.Registry
 module Ycsb = Ei_workload.Ycsb
-module Olc = Ei_olc.Btree_olc
 module Shard = Ei_shard.Shard
 module Serve = Ei_shard.Serve
+module Fleet = Ei_shard.Fleet
 module Rng = Ei_util.Rng
 module Wal = Ei_wal.Wal
 
@@ -29,52 +28,8 @@ let shard_counts = [ 1; 2; 4; 8 ]
    in-memory configuration EXPERIMENTS.md tracks. *)
 let wal_base = Sys.getenv_opt "EI_WAL"
 
-(* Client-side sub-batch size; Serve re-partitions each batch by shard. *)
-let batch = 512
-
-(* A fleet of [shards] registry indexes over one shared table, with the
-   torn-read-proof loader every concurrently compacted leaf needs. *)
-let mk_fleet ~shards ~kind_of_shard =
-  let table = Table.create ~key_len:8 () in
-  let load =
-    Olc.safe_loader ~key_len:8
-      ~table_length:(fun () -> Table.length table)
-      ~load:(Table.loader table)
-  in
-  let parts =
-    Array.init shards (fun i ->
-        let kind = kind_of_shard i in
-        Registry.make
-          ~name:(Printf.sprintf "%s/%d" (Registry.kind_name kind) i)
-          ~key_len:8 ~load kind)
-  in
-  (table, Shard.create parts)
-
-let elastic_fleet ~shards ~global_bound =
-  mk_fleet ~shards ~kind_of_shard:(fun _ ->
-      Registry.Olc
-        (Olc.Olc_elastic
-           (Olc.default_elastic_config
-              ~size_bound:(max 1 (global_bound / shards)))))
-
-(* Returns the number of shed (rejected / timed-out) operations — zero
-   in a fault-free benchmark run; a non-zero count would taint the
-   throughput numbers and is surfaced by the caller. *)
-let run_batches serve ops =
-  let n = Array.length ops in
-  let shed = ref 0 in
-  let i = ref 0 in
-  while !i < n do
-    let len = min batch (n - !i) in
-    Array.iter
-      (function
-        | Serve.Applied _ -> ()
-        | Serve.Rejected | Serve.Timed_out -> incr shed)
-      (Serve.exec serve (Array.sub ops !i len));
-    i := !i + len
-  done;
-  !shed
-
+(* A fault-free benchmark run sheds nothing; a non-zero count would
+   taint the throughput numbers and is surfaced. *)
 let warn_shed name shed =
   if shed > 0 then
     Printf.printf "  (%s: %d operation(s) shed — throughput tainted)\n" name shed
@@ -100,7 +55,6 @@ let run () =
     [ "shards"; "load"; "read"; "scan"; "churn"; "mem/bound"; "rebal" ];
   List.iter
     (fun shards ->
-      let table, router = elastic_fleet ~shards ~global_bound in
       let wal =
         Option.map
           (fun base ->
@@ -109,11 +63,13 @@ let run () =
             Wal.default_config ~dir)
           wal_base
       in
-      let serve =
-        Serve.start
+      let fleet =
+        Fleet.start ~shards
+          ~part:(Fleet.part (Fleet.olc_elastic ~global_bound ~shards))
           ~coordinator:(Serve.default_coordinator ~global_bound)
-          ?wal router
+          ?wal ()
       in
+      let { Fleet.table; router; serve } = fleet in
       (* Load: pre-append to the shared table, insert through the queues. *)
       let tids = Array.make record_count 0 in
       for seq = 0 to record_count - 1 do
@@ -126,7 +82,7 @@ let run () =
       let shed = ref 0 in
       begin_phase h_batch;
       let load_mops =
-        mops record_count (fun () -> shed := !shed + run_batches serve load_ops)
+        mops record_count (fun () -> shed := !shed + Fleet.run fleet load_ops)
       in
       let load_q = phase_quantiles h_batch in
       phase_capture (Printf.sprintf "load/%d" shards);
@@ -138,7 +94,7 @@ let run () =
       in
       begin_phase h_batch;
       let read_mops =
-        mops ops (fun () -> shed := !shed + run_batches serve read_ops)
+        mops ops (fun () -> shed := !shed + Fleet.run fleet read_ops)
       in
       let read_q = phase_quantiles h_batch in
       phase_capture (Printf.sprintf "read/%d" shards);
@@ -154,7 +110,7 @@ let run () =
       begin_phase h_batch;
       let scan_mops =
         mops (nscan * scan_len) (fun () ->
-            shed := !shed + run_batches serve scan_ops)
+            shed := !shed + Fleet.run fleet scan_ops)
       in
       let scan_q = phase_quantiles h_batch in
       phase_capture (Printf.sprintf "scan/%d" shards);
@@ -194,7 +150,7 @@ let run () =
       in
       begin_phase h_batch;
       let churn_mops =
-        mops ops (fun () -> shed := !shed + run_batches serve churn_ops)
+        mops ops (fun () -> shed := !shed + Fleet.run fleet churn_ops)
       in
       let churn_q = phase_quantiles h_batch in
       phase_capture (Printf.sprintf "churn/%d" shards);

@@ -13,8 +13,8 @@ module Table = Ei_storage.Table
 module Registry = Ei_harness.Registry
 module Ycsb = Ei_workload.Ycsb
 module Olc = Ei_olc.Btree_olc
-module Shard = Ei_shard.Shard
 module Serve = Ei_shard.Serve
+module Fleet = Ei_shard.Fleet
 module Rng = Ei_util.Rng
 
 let kinds ~record_count =
@@ -27,11 +27,7 @@ let kinds ~record_count =
           (Olc.Olc_seqtree { capacity = 128; levels = 2; breathing = 4 })),
       None );
     ( "olc-elastic",
-      (fun shards ->
-        Registry.Olc
-          (Olc.Olc_elastic
-             (Olc.default_elastic_config
-                ~size_bound:(max 1 (elastic_bound / shards))))),
+      (fun shards -> Fleet.olc_elastic ~global_bound:elastic_bound ~shards),
       Some elastic_bound );
   ]
 
@@ -46,14 +42,15 @@ type cell = {
 }
 
 let run_cell ~kind_of_shard ~bound ~shards ~record_count ~ops =
-  let table, router =
-    Fig6_par.mk_fleet ~shards ~kind_of_shard:(fun _ -> kind_of_shard shards)
-  in
   let coordinator =
     Option.map (fun global_bound -> Serve.default_coordinator ~global_bound)
       bound
   in
-  let serve = Serve.start ?coordinator router in
+  let fleet =
+    Fleet.start ~shards ~part:(Fleet.part (kind_of_shard shards)) ?coordinator
+      ()
+  in
+  let { Fleet.table; serve; _ } = fleet in
   let tids = Array.make record_count 0 in
   for seq = 0 to record_count - 1 do
     tids.(seq) <- Table.append table (Ycsb.key_of_seq seq)
@@ -66,7 +63,7 @@ let run_cell ~kind_of_shard ~bound ~shards ~record_count ~ops =
   begin_phase Fig6_par.h_batch;
   let insert =
     mops record_count (fun () ->
-        shed := !shed + Fig6_par.run_batches serve load_ops)
+        shed := !shed + Fleet.run fleet load_ops)
   in
   let insert_q = phase_quantiles Fig6_par.h_batch in
   let rng = domain_rng 0 in
@@ -76,7 +73,7 @@ let run_cell ~kind_of_shard ~bound ~shards ~record_count ~ops =
   in
   begin_phase Fig6_par.h_batch;
   let read =
-    mops ops (fun () -> shed := !shed + Fig6_par.run_batches serve read_ops)
+    mops ops (fun () -> shed := !shed + Fleet.run fleet read_ops)
   in
   let read_q = phase_quantiles Fig6_par.h_batch in
   Serve.rebalance_now serve;

@@ -288,10 +288,24 @@ let check_cmd =
 
 (* --- serve -------------------------------------------------------------- *)
 
+(* Run [f stop] with SIGTERM / SIGINT setting [stop] instead of killing
+   the process, so the caller can drain at a batch boundary; the
+   previous handlers come back afterwards. *)
+let with_drain_signals f =
+  let stop = Atomic.make false in
+  let request _ = Atomic.set stop true in
+  let prev_term = Sys.signal Sys.sigterm (Sys.Signal_handle request) in
+  let prev_int = Sys.signal Sys.sigint (Sys.Signal_handle request) in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.set_signal Sys.sigterm prev_term;
+      Sys.set_signal Sys.sigint prev_int)
+    (fun () -> f stop)
+
 let serve_cmd =
-  let module Olc = Ei_olc.Btree_olc in
   let module Shard = Ei_shard.Shard in
   let module Serve = Ei_shard.Serve in
+  let module Fleet = Ei_shard.Fleet in
   let shards_arg =
     Arg.(value & opt int 4 & info [ "shards" ] ~doc:"Shard domains to spawn.")
   in
@@ -323,41 +337,14 @@ let serve_cmd =
     if shards < 1 then begin prerr_endline "need at least one shard"; exit 2 end;
     let module Wal = Ei_wal.Wal in
     let global_bound = records * 27 * pct / 100 in
-    let table = Table.create ~key_len:8 () in
-    let load =
-      Olc.safe_loader ~key_len:8
-        ~table_length:(fun () -> Table.length table)
-        ~load:(Table.loader table)
-    in
-    let mk_part i =
-      Registry.make
-        ~name:(Printf.sprintf "olc-elastic/%d" i)
-        ~key_len:8 ~load
-        (Registry.Olc
-           (Olc.Olc_elastic
-              (Olc.default_elastic_config
-                 ~size_bound:(max 1 (global_bound / shards)))))
-    in
-    let parts = Array.init shards mk_part in
-    let router = Shard.create parts in
     let wal = Option.map (fun dir -> Wal.default_config ~dir) wal_dir in
-    let supervisor =
-      (* Durable shards need a supervisor: a WAL crash kills the domain
-         and the rebuild path is recover-from-disk. *)
-      Option.map
-        (fun _ -> Serve.default_supervisor ~table ~rebuild:mk_part)
-        wal
-    in
-    let serve =
-      Serve.start
+    let fleet =
+      Fleet.start ~shards
+        ~part:(Fleet.part (Fleet.olc_elastic ~global_bound ~shards))
         ~coordinator:(Serve.default_coordinator ~global_bound)
-        ?supervisor ?wal
-        ?wal_restore:
-          (Option.map
-             (fun _ ~tid ~key -> Table.restore_row table ~tid ~key)
-             wal)
-        router
+        ?wal ()
     in
+    let { Fleet.table; router; serve } = fleet in
     (match Serve.wal_recoveries serve with
     | [] -> ()
     | boot ->
@@ -377,79 +364,65 @@ let serve_cmd =
        closes the WAL writers — final fsync plus the clean-shutdown
        marker — and the process exits 0.  Acknowledged ops are on disk;
        the next start recovers them without replay surprises. *)
-    let stop_req = Atomic.make false in
-    let prev_term = ref Sys.Signal_default and prev_int = ref Sys.Signal_default in
-    let request_stop _ = Atomic.set stop_req true in
-    prev_term := Sys.signal Sys.sigterm (Sys.Signal_handle request_stop);
-    prev_int := Sys.signal Sys.sigint (Sys.Signal_handle request_stop);
-    let shed = ref 0 in
-    let batched a =
-      let n = Array.length a in
-      let i = ref 0 in
-      while !i < n && not (Atomic.get stop_req) do
-        let len = min 512 (n - !i) in
-        Array.iter
-          (function
-            | Serve.Applied _ -> ()
-            | Serve.Rejected | Serve.Timed_out -> incr shed)
-          (Serve.exec serve (Array.sub a !i len));
-        i := !i + len
-      done
+    let interrupted =
+      with_drain_signals @@ fun stop ->
+      let shed = ref 0 in
+      let batched a = shed := !shed + Fleet.run ~stop fleet a in
+      let tids = Array.make records 0 in
+      for s = 0 to records - 1 do
+        tids.(s) <- Table.append table (Ycsb.key_of_seq s)
+      done;
+      let (), load_dt =
+        Clock.time (fun () ->
+            batched
+              (Array.init records (fun s ->
+                   Ei_shard.Serve.Insert (Ycsb.key_of_seq s, tids.(s)))))
+      in
+      Printf.printf
+        "%d shard domain(s) + coordinator%s; global bound %.1f MiB\n" shards
+        (if wal = None then "" else " + WAL")
+        (Clock.mib global_bound);
+      Printf.printf "load   %8d ops  %6.2f Mops\n" records
+        (Clock.mops records load_dt);
+      let rng = Ei_util.Rng.stream seed 0 in
+      let (), read_dt =
+        Clock.time (fun () ->
+            batched
+              (Array.init ops (fun _ ->
+                   Serve.Find (Ycsb.key_of_seq (Ei_util.Rng.int rng records)))))
+      in
+      Printf.printf "read   %8d ops  %6.2f Mops\n" ops (Clock.mops ops read_dt);
+      (* Churn: reads plus in-place updates (a tid of the same key). *)
+      let (), churn_dt =
+        Clock.time (fun () ->
+            batched
+              (Array.init ops (fun _ ->
+                   let s = Ei_util.Rng.int rng records in
+                   if Ei_util.Rng.int rng 2 = 0 then
+                     Serve.Find (Ycsb.key_of_seq s)
+                   else Serve.Update (Ycsb.key_of_seq s, tids.(s)))))
+      in
+      Printf.printf "churn  %8d ops  %6.2f Mops\n" ops
+        (Clock.mops ops churn_dt);
+      Serve.rebalance_now serve;
+      let sizes = Serve.shard_sizes serve in
+      let agg = Array.fold_left ( + ) 0 sizes in
+      Array.iteri
+        (fun i b ->
+          Printf.printf "shard %d: %7.2f MiB  %s\n" i (Clock.mib b)
+            ((Shard.parts router).(i).Index_ops.info ()))
+        sizes;
+      Printf.printf
+        "aggregate %.2f MiB / bound %.2f MiB (%.2fx), %d coordinator pass(es)\n"
+        (Clock.mib agg) (Clock.mib global_bound)
+        (float_of_int agg /. float_of_int global_bound)
+        (Serve.rebalances serve);
+      if !shed > 0 then
+        Printf.printf "%d operation(s) shed (rejected or timed out)\n" !shed;
+      Serve.stop serve;
+      Atomic.get stop
     in
-    let tids = Array.make records 0 in
-    for s = 0 to records - 1 do
-      tids.(s) <- Table.append table (Ycsb.key_of_seq s)
-    done;
-    let (), load_dt =
-      Clock.time (fun () ->
-          batched
-            (Array.init records (fun s ->
-                 Ei_shard.Serve.Insert (Ycsb.key_of_seq s, tids.(s)))))
-    in
-    Printf.printf "%d shard domain(s) + coordinator%s; global bound %.1f MiB\n"
-      shards
-      (if wal = None then "" else " + WAL")
-      (Clock.mib global_bound);
-    Printf.printf "load   %8d ops  %6.2f Mops\n" records
-      (Clock.mops records load_dt);
-    let rng = Ei_util.Rng.stream seed 0 in
-    let (), read_dt =
-      Clock.time (fun () ->
-          batched
-            (Array.init ops (fun _ ->
-                 Serve.Find (Ycsb.key_of_seq (Ei_util.Rng.int rng records)))))
-    in
-    Printf.printf "read   %8d ops  %6.2f Mops\n" ops (Clock.mops ops read_dt);
-    (* Churn: reads plus in-place updates (a tid of the same key). *)
-    let (), churn_dt =
-      Clock.time (fun () ->
-          batched
-            (Array.init ops (fun _ ->
-                 let s = Ei_util.Rng.int rng records in
-                 if Ei_util.Rng.int rng 2 = 0 then
-                   Serve.Find (Ycsb.key_of_seq s)
-                 else Serve.Update (Ycsb.key_of_seq s, tids.(s)))))
-    in
-    Printf.printf "churn  %8d ops  %6.2f Mops\n" ops (Clock.mops ops churn_dt);
-    Serve.rebalance_now serve;
-    let sizes = Serve.shard_sizes serve in
-    let agg = Array.fold_left ( + ) 0 sizes in
-    Array.iteri
-      (fun i b ->
-        Printf.printf "shard %d: %7.2f MiB  %s\n" i (Clock.mib b)
-          ((Shard.parts router).(i).Index_ops.info ()))
-      sizes;
-    Printf.printf
-      "aggregate %.2f MiB / bound %.2f MiB (%.2fx), %d coordinator pass(es)\n"
-      (Clock.mib agg) (Clock.mib global_bound)
-      (float_of_int agg /. float_of_int global_bound)
-      (Serve.rebalances serve);
-    if !shed > 0 then
-      Printf.printf "%d operation(s) shed (rejected or timed out)\n" !shed;
-    Serve.stop serve;
-    Sys.set_signal Sys.sigterm !prev_term;
-    Sys.set_signal Sys.sigint !prev_int;
-    if Atomic.get stop_req then begin
+    if interrupted then begin
       Printf.printf
         "interrupted: drained in-flight batches and shut down cleanly%s\n"
         (if wal = None then ""
@@ -493,8 +466,8 @@ let net_host_arg =
 
 let serve_net_cmd =
   let module Olc = Ei_olc.Btree_olc in
-  let module Shard = Ei_shard.Shard in
   let module Serve = Ei_shard.Serve in
+  let module Fleet = Ei_shard.Fleet in
   let module Server = Ei_net.Server in
   let module Metrics = Ei_obs.Metrics in
   let module Trace = Ei_obs.Trace in
@@ -536,43 +509,17 @@ let serve_net_cmd =
     if shards < 1 then begin prerr_endline "need at least one shard"; exit 2 end;
     Metrics.set_enabled true;
     if trace_out <> None then Trace.set_enabled true;
-    let table = Table.create ~key_len:8 () in
-    let load =
-      Olc.safe_loader ~key_len:8
-        ~table_length:(fun () -> Table.length table)
-        ~load:(Table.loader table)
-    in
-    let mk_part i =
-      Registry.make
-        ~name:(Printf.sprintf "olc/%d" i)
-        ~key_len:8 ~load (Registry.Olc Olc.Olc_std)
-    in
-    let router = Shard.create (Array.init shards mk_part) in
     let wal = Option.map (fun dir -> Wal.default_config ~dir) wal_dir in
-    let supervisor =
-      Option.map (fun _ -> Serve.default_supervisor ~table ~rebuild:mk_part) wal
+    let fleet =
+      Fleet.start ~shards ~part:(Fleet.part (Registry.Olc Olc.Olc_std)) ?wal ()
     in
-    let serve =
-      Serve.start ?supervisor ?wal
-        ?wal_restore:
-          (Option.map
-             (fun _ ~tid ~key -> Table.restore_row table ~tid ~key)
-             wal)
-        router
-    in
-    if records > 0 then begin
-      let ops =
-        Array.init records (fun s ->
-            let k = Ycsb.key_of_seq s in
-            Ei_shard.Serve.Insert (k, Table.append table k))
-      in
-      let i = ref 0 in
-      while !i < records do
-        let len = min 512 (records - !i) in
-        ignore (Serve.exec serve (Array.sub ops !i len));
-        i := !i + len
-      done
-    end;
+    let { Fleet.table; serve; _ } = fleet in
+    if records > 0 then
+      ignore
+        (Fleet.run fleet
+           (Array.init records (fun s ->
+                let k = Ycsb.key_of_seq s in
+                Serve.Insert (k, Table.append table k))));
     let config =
       {
         Server.default_config with
@@ -595,20 +542,13 @@ let serve_net_cmd =
        every live connection answers its already-decoded requests and
        flushes, then the fleet joins — no in-flight request loses its
        reply. *)
-    let stop_req = Atomic.make false in
-    let prev_term = ref Sys.Signal_default
-    and prev_int = ref Sys.Signal_default in
-    let request_stop _ = Atomic.set stop_req true in
-    prev_term := Sys.signal Sys.sigterm (Sys.Signal_handle request_stop);
-    prev_int := Sys.signal Sys.sigint (Sys.Signal_handle request_stop);
-    while not (Atomic.get stop_req) do
-      try Unix.sleepf 0.05
-      with Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    done;
-    Server.stop server;
-    Serve.stop serve;
-    Sys.set_signal Sys.sigterm !prev_term;
-    Sys.set_signal Sys.sigint !prev_int;
+    with_drain_signals (fun stop ->
+        while not (Atomic.get stop) do
+          try Unix.sleepf 0.05
+          with Unix.Unix_error (Unix.EINTR, _, _) -> ()
+        done;
+        Server.stop server;
+        Serve.stop serve);
     (match trace_out with
     | Some out ->
       let n = Trace.events () in
@@ -1098,209 +1038,40 @@ let stats_cmd =
              print the exposition (Prometheus text, or JSON with --json).")
     term
 
-(* --- trace (Chrome trace_events capture) -------------------------------- *)
+(* --- trace / timeline / top --------------------------------------------- *)
 
-(* A tracing run over the sharded serving layer: load, churn, slash the
-   global soft bound mid-churn via a one-shot coordinator pass, keep
-   churning, then export the merged trace rings.  The periodic
+(* Shared fleet driver for the observability commands: sharded YCSB
+   load, churn, a mid-flight slash of the global bound, churn again,
+   with a [phase] callback at every boundary so the caller can cut
+   timeline frames (ei timeline) or refresh a live view (ei top), and
+   an optional WAL so the captured flows include the durability leg.
+   Each [phase l] call closes the window named [l].  The periodic
    coordinator is deliberately NOT started — it would restore the
-   original bound split on its next pass and blur the slash the trace is
-   meant to show; [Serve.rebalance_with] delivers each split exactly
-   once. *)
-let obs_trace_cmd =
-  let module Olc = Ei_olc.Btree_olc in
-  let module Shard = Ei_shard.Shard in
-  let module Serve = Ei_shard.Serve in
-  let module Metrics = Ei_obs.Metrics in
-  let module Trace = Ei_obs.Trace in
-  let shards_arg =
-    Arg.(value & opt int 2 & info [ "shards" ] ~doc:"Shard domains to spawn.")
-  in
-  let records_arg =
-    Arg.(value & opt int 50_000 & info [ "records" ] ~doc:"Records to load.")
-  in
-  let ops_arg =
-    Arg.(value & opt int 100_000 & info [ "ops" ] ~doc:"Churn operations.")
-  in
-  let bound_arg =
-    Arg.(value & opt int 60
-         & info [ "bound" ]
-             ~doc:"Global soft memory bound as a percentage of the \
-                   unconstrained BTreeOLC estimate for the load; halved \
-                   mid-churn.")
-  in
-  let workload_arg =
-    Arg.(value & opt string "A"
-         & info [ "w"; "workload" ] ~docv:"A..C"
-             ~doc:"YCSB point-op mix for the churn phases: A = 50/50 \
-                   read/update, B = 95/5, C = reads only.")
-  in
-  let out_arg =
-    Arg.(value & opt string "ei.trace.json"
-         & info [ "o"; "out" ] ~docv:"FILE"
-             ~doc:"Output file (Chrome trace_events JSON; open in \
-                   chrome://tracing or ui.perfetto.dev).")
-  in
-  let seed_arg =
-    Arg.(value & opt int 42 & info [ "seed" ] ~doc:"RNG seed for the workload.")
-  in
-  let run shards records ops pct workload out seed =
-    if shards < 1 then begin prerr_endline "need at least one shard"; exit 2 end;
-    let update_pct =
-      match String.uppercase_ascii workload with
-      | "A" -> 50
-      | "B" -> 5
-      | "C" -> 0
-      | w -> Printf.ksprintf failwith "unknown workload %s (want A, B or C)" w
-    in
-    Metrics.set_enabled true;
-    Trace.set_enabled true;
-    let global_bound = records * 27 * pct / 100 in
-    let table = Table.create ~key_len:8 () in
-    let load =
-      Olc.safe_loader ~key_len:8
-        ~table_length:(fun () -> Table.length table)
-        ~load:(Table.loader table)
-    in
-    let parts =
-      Array.init shards (fun i ->
-          Registry.make
-            ~name:(Printf.sprintf "olc-elastic/%d" i)
-            ~key_len:8 ~load
-            (Registry.Olc
-               (Olc.Olc_elastic
-                  (Olc.default_elastic_config
-                     ~size_bound:(max 1 (global_bound / shards))))))
-    in
-    let router = Shard.create parts in
-    let serve = Serve.start router in
-    let shed = ref 0 in
-    let batched a =
-      let n = Array.length a in
-      let i = ref 0 in
-      while !i < n do
-        let len = min 512 (n - !i) in
-        Array.iter
-          (function
-            | Serve.Applied _ -> ()
-            | Serve.Rejected | Serve.Timed_out -> incr shed)
-          (Serve.exec serve (Array.sub a !i len));
-        i := !i + len
-      done
-    in
-    let tids = Array.make records 0 in
-    for s = 0 to records - 1 do
-      tids.(s) <- Table.append table (Ycsb.key_of_seq s)
-    done;
-    batched
-      (Array.init records (fun s ->
-           Serve.Insert (Ycsb.key_of_seq s, tids.(s))));
-    (* One explicit coordinator pass delivers the configured split. *)
-    Serve.rebalance_with serve (Serve.default_coordinator ~global_bound);
-    let rng = Ei_util.Rng.stream seed 0 in
-    let churn n =
-      batched
-        (Array.init n (fun _ ->
-             let s = Ei_util.Rng.int rng records in
-             if Ei_util.Rng.int rng 100 < update_pct then
-               Serve.Update (Ycsb.key_of_seq s, tids.(s))
-             else Serve.Find (Ycsb.key_of_seq s)))
-    in
-    churn (ops / 2);
-    (* Mid-flight slash: re-split half the budget, forcing the fleet
-       into the shrinking state while the second churn phase runs. *)
-    Serve.rebalance_with serve
-      (Serve.default_coordinator ~global_bound:(max 1 (global_bound / 2)));
-    churn (ops - (ops / 2));
-    Serve.stop serve;
-    let events = Trace.events () in
-    Trace.write_json out;
-    Printf.printf
-      "wrote %s: %d events (%d elastic transitions, %d batches); bound \
-       %.1f MiB slashed to %.1f MiB mid-churn\n"
-      out events
-      (Metrics.counter_value (Metrics.counter "olc.transitions"))
-      (Serve.batches serve)
-      (Clock.mib global_bound)
-      (Clock.mib (global_bound / 2));
-    if !shed > 0 then
-      Printf.printf "%d operation(s) shed (rejected or timed out)\n" !shed;
-    if events = 0 then begin
-      prerr_endline "empty trace: no events were recorded";
-      exit 1
-    end
-  in
-  let term =
-    Term.(const run $ shards_arg $ records_arg $ ops_arg $ bound_arg
-          $ workload_arg $ out_arg $ seed_arg)
-  in
-  Cmd.v
-    (Cmd.info "trace"
-       ~doc:"Run a sharded YCSB workload with tracing on, slash the \
-             global bound mid-churn, and dump Chrome trace_events JSON.")
-    term
-
-(* --- timeline / top ------------------------------------------------------ *)
-
-(* Shared fleet driver for the timeline-centric commands: the same
-   sharded YCSB load / churn / mid-flight bound slash / churn shape as
-   [ei trace], with a [phase] callback at every boundary so the caller
-   can cut timeline frames (ei timeline) or refresh a live view (ei
-   top), and an optional WAL so the captured flows include the
-   durability leg.  Each [phase l] call closes the window named [l]. *)
+   original bound split on its next pass and blur the slash;
+   [Serve.rebalance_with] delivers each split exactly once.  Returns
+   the shed count and the sub-batches applied. *)
 let run_obs_fleet ~shards ~records ~ops ~update_pct ~pct ~seed ?wal_dir ~phase
     () =
-  let module Olc = Ei_olc.Btree_olc in
-  let module Shard = Ei_shard.Shard in
   let module Serve = Ei_shard.Serve in
+  let module Fleet = Ei_shard.Fleet in
   let module Wal = Ei_wal.Wal in
   let global_bound = records * 27 * pct / 100 in
-  let table = Table.create ~key_len:8 () in
-  let load =
-    Olc.safe_loader ~key_len:8
-      ~table_length:(fun () -> Table.length table)
-      ~load:(Table.loader table)
-  in
-  let parts =
-    Array.init shards (fun i ->
-        Registry.make
-          ~name:(Printf.sprintf "olc-elastic/%d" i)
-          ~key_len:8 ~load
-          (Registry.Olc
-             (Olc.Olc_elastic
-                (Olc.default_elastic_config
-                   ~size_bound:(max 1 (global_bound / shards))))))
-  in
-  let router = Shard.create parts in
   let wal = Option.map (fun dir -> Wal.default_config ~dir) wal_dir in
-  let serve =
-    Serve.start ?wal
-      ?wal_restore:
-        (Option.map
-           (fun _ ~tid ~key -> Table.restore_row table ~tid ~key)
-           wal)
-      router
+  let fleet =
+    Fleet.start ~shards
+      ~part:(Fleet.part (Fleet.olc_elastic ~global_bound ~shards))
+      ?wal ()
   in
+  let { Fleet.table; serve; _ } = fleet in
   let shed = ref 0 in
-  let batched a =
-    let n = Array.length a in
-    let i = ref 0 in
-    while !i < n do
-      let len = min 512 (n - !i) in
-      Array.iter
-        (function
-          | Serve.Applied _ -> ()
-          | Serve.Rejected | Serve.Timed_out -> incr shed)
-        (Serve.exec serve (Array.sub a !i len));
-      i := !i + len
-    done
-  in
+  let batched a = shed := !shed + Fleet.run fleet a in
   let tids = Array.make records 0 in
   for s = 0 to records - 1 do
     tids.(s) <- Table.append table (Ycsb.key_of_seq s)
   done;
   batched
     (Array.init records (fun s -> Serve.Insert (Ycsb.key_of_seq s, tids.(s))));
+  (* One explicit coordinator pass delivers the configured split. *)
   Serve.rebalance_with serve (Serve.default_coordinator ~global_bound);
   phase "load";
   let rng = Ei_util.Rng.stream seed 0 in
@@ -1314,13 +1085,15 @@ let run_obs_fleet ~shards ~records ~ops ~update_pct ~pct ~seed ?wal_dir ~phase
   in
   churn (ops / 2);
   phase "churn";
+  (* Mid-flight slash: re-split half the budget, forcing the fleet
+     into the shrinking state while the second churn phase runs. *)
   Serve.rebalance_with serve
     (Serve.default_coordinator ~global_bound:(max 1 (global_bound / 2)));
   churn (ops - (ops / 2));
   phase "churn-slashed";
   Serve.stop serve;
   phase "drain";
-  !shed
+  (!shed, Serve.batches serve)
 
 let update_pct_of_workload w =
   match String.uppercase_ascii w with
@@ -1329,31 +1102,85 @@ let update_pct_of_workload w =
   | "C" -> 0
   | w -> Printf.ksprintf failwith "unknown workload %s (want A, B or C)" w
 
+(* The fleet-shape flags of the observability commands. *)
+let obs_shards_arg =
+  Arg.(value & opt int 2 & info [ "shards" ] ~doc:"Shard domains to spawn.")
+
+let obs_records_arg =
+  Arg.(value & opt int 50_000 & info [ "records" ] ~doc:"Records to load.")
+
+let obs_ops_arg default =
+  Arg.(value & opt int default & info [ "ops" ] ~doc:"Churn operations.")
+
+let obs_bound_arg =
+  Arg.(value & opt int 60
+       & info [ "bound" ]
+           ~doc:"Global soft memory bound as a percentage of the \
+                 unconstrained BTreeOLC estimate for the load; halved \
+                 mid-churn.")
+
+let obs_workload_arg =
+  Arg.(value & opt string "A"
+       & info [ "w"; "workload" ] ~docv:"A..C"
+           ~doc:"YCSB point-op mix for the churn phases: A = 50/50 \
+                 read/update, B = 95/5, C = reads only.")
+
+let obs_seed_arg =
+  Arg.(value & opt int 42 & info [ "seed" ] ~doc:"RNG seed for the workload.")
+
+(* A tracing run over the sharded serving layer ({!run_obs_fleet}): load,
+   churn, slash the global soft bound mid-churn, keep churning, then
+   export the merged trace rings. *)
+let obs_trace_cmd =
+  let module Metrics = Ei_obs.Metrics in
+  let module Trace = Ei_obs.Trace in
+  let out_arg =
+    Arg.(value & opt string "ei.trace.json"
+         & info [ "o"; "out" ] ~docv:"FILE"
+             ~doc:"Output file (Chrome trace_events JSON; open in \
+                   chrome://tracing or ui.perfetto.dev).")
+  in
+  let run shards records ops pct workload out seed =
+    if shards < 1 then begin prerr_endline "need at least one shard"; exit 2 end;
+    let update_pct = update_pct_of_workload workload in
+    Metrics.set_enabled true;
+    Trace.set_enabled true;
+    let shed, batches =
+      run_obs_fleet ~shards ~records ~ops ~update_pct ~pct ~seed
+        ~phase:ignore ()
+    in
+    let global_bound = records * 27 * pct / 100 in
+    let events = Trace.events () in
+    Trace.write_json out;
+    Printf.printf
+      "wrote %s: %d events (%d elastic transitions, %d batches); bound \
+       %.1f MiB slashed to %.1f MiB mid-churn\n"
+      out events
+      (Metrics.counter_value (Metrics.counter "olc.transitions"))
+      batches
+      (Clock.mib global_bound)
+      (Clock.mib (global_bound / 2));
+    if shed > 0 then
+      Printf.printf "%d operation(s) shed (rejected or timed out)\n" shed;
+    if events = 0 then begin
+      prerr_endline "empty trace: no events were recorded";
+      exit 1
+    end
+  in
+  let term =
+    Term.(const run $ obs_shards_arg $ obs_records_arg $ obs_ops_arg 100_000
+          $ obs_bound_arg $ obs_workload_arg $ out_arg $ obs_seed_arg)
+  in
+  Cmd.v
+    (Cmd.info "trace"
+       ~doc:"Run a sharded YCSB workload with tracing on, slash the \
+             global bound mid-churn, and dump Chrome trace_events JSON.")
+    term
+
 let obs_timeline_cmd =
   let module Metrics = Ei_obs.Metrics in
   let module Trace = Ei_obs.Trace in
   let module Timeline = Ei_obs.Timeline in
-  let shards_arg =
-    Arg.(value & opt int 2 & info [ "shards" ] ~doc:"Shard domains to spawn.")
-  in
-  let records_arg =
-    Arg.(value & opt int 50_000 & info [ "records" ] ~doc:"Records to load.")
-  in
-  let ops_arg =
-    Arg.(value & opt int 100_000 & info [ "ops" ] ~doc:"Churn operations.")
-  in
-  let bound_arg =
-    Arg.(value & opt int 60
-         & info [ "bound" ]
-             ~doc:"Global soft memory bound as a percentage of the \
-                   unconstrained BTreeOLC estimate for the load; halved \
-                   mid-churn.")
-  in
-  let workload_arg =
-    Arg.(value & opt string "A"
-         & info [ "w"; "workload" ] ~docv:"A..C"
-             ~doc:"YCSB point-op mix for the churn phases.")
-  in
   let interval_arg =
     Arg.(value & opt float 0.05
          & info [ "interval" ] ~docv:"SECONDS"
@@ -1364,9 +1191,6 @@ let obs_timeline_cmd =
     Arg.(value & opt string "-"
          & info [ "o"; "out" ] ~docv:"FILE"
              ~doc:"Output file for the JSON-Lines frames (- = stdout).")
-  in
-  let seed_arg =
-    Arg.(value & opt int 42 & info [ "seed" ] ~doc:"RNG seed for the workload.")
   in
   let wal_arg =
     Arg.(value & opt (some string) None
@@ -1385,7 +1209,7 @@ let obs_timeline_cmd =
     Timeline.capture ~label:"start" ();
     if Float.compare interval 0.0 > 0 then
       Timeline.start_ticker ~interval_s:interval;
-    let shed =
+    let shed, _ =
       run_obs_fleet ~shards ~records ~ops ~update_pct ~pct ~seed ?wal_dir
         ~phase:(fun l -> Timeline.capture ~label:l ())
         ()
@@ -1406,8 +1230,9 @@ let obs_timeline_cmd =
     end
   in
   let term =
-    Term.(const run $ shards_arg $ records_arg $ ops_arg $ bound_arg
-          $ workload_arg $ interval_arg $ out_arg $ seed_arg $ wal_arg)
+    Term.(const run $ obs_shards_arg $ obs_records_arg $ obs_ops_arg 100_000
+          $ obs_bound_arg $ obs_workload_arg $ interval_arg $ out_arg
+          $ obs_seed_arg $ wal_arg)
   in
   Cmd.v
     (Cmd.info "timeline"
@@ -1424,26 +1249,6 @@ let obs_timeline_cmd =
 let obs_top_cmd =
   let module Metrics = Ei_obs.Metrics in
   let module Timeline = Ei_obs.Timeline in
-  let shards_arg =
-    Arg.(value & opt int 2 & info [ "shards" ] ~doc:"Shard domains to spawn.")
-  in
-  let records_arg =
-    Arg.(value & opt int 50_000 & info [ "records" ] ~doc:"Records to load.")
-  in
-  let ops_arg =
-    Arg.(value & opt int 200_000 & info [ "ops" ] ~doc:"Churn operations.")
-  in
-  let bound_arg =
-    Arg.(value & opt int 60
-         & info [ "bound" ]
-             ~doc:"Global soft memory bound as a percentage of the \
-                   unconstrained BTreeOLC estimate; halved mid-churn.")
-  in
-  let workload_arg =
-    Arg.(value & opt string "A"
-         & info [ "w"; "workload" ] ~docv:"A..C"
-             ~doc:"YCSB point-op mix for the churn phases.")
-  in
   let interval_arg =
     Arg.(value & opt float 0.5
          & info [ "interval" ] ~docv:"SECONDS" ~doc:"Refresh interval.")
@@ -1453,9 +1258,6 @@ let obs_top_cmd =
          & info [ "once" ]
              ~doc:"Run the workload to completion, render the final \
                    frame once and exit (no terminal control; for CI).")
-  in
-  let seed_arg =
-    Arg.(value & opt int 42 & info [ "seed" ] ~doc:"RNG seed for the workload.")
   in
   let render ~shards ~clear fr =
     let b = Buffer.create 512 in
@@ -1501,7 +1303,7 @@ let obs_top_cmd =
     Timeline.set_enabled true;
     Timeline.capture ~label:"start" ();
     if once then begin
-      let shed =
+      let shed, _ =
         run_obs_fleet ~shards ~records ~ops ~update_pct ~pct ~seed
           ~phase:(fun l -> Timeline.capture ~label:l ())
           ()
@@ -1520,7 +1322,7 @@ let obs_top_cmd =
       let done_flag = Atomic.make false in
       let worker =
         Domain.spawn (fun () ->
-            let shed =
+            let shed, _ =
               run_obs_fleet ~shards ~records ~ops ~update_pct ~pct ~seed
                 ~phase:(fun _ -> ())
                 ()
@@ -1544,8 +1346,9 @@ let obs_top_cmd =
     end
   in
   let term =
-    Term.(const run $ shards_arg $ records_arg $ ops_arg $ bound_arg
-          $ workload_arg $ interval_arg $ once_arg $ seed_arg)
+    Term.(const run $ obs_shards_arg $ obs_records_arg $ obs_ops_arg 200_000
+          $ obs_bound_arg $ obs_workload_arg $ interval_arg $ once_arg
+          $ obs_seed_arg)
   in
   Cmd.v
     (Cmd.info "top"

@@ -50,6 +50,7 @@ module Index_ops = Ei_harness.Index_ops
 module Registry = Ei_harness.Registry
 module Serve = Ei_shard.Serve
 module Shard = Ei_shard.Shard
+module Fleet = Ei_shard.Fleet
 module Check = Ei_check.Check
 module Rng = Ei_util.Rng
 module Strtbl = Ei_util.Strtbl
@@ -274,16 +275,10 @@ let run cfg =
       (fun s -> match cfg.progress with Some f -> f s | None -> ())
       fmt
   in
-  (* Under-sized on purpose: appends grow the table mid-run while shard
-     domains mark liveness (see above). *)
-  let table =
-    Table.create
-      ~initial_capacity:(max 64 (nkeys / 4))
-      ~key_len:cfg.key_len ()
-  in
-  let mk_part i =
+  let part table i =
     let ecfg =
-      Ei_core.Elasticity.default_config ~size_bound:(max 1 (global_bound / cfg.shards))
+      Ei_core.Elasticity.default_config
+        ~size_bound:(Fleet.share ~global_bound ~shards:cfg.shards)
     in
     let ecfg =
       {
@@ -298,7 +293,6 @@ let run cfg =
     in
     Index_ops.inject ~site:(Fault.site (Printf.sprintf "serve.op.shard%d" i)) ix
   in
-  let router = Shard.create (Array.init cfg.shards mk_part) in
   (* Durable mode: reset the WAL root (a soak owns its directory), open
      the acknowledgement journal beside the shard logs, and hand every
      shard a writer.  The start-time recovery below is a no-op on the
@@ -311,13 +305,12 @@ let run cfg =
       cfg.wal_dir
   in
   let journal = Option.map jopen cfg.wal_dir in
-  let serve =
-    Serve.start
-      ~supervisor:(Serve.default_supervisor ~table ~rebuild:mk_part)
-      ~fault_prefix:"serve" ~timeout_s:cfg.timeout_s ?wal
-      ?wal_restore:
-        (Option.map (fun _ ~tid ~key -> Table.restore_row table ~tid ~key) wal)
-      router
+  (* The table is under-sized on purpose: appends grow it mid-run while
+     shard domains mark liveness (see above). *)
+  let { Fleet.table; router; serve } =
+    Fleet.start ~shards:cfg.shards ~part ~key_len:cfg.key_len
+      ~initial_capacity:(max 64 (nkeys / 4))
+      ~timeout_s:cfg.timeout_s ~fault_prefix:"serve" ?wal ~supervised:true ()
   in
   let coord = Serve.default_coordinator ~global_bound in
   let rng = Rng.stream cfg.seed 0x1 in
@@ -493,7 +486,7 @@ let run cfg =
     let live = Shard.parts router in
     let rec_parts =
       Array.init cfg.shards (fun i ->
-          let part = mk_part i in
+          let part = part table i in
           let w, r =
             Wal.recover wcfg ~shard:i ~part
               ~restore:(fun ~tid ~key -> Table.restore_row table ~tid ~key)

@@ -1,0 +1,67 @@
+module Table = Ei_storage.Table
+module Registry = Ei_harness.Registry
+module Olc = Ei_olc.Btree_olc
+module Fault = Ei_fault.Fault
+
+type t = { table : Table.t; router : Shard.t; serve : Serve.t }
+
+let share ~global_bound ~shards = max 1 (global_bound / shards)
+
+let olc_elastic ~global_bound ~shards =
+  Registry.Olc
+    (Olc.Olc_elastic
+       (Olc.default_elastic_config ~size_bound:(share ~global_bound ~shards)))
+
+let part kind table =
+  let key_len = Table.key_len table in
+  let load =
+    Olc.safe_loader ~key_len
+      ~table_length:(fun () -> Table.length table)
+      ~load:(Table.loader table)
+  in
+  fun i ->
+    Registry.make
+      ~name:(Printf.sprintf "%s/%d" (Registry.kind_name kind) i)
+      ~key_len ~load kind
+
+let start ~shards ~part ?(key_len = 8) ?initial_capacity ?coordinator
+    ?timeout_s ?fault_prefix ?wal ?(supervised = false) () =
+  let table = Table.create ?initial_capacity ~key_len () in
+  let router = Shard.create (Array.init shards (part table)) in
+  let supervisor =
+    if supervised || Option.is_some wal then
+      Some (Serve.default_supervisor ~table ~rebuild:(part table))
+    else None
+  in
+  let wal_restore =
+    Option.map (fun _ ~tid ~key -> Table.restore_row table ~tid ~key) wal
+  in
+  let serve =
+    Serve.start ?coordinator ?supervisor ?fault_prefix ?timeout_s ?wal
+      ?wal_restore router
+  in
+  { table; router; serve }
+
+let chunk = 512
+
+(* Preemption point at every sub-batch boundary, where the stop flag is
+   read, so the schedule explorer can interleave a stop request. *)
+let yp_chunk = Fault.site "fleet.yield.chunk"
+
+let run ?(stop = Atomic.make false) t ops =
+  let n = Array.length ops in
+  let shed = ref 0 in
+  let i = ref 0 in
+  while
+    Fault.point yp_chunk;
+    !i < n && not (Atomic.get stop)
+  do
+    let len = min chunk (n - !i) in
+    Array.iter
+      (function
+        | Serve.Applied _ -> ()
+        | Serve.Rejected | Serve.Timed_out -> incr shed)
+      (Serve.exec t.serve (Array.sub ops !i len));
+    i := !i + len
+  done;
+  !shed

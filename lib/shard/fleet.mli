@@ -1,0 +1,49 @@
+(** The one builder of a sharded serving fleet — a row table, an empty
+    part per shard behind a {!Shard} router, and {!Serve} over them —
+    and the batch driver its clients share.
+
+    A fleet with a WAL always runs the supervisor: a failed WAL commit
+    kills its shard domain, and without a rebuild from disk that
+    shard's open queue would block every later {!Serve.exec} that has
+    no deadline. *)
+
+type t = { table : Ei_storage.Table.t; router : Shard.t; serve : Serve.t }
+
+val share : global_bound:int -> shards:int -> int
+(** A shard's even share of a global bound:
+    [max 1 (global_bound / shards)]. *)
+
+val olc_elastic : global_bound:int -> shards:int -> Ei_harness.Registry.kind
+(** An elastic BTreeOLC bounded by its {!share} of [global_bound]. *)
+
+val part :
+  Ei_harness.Registry.kind ->
+  Ei_storage.Table.t ->
+  int ->
+  Ei_harness.Index_ops.t
+(** [part kind table i] is shard [i]'s empty part, named
+    [kind_name kind ^ "/" ^ i], loading keys from [table] through
+    {!Ei_olc.Btree_olc.safe_loader}. *)
+
+val start :
+  shards:int ->
+  part:(Ei_storage.Table.t -> int -> Ei_harness.Index_ops.t) ->
+  ?key_len:int ->
+  ?initial_capacity:int ->
+  ?coordinator:Serve.coordinator_config ->
+  ?timeout_s:float ->
+  ?fault_prefix:string ->
+  ?wal:Ei_wal.Wal.config ->
+  ?supervised:bool ->
+  unit ->
+  t
+(** Create the table ([key_len] 8 by default), the parts [part table i]
+    and the {!Serve} domains.  With [wal] the shards recover from disk
+    into their empty parts, restoring table rows, and the supervisor
+    rebuilds a dead shard with [part table].  [supervised] (default
+    [false]) attaches that supervisor to a fleet without a WAL. *)
+
+val run : ?stop:bool Atomic.t -> t -> Serve.op array -> int
+(** Run [ops] through {!Serve.exec} in sub-batches of 512 and return
+    how many came back [Rejected] or [Timed_out].  Once [stop] is set,
+    the run ends at the next sub-batch boundary. *)

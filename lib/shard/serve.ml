@@ -174,12 +174,25 @@ let default_coordinator ~global_bound =
 type supervisor_config = {
   table : Table.t;  (* row table: rebuild source of truth *)
   rebuild : int -> Index_ops.t;  (* fresh, empty part for shard [i] *)
-  poll_interval_s : float;  (* seconds between supervisor passes *)
-  stall_timeout_s : float;  (* heartbeat silence that means wedged *)
 }
 
-let default_supervisor ~table ~rebuild =
-  { table; rebuild; poll_interval_s = 0.002; stall_timeout_s = 1.0 }
+let default_supervisor ~table ~rebuild = { table; rebuild }
+
+(* Each shard's request queue bound (producers block when full), the
+   most sub-batches a shard domain drains per wakeup, and the seconds
+   between supervisor passes. *)
+let queue_capacity = 64
+let max_batch = 32
+let poll_interval_s = 0.002
+
+(* Heartbeat silence under queued load that diagnoses a wedged domain.
+   It must sit well above the worst-case batch time: an abandoned
+   slow-but-alive domain is fenced per operation by its generation (it
+   stops applying and completes its popped waiters within one op of
+   waking), but an operation it is inside when abandoned can still mark
+   row liveness concurrently with the rebuild — the one residual wedge
+   race. *)
+let stall_timeout_s = 1.0
 
 (* Shard status: running (clients enqueue) or quarantined (reads go
    direct under [qlock], writes back off until recovery). *)
@@ -226,8 +239,6 @@ type t = {
   coordinator : coordinator_config option;
   supervisor : supervisor_config option;
   timeout_s : float option;  (* default exec deadline *)
-  batch : int;
-  queue_capacity : int;
   fault_prefix : string option;
   wal_cfg : Wal.config option;
   wal_restore : (tid:int -> key:string -> unit) option;
@@ -498,7 +509,7 @@ let shard_loop t i ~gen ?wal q =
       msgs
   in
   let rec loop () =
-    match Mpsc_queue.pop_batch q ~max:t.batch with
+    match Mpsc_queue.pop_batch q ~max:max_batch with
     | [] -> ()  (* closed and drained: the domain exits *)
     | msgs ->
       (* Generation fence: a wedged domain the supervisor abandoned and
@@ -710,13 +721,13 @@ let coordinator_loop t cfg =
 
 (* --- Supervisor ------------------------------------------------------ *)
 
-let make_queue ~fault_prefix ~capacity i =
+let make_queue ~fault_prefix i =
   match fault_prefix with
   | Some p ->
     Mpsc_queue.create
       ~fault_prefix:(Printf.sprintf "%s.queue.shard%d" p i)
-      ~capacity ()
-  | None -> Mpsc_queue.create ~capacity ()
+      ~capacity:queue_capacity ()
+  | None -> Mpsc_queue.create ~capacity:queue_capacity ()
 
 let append_recovery t r =
   Mutex.lock t.log_lock;
@@ -817,9 +828,7 @@ let recover t scfg i ~cause =
   Trace.emit ev_rebuild i !rows;
   Atomic.set t.sizes.(i) (fresh.Index_ops.memory_bytes ());
   Atomic.set st.failed None;
-  let q =
-    make_queue ~fault_prefix:t.fault_prefix ~capacity:t.queue_capacity i
-  in
+  let q = make_queue ~fault_prefix:t.fault_prefix i in
   Atomic.set st.queue q;
   Mutex.unlock st.qlock;
   let gen = Atomic.get st.gen in
@@ -854,7 +863,7 @@ let supervisor_loop t scfg =
           stalled_since.(i) <- tnow
         end
         else if
-          Float.compare (tnow -. stalled_since.(i)) scfg.stall_timeout_s > 0
+          Float.compare (tnow -. stalled_since.(i)) stall_timeout_s > 0
         then begin
           (* Wedged: work queued, heartbeat frozen, domain not dead.  It
              cannot be joined; abandon it — the generation fence keeps
@@ -870,19 +879,24 @@ let supervisor_loop t scfg =
     done
   in
   while not (Atomic.get t.stopping) do
-    pause t ~slice:0.001 scfg.poll_interval_s;
+    pause t ~slice:0.001 poll_interval_s;
     if not (Atomic.get t.stopping) then pass ()
   done
 
 (* --- Lifecycle ------------------------------------------------------- *)
 
-let start ?(queue_capacity = 64) ?(batch = 32) ?coordinator ?supervisor
-    ?fault_prefix ?timeout_s ?wal ?wal_restore router =
+let start ?coordinator ?supervisor ?fault_prefix ?timeout_s ?wal ?wal_restore
+    router =
+  (* A failed WAL commit kills its shard domain; without a supervisor to
+     rebuild it, its open queue would block every later deadline-free
+     [exec]. *)
+  if Option.is_some wal && Option.is_none supervisor then
+    invalid_arg "Serve.start: a WAL needs a supervisor";
   let n = Shard.shard_count router in
   let shards =
     Array.init n (fun i ->
         {
-          queue = Atomic.make (make_queue ~fault_prefix ~capacity:queue_capacity i);
+          queue = Atomic.make (make_queue ~fault_prefix i);
           status = Atomic.make st_running;
           gen = Atomic.make 0;
           heartbeat = Atomic.make 0;
@@ -938,8 +952,6 @@ let start ?(queue_capacity = 64) ?(batch = 32) ?coordinator ?supervisor
       coordinator;
       supervisor;
       timeout_s;
-      batch;
-      queue_capacity;
       fault_prefix;
       wal_cfg = wal;
       wal_restore;

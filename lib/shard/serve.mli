@@ -24,15 +24,15 @@
     fresh domain re-admitted.  Recovery never loses an acknowledged
     write: only applied operations mark the table.
 
-    Durability (optional): [start ~wal:cfg] gives every shard a
-    {!Ei_wal.Wal} writer.  Mutations are framed as they apply and
-    group-committed once per drained batch; results and waiter
-    completions are withheld until the commit returns, so {e ack ⇒
-    framed + fsynced} (at the default cadence).  On [start] and on
-    every supervised recovery the part is rebuilt from disk — newest
-    valid fingerprinted checkpoint plus log replay — instead of from
-    the row table, which makes acknowledged writes survive process
-    death, not just domain death.
+    Durability (optional; it requires the supervisor): [start ~wal:cfg]
+    gives every shard a {!Ei_wal.Wal} writer.  Mutations are framed as
+    they apply and group-committed once per drained batch; results and
+    waiter completions are withheld until the commit returns, so
+    {e ack ⇒ framed + fsynced} (at the default cadence).  On [start]
+    and on every recovery the part is rebuilt from disk — newest valid
+    fingerprinted checkpoint plus log replay — instead of from the row
+    table, which makes acknowledged writes survive process death, not
+    just domain death.
 
     Fault injection ({!Ei_fault.Fault}): [start ~fault_prefix:p] arms
     sites [p.crash.shard<i>], [p.poison.shard<i>] and
@@ -106,29 +106,18 @@ type supervisor_config = {
   rebuild : int -> Ei_harness.Index_ops.t;
       (** fresh, empty part for shard [i] (same kind/key_len as the
           one it replaces) *)
-  poll_interval_s : float;  (** seconds between supervisor passes *)
-  stall_timeout_s : float;
-      (** heartbeat silence under queued load that diagnoses a wedged
-          domain.  Must sit well above the worst-case batch time: an
-          abandoned slow-but-alive domain is fenced per operation by
-          its generation (it stops applying and completes its popped
-          waiters within one op of waking), but an operation it is
-          {e inside} when abandoned can still mark row liveness
-          concurrently with the rebuild — the one residual wedge
-          race *)
 }
 
 val default_supervisor :
   table:Ei_storage.Table.t ->
   rebuild:(int -> Ei_harness.Index_ops.t) ->
   supervisor_config
-(** 2 ms poll interval, 1 s stall timeout. *)
+(** The supervisor polls every 2 ms and diagnoses a wedged domain after
+    1 s of heartbeat silence under queued load. *)
 
 type t
 
 val start :
-  ?queue_capacity:int ->
-  ?batch:int ->
   ?coordinator:coordinator_config ->
   ?supervisor:supervisor_config ->
   ?fault_prefix:string ->
@@ -138,20 +127,23 @@ val start :
   Shard.t ->
   t
 (** Spawn one domain per shard (plus the coordinator and supervisor
-    domains when configured).  [queue_capacity] bounds each shard's
-    request queue (producers block when full); [batch] caps the
-    sub-batches drained per wakeup; [fault_prefix] arms the injection
-    sites; [timeout_s] is the default {!exec} deadline (none: block
-    until applied).
+    domains when configured).  Each shard's request queue holds 64
+    sub-batches (producers block when full) and its domain drains up
+    to 32 per wakeup; [fault_prefix] arms the injection sites;
+    [timeout_s] is the default {!exec} deadline (none: block until
+    applied).
 
     [wal] makes the shards durable: before any domain is spawned,
     every part — which must be handed over {e empty} — is recovered
     from [wal.dir] ({!Ei_wal.Wal.recover}), with [wal_restore] invoked
     per recovered [(tid, key)] so the caller can rematerialise
-    backing-store rows ({!Ei_storage.Table.restore_row}).  Crash
-    recovery of a WAL fault requires a [supervisor] (the domain dies
-    and must be rebuilt from disk); a WAL without a supervisor is
-    fine for clean stop/start durability. *)
+    backing-store rows ({!Ei_storage.Table.restore_row}).  A WAL
+    requires a [supervisor]: a failed commit kills the shard domain,
+    which must be rebuilt from disk, or every later {!exec} without a
+    deadline would wait on its queue forever.
+
+    @raise Invalid_argument when [wal] is given without
+    [supervisor]. *)
 
 val stop : t -> unit
 (** Join the coordinator and supervisor, close the queues, drain

@@ -19,6 +19,7 @@
 module Fault = Ei_fault.Fault
 module Mpsc = Ei_shard.Mpsc_queue
 module Serve = Ei_shard.Serve
+module Fleet = Ei_shard.Fleet
 module Shard = Ei_shard.Shard
 module Chaos = Ei_chaos.Chaos
 module Table = Ei_storage.Table
@@ -152,11 +153,6 @@ let test_split_bounds () =
 
 (* --- d. supervisor crash recovery ------------------------------------ *)
 
-let safe_loader table =
-  Olc.safe_loader ~key_len:8
-    ~table_length:(fun () -> Table.length table)
-    ~load:(Table.loader table)
-
 let rec wait_healthy serve =
   if not (Serve.healthy serve) then begin
     Unix.sleepf 0.001;
@@ -166,18 +162,12 @@ let rec wait_healthy serve =
 let test_supervisor_recovery () =
   let shards = 2 in
   let n = 600 in
-  let table = Table.create ~initial_capacity:(4 * n) ~key_len:8 () in
-  let mk i =
-    Registry.make
-      ~name:(Printf.sprintf "olc/%d" i)
-      ~key_len:8 ~load:(safe_loader table) (Registry.Olc Olc.Olc_std)
-  in
-  let router = Shard.create (Array.init shards mk) in
   Fault.configure ~seed:11 [ ("serve.crash", 0.01) ];
-  let serve =
-    Serve.start
-      ~supervisor:(Serve.default_supervisor ~table ~rebuild:mk)
-      ~fault_prefix:"serve" ~timeout_s:0.2 router
+  let { Fleet.table; router; serve } =
+    Fleet.start ~shards
+      ~part:(Fleet.part (Registry.Olc Olc.Olc_std))
+      ~initial_capacity:(4 * n) ~fault_prefix:"serve" ~timeout_s:0.2
+      ~supervised:true ()
   in
   let keys = Array.init n (fun i -> Key.of_int (i * 7919)) in
   let tids = Array.map (Table.append table) keys in

@@ -27,10 +27,9 @@ module Conn = Ei_net.Conn
 module Session = Ei_net.Session
 module Server = Ei_net.Server
 module Client = Ei_net.Client
-module Table = Ei_storage.Table
 module Registry = Ei_harness.Registry
 module Serve = Ei_shard.Serve
-module Shard = Ei_shard.Shard
+module Fleet = Ei_shard.Fleet
 module Fault = Ei_fault.Fault
 module Olc = Ei_olc.Btree_olc
 module Key = Ei_util.Key
@@ -324,11 +323,6 @@ let test_net_pipeline_enumerated () =
 
 (* --- d. end-to-end over a Unix socket --------------------------------- *)
 
-let safe_loader table =
-  Olc.safe_loader ~key_len:8
-    ~table_length:(fun () -> Table.length table)
-    ~load:(Table.loader table)
-
 let sock_path name =
   let p =
     Filename.concat
@@ -338,28 +332,15 @@ let sock_path name =
   if Sys.file_exists p then Sys.remove p;
   p
 
-let mk_router ~shards table =
-  let mk i =
-    Registry.make
-      ~name:(Printf.sprintf "olc/%d" i)
-      ~key_len:8 ~load:(safe_loader table) (Registry.Olc Olc.Olc_std)
-  in
-  (Shard.create (Array.init shards mk), mk)
+let olc_part = Fleet.part (Registry.Olc Olc.Olc_std)
 
 (* Start fleet + server on a fresh unix socket, run [f server serve
    client], tear everything down (fault plan included) even on
    failure. *)
-let with_server ?config ?serve_timeout_s ?(supervised = false) ?(shards = 2)
-    name f =
-  let table = Table.create ~key_len:8 () in
-  let router, mk = mk_router ~shards table in
-  let supervisor =
-    if supervised then Some (Serve.default_supervisor ~table ~rebuild:mk)
-    else None
-  in
-  let serve =
-    Serve.start ?supervisor ?timeout_s:serve_timeout_s ~fault_prefix:"serve"
-      router
+let with_server ?config ?serve_timeout_s ?supervised ?(shards = 2) name f =
+  let { Fleet.table; serve; _ } =
+    Fleet.start ~shards ~part:olc_part ?timeout_s:serve_timeout_s
+      ~fault_prefix:"serve" ?supervised ()
   in
   let server =
     Server.start ?config ~serve ~table (Unix.ADDR_UNIX (sock_path name))
@@ -551,9 +532,7 @@ let test_exactly_one_reply_across_crashes () =
       | _ -> Alcotest.fail "connection did not survive the crashes")
 
 let test_graceful_stop_drains () =
-  let table = Table.create ~key_len:8 () in
-  let router, _ = mk_router ~shards:2 table in
-  let serve = Serve.start router in
+  let { Fleet.table; serve; _ } = Fleet.start ~shards:2 ~part:olc_part () in
   let server = Server.start ~serve ~table (Unix.ADDR_UNIX (sock_path "stop")) in
   let c = Client.connect (Server.addr server) in
   let statuses =

@@ -11,16 +11,22 @@
       coordinator, churned by two concurrent producer domains (4 shard
       domains + coordinator + 2 producers), ending with Check.run
       recursing into every shard plus total-count and total-bytes
-      reconciliation and the global-bound check. *)
+      reconciliation and the global-bound check.
+
+   c. Fleet.run: its shed count under queue faults matches the outcomes
+      of the same sub-batches through Serve.exec, and a stop request
+      ends the run at a sub-batch boundary. *)
 
 module Key = Ei_util.Key
 module Rng = Ei_util.Rng
 module Table = Ei_storage.Table
 module Registry = Ei_harness.Registry
+module Fault = Ei_fault.Fault
 module Index_ops = Ei_harness.Index_ops
 module Olc = Ei_olc.Btree_olc
 module Shard = Ei_shard.Shard
 module Serve = Ei_shard.Serve
+module Fleet = Ei_shard.Fleet
 module Ycsb = Ei_workload.Ycsb
 module Check = Ei_check.Check
 
@@ -99,29 +105,17 @@ let test_olc_churn () =
 
 (* --- b. sharded fleet behind Serve with the coordinator -------------- *)
 
-let mk_fleet ~shards ~global_bound =
-  let table = Table.create ~key_len:8 () in
-  let load = safe_loader table in
-  let parts =
-    Array.init shards (fun i ->
-        Registry.make
-          ~name:(Printf.sprintf "olc-elastic/%d" i)
-          ~key_len:8 ~load
-          (Registry.Olc
-             (Olc.Olc_elastic
-                (Olc.default_elastic_config
-                   ~size_bound:(max 1 (global_bound / shards))))))
-  in
-  (table, Shard.create parts)
-
 let test_serve_churn () =
   let shards = 4 in
   let n = 16_000 in
   let bound = n * 20 in
-  let table, router = mk_fleet ~shards ~global_bound:bound in
   (* No periodic coordinator domain: rebalances are driven explicitly
      below, so the pass count is exact instead of timing-dependent. *)
-  let serve = Serve.start router in
+  let { Fleet.table; router; serve } =
+    Fleet.start ~shards
+      ~part:(Fleet.part (Fleet.olc_elastic ~global_bound:bound ~shards))
+      ()
+  in
   let keys = Array.init n (fun i -> Ycsb.key_of_seq i) in
   let tids = Array.map (Table.append table) keys in
   let producers = 2 in
@@ -178,6 +172,61 @@ let test_serve_churn () =
   let report = Check.run (Shard.index_ops router) in
   fail_on_errors "shard fleet validator" (Check.errors report)
 
+(* --- c. Fleet.run ------------------------------------------------------ *)
+
+let olc_part = Fleet.part (Registry.Olc Olc.Olc_std)
+
+let inserts table n =
+  Array.init n (fun i ->
+      let k = Key.of_int (i * 7919) in
+      Serve.Insert (k, Table.append table k))
+
+(* A refused push is retried without drawing again, so refusals alone
+   shed nothing; a dropped sub-batch times out.  Both sides run a fresh
+   fleet from the same seed and submit the same 512-op sub-batches, so
+   they draw the same schedule. *)
+let test_run_counts_shed () =
+  let plan = [ ("serve.queue.*.refuse", 0.2); ("serve.queue.*.drop", 0.1) ] in
+  let fleet () =
+    Fault.configure ~seed:7 plan;
+    Fleet.start ~shards:2 ~part:olc_part ~timeout_s:0.2 ~fault_prefix:"serve" ()
+  in
+  let f = fleet () in
+  let shed = Fleet.run f (inserts f.Fleet.table 4096) in
+  Serve.stop f.Fleet.serve;
+  let g = fleet () in
+  let ops = inserts g.Fleet.table 4096 in
+  let direct = ref 0 in
+  for c = 0 to 7 do
+    Array.iter
+      (function Serve.Applied _ -> () | _ -> incr direct)
+      (Serve.exec g.Fleet.serve (Array.sub ops (c * 512) 512))
+  done;
+  Serve.stop g.Fleet.serve;
+  Fault.clear ();
+  Alcotest.(check bool) "the plan shed something" true (shed > 0);
+  Alcotest.(check int) "shed count matches Serve.exec outcomes" !direct shed
+
+(* Op 700, in the second sub-batch, raises the stop flag as it applies:
+   the run finishes that sub-batch and stops. *)
+let test_run_stops_at_boundary () =
+  let stop = Atomic.make false in
+  let trigger = Key.of_int (700 * 7919) in
+  let part table i =
+    let ix = olc_part table i in
+    let insert k tid =
+      if String.equal k trigger then Atomic.set stop true;
+      ix.Index_ops.insert k tid
+    in
+    { ix with Index_ops.insert }
+  in
+  let f = Fleet.start ~shards:2 ~part () in
+  let shed = Fleet.run ~stop f (inserts f.Fleet.table (5 * 512)) in
+  Serve.stop f.Fleet.serve;
+  Alcotest.(check int) "nothing shed" 0 shed;
+  Alcotest.(check int) "ran exactly two sub-batches" 1024
+    (Shard.count f.Fleet.router)
+
 let () =
   Alcotest.run "ei_shard"
     [
@@ -186,5 +235,11 @@ let () =
           Alcotest.test_case "4-domain elastic OLC churn" `Quick test_olc_churn;
           Alcotest.test_case "4-shard serve churn + coordinator" `Quick
             test_serve_churn;
+        ] );
+      ( "fleet",
+        [
+          Alcotest.test_case "run counts shed ops" `Quick test_run_counts_shed;
+          Alcotest.test_case "run stops at a sub-batch boundary" `Quick
+            test_run_stops_at_boundary;
         ] );
     ]

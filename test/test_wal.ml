@@ -11,7 +11,9 @@
    c. Serve integration: a durable fleet stopped cleanly recovers
       byte-identical contents in a fresh process image (fresh Table,
       fresh parts); a crashing fleet under fault injection loses no
-      acknowledged write across supervisor rebuild-from-disk.
+      acknowledged write across supervisor rebuild-from-disk; a failed
+      WAL commit does not hang later batches that have no deadline,
+      because a durable fleet always runs the supervisor.
    d. A mini durable chaos soak: report clean, restart check clean,
       and two equal-seed runs agree on the (narrowed) schedule
       digest.
@@ -26,6 +28,7 @@ module Wal = Ei_wal.Wal
 module Fault = Ei_fault.Fault
 module Serve = Ei_shard.Serve
 module Shard = Ei_shard.Shard
+module Fleet = Ei_shard.Fleet
 module Chaos = Ei_chaos.Chaos
 module Olc = Ei_olc.Btree_olc
 module Sim = Ei_sim.Sim
@@ -336,27 +339,19 @@ let test_crash_unsynced () =
 
 (* --- c. serve integration --------------------------------------------- *)
 
+(* A durable fleet of 2 elastic shards whose parts are named [name/i]. *)
+let wal_fleet ?initial_capacity ?timeout_s ?fault_prefix ~wal name =
+  Fleet.start ~shards:2
+    ~part:(fun table i -> mk_part table (Printf.sprintf "%s/%d" name i))
+    ?initial_capacity ?timeout_s ?fault_prefix ~wal ()
+
 let test_serve_restart () =
   let dir = fresh_dir "serve" in
   let wal = Wal.default_config ~dir in
-  let shards = 2 in
   let n = 500 in
-  let mk_fleet () =
-    let table = Table.create ~key_len:8 () in
-    let parts =
-      Array.init shards (fun i ->
-          mk_part table (Printf.sprintf "serve-wal/%d" i))
-    in
-    (table, Shard.create parts)
-  in
-  let table, router = mk_fleet () in
+  let { Fleet.table; router; serve } = wal_fleet ~wal "serve-wal" in
   let keys = Array.init n (fun i -> Key.of_int (i * 31337)) in
   let tids = Array.map (Table.append table) keys in
-  let serve =
-    Serve.start ~wal
-      ~wal_restore:(fun ~tid ~key -> Table.restore_row table ~tid ~key)
-      router
-  in
   ignore
     (Serve.exec serve
        (Array.init n (fun i -> Serve.Insert (keys.(i), tids.(i)))));
@@ -366,11 +361,8 @@ let test_serve_restart () =
   Serve.stop serve;
   let live = Shard.count router in
   (* a fresh process image: new Table, new empty parts, same directory *)
-  let table2, router2 = mk_fleet () in
-  let serve2 =
-    Serve.start ~wal
-      ~wal_restore:(fun ~tid ~key -> Table.restore_row table2 ~tid ~key)
-      router2
+  let { Fleet.router = router2; serve = serve2; _ } =
+    wal_fleet ~wal "serve-wal"
   in
   List.iter
     (fun (_, r) ->
@@ -398,18 +390,12 @@ let rec wait_healthy serve =
 let test_serve_crash_rebuild_from_disk () =
   let dir = fresh_dir "serve-crash" in
   let wal = { (Wal.default_config ~dir) with Wal.checkpoint_every = 16 } in
-  let shards = 2 in
   let n = 400 in
-  let table = Table.create ~initial_capacity:(4 * n) ~key_len:8 () in
-  let mk i = mk_part table (Printf.sprintf "crash-wal/%d" i) in
-  let router = Shard.create (Array.init shards mk) in
   Fault.configure ~seed:11 [ ("serve.crash", 0.01) ];
-  let serve =
-    Serve.start
-      ~supervisor:(Serve.default_supervisor ~table ~rebuild:mk)
-      ~fault_prefix:"serve" ~timeout_s:0.2 ~wal
-      ~wal_restore:(fun ~tid ~key -> Table.restore_row table ~tid ~key)
-      router
+  (* The supervisor comes with the WAL. *)
+  let { Fleet.table; router; serve } =
+    wal_fleet ~initial_capacity:(4 * n) ~timeout_s:0.2 ~fault_prefix:"serve"
+      ~wal "crash-wal"
   in
   let keys = Array.init n (fun i -> Key.of_int (i * 7919)) in
   let tids = Array.map (Table.append table) keys in
@@ -437,6 +423,49 @@ let test_serve_crash_rebuild_from_disk () =
   Alcotest.(check bool) "crashes happened and rebuilt from disk" true
     (recoveries >= 1);
   Alcotest.(check int) "count reconciles" n (Shard.count router)
+
+(* One failed fsync kills both shard domains mid-commit.  The fleet has
+   no deadline, so a dead shard whose queue stayed open would block the
+   next batch forever; the supervisor every durable fleet runs rebuilds
+   both shards from disk instead.  A batch racing the rebuild may time
+   out, so the later batches start once the fleet is healthy again. *)
+let test_wal_fault_no_hang () =
+  let dir = fresh_dir "serve-fsync" in
+  let { Fleet.table; serve; _ } =
+    wal_fleet ~fault_prefix:"serve" ~wal:(Wal.default_config ~dir) "fsync-wal"
+  in
+  let batches =
+    Array.init 4 (fun b ->
+        Array.init 64 (fun i ->
+            let k = Key.of_int ((b * 64) + i) in
+            Serve.Insert (k, Table.append table k)))
+  in
+  Fault.configure ~seed:5 [ ("serve.wal.fsync", 1.0) ];
+  ignore (Serve.exec serve batches.(0));
+  Fault.clear ();
+  wait_healthy serve;
+  for b = 1 to 3 do
+    Array.iteri
+      (fun i out ->
+        match out with
+        | Serve.Applied 1 -> ()
+        | _ -> Alcotest.failf "batch %d op %d not applied" b i)
+      (Serve.exec serve batches.(b))
+  done;
+  let recoveries = Serve.recoveries serve in
+  Serve.stop serve;
+  Alcotest.(check bool) "the failed commit was recovered" true
+    (recoveries >= 1)
+
+let test_wal_needs_supervisor () =
+  let dir = fresh_dir "serve-bare" in
+  let table = Table.create ~key_len:8 () in
+  let router = Shard.create [| mk_part table "bare-wal/0" |] in
+  match Serve.start ~wal:(Wal.default_config ~dir) router with
+  | serve ->
+    Serve.stop serve;
+    Alcotest.fail "a WAL without a supervisor was accepted"
+  | exception Invalid_argument _ -> ()
 
 (* --- d. mini durable chaos soak --------------------------------------- *)
 
@@ -510,6 +539,10 @@ let () =
             test_serve_restart;
           Alcotest.test_case "supervisor rebuilds from disk" `Quick
             test_serve_crash_rebuild_from_disk;
+          Alcotest.test_case "failed commit does not hang later batches"
+            `Quick test_wal_fault_no_hang;
+          Alcotest.test_case "a WAL needs a supervisor" `Quick
+            test_wal_needs_supervisor;
         ] );
       ( "chaos",
         [ Alcotest.test_case "durable soak + digest" `Quick test_chaos_wal ] );
