@@ -2,8 +2,9 @@
    the multithreaded evaluation of §6.2: BTreeOLC with standard leaves,
    and BTreeOLC-SeqTree with compact (indirect-key) leaves.
 
-   Every node carries a version word (an [int Atomic.t]); bit 0 is the
-   lock bit and the remaining bits count modifications.  Readers descend
+   Every node carries a version word in field 0 of its own block, read
+   and written only through three atomic C stubs; bit 0 is the lock bit
+   and the remaining bits count modifications.  Readers descend
    without locking, re-validating each node's version after reading it,
    and restart from the root on any conflict.  Writers upgrade the
    observed version with a CAS.  Full nodes are split eagerly during the
@@ -73,62 +74,16 @@ let yp_scan = Fault.site "olc.yield.scan"
 let yp_multi = Fault.site "olc.yield.multi"
 let yp_state = Fault.site "olc.yield.state"
 
-(* --- Version locks -------------------------------------------------- *)
-
-let is_locked v = v land 1 = 1
-
-let rec read_lock a =
-  let v = Atomic.get a in
-  if is_locked v then begin
-    Fault.point yp_spin;
-    Domain.cpu_relax ();
-    read_lock a
-  end
-  else v
-
-let validate a v = Atomic.get a = v
-let check a v = if not (validate a v) then raise Restart
-let try_upgrade a v = Atomic.compare_and_set a v (v lor 1)
-
-let upgrade_or_restart a v =
-  if try_upgrade a v then Fault.point yp_locked else raise Restart
-
-(* Release a write lock, bumping the version. *)
-let write_unlock a = Atomic.set a ((Atomic.get a lxor 1) + 2)
-
-(* Release a write lock without a version bump (nothing was modified). *)
-let write_abort a = Atomic.set a (Atomic.get a lxor 1)
-
-(* Run [f] with [a] write-locked by the caller.  A non-[Restart]
-   exception inside a critical section is a genuine broken invariant —
-   the node is private while locked, so there is no torn read to excuse
-   it: release the lock with a version bump (the mutation may be
-   partial) and re-raise as {!Invariant.Broken}, which [with_restart]
-   does not swallow.  Without this, the leaked lock wedges every later
-   operation that spins in [read_lock] on the node. *)
-let critical a f =
-  try f () with
-  | Restart ->
-    write_abort a;
-    raise Restart
-  | Invariant.Broken _ as e ->
-    write_unlock a;
-    raise e
-  | e ->
-    write_unlock a;
-    raise
-      (Invariant.Broken
-         ("Btree_olc: exception in locked section: " ^ Printexc.to_string e))
-
 (* --- Structure ------------------------------------------------------ *)
 
 (* Nodes are inline records: the constructor's block is the node itself,
    so a child slot points straight at the version word and payload, and
    prefetching a child fetches the node rather than a box in front of
-   it. *)
+   it.  The version word is field 0 of both records, where the C stubs
+   below expect it. *)
 type node =
   | Inner of {
-      iversion : int Atomic.t;
+      mutable iversion : int [@ei.version_word];
       mutable n : int [@ei.guarded_by "iversion"];
       (* separator [i] is the [key_len] bytes at [i * key_len]: inline,
          as the memory model's inner node charges them *)
@@ -136,7 +91,7 @@ type node =
       children : node array [@ei.guarded_by "iversion"];
     }
   | Leaf of {
-      lversion : int Atomic.t;
+      mutable lversion : int [@ei.version_word];
       (* the payload: one {!Std_leaf} or {!Seqtree} image, told apart by
          its byte-0 kind tag, so a compact leaf's tids are two loads from
          the parent's child slot (node, image) *)
@@ -150,10 +105,94 @@ type node =
 let rec chain_end =
   Leaf
     {
-      lversion = Atomic.make 0;
+      lversion = 0;
       repr = (Std_leaf.create ~key_len:1 ~capacity:2 () :> Bytes.t);
       next = chain_end;
     }
+
+(* --- Version locks -------------------------------------------------- *)
+
+(* A node's version word, read, CASed and stored with the semantics of
+   [Atomic.get] / [compare_and_set] / [set] (ei_olc_stubs.c).  OCaml
+   has no atomic record fields, so no OCaml expression touches the
+   field itself: these stubs are its only readers and writers. *)
+external version : node -> int = "ei_olc_version_get"
+[@@noalloc] [@@ei.version_word "get"]
+
+external version_cas : node -> int -> int -> bool = "ei_olc_version_cas"
+[@@noalloc] [@@ei.version_word "compare_and_set"]
+
+external set_version : node -> int -> unit = "ei_olc_version_set"
+[@@noalloc] [@@ei.version_word "set"]
+
+let is_locked v = v land 1 = 1
+
+let spin () =
+  Fault.point yp_spin;
+  Domain.cpu_relax ()
+
+let rec read_lock node =
+  let v = version node in
+  if is_locked v then begin
+    spin ();
+    read_lock node
+  end
+  else v
+
+let validate node v = Int.equal (version node) v
+let check node v = if not (validate node v) then raise Restart
+let try_upgrade node v = version_cas node v (v lor 1)
+
+let upgrade_or_restart node v =
+  if try_upgrade node v then Fault.point yp_locked else raise Restart
+
+(* Release a write lock, bumping the version. *)
+let write_unlock node = set_version node ((version node lxor 1) + 2)
+
+(* Release a write lock without a version bump (nothing was modified). *)
+let write_abort node = set_version node (version node lxor 1)
+
+(* Run [f] with [node] write-locked by the caller.  A non-[Restart]
+   exception inside a critical section is a genuine broken invariant —
+   the node is private while locked, so there is no torn read to excuse
+   it: release the lock with a version bump (the mutation may be
+   partial) and re-raise as {!Invariant.Broken}, which [with_restart]
+   does not swallow.  Without this, the leaked lock wedges every later
+   operation that spins in [read_lock] on the node. *)
+let critical node f =
+  try f () with
+  | Restart ->
+    write_abort node;
+    raise Restart
+  | Invariant.Broken _ as e ->
+    write_unlock node;
+    raise e
+  | e ->
+    write_unlock node;
+    raise
+      (Invariant.Broken
+         ("Btree_olc: exception in locked section: " ^ Printexc.to_string e))
+
+(* The tree's root lock, one per tree: the same protocol on an
+   [int Atomic.t] guarding the root pointer. *)
+module Root = struct
+  let rec read_lock a =
+    let v = Atomic.get a in
+    if is_locked v then begin
+      spin ();
+      read_lock a
+    end
+    else v
+
+  let check a v = if not (Int.equal (Atomic.get a) v) then raise Restart
+
+  let upgrade_or_restart a v =
+    if Atomic.compare_and_set a v (v lor 1) then Fault.point yp_locked
+    else raise Restart
+
+  let write_unlock a = Atomic.set a ((Atomic.get a lxor 1) + 2)
+  let write_abort a = Atomic.set a (Atomic.get a lxor 1)
+end
 
 type leaf_kind =
   | Olc_std
@@ -272,7 +311,7 @@ let create ?(leaf_capacity = 16) ?(inner_capacity = 16) ?(kind = Olc_std)
     kind;
     load;
     root_lock = Atomic.make 0;
-    root = Leaf { lversion = Atomic.make 0; repr; next = chain_end };
+    root = Leaf { lversion = 0; repr; next = chain_end };
     bytes = Atomic.make (repr_bytes repr);
     elastic;
   }
@@ -383,10 +422,6 @@ let convert_repr t repr ~capacity ~levels ~breathing =
   update_elastic_state t;
   repr
 
-let node_version = function
-  | Inner nd -> nd.iversion
-  | Leaf l -> l.lversion
-
 let node_full t = function
   | Inner nd -> nd.n >= t.inner_capacity
   | Leaf l ->
@@ -483,7 +518,7 @@ let split_node t = function
   | Leaf l ->
     let before = repr_bytes l.repr in
     let left, right_repr, sep = split_repr t l.repr in
-    let right = Leaf { lversion = Atomic.make 0; repr = right_repr; next = l.next } in
+    let right = Leaf { lversion = 0; repr = right_repr; next = l.next } in
     l.repr <- left;
     l.next <- right;
     account t (repr_bytes left + repr_bytes right_repr - before);
@@ -502,7 +537,7 @@ let split_node t = function
     Bytes.blit nd.keys ((mid + 1) * kl) keys 0 (n * kl);
     Array.blit nd.children (mid + 1) children 0 (n + 1);
     nd.n <- mid;
-    (sep, Inner { iversion = Atomic.make 0; n; keys; children })
+    (sep, Inner { iversion = 0; n; keys; children })
 
 (* Insert separator [sep] and its right child into a write-locked,
    non-full inner node. *)
@@ -520,9 +555,9 @@ let inner_insert t parent sep child =
 
 (* Split a full node, with the parent (or the root lock) already
    write-locked by the caller.  The node itself is locked here. *)
-let split_child t ~parent ~node ~node_version:nv =
-  upgrade_or_restart (node_version node) nv;
-  critical (node_version node) (fun () ->
+let split_child t ~parent ~node nv =
+  upgrade_or_restart node nv;
+  critical node (fun () ->
       let sep, right = split_node t node in
       (match parent with
       | Some p -> inner_insert t p sep right
@@ -535,9 +570,9 @@ let split_child t ~parent ~node ~node_version:nv =
         account t
           (Ei_storage.Memmodel.inner_bytes ~capacity:t.inner_capacity
              ~key_len:t.key_len);
-        t.root <- Inner { iversion = Atomic.make 0; n = 1; keys; children });
+        t.root <- Inner { iversion = 0; n = 1; keys; children });
       update_elastic_state t);
-  write_unlock (node_version node)
+  write_unlock node
 
 (* Decide how an elastic tree handles a full leaf: convert in place
    (returning the new capacity) while shrinking, or split (None). *)
@@ -558,8 +593,8 @@ let elastic_overflow t node =
 (* Convert a full leaf in place under its write lock (elastic shrink),
    then restart the caller's descent. *)
 let convert_full_leaf t node nv capacity =
-  upgrade_or_restart (node_version node) nv;
-  critical (node_version node) (fun () ->
+  upgrade_or_restart node nv;
+  critical node (fun () ->
       match node with
       | Leaf l -> (
         match t.elastic with
@@ -570,7 +605,7 @@ let convert_full_leaf t node nv capacity =
         | None ->
           Invariant.impossible "Btree_olc.convert_full_leaf: no elastic config")
       | Inner _ -> Invariant.impossible "Btree_olc.convert_full_leaf: inner node");
-  write_unlock (node_version node);
+  write_unlock node;
   raise Restart
 
 (* --- Operations ----------------------------------------------------- *)
@@ -592,21 +627,21 @@ let with_restart f =
 
 let find t key =
   with_restart (fun () ->
-      let rv = read_lock t.root_lock in
+      let rv = Root.read_lock t.root_lock in
       let node = t.root in
-      let nv = read_lock (node_version node) in
-      check t.root_lock rv;
+      let nv = read_lock node in
+      Root.check t.root_lock rv;
       let rec go node nv =
         match node with
         | Leaf l ->
           let r = repr_find t l.repr key in
-          check l.lversion nv;
+          check node nv;
           r
         | Inner nd ->
           let i = child_index t nd.keys nd.n key in
           let child = nd.children.(i) in
-          let cv = read_lock (node_version child) in
-          check nd.iversion nv;
+          let cv = read_lock child in
+          check node nv;
           go child cv
       in
       go node nv)
@@ -616,10 +651,11 @@ let mem t key = Option.is_some (find t key)
 (* Batched lookups: walk up to [group] keys through the tree in
    lockstep ({!Ei_btree.Interleave}), one descent step per cursor per
    round, prefetching each child node before touching its version
-   word.  A step re-validates exactly what [find]'s would — the
-   current node's version after reading the child pointer (or the leaf
-   payload) — so each cursor follows the standard OLC read protocol
-   unchanged.
+   word.  The word is field 0 of the node block, so the prefetch brings
+   it in with the node.  A step re-validates exactly what [find]'s
+   would — the current node's version after reading the child pointer
+   (or the leaf payload) — so each cursor follows the standard OLC read
+   protocol unchanged.
 
    Restarts are per-cursor, not per-batch: the validation failures
    [with_restart] would catch ([Restart], plus [Invalid_argument] /
@@ -644,25 +680,25 @@ let multi_find ?(group = 8) t keys =
         | _ -> false)
       ~n
       ~start:(fun _ ->
-        let rv = read_lock t.root_lock in
+        let rv = Root.read_lock t.root_lock in
         let node = t.root in
-        let nv = read_lock (node_version node) in
-        check t.root_lock rv;
+        let nv = read_lock node in
+        Root.check t.root_lock rv;
         (node, nv))
       ~step:(fun i (node, nv) ->
         let key = keys.(first + i) in
         match node with
         | Leaf l ->
           let r = repr_find t l.repr key in
-          check l.lversion nv;
+          check node nv;
           out.(first + i) <- r;
           Ei_btree.Interleave.Done
         | Inner nd ->
           let ci = child_index t nd.keys nd.n key in
           let child = nd.children.(ci) in
           Ei_util.Prefetch.prefetch child;
-          let cv = read_lock (node_version child) in
-          check nd.iversion nv;
+          let cv = read_lock child in
+          check node nv;
           Ei_btree.Interleave.Continue (child, cv))
       ();
     base := first + n
@@ -672,10 +708,10 @@ let multi_find ?(group = 8) t keys =
 
 let insert t key tid =
   with_restart (fun () ->
-      let rv = read_lock t.root_lock in
+      let rv = Root.read_lock t.root_lock in
       let node = t.root in
-      let nv = read_lock (node_version node) in
-      check t.root_lock rv;
+      let nv = read_lock node in
+      Root.check t.root_lock rv;
       if node_full t node then begin
         match elastic_overflow t node with
         | Some capacity ->
@@ -683,21 +719,21 @@ let insert t key tid =
           convert_full_leaf t node nv capacity
         | None ->
           (* Split the root under the root lock, then restart. *)
-          upgrade_or_restart t.root_lock rv;
-          (try split_child t ~parent:None ~node ~node_version:nv
+          Root.upgrade_or_restart t.root_lock rv;
+          (try split_child t ~parent:None ~node nv
            with Restart ->
-             write_abort t.root_lock;
+             Root.write_abort t.root_lock;
              raise Restart);
-          write_unlock t.root_lock;
+          Root.write_unlock t.root_lock;
           raise Restart
       end;
       let rec go node nv =
         (* Invariant: [node] is not full; its parent has room. *)
         match node with
         | Leaf l ->
-          upgrade_or_restart l.lversion nv;
+          upgrade_or_restart node nv;
           let r =
-            critical l.lversion (fun () ->
+            critical node (fun () ->
                 let before = repr_bytes l.repr in
                 let r =
                   if is_compact l.repr then
@@ -715,7 +751,7 @@ let insert t key tid =
                 account t (repr_bytes l.repr - before);
                 r)
           in
-          write_unlock l.lversion;
+          write_unlock node;
           (match r with
           | Std_leaf.Inserted -> true
           | Std_leaf.Duplicate -> false
@@ -724,8 +760,8 @@ let insert t key tid =
         | Inner nd ->
           let i = child_index t nd.keys nd.n key in
           let child = nd.children.(i) in
-          let cv = read_lock (node_version child) in
-          check nd.iversion nv;
+          let cv = read_lock child in
+          check node nv;
           if node_full t child then begin
             match elastic_overflow t child with
             | Some capacity ->
@@ -734,12 +770,12 @@ let insert t key tid =
               convert_full_leaf t child cv capacity
             | None ->
               (* Eager split with this (non-full) node locked as parent. *)
-              upgrade_or_restart nd.iversion nv;
-              (try split_child t ~parent:(Some node) ~node:child ~node_version:cv
+              upgrade_or_restart node nv;
+              (try split_child t ~parent:(Some node) ~node:child cv
                with Restart ->
-                 write_abort nd.iversion;
+                 write_abort node;
                  raise Restart);
-              write_unlock nd.iversion;
+              write_unlock node;
               raise Restart
           end
           else go child cv
@@ -749,16 +785,16 @@ let insert t key tid =
 let remove t key =
   (* Lazy deletion: lock the leaf and remove; leaves are never merged. *)
   with_restart (fun () ->
-      let rv = read_lock t.root_lock in
+      let rv = Root.read_lock t.root_lock in
       let node = t.root in
-      let nv = read_lock (node_version node) in
-      check t.root_lock rv;
+      let nv = read_lock node in
+      Root.check t.root_lock rv;
       let rec go node nv =
         match node with
         | Leaf l ->
-          upgrade_or_restart l.lversion nv;
+          upgrade_or_restart node nv;
           let r =
-            critical l.lversion (fun () ->
+            critical node (fun () ->
                 let before = repr_bytes l.repr in
                 let r =
                   if is_compact l.repr then (
@@ -792,13 +828,13 @@ let remove t key =
                 update_elastic_state t;
                 r)
           in
-          write_unlock l.lversion;
+          write_unlock node;
           r
         | Inner nd ->
           let i = child_index t nd.keys nd.n key in
           let child = nd.children.(i) in
-          let cv = read_lock (node_version child) in
-          check nd.iversion nv;
+          let cv = read_lock child in
+          check node nv;
           go child cv
       in
       go node nv)
@@ -807,27 +843,27 @@ let remove t key =
    existing key.  No size change, so no elastic accounting. *)
 let update t key tid =
   with_restart (fun () ->
-      let rv = read_lock t.root_lock in
+      let rv = Root.read_lock t.root_lock in
       let node = t.root in
-      let nv = read_lock (node_version node) in
-      check t.root_lock rv;
+      let nv = read_lock node in
+      Root.check t.root_lock rv;
       let rec go node nv =
         match node with
         | Leaf l ->
-          upgrade_or_restart l.lversion nv;
+          upgrade_or_restart node nv;
           let r =
-            critical l.lversion (fun () ->
+            critical node (fun () ->
                 if is_compact l.repr then
                   Seqtree.update (seq l.repr) ~load:t.load key tid
                 else Std_leaf.update (std l.repr) key tid)
           in
-          write_unlock l.lversion;
+          write_unlock node;
           r
         | Inner nd ->
           let i = child_index t nd.keys nd.n key in
           let child = nd.children.(i) in
-          let cv = read_lock (node_version child) in
-          check nd.iversion nv;
+          let cv = read_lock child in
+          check node nv;
           go child cv
       in
       go node nv)
@@ -837,32 +873,33 @@ let update t key tid =
 let fold_range t ~start ~n f acc =
   let first =
     with_restart (fun () ->
-        let rv = read_lock t.root_lock in
+        let rv = Root.read_lock t.root_lock in
         let node = t.root in
-        let nv = read_lock (node_version node) in
-        check t.root_lock rv;
+        let nv = read_lock node in
+        Root.check t.root_lock rv;
         let rec go node nv =
           match node with
-          | Leaf l ->
-            check l.lversion nv;
+          | Leaf _ ->
+            check node nv;
             node
           | Inner nd ->
             let i = child_index t nd.keys nd.n start in
             let child = nd.children.(i) in
-            let cv = read_lock (node_version child) in
-            check nd.iversion nv;
+            let cv = read_lock child in
+            check node nv;
             go child cv
         in
         go node nv)
   in
   (* Snapshot one leaf's entries >= start (with key loads for compact
      leaves), retrying on version conflicts. *)
-  let snapshot = function
+  let snapshot node =
+    match node with
     | Inner _ ->
       Invariant.impossible "Btree_olc.fold_range: inner node in the chain"
     | Leaf l ->
       with_restart (fun () ->
-          let v = read_lock l.lversion in
+          let v = read_lock node in
           let repr = l.repr in
           (* entries >= start, in descending key order: [walk] folds
              them from the right *)
@@ -877,7 +914,7 @@ let fold_range t ~start ~n f acc =
             else Std_leaf.fold_from (std repr) 0 keep []
           in
           let next = l.next in
-          check l.lversion v;
+          check node v;
           (entries, next))
   in
   let rec walk node remaining acc =
@@ -933,3 +970,22 @@ let check_invariants t =
       1 + !d
   in
   ignore (walk t.root ~lo:None ~hi:None)
+
+module For_tests = struct
+  type nonrec node = node
+
+  let leaf () =
+    Leaf
+      {
+        lversion = 0;
+        repr = (Std_leaf.create ~key_len:8 ~capacity:2 () :> Bytes.t);
+        next = chain_end;
+      }
+
+  let version = version
+  let compare_and_set = version_cas
+  let read_lock = read_lock
+  let try_upgrade = try_upgrade
+  let write_unlock = write_unlock
+  let write_abort = write_abort
+end

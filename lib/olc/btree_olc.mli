@@ -115,3 +115,26 @@ val elastic_config : t -> elastic_config option
 
 val check_invariants : t -> unit
 (** Single-threaded structural check (no concurrent mutators). *)
+
+(** Test seam over a node's version word: the stubs stay typed at the
+    node, so nothing else can reach them. *)
+module For_tests : sig
+  type node
+
+  val leaf : unit -> node
+  (** A fresh standard leaf, linked into no tree, at version 0. *)
+
+  val version : node -> int
+  val compare_and_set : node -> int -> int -> bool
+  val read_lock : node -> int
+  (** Spins while the lock bit is set; returns the unlocked version. *)
+
+  val try_upgrade : node -> int -> bool
+  (** CAS from the observed version to its locked form. *)
+
+  val write_unlock : node -> unit
+  (** Release with a version bump of 2. *)
+
+  val write_abort : node -> unit
+  (** Release with no bump. *)
+end

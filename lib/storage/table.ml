@@ -31,7 +31,6 @@ type t = {
      from two domains on different rows race-free (no read-modify-write
      of shared bits). *)
   mutable n : int;
-  mutable loads : int;  (* number of indirect key loads, for profiling *)
 }
 
 let live_chunks_for cap = (cap + live_chunk - 1) / live_chunk
@@ -45,7 +44,6 @@ let create ?(initial_capacity = 1024) ~key_len () =
     live =
       Array.init (live_chunks_for cap) (fun _ -> Bytes.make live_chunk '\000');
     n = 0;
-    loads = 0;
   }
 
 let length t = t.n
@@ -85,14 +83,10 @@ let append t key =
    with [Invalid_argument] rather than reading past it. *)
 let key t tid =
   if tid < 0 || tid >= t.n then invalid_arg "Table.key";
-  t.loads <- t.loads + 1;
   Bytes.sub_string t.keys (tid * t.key_len) t.key_len
 
 (* Loader closure handed to indexes with indirect key storage. *)
 let loader t = key t
-
-let loads t = t.loads
-let reset_loads t = t.loads <- 0
 
 (* --- Row liveness (recovery source of truth) ------------------------- *)
 

@@ -2,8 +2,10 @@
 
     A tuple identifier ([tid]) is the row's index in the table.  Compact
     index nodes store only tids and load keys from the table through
-    {!loader}, modelling the paper's indirect key storage.  Every load is
-    counted so benchmarks can report indirect-access costs.
+    {!loader}, modelling the paper's indirect key storage.  Loads are
+    not counted here: the table is read from every shard domain, so a
+    caller that wants the indirect-access cost wraps the loader in its
+    own counter.
 
     Keys are fixed-length ([key_len] bytes, [Invalid_argument]
     otherwise) and stored in one flat arena of [key_len] bytes per row,
@@ -20,15 +22,11 @@ val append : t -> string -> int
 (** Append a row with the given indexed key; returns its tid. *)
 
 val key : t -> int -> string
-(** Load the indexed key of a row as a fresh string (counted as an
-    indirect load).  Raises [Invalid_argument] for a tid that is not a
-    row. *)
+(** Load the indexed key of a row as a fresh string.  Raises
+    [Invalid_argument] for a tid that is not a row. *)
 
 val loader : t -> int -> string
 (** [loader t] is the [load_key] closure handed to indexes. *)
-
-val loads : t -> int
-val reset_loads : t -> unit
 
 (** {2 Row liveness}
 

@@ -101,6 +101,31 @@ let test_yield_points () =
 let test_atomic_rmw () =
   check_firing ~file:"fix_rmw.ml" [ (4, 30, "atomic-rmw") ]
 
+(* --- version words ------------------------------------------------------ *)
+
+let test_version_words () =
+  check_firing ~file:"fix_version_word.ml"
+    [
+      (9, 2, "unguarded-state");  (* Skewed: no version word at field 0 *)
+      (9, 30, "unguarded-state");  (* skewed.sv: not field 0 *)
+      (11, 2, "unguarded-state");  (* Bare: an immediate *)
+      (19, 0, "unguarded-state");  (* any_version: not typed at a node *)
+      (23, 31, "unguarded-state");  (* peek: direct read *)
+      (24, 30, "unguarded-state");  (* poke: direct write *)
+      (25, 26, "unguarded-state");  (* bound: record pattern *)
+      (26, 13, "atomic-rmw");  (* bump: stubs count as Atomic get/set *)
+    ];
+  let inv = (Lazy.force result).Analyze_rules.inventory in
+  match
+    List.find_opt
+      (fun (i : Analyze_rules.inv_entry) -> String.equal i.inv_name "node.iv")
+      inv
+  with
+  | Some i ->
+    Alcotest.(check string) "kind" "version-word" i.inv_kind;
+    Alcotest.(check (option string)) "guard" (Some "version_word") i.inv_guard
+  | None -> Alcotest.fail "no inventory entry for node.iv"
+
 (* --- clean fixture ----------------------------------------------------- *)
 
 let test_clean () = check_firing ~file:"fix_clean.ml" []
@@ -155,6 +180,8 @@ let () =
             test_yield_points;
           Alcotest.test_case "rule 4: atomic RMW hygiene" `Quick
             test_atomic_rmw;
+          Alcotest.test_case "version words: stubs only" `Quick
+            test_version_words;
           Alcotest.test_case "clean fixture is silent" `Quick test_clean;
         ] );
       ( "baseline",

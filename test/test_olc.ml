@@ -410,16 +410,16 @@ let test_elastic_churn () =
 
 (* --- Heap footprint pin ---------------------------------------------- *)
 
-(* A standard-leaf tree's whole heap: nodes are inline records and the
-   sibling chain ends in one shared sentinel, so a leaf is the node
-   block, its version Atomic and its one Std_leaf image (header, inline
-   keys, tids), and an inner node is the node block, its Atomic, key
-   buffer and child array.  A re-added per-node block (a constructor
-   box, a [Some] sibling link, a separate key or tid block) raises the
-   count.  The loader captures nothing, so the words are the tree's
-   alone; the insertion order is a fixed permutation, so the shape is
-   too. *)
-let olc_std_words = 43_876
+(* A standard-leaf tree's whole heap: nodes are inline records that
+   carry their own version word and the sibling chain ends in one
+   shared sentinel, so a leaf is the node block and its one Std_leaf
+   image (header, inline keys, tids), and an inner node is the node
+   block, key buffer and child array.  A re-added per-node block (a
+   version Atomic, a constructor box, a [Some] sibling link, a separate
+   key or tid block) raises the count.  The loader captures nothing, so
+   the words are the tree's alone; the insertion order is a fixed
+   permutation, so the shape is too. *)
+let olc_std_words = 41_744
 
 let test_olc_std_footprint () =
   let load (_ : int) = invalid_arg "standard leaves never load keys" in
@@ -434,10 +434,10 @@ let test_olc_std_footprint () =
     Alcotest.failf "10k-key Olc_std tree holds %d heap words, pinned at %d"
       words olc_std_words
 
-(* Every leaf is three heap blocks — the node record (header, version,
-   repr, next), its version Atomic and the one payload image — and every
-   inner node four: node record (header and four fields), Atomic, the
-   separator bytes and the child array.  So an elastic tree's heap is a
+(* Every leaf is two heap blocks — the node record (header, version
+   word, repr, next) and the one payload image — and every inner node
+   three: node record (header and four fields), the separator bytes and
+   the child array.  So an elastic tree's heap is a
    fixed part (tree record, elastic state, the chain-end sentinel) plus
    exactly those words per node; a second block behind any leaf breaks
    the sum.  The number of inner nodes follows from the memory model. *)
@@ -449,8 +449,8 @@ let test_olc_elastic_blocks () =
     Obj.reachable_words (Obj.repr tree) - Obj.reachable_words (Obj.repr load)
   in
   let image_words img = (Bytes.length img / 8) + 2 in
-  let leaf_words img = 4 + 2 + image_words img in
-  let inner_words = 5 + 2 + ((16 * 8 / 8) + 2) + (17 + 1) in
+  let leaf_words img = 4 + image_words img in
+  let inner_words = 5 + ((16 * 8 / 8) + 2) + (17 + 1) in
   let leaves tree = Olc.fold_images tree (fun acc img -> img :: acc) [] in
   let sum f l = List.fold_left (fun a x -> a + f x) 0 l in
   let fixed =
@@ -473,9 +473,64 @@ let test_olc_elastic_blocks () =
   in
   let inner_bytes = Ei_storage.Memmodel.inner_bytes ~capacity:16 ~key_len:8 in
   let inners = (Olc.memory_bytes tree - sum model imgs) / inner_bytes in
-  Alcotest.(check int) "heap words: 3 blocks per leaf, 4 per inner node"
+  Alcotest.(check int) "heap words: 2 blocks per leaf, 3 per inner node"
     (fixed + sum leaf_words imgs + (inners * inner_words))
     (heap_words tree)
+
+(* --- Version-word primitives --------------------------------------- *)
+
+module Vw = Olc.For_tests
+
+let test_version_stale_cas () =
+  let n = Vw.leaf () in
+  Alcotest.(check int) "built at 0" 0 (Vw.version n);
+  Alcotest.(check bool) "fresh CAS" true (Vw.compare_and_set n 0 4);
+  Alcotest.(check bool) "stale CAS" false (Vw.compare_and_set n 0 6);
+  Alcotest.(check int) "stale CAS leaves the word" 4 (Vw.version n);
+  Alcotest.(check bool) "stale upgrade" false (Vw.try_upgrade n 2);
+  Alcotest.(check int) "stale upgrade leaves the word" 4 (Vw.version n)
+
+let test_version_unlock_abort () =
+  let n = Vw.leaf () in
+  let v = Vw.read_lock n in
+  Alcotest.(check bool) "upgrade" true (Vw.try_upgrade n v);
+  Alcotest.(check int) "lock bit set" (v lor 1) (Vw.version n);
+  Vw.write_unlock n;
+  Alcotest.(check int) "unlock bumps by 2" (v + 2) (Vw.version n);
+  Alcotest.(check int) "unlock clears bit 0" 0 (Vw.version n land 1);
+  let v = Vw.read_lock n in
+  Alcotest.(check bool) "upgrade again" true (Vw.try_upgrade n v);
+  Vw.write_abort n;
+  Alcotest.(check int) "abort restores" v (Vw.version n)
+
+(* Two domains take one leaf's lock 100 000 times each around a plain
+   counter: any lost exclusion drops an increment.  A broken CAS can
+   also leave the word locked for good, so the spin is bounded and a
+   wedged word fails the test instead of hanging it. *)
+let test_version_mutual_exclusion () =
+  let n = Vw.leaf () in
+  let counter = ref 0 in
+  let rounds = 100_000 in
+  let rec lock spins =
+    if spins > 100_000_000 then Alcotest.fail "version word wedged";
+    let v = Vw.version n in
+    if v land 1 = 1 || not (Vw.try_upgrade n v) then begin
+      Domain.cpu_relax ();
+      lock (spins + 1)
+    end
+  in
+  let worker () =
+    for _ = 1 to rounds do
+      lock 0;
+      counter := !counter + 1;
+      Vw.write_unlock n
+    done
+  in
+  let d = Domain.spawn worker in
+  worker ();
+  Domain.join d;
+  Alcotest.(check int) "counter" (2 * rounds) !counter;
+  Alcotest.(check int) "version" (4 * rounds) (Vw.version n)
 
 (* Compact-leaf headers hold key lengths up to 65535: an elastic tree
    over 300-byte keys converts leaves and still finds every key.
@@ -542,5 +597,14 @@ let () =
             test_olc_std_footprint;
           Alcotest.test_case "Olc_elastic blocks per node" `Quick
             test_olc_elastic_blocks;
+        ] );
+      ( "version-word",
+        [
+          Alcotest.test_case "stale CAS leaves the word" `Quick
+            test_version_stale_cas;
+          Alcotest.test_case "unlock bumps, abort restores" `Quick
+            test_version_unlock_abort;
+          Alcotest.test_case "2-domain lock/increment/unlock" `Quick
+            test_version_mutual_exclusion;
         ] );
     ]

@@ -14,6 +14,12 @@
      ([@@...]); accesses to unannotated mutable data inside a
      [Domain.spawn] closure are flagged at the use site.  The full
      classification is exported as a machine-readable inventory.
+     A field marked [@ei.version_word] is an atomic word kept inside
+     its record (the OLC node's version): it must be a mutable int at
+     field 0 of every constructor of its type, and only construction
+     and the externals marked [@@ei.version_word "<op>"] (op = get,
+     compare_and_set or set, typed at that type) may touch it; any
+     other read, write, copy or pattern on it is a finding.
 
    - [lock-leak] / [lock-divergent] / [lock-raise] / [lock-loop]
      (release discipline): an intra-function abstract walk tracks the
@@ -38,7 +44,9 @@
 
    - [atomic-rmw]: [Atomic.set a (f (Atomic.get a))] outside a
      lock-held region loses concurrent updates between the load and
-     the store; use [fetch_and_add] / [compare_and_set].  (Inside a
+     the store; use [fetch_and_add] / [compare_and_set].  The
+     version-word stubs count as the Atomic operations they name
+     (here and as synchronization for [yield-point]).  (Inside a
      critical section the pattern is a plain unshared update — the
      version-lock release in Btree_olc is the baselined example.)
 
@@ -113,7 +121,7 @@ let rec render e =
 (* ------------------------------------------------------------------ *)
 (* Annotations.                                                        *)
 
-type guard = Guarded_by of string | Single_domain
+type guard = Guarded_by of string | Single_domain | Version_word
 
 let string_payload = function
   | Parsetree.PStr
@@ -137,12 +145,27 @@ let find_guard (attrs : Parsetree.attributes) =
         | Some s -> Some (Guarded_by s)
         | None -> Some (Guarded_by "<malformed>"))
       | "ei.single_domain" -> Some Single_domain
+      | "ei.version_word" -> Some Version_word
       | _ -> None)
     attrs
 
 let guard_str = function
   | Guarded_by s -> "guarded_by " ^ s
   | Single_domain -> "single_domain"
+  | Version_word -> "version_word"
+
+(* The Atomic operation a version-word stub declares: an external
+   carrying [@@ei.version_word "<op>"]. *)
+let version_stub (vd : Types.value_description) =
+  match vd.val_kind with
+  | Types.Val_prim _ ->
+    List.find_map
+      (fun (a : Parsetree.attribute) ->
+        if String.equal a.attr_name.txt "ei.version_word" then
+          Some (Option.value (string_payload a.attr_payload) ~default:"")
+        else None)
+      vd.val_attributes
+  | _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Annotation registry: label-declaration location -> guard.           *)
@@ -216,6 +239,8 @@ type ctx = {
   unguarded_idents : (loc_key, string) Hashtbl.t;
   (* every value binding in the module, for the yield-point closure *)
   defs : (string, expression) Hashtbl.t;
+  (* types declared here with an [@ei.version_word] field *)
+  mutable version_types : S.t;
 }
 
 let emit ctx ~loc ~rule msg =
@@ -271,37 +296,144 @@ let rec plain_array_type (ct : core_type) =
   | Ttyp_alias (ct, _) | Ttyp_poly (_, ct) -> plain_array_type ct
   | _ -> false
 
+let is_version_word ~type_guard ld =
+  match label_guard ~type_guard ld with
+  | Some Version_word -> true
+  | _ -> false
+
+let rec is_int_type (ct : core_type) =
+  match ct.ctyp_desc with
+  | Ttyp_constr (p, _, []) -> String.equal (path_last p) "int"
+  | Ttyp_poly (_, ct) -> is_int_type ct
+  | _ -> false
+
 let check_type_declaration ctx (td : type_declaration) =
   let type_guard = find_guard td.typ_attributes in
   let tname = td.typ_name.txt in
-  let check_label (ld : label_declaration) =
+  let check_label i (ld : label_declaration) =
     let guard = label_guard ~type_guard ld in
     let name = tname ^ "." ^ ld.ld_name.txt in
     let mutable_field =
       match ld.ld_mutable with Asttypes.Mutable -> true | _ -> false
     in
     let array_field = plain_array_type ld.ld_type in
-    if mutable_field || array_field then begin
-      let kind = if mutable_field then "mutable-field" else "array-field" in
-      add_inv ctx ~loc:ld.ld_loc ~name ~kind
-        ~guard:(Option.map guard_str guard);
-      if Option.is_none guard then
+    match guard with
+    | Some Version_word ->
+      add_inv ctx ~loc:ld.ld_loc ~name ~kind:"version-word"
+        ~guard:(Some (guard_str Version_word));
+      (* The stubs CAS and store Field(v, 0) with no write barrier. *)
+      if i > 0 || (not mutable_field) || not (is_int_type ld.ld_type) then
         emit ctx ~loc:ld.ld_loc ~rule:"unguarded-state"
-          (Printf.sprintf "%s field %s has no concurrency annotation; %s"
-             (if mutable_field then "mutable" else "array")
-             name annotation_advice)
-    end
+          (Printf.sprintf
+             "version word %s must be a mutable int at field 0: the \
+              version-word stubs operate on Field(v, 0)"
+             name)
+    | _ ->
+      if mutable_field || array_field then begin
+        let kind = if mutable_field then "mutable-field" else "array-field" in
+        add_inv ctx ~loc:ld.ld_loc ~name ~kind
+          ~guard:(Option.map guard_str guard);
+        if Option.is_none guard then
+          emit ctx ~loc:ld.ld_loc ~rule:"unguarded-state"
+            (Printf.sprintf "%s field %s has no concurrency annotation; %s"
+               (if mutable_field then "mutable" else "array")
+               name annotation_advice)
+      end
   in
   match td.typ_kind with
-  | Ttype_record lds -> List.iter check_label lds
+  | Ttype_record lds ->
+    List.iteri check_label lds;
+    if List.exists (is_version_word ~type_guard) lds then
+      ctx.version_types <- S.add tname ctx.version_types
   | Ttype_variant cds ->
-    List.iter
-      (fun cd ->
-        match cd.cd_args with
-        | Cstr_record lds -> List.iter check_label lds
-        | Cstr_tuple _ -> ())
-      cds
+    let lds_of cd =
+      match cd.cd_args with Cstr_record lds -> lds | Cstr_tuple _ -> []
+    in
+    List.iter (fun cd -> List.iteri check_label (lds_of cd)) cds;
+    let has_word cd = List.exists (is_version_word ~type_guard) (lds_of cd) in
+    if List.exists has_word cds then begin
+      ctx.version_types <- S.add tname ctx.version_types;
+      (* A stub typed at [tname] may get any constructor's value. *)
+      List.iter
+        (fun cd ->
+          match lds_of cd with
+          | ld :: _ when is_version_word ~type_guard ld -> ()
+          | _ ->
+            emit ctx ~loc:cd.cd_loc ~rule:"unguarded-state"
+              (Printf.sprintf
+                 "constructor %s of %s has no version word at field 0, \
+                  but the version-word stubs accept every %s"
+                 cd.cd_name.txt tname tname))
+        cds
+    end
   | _ -> ()
+
+(* A declared version-word stub names an Atomic operation and takes a
+   type declared above with a version word as its first argument. *)
+let check_stub ctx (vd : value_description) =
+  match version_stub vd.val_val with
+  | None -> ()
+  | Some op ->
+    let name = vd.val_name.txt in
+    if not (List.mem op [ "get"; "compare_and_set"; "set" ]) then
+      emit ctx ~loc:vd.val_loc ~rule:"unguarded-state"
+        (Printf.sprintf
+           "version-word stub %s names %S; expected get, compare_and_set \
+            or set"
+           name op);
+    let typed_at_version_type =
+      match vd.val_desc.ctyp_desc with
+      | Ttyp_arrow (_, { ctyp_desc = Ttyp_constr (Path.Pident id, _, _); _ }, _)
+        ->
+        S.mem (Ident.name id) ctx.version_types
+      | _ -> false
+    in
+    if not typed_at_version_type then
+      emit ctx ~loc:vd.val_loc ~rule:"unguarded-state"
+        (Printf.sprintf
+           "version-word stub %s must take a type declared in this module \
+            with a version word at field 0"
+           name)
+
+(* Direct uses of a version-word field: everything but construction
+   goes through the stubs. *)
+let check_version_uses ctx (vb : value_binding) =
+  let flag loc what (lbl : Types.label_description) =
+    match lookup_label ctx.reg lbl with
+    | Some Version_word ->
+      emit ctx ~loc ~rule:"unguarded-state"
+        (Printf.sprintf
+           "%s version word %s directly; only the version-word stubs may \
+            touch it"
+           what lbl.Types.lbl_name)
+    | _ -> ()
+  in
+  let it =
+    {
+      Tast_iterator.default_iterator with
+      expr =
+        (fun sub e ->
+          (match e.exp_desc with
+          | Texp_field (_, _, lbl) -> flag e.exp_loc "reads" lbl
+          | Texp_setfield (_, _, lbl, _) -> flag e.exp_loc "writes" lbl
+          | Texp_record { fields; extended_expression = Some _; _ } ->
+            Array.iter
+              (function
+                | lbl, Kept _ -> flag e.exp_loc "copies" lbl
+                | _, Overridden _ -> ())
+              fields
+          | _ -> ());
+          Tast_iterator.default_iterator.expr sub e);
+      pat =
+        (fun (type k) sub (p : k general_pattern) ->
+          (match p.pat_desc with
+          | Tpat_record (fields, _) ->
+            List.iter (fun (_, lbl, _) -> flag p.pat_loc "matches" lbl) fields
+          | _ -> ());
+          Tast_iterator.default_iterator.pat sub p);
+    }
+  in
+  it.value_binding it vb
 
 (* The bound name of a simple [let x = ...] binding.  A type-constrained
    [let x : t = ...] arrives as [Tpat_alias] (the typechecker wraps the
@@ -379,6 +511,15 @@ let nolabel_args args =
     (function Asttypes.Nolabel, Some a -> Some a | _ -> None)
     args
 
+(* The Atomic operation an applied identifier performs: [Atomic.<op>]
+   by path, or a version-word stub by its declared op. *)
+let atomic_op p vd =
+  match version_stub vd with
+  | Some op -> Some op
+  | None -> ( match norm_path p with [ "Atomic"; op ] -> Some op | _ -> None)
+
+let is_atomic op p vd = Option.equal String.equal (atomic_op p vd) (Some op)
+
 (* Does [e] syntactically contain [Atomic.get] of [target]? *)
 let contains_get target e =
   let found = ref false in
@@ -388,9 +529,9 @@ let contains_get target e =
       expr =
         (fun sub x ->
           (match x.exp_desc with
-          | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, args) -> (
-            match (norm_path p, nolabel_args args) with
-            | [ "Atomic"; "get" ], [ a ] when String.equal (render a) target
+          | Texp_apply ({ exp_desc = Texp_ident (p, _, vd); _ }, args) -> (
+            match nolabel_args args with
+            | [ a ] when is_atomic "get" p vd && String.equal (render a) target
               ->
               found := true
             | _ -> ())
@@ -457,8 +598,8 @@ let rec walk ctx st e =
             out.held)
       cases;
     st
-  | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, args) ->
-    walk_apply ctx st e p args
+  | Texp_apply ({ exp_desc = Texp_ident (p, _, vd); _ }, args) ->
+    walk_apply ctx st e p vd args
   | Texp_apply (f, args) ->
     let st = walk ctx st f in
     List.fold_left
@@ -613,7 +754,7 @@ and join ctx entry loc sts =
          point";
     first
 
-and walk_apply ctx st e p args =
+and walk_apply ctx st e p vd args =
   let walk_args st =
     List.fold_left
       (fun st (_, a) ->
@@ -621,7 +762,7 @@ and walk_apply ctx st e p args =
       st args
   in
   match (List.rev (norm_path p), nolabel_args args) with
-  | [ "set"; "Atomic" ], [ a; v ] ->
+  | _, [ a; v ] when is_atomic "set" p vd ->
     (* Rule 4: non-atomic read-modify-write outside a lock-held
        region. *)
     let st = walk_args st in
@@ -705,7 +846,8 @@ let walk_top ctx (vb : value_binding) =
   ctx.slug <- name;
   ctx.no_rule2 <- in_olc ctx && S.mem name lock_primitives;
   walk_fresh ctx ~in_spawn:false vb.vb_expr;
-  ctx.no_rule2 <- false
+  ctx.no_rule2 <- false;
+  check_version_uses ctx vb
 
 (* Strip the parameter chain off a function to its body. *)
 let rec function_body e =
@@ -745,10 +887,11 @@ let scan_expr e =
       expr =
         (fun sub x ->
           (match x.exp_desc with
-          | Texp_ident (p, _, _) ->
+          | Texp_ident (p, _, vd) ->
             let rev = List.rev (norm_path p) in
             if yield_paths rev then yields := true;
-            if sync_paths rev then sync := true
+            if sync_paths rev || Option.is_some (version_stub vd) then
+              sync := true
           | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, _) ->
             (* Only applied idents count as calls: a bare variable
                reference must not pull in an unrelated same-named
@@ -902,6 +1045,7 @@ let analyze_structure ~file ~reg (str : structure) =
       no_rule2 = false;
       unguarded_idents = Hashtbl.create 8;
       defs = Hashtbl.create 64;
+      version_types = S.empty;
     }
   in
   collect_defs ctx.defs str;
@@ -911,6 +1055,7 @@ let analyze_structure ~file ~reg (str : structure) =
   let rec do_item (item : structure_item) =
     match item.str_desc with
     | Tstr_type (_, tds) -> List.iter (check_type_declaration ctx) tds
+    | Tstr_primitive vd -> check_stub ctx vd
     | Tstr_value (_, vbs) ->
       List.iter
         (fun vb ->
@@ -1016,7 +1161,8 @@ let rules_help () =
   String.concat "\n"
     [
       Printf.sprintf "%-16s %s" "unguarded-state"
-        "mutable module/record state needs [@ei.guarded_by]/[@ei.single_domain]";
+        "mutable module/record state needs [@ei.guarded_by]/[@ei.single_domain]; \
+         an [@ei.version_word] field is touched only by its stubs";
       Printf.sprintf "%-16s %s" "unguarded-access"
         "unannotated mutable state touched inside a Domain.spawn closure";
       Printf.sprintf "%-16s %s" "lock-leak"

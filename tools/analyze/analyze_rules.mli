@@ -4,7 +4,10 @@
     Rule families: [unguarded-state] / [unguarded-access] (every
     module-level and record-level mutable datum must be atomic,
     lock-guarded — [@ei.guarded_by "<lock>"] — or confined —
-    [@ei.single_domain]), [lock-leak] / [lock-divergent] /
+    [@ei.single_domain]; a [@ei.version_word] field is a mutable int at
+    field 0 touched only by externals marked
+    [@@ei.version_word "get" | "compare_and_set" | "set"], which count
+    as those Atomic operations), [lock-leak] / [lock-divergent] /
     [lock-raise] / [lock-loop] (every acquired write lock is released
     exactly once on every exit, including exception edges),
     [yield-point] (sync-touching retry loops must contain a
@@ -21,7 +24,7 @@ type inv_entry = {
   inv_name : string;
   inv_kind : string;
       (** atomic | mutex | condition | ref | array | table |
-          mutable-field | array-field *)
+          mutable-field | array-field | version-word *)
   inv_guard : string option;  (** rendered annotation, [None] = bare *)
 }
 
