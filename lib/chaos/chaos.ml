@@ -39,10 +39,9 @@
    settled key — a lost acknowledged write or a phantom row fails the
    soak — and merely counts the unsettled ones.
 
-   The row table is deliberately under-sized: client appends grow it
-   mid-run while supervised shard domains mark row liveness, which the
-   growth-stable chunked liveness store ({!Ei_storage.Table}) makes
-   safe — the soak exercises exactly that race. *)
+   Client appends grow the row table a chunk at a time while supervised
+   shard domains mark row liveness, which the growth-stable chunked
+   store ({!Ei_storage.Table}) makes safe. *)
 
 module Fault = Ei_fault.Fault
 module Table = Ei_storage.Table
@@ -305,11 +304,8 @@ let run cfg =
       cfg.wal_dir
   in
   let journal = Option.map jopen cfg.wal_dir in
-  (* The table is under-sized on purpose: appends grow it mid-run while
-     shard domains mark liveness (see above). *)
   let { Fleet.table; router; serve } =
     Fleet.start ~shards:cfg.shards ~part ~key_len:cfg.key_len
-      ~initial_capacity:(max 64 (nkeys / 4))
       ~timeout_s:cfg.timeout_s ~fault_prefix:"serve" ?wal ~supervised:true ()
   in
   let coord = Serve.default_coordinator ~global_bound in

@@ -46,7 +46,7 @@ and t = {
 let no_size_bound (_ : int) = ()
 
 (* Fallback batched lookup for backends without a group-descent path. *)
-let multi_of_find find keys = Array.map find keys
+let multi_of_find find keys = Ei_util.Arr.map ~fill:None find keys
 
 (* Transient operation failure, injected in front of any index: each
    point operation first draws at the site and raises [Fault.Injected]
@@ -83,7 +83,7 @@ let inject ~site (ix : t) =
          because partial batches under injection are exactly what the
          per-op fallback paths exist to handle. *)
       (fun keys ->
-        Array.map
+        Ei_util.Arr.map ~fill:None
           (fun k ->
             Fault.inject site;
             ix.find k)

@@ -145,7 +145,11 @@ let run_rounds t session =
             live := i :: !live)
         batch;
       let live = Array.of_list (List.rev !live) in
-      let ops = Array.map (fun i -> serve_op t batch.(i)) live in
+      let ops =
+        Ei_util.Arr.map ~fill:(Serve.Find "")
+          (fun i -> serve_op t batch.(i))
+          live
+      in
       let outcomes =
         Serve.exec ?timeout_s:t.cfg.exec_timeout_s t.serve ops
       in

@@ -24,9 +24,9 @@ let part kind table =
       ~name:(Printf.sprintf "%s/%d" (Registry.kind_name kind) i)
       ~key_len ~load kind
 
-let start ~shards ~part ?(key_len = 8) ?initial_capacity ?coordinator
-    ?timeout_s ?fault_prefix ?wal ?(supervised = false) () =
-  let table = Table.create ?initial_capacity ~key_len () in
+let start ~shards ~part ?(key_len = 8) ?coordinator ?timeout_s ?fault_prefix
+    ?wal ?(supervised = false) () =
+  let table = Table.create ~key_len () in
   let router = Shard.create (Array.init shards (part table)) in
   let supervisor =
     if supervised || Option.is_some wal then

@@ -29,7 +29,6 @@ val start :
   shards:int ->
   part:(Ei_storage.Table.t -> int -> Ei_harness.Index_ops.t) ->
   ?key_len:int ->
-  ?initial_capacity:int ->
   ?coordinator:Serve.coordinator_config ->
   ?timeout_s:float ->
   ?fault_prefix:string ->

@@ -50,6 +50,7 @@ module Index_ops = Ei_harness.Index_ops
 module Fault = Ei_fault.Fault
 module Table = Ei_storage.Table
 module Invariant = Ei_util.Invariant
+module Arr = Ei_util.Arr
 module Metrics = Ei_obs.Metrics
 module Trace = Ei_obs.Trace
 module Ctx = Ei_obs.Ctx
@@ -427,34 +428,44 @@ let shard_apply t i ~gen (st : shard_state) part ~wal ~defer sub =
       in
       (* Sort by a 63-bit immediate prefix of each key (precomputed
          once per element), so almost every comparison is an int
-         compare; only prefix ties pay the full key comparison. *)
-      let tagged = Array.make !run_len (0, 0) in
+         compare; only prefix ties pay the full key comparison.  The
+         sort permutes ints and every array is seeded with an
+         immediate or a static value: a run of more than 256 seeded
+         with a young key would force a stop-the-world minor
+         collection (see {!Ei_util.Arr}). *)
+      let m = !run_len in
+      let js = Array.make m 0 in
+      let pre = Array.make m 0 in
       let l = ref rev in
-      for x = !run_len - 1 downto 0 do
-        (match !l with
+      for x = m - 1 downto 0 do
+        match !l with
         | j :: tl ->
-          tagged.(x) <- (Ei_util.Key.sort_prefix (key_at j), j);
+          js.(x) <- j;
+          pre.(x) <- Ei_util.Key.sort_prefix (key_at j);
           l := tl
-        | [] -> Ei_util.Invariant.impossible "serve: read-run length drift")
+        | [] -> Ei_util.Invariant.impossible "serve: read-run length drift"
       done;
+      let order = Array.init m Fun.id in
       Array.stable_sort
-        (fun ((pa : int), a) ((pb : int), b) ->
-          if pa = pb then Ei_util.Key.compare_fast (key_at a) (key_at b)
+        (fun a b ->
+          let pa = pre.(a) and pb = pre.(b) in
+          if pa = pb then
+            Ei_util.Key.compare_fast (key_at js.(a)) (key_at js.(b))
           else Int.compare pa pb)
-        tagged;
-      let keys = Array.map (fun (_, j) -> key_at j) tagged in
+        order;
+      let keys = Arr.map ~fill:"" (fun o -> key_at js.(o)) order in
       (match part.Index_ops.multi_find keys with
       | rs ->
         Array.iteri
-          (fun x (_, j) ->
-            put sub.dest.(j)
+          (fun x o ->
+            put sub.dest.(js.(o))
               (match rs.(x) with Some tid -> tid | None -> -1))
-          tagged
+          order
       | exception Fault.Injected _ ->
         (* The grouped call cannot tell which keys it served before
            the injected fault, so the run falls back to per-key
            applies, each absorbing its own draw as a rejected op. *)
-        Array.iter (fun (_, j) -> apply_one j) tagged));
+        Array.iter (fun o -> apply_one js.(o)) order));
     run := [];
     run_len := 0
   in
@@ -892,6 +903,9 @@ let start ?coordinator ?supervisor ?fault_prefix ?timeout_s ?wal ?wal_restore
      [exec]. *)
   if Option.is_some wal && Option.is_none supervisor then
     invalid_arg "Serve.start: a WAL needs a supervisor";
+  (* Liveness exists only under a supervisor, and before the WAL boot
+     below restores (and so marks) rows or any shard domain marks one. *)
+  Option.iter (fun scfg -> Table.enable_liveness scfg.table) supervisor;
   let n = Shard.shard_count router in
   let shards =
     Array.init n (fun i ->
@@ -1129,8 +1143,9 @@ let rec submit_sub t ~deadline ~barrier s sub attempt =
     match List.rev !writes with
     | [] -> complete sub.waiter
     | ws ->
-      let sops = Array.of_list (List.map (fun j -> sub.sops.(j)) ws) in
-      let dest = Array.of_list (List.map (fun j -> sub.dest.(j)) ws) in
+      let ws = Array.of_list ws in
+      let sops = Arr.map ~fill:(Find "") (fun j -> sub.sops.(j)) ws in
+      let dest = Array.map (fun j -> sub.dest.(j)) ws in
       Unix.sleepf (backoff_s attempt);
       submit_sub t ~deadline ~barrier s { sub with sops; dest } (attempt + 1)
   end
@@ -1347,8 +1362,9 @@ let index_ops ?(name = "served") t =
          each shard domain answers its sub-batch through the grouped
          descent path of [shard_apply] *)
       (fun keys ->
-        let outcomes = exec t (Array.map (fun k -> Find k) keys) in
-        Array.map
+        let ops = Arr.map ~fill:(Find "") (fun k -> Find k) keys in
+        let outcomes = exec t ops in
+        Arr.map ~fill:None
           (function
             | Applied tid when tid >= 0 -> Some tid
             | Applied _ | Rejected | Timed_out -> None)

@@ -97,10 +97,10 @@ val split_bounds : coordinator_config -> sizes:int array -> int array
 
 type supervisor_config = {
   table : Ei_storage.Table.t;
-      (** the row table recoveries rebuild from; supervised shard
-          domains maintain its per-row liveness as they apply.
-          Growing the table while the fleet serves is safe: the
-          liveness store is growth-stable (chunked pages that are
+      (** the row table recoveries rebuild from; {!start} enables its
+          per-row liveness, which supervised shard domains maintain as
+          they apply.  Growing the table while the fleet serves is
+          safe: the liveness store is growth-stable (chunks that are
           appended, never moved — see {!Ei_storage.Table}), so a mark
           racing an append-driven grow is never lost *)
   rebuild : int -> Ei_harness.Index_ops.t;
@@ -127,11 +127,13 @@ val start :
   Shard.t ->
   t
 (** Spawn one domain per shard (plus the coordinator and supervisor
-    domains when configured).  Each shard's request queue holds 64
-    sub-batches (producers block when full) and its domain drains up
-    to 32 per wakeup; [fault_prefix] arms the injection sites;
-    [timeout_s] is the default {!exec} deadline (none: block until
-    applied).
+    domains when configured).  A [supervisor] first gets its table's
+    liveness enabled ({!Ei_storage.Table.enable_liveness}), before any
+    WAL recovery restores rows and before any shard domain runs.  Each
+    shard's request queue holds 64 sub-batches (producers block when
+    full) and its domain drains up to 32 per wakeup; [fault_prefix]
+    arms the injection sites; [timeout_s] is the default {!exec}
+    deadline (none: block until applied).
 
     [wal] makes the shards durable: before any domain is spawned,
     every part — which must be handed over {e empty} — is recovered

@@ -95,7 +95,7 @@ let index_ops ?(name = "sharded") t =
             | [] -> ()
             | rev ->
               let idxs = Array.of_list (List.rev rev) in
-              let sub = Array.map (fun i -> keys.(i)) idxs in
+              let sub = Ei_util.Arr.map ~fill:"" (fun i -> keys.(i)) idxs in
               let r = t.parts.(s).Index_ops.multi_find sub in
               Array.iteri (fun j i -> out.(i) <- r.(j)) idxs)
           buckets;

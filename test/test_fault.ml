@@ -166,7 +166,7 @@ let test_supervisor_recovery () =
   let { Fleet.table; router; serve } =
     Fleet.start ~shards
       ~part:(Fleet.part (Registry.Olc Olc.Olc_std))
-      ~initial_capacity:(4 * n) ~fault_prefix:"serve" ~timeout_s:0.2
+      ~fault_prefix:"serve" ~timeout_s:0.2
       ~supervised:true ()
   in
   let keys = Array.init n (fun i -> Key.of_int (i * 7919)) in

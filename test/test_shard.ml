@@ -227,6 +227,33 @@ let test_run_stops_at_boundary () =
   Alcotest.(check int) "ran exactly two sub-batches" 1024
     (Shard.count f.Fleet.router)
 
+(* A run of reads longer than [Max_young_wosize] (256) must not force a
+   minor collection: [caml_make_vect] forces one for a large array
+   seeded with a young value, and in OCaml 5 that stops every domain.
+   All 512 keys route to shard 0, so its domain sees one 512-read run.
+   The fresh [Find]s are built without [Array.init], whose young first
+   element would force a collection in the test itself. *)
+let test_read_run_no_forced_minor () =
+  let f = Fleet.start ~shards:2 ~part:olc_part () in
+  let n = 512 in
+  Alcotest.(check int) "preload" 0 (Fleet.run f (inserts f.Fleet.table n));
+  let ops = Array.make n (Serve.Find "") in
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).Gc.minor_collections in
+  for i = 0 to n - 1 do
+    ops.(i) <- Serve.Find (Key.of_int (i * 7919))
+  done;
+  let outcomes = Serve.exec f.Fleet.serve ops in
+  let ran = (Gc.quick_stat ()).Gc.minor_collections - before in
+  Serve.stop f.Fleet.serve;
+  Array.iteri
+    (fun i o ->
+      match o with
+      | Serve.Applied tid -> Alcotest.(check int) "found" i tid
+      | Serve.Rejected | Serve.Timed_out -> Alcotest.fail "read not applied")
+    outcomes;
+  Alcotest.(check int) "minor collections during the exec" 0 ran
+
 let () =
   Alcotest.run "ei_shard"
     [
@@ -241,5 +268,7 @@ let () =
           Alcotest.test_case "run counts shed ops" `Quick test_run_counts_shed;
           Alcotest.test_case "run stops at a sub-batch boundary" `Quick
             test_run_stops_at_boundary;
+          Alcotest.test_case "a read run forces no minor collection" `Quick
+            test_read_run_no_forced_minor;
         ] );
     ]

@@ -340,10 +340,10 @@ let test_crash_unsynced () =
 (* --- c. serve integration --------------------------------------------- *)
 
 (* A durable fleet of 2 elastic shards whose parts are named [name/i]. *)
-let wal_fleet ?initial_capacity ?timeout_s ?fault_prefix ~wal name =
+let wal_fleet ?timeout_s ?fault_prefix ~wal name =
   Fleet.start ~shards:2
     ~part:(fun table i -> mk_part table (Printf.sprintf "%s/%d" name i))
-    ?initial_capacity ?timeout_s ?fault_prefix ~wal ()
+    ?timeout_s ?fault_prefix ~wal ()
 
 let test_serve_restart () =
   let dir = fresh_dir "serve" in
@@ -394,8 +394,7 @@ let test_serve_crash_rebuild_from_disk () =
   Fault.configure ~seed:11 [ ("serve.crash", 0.01) ];
   (* The supervisor comes with the WAL. *)
   let { Fleet.table; router; serve } =
-    wal_fleet ~initial_capacity:(4 * n) ~timeout_s:0.2 ~fault_prefix:"serve"
-      ~wal "crash-wal"
+    wal_fleet ~timeout_s:0.2 ~fault_prefix:"serve" ~wal "crash-wal"
   in
   let keys = Array.init n (fun i -> Key.of_int (i * 7919)) in
   let tids = Array.map (Table.append table) keys in
