@@ -1,6 +1,8 @@
 (* Bechamel micro-benchmarks: per-operation latency of point lookups and
    inserts on each index representation, complementing the throughput
-   figures with statistically analysed single-op costs. *)
+   figures with statistically analysed single-op costs; plus the
+   multi-lookup sweep and the stop-the-world cost of a minor
+   collection against the number of domains. *)
 
 open Bechamel
 module Table = Ei_storage.Table
@@ -123,6 +125,74 @@ let multi_sweep () =
     backends;
   Prefetch.set_enabled was_enabled
 
+(* --- Stop-the-world cost against domain count -------------------------- *)
+
+(* Every minor collection in OCaml 5 stops all domains, so its cost
+   grows with the domains alive, even idle ones: a domain parked in
+   [Condition.wait] still joins each stop-the-world barrier (through
+   its backup thread).  Times [Gc.minor ()] on the calling domain with
+   0-3 extra domains parked and with 2 busy (spinning) ones, the median
+   of 3 timed loops per cell.  Emits one [micro_stw] row per cell
+   ([ops_per_sec] = collections per second) and prints microseconds
+   per collection. *)
+let stw_sweep () =
+  let iters = max 20 (Bench_util.scaled 200) in
+  let us_per_minor () =
+    let once () =
+      Gc.minor ();
+      let t0 = Ei_util.Bench_clock.now_ns () in
+      for _ = 1 to iters do
+        Gc.minor ()
+      done;
+      float_of_int (Ei_util.Bench_clock.now_ns () - t0)
+      /. float_of_int iters /. 1e3
+    in
+    let runs = List.sort Float.compare (List.init 3 (fun _ -> once ())) in
+    List.nth runs 1
+  in
+  let with_domains ~busy k =
+    let stop = Atomic.make false in
+    let ready = Atomic.make 0 in
+    let m = Mutex.create () and c = Condition.create () in
+    let body () =
+      Atomic.incr ready;
+      if busy then
+        while not (Atomic.get stop) do
+          Domain.cpu_relax ()
+        done
+      else begin
+        Mutex.lock m;
+        while not (Atomic.get stop) do
+          Condition.wait c m
+        done;
+        Mutex.unlock m
+      end
+    in
+    let ds = List.init k (fun _ -> Domain.spawn body) in
+    while Atomic.get ready < k do
+      Domain.cpu_relax ()
+    done;
+    Unix.sleepf 0.01;  (* let the parked ones reach their wait *)
+    let us = us_per_minor () in
+    Atomic.set stop true;
+    Mutex.lock m;
+    Condition.broadcast c;
+    Mutex.unlock m;
+    List.iter Domain.join ds;
+    us
+  in
+  Bench_util.subheader "stop-the-world: Gc.minor () against extra domains";
+  Bench_util.print_row [ "extra"; "state"; "us/minor" ];
+  List.iter
+    (fun (k, busy) ->
+      let us = with_domains ~busy k in
+      let state = if busy then "busy" else "idle" in
+      Bench_util.print_row [ string_of_int k; state; Printf.sprintf "%.1f" us ];
+      Bench_util.emit ~name:"micro_stw"
+        ~params:[ ("extra_domains", string_of_int k); ("state", state) ]
+        ~ops_per_sec:(1e6 /. us) ~bytes:0)
+    [ (0, false); (1, false); (2, false); (3, false); (2, true) ]
+
 let run () =
   Bench_util.header "Bechamel micro-benchmarks (ns per operation)";
   let ols =
@@ -138,4 +208,5 @@ let run () =
       | Some (est :: _) -> Printf.printf "%-28s %10.1f ns/op\n%!" name est
       | Some [] | None -> Printf.printf "%-28s (no estimate)\n%!" name)
     results;
-  multi_sweep ()
+  multi_sweep ();
+  stw_sweep ()

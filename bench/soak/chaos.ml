@@ -65,11 +65,7 @@ let () =
       cfg with
       Chaos.scale = !scale;
       shards = !shards;
-      plan =
-        (match (!plan, !wal_dir) with
-        | Some p, _ -> p
-        | None, Some _ -> Chaos.default_wal_plan
-        | None, None -> cfg.Chaos.plan);
+      plan = Option.value !plan ~default:cfg.Chaos.plan;
       progress = (if !quiet then None else Some print_endline);
       wal_dir = !wal_dir;
       kill_at = !kill_at;

@@ -14,9 +14,9 @@
               gracefully (every in-flight request keeps its reply)
      bench-net — closed-/open-loop load generator against a running
               serve-net; prints p50/p99/p999 and appends a JSON-Lines row
-     chaos  — deterministic fault-injection soak against the supervised
-              fleet; with --wal-dir the shards are durable and the soak
-              proves crash recovery (kill -9, restart, verify)
+     chaos  — deterministic fault-injection soak against the supervised,
+              durable fleet; --wal-dir keeps the log, so the soak can
+              also prove crash recovery (kill -9, restart, verify)
      wal    — inspect / verify / repair a durable shard's write-ahead
               log and checkpoint manifests
      stats  — run a YCSB workload with the ei_obs metrics registry on
@@ -697,7 +697,8 @@ let chaos_cmd =
     Arg.(value & opt (some string) None
          & info [ "plan" ]
              ~doc:"Fault plan as site=prob,... (defaults to the built-in \
-                   soak plan covering every fault kind).")
+                   soak plan covering every fault kind, WAL crashes \
+                   included).")
   in
   let quiet_arg =
     Arg.(value & flag & info [ "quiet" ] ~doc:"Suppress progress lines.")
@@ -705,9 +706,11 @@ let chaos_cmd =
   let wal_dir_arg =
     Arg.(value & opt (some string) None
          & info [ "wal-dir" ] ~docv:"DIR"
-             ~doc:"Run with durable shards: group-commit WAL under DIR \
-                   (reset on entry), the WAL crash sites armed, and a \
-                   post-soak recover-from-disk restart check.")
+             ~doc:"Keep the shards' group-commit WAL under DIR (reset on \
+                   entry, with an acknowledgement journal beside it) \
+                   instead of a temporary directory removed at exit.  \
+                   It only chooses the directory: the shards are durable \
+                   and the restart check runs either way.")
   in
   let kill_at_arg =
     Arg.(value & opt int 0
@@ -741,8 +744,7 @@ let chaos_cmd =
     | _ ->
       let plan =
         match plan with
-        | None ->
-          if wal_dir = None then Chaos.default_plan else Chaos.default_wal_plan
+        | None -> Chaos.default_plan
         | Some spec -> (
           match Ei_fault.Fault.parse_plan spec with
           | Ok p -> p
@@ -798,10 +800,11 @@ let chaos_cmd =
   Cmd.v
     (Cmd.info "chaos"
        ~doc:"Run the deterministic chaos soak: seeded fault injection \
-             against the supervised shard fleet, with shadow-model \
-             reconciliation and deep validation.  With --wal-dir the \
-             shards are durable and the soak additionally proves crash \
-             recovery (kill -9 via --kill-at, then --verify-only).")
+             against the supervised, durable shard fleet, with \
+             shadow-model reconciliation, deep validation and a \
+             recover-from-disk restart check.  With --wal-dir the log \
+             outlives the run, so a soak can also prove crash recovery \
+             (kill -9 via --kill-at, then --verify-only).")
     term
 
 (* --- wal ---------------------------------------------------------------- *)
@@ -826,10 +829,11 @@ let wal_cmd =
     Arg.(value & flag
          & info [ "verify" ]
              ~doc:"Exit non-zero unless every shard is recoverable: \
-                   contiguous segments, no interior torn frame (a torn \
-                   tail of the newest segment is legal — recovery \
-                   truncates it), and a validating checkpoint whenever \
-                   any checkpoint exists.")
+                   contiguous segments, no interior torn frame before \
+                   the next segment's first LSN (a torn tail of the \
+                   newest segment is legal — recovery truncates it), \
+                   and a validating checkpoint whenever any checkpoint \
+                   exists.")
   in
   let truncate_arg =
     Arg.(value & flag
@@ -880,7 +884,6 @@ let wal_cmd =
           Printf.printf "shard%d: %d segment(s), %d checkpoint(s)%s\n" i
             (List.length segs) (List.length ckpts)
             (if clean then ", clean shutdown" else "");
-          let nsegs = List.length segs in
           List.iteri
             (fun j s ->
               if not verify then
@@ -896,8 +899,11 @@ let wal_cmd =
                   | None -> ""
                   | Some (off, e) ->
                     Printf.sprintf " — TORN at byte %d (%s)" off e);
-              match s.Wal.si_torn with
-              | Some (off, e) when j < nsegs - 1 ->
+              (* recovery ignores an interior segment's bytes past its
+                 successor's first LSN (a fenced writer's late tail) *)
+              match (s.Wal.si_torn, List.nth_opt segs (j + 1)) with
+              | Some (off, e), Some next
+                when s.Wal.si_last_lsn < next.Wal.si_first_lsn - 1 ->
                 problem "interior segment %s torn at byte %d (%s)"
                   (Filename.basename s.Wal.si_path) off e
               | _ -> ())
@@ -907,7 +913,7 @@ let wal_cmd =
             | a :: (b :: _ as rest) ->
               if
                 a.Wal.si_frames > 0
-                && b.Wal.si_first_lsn <> a.Wal.si_last_lsn + 1
+                && b.Wal.si_first_lsn > a.Wal.si_last_lsn + 1
               then
                 problem "LSN gap: %s ends at %d, %s starts at %d"
                   (Filename.basename a.Wal.si_path)
@@ -1418,8 +1424,9 @@ let sim_cmd =
     Arg.(value & opt string "olc-race"
          & info [ "scenario" ] ~docv:"NAME"
              ~doc:"Scheduler scenario (sched): olc-race, olc-convert-scan, \
-                   olc-multi-find, wal-torn, wal-fsync, net-pipeline or \
-                   lost-update (the planted-race self-test).")
+                   olc-multi-find, olc-breathe, olc-hysteresis, wal-torn, \
+                   wal-fsync, wal-wedge, net-pipeline or lost-update (the \
+                   planted-race self-test).")
   in
   let rounds_arg =
     Arg.(value & opt int 50

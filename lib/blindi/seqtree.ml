@@ -300,10 +300,21 @@ type locate_result =
   | Found of int  (* key present at this position *)
   | Pred of int   (* key absent; position of its predecessor, -1 if none *)
 
-(* Predecessor-semantics search (§5.2).  The assumed position is verified
-   by loading the candidate key; on mismatch the true insertion point is
-   recovered by scanning for the first discriminating bit below the
-   divergence bit. *)
+(* A search's one table load: the first bit at which [key] differs from
+   the key of the candidate at the assumed position [j], -1 if none. *)
+let verify st t ~(load : load) key j =
+  let kj = load (tid t j) in
+  st.Stats.key_compares <- st.Stats.key_compares + 1;
+  match Ei_util.Key.first_diff_bit key kj with None -> -1 | Some bd -> bd
+
+(* On mismatch at [bd], the predecessor is the first entry below [bd]
+   right of the candidate when key > candidate, else left of it. *)
+let pred_of t ~bw ~n key j bd =
+  if key_bit key bd = 1 then scan_right t ~bw ~n bd j
+  else scan_left t ~bw bd (j - 1)
+
+(* Predecessor-semantics search (§5.2): the assumed position, verified
+   by loading its key. *)
 let locate t ~(load : load) key =
   let st = Stats.current () in
   st.Stats.searches <- st.Stats.searches + 1;
@@ -313,15 +324,8 @@ let locate t ~(load : load) key =
   else begin
     let bw = bits_width t in
     let j = assumed_position st t ~bw key n in
-    let kj = load (tid t j) in
-    st.Stats.key_compares <- st.Stats.key_compares + 1;
-    match Ei_util.Key.first_diff_bit key kj with
-    | None -> Found j
-    | Some bd ->
-      (* key > kj: scan right for the first entry below bd; key < kj:
-         scan left. *)
-      if key_bit key bd = 1 then Pred (scan_right t ~bw ~n bd j)
-      else Pred (scan_left t ~bw bd (j - 1))
+    let bd = verify st t ~load key j in
+    if bd < 0 then Found j else Pred (pred_of t ~bw ~n key j bd)
   end
 
 let find t ~load key =
@@ -466,46 +470,43 @@ let tree_after_remove t ~n (r : int) =
 
 type insert_result = Inserted | Grown of t | Full | Duplicate
 
-(* Insert [key] after predecessor position [p]; needs a free tid slot. *)
-let insert_at t ~(load : load) key v p =
+(* Insert [key] after predecessor position [p]; needs a free tid slot.
+   [bd] is where [key] first differs from the candidate its search
+   loaded, which shares the longest prefix with [key] of all the node's
+   keys: so the neighbour on the candidate's side differs from [key] at
+   [bd] too, and no further key is loaded.  Key indices after insertion:
+   predecessor at q-1, new key at q, old successor at q+1. *)
+let insert_at t ~bd key v p =
   let st = Stats.current () in
   st.Stats.inserts <- st.Stats.inserts + 1;
   let n = count t in
   let q = p + 1 in
-  (* Update BlindiBits around the insertion point.  Key indices after
-     insertion: predecessor at q-1, new key at q, old successor at
-     q+1.  [q'] and [v_new] identify the one logically-new entry for
-     the incremental tree repair. *)
   if n > 0 then begin
     if q = 0 then begin
-      let d = diff_bit key (load (tid t 0)) in
-      insert_bit t ~count:(n - 1) 0 d;
+      insert_bit t ~count:(n - 1) 0 bd;
       insert_tid t ~n q v;
       set_count t (n + 1);
-      tree_after_insert t ~n:(n + 1) 0 d
+      tree_after_insert t ~n:(n + 1) 0 bd
     end
     else if q = n then begin
-      let d = diff_bit (load (tid t (n - 1))) key in
-      insert_bit t ~count:(n - 1) (n - 1) d;
+      insert_bit t ~count:(n - 1) (n - 1) bd;
       insert_tid t ~n q v;
       set_count t (n + 1);
-      tree_after_insert t ~n:(n + 1) (n - 1) d
+      tree_after_insert t ~n:(n + 1) (n - 1) bd
     end
     else begin
-      let left = diff_bit (load (tid t (q - 1))) key in
-      let right = diff_bit key (load (tid t q)) in
+      (* Entry q-1 covered the (pred, succ) pair at [d_old].  Of the
+         (pred, new) and (new, succ) entries, the candidate's side gets
+         the logically-new [bd], the other keeps [d_old] (above [bd]). *)
       let d_old = bit t (q - 1) in
-      (* Entry q-1 covered the old (pred, succ) pair; it becomes the
-         (pred, new) bit and a new entry for (new, succ) is added.
-         Exactly one of [left]/[right] equals the old bit; the other
-         is the logically-new entry. *)
-      assert (min left right = d_old);
-      set_bit t (q - 1) left;
-      insert_bit t ~count:(n - 1) q right;
+      assert (bd > d_old);
+      let candidate_left = key_bit key bd = 1 in
+      set_bit t (q - 1) (if candidate_left then bd else d_old);
+      insert_bit t ~count:(n - 1) q (if candidate_left then d_old else bd);
       insert_tid t ~n q v;
       set_count t (n + 1);
-      if left = d_old then tree_after_insert t ~n:(n + 1) q right
-      else tree_after_insert t ~n:(n + 1) (q - 1) left
+      if candidate_left then tree_after_insert t ~n:(n + 1) (q - 1) bd
+      else tree_after_insert t ~n:(n + 1) q bd
     end
   end
   else begin
@@ -513,20 +514,32 @@ let insert_at t ~(load : load) key v p =
     set_count t (n + 1)
   end
 
-(* With every tid slot taken below capacity, the key goes into
-   {!breathe}'s larger copy and the original image is left untouched
-   (an optimistic reader may still be decoding it). *)
+(* The search of {!locate}, keeping [bd] for {!insert_at}.  With every
+   tid slot taken below capacity, the key goes into {!breathe}'s larger
+   copy and the original image is left untouched (an optimistic reader
+   may still be decoding it). *)
 let insert t ~(load : load) key v =
-  match locate t ~load key with
-  | Found _ -> Duplicate
-  | Pred _ when is_full t -> Full
-  | Pred p when count t >= tid_slots t ->
-    let s = breathe t in
-    insert_at s ~load key v p;
-    Grown s
-  | Pred p ->
-    insert_at t ~load key v p;
-    Inserted
+  let st = Stats.current () in
+  st.Stats.searches <- st.Stats.searches + 1;
+  assert (String.length key = key_len t);
+  let n = count t in
+  let bw = bits_width t in
+  let j = if n = 0 then 0 else assumed_position st t ~bw key n in
+  let bd = if n = 0 then 0 else verify st t ~load key j in
+  if bd < 0 then Duplicate
+  else if is_full t then Full
+  else begin
+    let p = if n = 0 then -1 else pred_of t ~bw ~n key j bd in
+    if n >= tid_slots t then begin
+      let s = breathe t in
+      insert_at s ~bd key v p;
+      Grown s
+    end
+    else begin
+      insert_at t ~bd key v p;
+      Inserted
+    end
+  end
 
 type remove_result = Removed | Not_present
 

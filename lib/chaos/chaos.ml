@@ -39,9 +39,10 @@
    settled key — a lost acknowledged write or a phantom row fails the
    soak — and merely counts the unsettled ones.
 
-   Client appends grow the row table a chunk at a time while supervised
-   shard domains mark row liveness, which the growth-stable chunked
-   store ({!Ei_storage.Table}) makes safe. *)
+   The shards are always durable: the supervisor rebuilds only from the
+   WAL, so a soak without a [wal_dir] runs its log in a temporary
+   directory it removes afterwards, and every soak ends with the
+   recover-from-disk restart check. *)
 
 module Fault = Ei_fault.Fault
 module Table = Ei_storage.Table
@@ -71,7 +72,11 @@ type config = {
 
 (* Every fault kind the serving layer exposes, at probabilities tuned
    so a full-scale run sees a handful of recoveries per shard while
-   the smoke scale still crosses the fault paths. *)
+   the smoke scale still crosses the fault paths.  The WAL crash sites
+   — torn last frame and dropped page cache — draw once per group
+   commit (so at full scale each fires a few times across the fleet);
+   checkpoint corruption draws only when a checkpoint is cut, hence
+   the much higher probability. *)
 let default_plan =
   [
     ("serve.crash", 0.0015);
@@ -81,19 +86,10 @@ let default_plan =
     ("serve.queue.*.refuse", 0.003);
     ("serve.op", 0.002);
     ("elastic.slash", 0.005);
+    ("serve.wal.torn", 0.002);
+    ("serve.wal.fsync", 0.002);
+    ("serve.wal.ckpt", 0.1);
   ]
-
-(* The durable-shard plan adds the WAL crash sites: torn last frame and
-   dropped page cache draw once per group commit (so at full scale each
-   fires a few times across the fleet), checkpoint corruption draws
-   only when a checkpoint is cut, hence the much higher probability. *)
-let default_wal_plan =
-  default_plan
-  @ [
-      ("serve.wal.torn", 0.002);
-      ("serve.wal.fsync", 0.002);
-      ("serve.wal.ckpt", 0.1);
-    ]
 
 let default_config ~seed =
   {
@@ -135,9 +131,8 @@ type report = {
   find_mismatches : int;  (* online read inconsistencies during churn *)
   check_errors : int;  (* Ei_check Error findings across all shards *)
   fault_stats : (string * int * int) list;
-  wal : bool;  (* the soak ran with durable shards *)
-  (* Restart check (WAL soaks only): each shard recovered from disk
-     into a fresh part after the soak, compared against the live one. *)
+  (* Restart check: each shard recovered from disk into a fresh part
+     after the soak, compared against the live one. *)
   fp_mismatches : int;  (* recovered fingerprint <> live fingerprint *)
   restart_lost : int;  (* settled-present keys missing after recovery *)
   restart_phantoms : int;
@@ -157,11 +152,11 @@ type entry = Present of int | Absent | Unsettled
 
 (* --- Acknowledgement journal ------------------------------------------ *)
 
-(* A WAL soak mirrors its shadow model into an fsynced append-only
-   journal under the WAL root, so a *fresh process* can verify a
-   crashed soak: [verify] recovers the shards from disk and reconciles
-   them against the journal — zero lost acknowledged writes, zero
-   phantoms — with no memory of the run that died.
+(* A soak given a [wal_dir] mirrors its shadow model into an fsynced
+   append-only journal under the WAL root, so a *fresh process* can
+   verify a crashed soak: [verify] recovers the shards from disk and
+   reconciles them against the journal — zero lost acknowledged writes,
+   zero phantoms — with no memory of the run that died.
 
    Per round, two fsynced blocks bracket the batch:
 
@@ -259,7 +254,7 @@ let read_journal path =
   Strtbl.iter (fun k () -> Strtbl.replace shadow k Unsettled) pending;
   shadow
 
-let run cfg =
+let soak cfg ~dir =
   Fault.configure ~seed:cfg.seed cfg.plan;
   let scaled x =
     let v = int_of_float (float_of_int x *. cfg.scale) in
@@ -292,21 +287,16 @@ let run cfg =
     in
     Index_ops.inject ~site:(Fault.site (Printf.sprintf "serve.op.shard%d" i)) ix
   in
-  (* Durable mode: reset the WAL root (a soak owns its directory), open
-     the acknowledgement journal beside the shard logs, and hand every
+  (* Reset the WAL root, open the acknowledgement journal beside the
+     shard logs when the directory outlives the run, and hand every
      shard a writer.  The start-time recovery below is a no-op on the
      fresh directory. *)
-  let wal =
-    Option.map
-      (fun dir ->
-        Wal.reset_dir dir;
-        wal_config ~dir)
-      cfg.wal_dir
-  in
+  Wal.reset_dir dir;
+  let wal = wal_config ~dir in
   let journal = Option.map jopen cfg.wal_dir in
   let { Fleet.table; router; serve } =
     Fleet.start ~shards:cfg.shards ~part ~key_len:cfg.key_len
-      ~timeout_s:cfg.timeout_s ~fault_prefix:"serve" ?wal ~supervised:true ()
+      ~timeout_s:cfg.timeout_s ~fault_prefix:"serve" ~wal ()
   in
   let coord = Serve.default_coordinator ~global_bound in
   let rng = Rng.stream cfg.seed 0x1 in
@@ -461,8 +451,8 @@ let run cfg =
       (fun acc part -> acc + List.length (Check.errors (Check.run part)))
       0 (Shard.parts router)
   in
-  (* Restart check (WAL soaks): recover every shard from disk into a
-     fresh part — the exact path a fresh process would take — and hold
+  (* Restart check: recover every shard from disk into a fresh part —
+     the exact path a fresh process would take — and hold
      it against the live fleet: content fingerprints must match
      per shard, every settled key must reconcile, and the recovered
      parts must be {!Ei_check}-clean.  The live part equals the durable
@@ -476,42 +466,38 @@ let run cfg =
   and restart_fallbacks = ref 0
   and restart_torn = ref 0
   and restart_check_errors = ref 0 in
-  (match wal with
-  | None -> ()
-  | Some wcfg ->
-    let live = Shard.parts router in
-    let rec_parts =
-      Array.init cfg.shards (fun i ->
-          let part = part table i in
-          let w, r =
-            Wal.recover wcfg ~shard:i ~part
-              ~restore:(fun ~tid ~key -> Table.restore_row table ~tid ~key)
-          in
-          Wal.close w;
-          restart_replayed := !restart_replayed + r.Wal.r_replayed;
-          restart_fallbacks := !restart_fallbacks + r.Wal.r_ckpt_fallbacks;
-          restart_torn := !restart_torn + r.Wal.r_torn;
-          if
-            Index_ops.fingerprint part <> Index_ops.fingerprint live.(i)
-          then incr fp_mismatches;
-          restart_check_errors :=
-            !restart_check_errors + List.length (Check.errors (Check.run part));
-          part)
-    in
-    Strtbl.iter
-      (fun k e ->
-        let part = rec_parts.(Shard.shard_of_key router k) in
-        match e with
-        | Unsettled -> ()
-        | Present tid -> (
-          match part.Index_ops.find k with
-          | Some t when t = tid -> ()
-          | Some _ | None -> incr restart_lost)
-        | Absent -> (
-          match part.Index_ops.find k with
-          | Some _ -> incr restart_phantoms
-          | None -> ()))
-      shadow);
+  let live = Shard.parts router in
+  let rec_parts =
+    Array.init cfg.shards (fun i ->
+        let part = part table i in
+        let w, r =
+          Wal.recover wal ~shard:i ~part
+            ~restore:(fun ~tid ~key -> Table.restore_row table ~tid ~key)
+        in
+        Wal.close w;
+        restart_replayed := !restart_replayed + r.Wal.r_replayed;
+        restart_fallbacks := !restart_fallbacks + r.Wal.r_ckpt_fallbacks;
+        restart_torn := !restart_torn + r.Wal.r_torn;
+        if Index_ops.fingerprint part <> Index_ops.fingerprint live.(i) then
+          incr fp_mismatches;
+        restart_check_errors :=
+          !restart_check_errors + List.length (Check.errors (Check.run part));
+        part)
+  in
+  Strtbl.iter
+    (fun k e ->
+      let part = rec_parts.(Shard.shard_of_key router k) in
+      match e with
+      | Unsettled -> ()
+      | Present tid -> (
+        match part.Index_ops.find k with
+        | Some t when t = tid -> ()
+        | Some _ | None -> incr restart_lost)
+      | Absent -> (
+        match part.Index_ops.find k with
+        | Some _ -> incr restart_phantoms
+        | None -> ()))
+    shadow;
   let report =
     {
       rounds;
@@ -528,7 +514,6 @@ let run cfg =
       find_mismatches = !find_mismatches;
       check_errors;
       fault_stats;
-      wal = wal <> None;
       fp_mismatches = !fp_mismatches;
       restart_lost = !restart_lost;
       restart_phantoms = !restart_phantoms;
@@ -543,22 +528,32 @@ let run cfg =
     report.check_errors;
   report
 
+let run cfg =
+  (* The soak owns its WAL root: the given directory is reset, a
+     temporary one is removed again afterwards. *)
+  let dir =
+    match cfg.wal_dir with
+    | Some dir -> dir
+    | None -> Filename.temp_dir "ei-chaos-" ""
+  in
+  Fun.protect
+    ~finally:(fun () -> if Option.is_none cfg.wal_dir then Wal.remove_dir dir)
+    (fun () -> soak cfg ~dir)
+
 let pp_report fmt r =
   Format.fprintf fmt
     "chaos soak: %d rounds / %d ops%s@\n\
     \  applied %d, rejected %d, timed out %d, barriers %d@\n\
     \  recoveries %d, unsettled keys %d@\n\
     \  lost acknowledged writes %d, phantoms %d, find mismatches %d, check errors %d@\n"
-    r.rounds r.ops
-    (if r.wal then " (durable shards)" else "")
-    r.applied r.rejected r.timed_out r.barriers r.recoveries r.unsettled
-    r.lost r.phantoms r.find_mismatches r.check_errors;
-  if r.wal then
-    Format.fprintf fmt
-      "  restart: %d replayed, %d ckpt fallbacks, %d torn tails; lost %d, \
-       phantoms %d, fp mismatches %d, check errors %d@\n"
-      r.restart_replayed r.restart_fallbacks r.restart_torn r.restart_lost
-      r.restart_phantoms r.fp_mismatches r.restart_check_errors;
+    r.rounds r.ops " (durable shards)" r.applied r.rejected r.timed_out
+    r.barriers r.recoveries r.unsettled r.lost r.phantoms r.find_mismatches
+    r.check_errors;
+  Format.fprintf fmt
+    "  restart: %d replayed, %d ckpt fallbacks, %d torn tails; lost %d, \
+     phantoms %d, fp mismatches %d, check errors %d@\n"
+    r.restart_replayed r.restart_fallbacks r.restart_torn r.restart_lost
+    r.restart_phantoms r.fp_mismatches r.restart_check_errors;
   List.iter
     (fun (shard, cause, rows) ->
       Format.fprintf fmt "  recovery: shard %d (%s), %d rows rebuilt@\n" shard
@@ -578,8 +573,8 @@ let pp_report fmt r =
    is wall-clock), so the cross-shard interleaving is not part of the
    reproducibility claim.
 
-   Durable soaks narrow the claim further.  The WAL crash sites draw
-   once per *group commit*, and batch boundaries are wall-clock (how
+   The durable shards narrow the claim further.  The WAL crash sites
+   draw once per *group commit*, and batch boundaries are wall-clock (how
    many sub-batches a domain drains per wakeup varies run to run), so
    their draw counts — and everything downstream of a WAL-fault
    recovery: the replay's retry draws on the op and slash sites, the
@@ -593,8 +588,7 @@ let pp_report fmt r =
    directly by the report, not by replay equality. *)
 let schedule_digest r =
   let pure_site s =
-    (not r.wal)
-    || String.starts_with ~prefix:"serve.crash" s
+    String.starts_with ~prefix:"serve.crash" s
     || String.starts_with ~prefix:"serve.poison" s
     || String.starts_with ~prefix:"serve.queue" s
   in
@@ -603,7 +597,7 @@ let schedule_digest r =
     let sub = "Wal.Died" in
     let n = String.length cause and m = String.length sub in
     let rec has i = i + m <= n && (String.sub cause i m = sub || has (i + 1)) in
-    r.wal && has 0
+    has 0
   in
   let b = Buffer.create 256 in
   List.iter
@@ -612,10 +606,9 @@ let schedule_digest r =
         Buffer.add_string b (Printf.sprintf "%s:%d:%d;" site calls fired))
     r.fault_stats;
   List.iter
-    (fun (shard, cause, rows) ->
+    (fun (shard, cause, _) ->
       if not (wal_caused cause) then
-        if r.wal then Buffer.add_string b (Printf.sprintf "R%d:%s;" shard cause)
-        else Buffer.add_string b (Printf.sprintf "R%d:%s:%d;" shard cause rows))
+        Buffer.add_string b (Printf.sprintf "R%d:%s;" shard cause))
     (List.stable_sort
        (fun (a, _, _) (b, _, _) -> Int.compare a b)
        r.recovery_log);

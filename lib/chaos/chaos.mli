@@ -1,13 +1,15 @@
 (** Deterministic chaos soak for the sharded serving layer.
 
-    Seeded YCSB-style churn against a supervised {!Ei_shard.Serve}
-    fleet under an {!Ei_fault.Fault} plan: crashes, poisonings, queue
-    faults, transient op failures and elastic bound slashes — all
-    drawn from per-site streams derived from one seed, so a failing
-    run replays exactly.  Every acknowledged write is tracked in a
-    shadow model; the run ends by reconciling the fleet against the
-    shadow (zero lost acknowledged writes, zero phantoms) and
-    deep-validating every shard with {!Ei_check}.
+    Seeded YCSB-style churn against a supervised, durable
+    {!Ei_shard.Serve} fleet under an {!Ei_fault.Fault} plan: crashes,
+    poisonings, queue faults, transient op failures, elastic bound
+    slashes and WAL crashes — all drawn from per-site streams derived
+    from one seed, so a failing run replays exactly.  Every
+    acknowledged write is tracked in a shadow model; the run ends by
+    reconciling the fleet against the shadow (zero lost acknowledged
+    writes, zero phantoms), deep-validating every shard with
+    {!Ei_check}, and recovering every shard from disk again (the
+    restart check).
 
     Determinism: a single client issues one batch round at a time and
     barriers on {!Ei_shard.Serve.healthy} after any round with a
@@ -27,10 +29,11 @@ type config = {
       (** rounds between client-driven rebalances; 0 = off *)
   progress : (string -> unit) option;
   wal_dir : string option;
-      (** durable shards: group-commit WAL under this root (reset on
-          entry), an fsynced acknowledgement journal beside it, and a
-          post-soak restart check — recover every shard from disk and
-          hold it against the live fleet *)
+      (** where the shards' group-commit WAL lives: this root (reset on
+          entry, kept afterwards, with an fsynced acknowledgement
+          journal beside it for {!verify}), or [None] for a temporary
+          directory removed when the run ends.  The shards are durable
+          and the restart check runs either way. *)
   kill_at : int;
       (** round at which a side domain SIGKILLs the whole process,
           mid-batch (0 = never).  The run does not return; a fresh
@@ -40,16 +43,14 @@ type config = {
 
 val default_plan : (string * float) list
 (** Every fault kind the serving layer exposes, at soak-tuned
-    probabilities. *)
-
-val default_wal_plan : (string * float) list
-(** {!default_plan} plus the WAL crash sites: torn batch tail and
-    dropped page cache (drawn per group commit), checkpoint corruption
-    (drawn per checkpoint cut, so at a much higher probability). *)
+    probabilities — among them the WAL crash sites: torn batch tail
+    and dropped page cache (drawn per group commit), checkpoint
+    corruption (drawn per checkpoint cut, so at a much higher
+    probability). *)
 
 val default_config : seed:int -> config
 (** Full scale, 4 shards, {!default_plan}, 0.5 s deadline, rebalance
-    every 25 rounds, silent, no WAL. *)
+    every 25 rounds, silent, WAL in a temporary directory. *)
 
 type report = {
   rounds : int;
@@ -71,7 +72,6 @@ type report = {
       (** {!Ei_check} [Error] findings across all shards, post-run *)
   fault_stats : (string * int * int) list;
       (** per-site (name, draws, fired) — the fault schedule *)
-  wal : bool;  (** the soak ran with durable shards *)
   fp_mismatches : int;
       (** restart check: shards whose recovered-from-disk fingerprint
           differs from the live part's *)
@@ -87,8 +87,8 @@ type report = {
 
 val ok : report -> bool
 (** Zero lost, zero phantoms, zero find mismatches, zero check errors
-    — and, for durable soaks, a clean restart check: zero fingerprint
-    mismatches, zero keys lost or phantom after recovery from disk.
+    — and a clean restart check: zero fingerprint mismatches, zero
+    keys lost or phantom after recovery from disk.
     Unsettled keys and shed (rejected / timed-out) operations are
     legal under injected faults. *)
 
@@ -101,8 +101,8 @@ val pp_report : Format.formatter -> report -> unit
 
 val schedule_digest : report -> string
 (** The fault schedule and recovery sequence serialised — the value
-    two equal-seed runs must agree on byte-for-byte.  For durable
-    soaks the digest keeps only the schedule-pure families (crash /
+    two equal-seed runs must agree on byte-for-byte.  The digest keeps
+    only the schedule-pure families (crash /
     poison / queue draws and the recoveries they cause): WAL crash
     sites draw per group commit, and batch boundaries are wall-clock,
     so their draw counts — and everything downstream of a WAL-fault

@@ -383,29 +383,36 @@ let convert_repr t repr ~capacity ~levels ~breathing =
   let before = repr_bytes repr in
   let was_compact = is_compact repr in
   let from_capacity = if was_compact then Seqtree.capacity (seq repr) else 0 in
-  let n, keys, tids =
-    if was_compact then begin
-      let x = seq repr in
-      let n = Seqtree.count x in
-      let tids = Array.init n (fun i -> Seqtree.tid_at x i) in
-      (n, Array.map t.load tids, tids)
-    end
-    else begin
-      let x = std repr in
-      let n = Std_leaf.count x in
-      ( n,
-        Array.init n (fun i -> Std_leaf.key_at x i),
-        Array.init n (fun i -> Std_leaf.tid_at x i) )
-    end
-  in
   let repr =
-    if capacity <= t.leaf_capacity then
-      (Std_leaf.of_sorted ~key_len:t.key_len ~capacity:t.leaf_capacity keys tids n
-        :> Bytes.t)
-    else
-      (Seqtree.of_sorted ~key_len:t.key_len ~capacity ~levels ~breathing keys
-         tids n
-        :> Bytes.t)
+    if was_compact && capacity > t.leaf_capacity then
+      (* compact -> compact (32 <-> 64 <-> 128): tids and BlindiBits
+         carry over as they are, so no key is loaded *)
+      (Seqtree.with_capacity (seq repr) ~capacity ~levels :> Bytes.t)
+    else begin
+      let n, keys, tids =
+        if was_compact then begin
+          let x = seq repr in
+          let n = Seqtree.count x in
+          let tids = Array.init n (fun i -> Seqtree.tid_at x i) in
+          (n, Array.map t.load tids, tids)
+        end
+        else begin
+          let x = std repr in
+          let n = Std_leaf.count x in
+          ( n,
+            Array.init n (fun i -> Std_leaf.key_at x i),
+            Array.init n (fun i -> Std_leaf.tid_at x i) )
+        end
+      in
+      if capacity <= t.leaf_capacity then
+        (Std_leaf.of_sorted ~key_len:t.key_len ~capacity:t.leaf_capacity keys
+           tids n
+          :> Bytes.t)
+      else
+        (Seqtree.of_sorted ~key_len:t.key_len ~capacity ~levels ~breathing keys
+           tids n
+          :> Bytes.t)
+    end
   in
   let is_compact = is_compact repr in
   account t (repr_bytes repr - before);

@@ -25,13 +25,13 @@ let part kind table =
       ~key_len ~load kind
 
 let start ~shards ~part ?(key_len = 8) ?coordinator ?timeout_s ?fault_prefix
-    ?wal ?(supervised = false) () =
+    ?wal () =
   let table = Table.create ~key_len () in
   let router = Shard.create (Array.init shards (part table)) in
   let supervisor =
-    if supervised || Option.is_some wal then
-      Some (Serve.default_supervisor ~table ~rebuild:(part table))
-    else None
+    Option.map
+      (fun _ -> Serve.default_supervisor ~table ~rebuild:(part table))
+      wal
   in
   let wal_restore =
     Option.map (fun _ ~tid ~key -> Table.restore_row table ~tid ~key) wal

@@ -2,10 +2,12 @@
     part per shard behind a {!Shard} router, and {!Serve} over them —
     and the batch driver its clients share.
 
-    A fleet with a WAL always runs the supervisor: a failed WAL commit
-    kills its shard domain, and without a rebuild from disk that
+    A fleet is supervised exactly when it has a WAL.  A failed WAL
+    commit kills its shard domain, and without a rebuild from disk that
     shard's open queue would block every later {!Serve.exec} that has
-    no deadline. *)
+    no deadline; and the WAL is the only source a supervisor rebuilds
+    from.  A caller that wants crash recovery without keeping the log
+    runs the WAL in a temporary directory it removes afterwards. *)
 
 type t = { table : Ei_storage.Table.t; router : Shard.t; serve : Serve.t }
 
@@ -33,14 +35,12 @@ val start :
   ?timeout_s:float ->
   ?fault_prefix:string ->
   ?wal:Ei_wal.Wal.config ->
-  ?supervised:bool ->
   unit ->
   t
 (** Create the table ([key_len] 8 by default), the parts [part table i]
     and the {!Serve} domains.  With [wal] the shards recover from disk
     into their empty parts, restoring table rows, and the supervisor
-    rebuilds a dead shard with [part table].  [supervised] (default
-    [false]) attaches that supervisor to a fleet without a WAL. *)
+    rebuilds a dead shard from its log into a fresh [part table i]. *)
 
 val run : ?stop:bool Atomic.t -> t -> Serve.op array -> int
 (** Run [ops] through {!Serve.exec} in sub-batches of 512 and return

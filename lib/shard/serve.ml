@@ -20,25 +20,28 @@
    the new per-shard bounds as control messages through the same queues.
    Hot shards keep more standard leaves; cold shards compact first.
 
-   The supervisor (optional) makes the fleet self-healing.  A shard
-   domain that dies — a crash escaping the batch loop, or structural
-   poison surfacing as [Invariant.Broken] — parks its exception in a
-   per-shard slot; a heartbeat counter bumped after every drained batch
-   is the backstop for a wedged domain that stops making progress
-   without dying.  The supervisor domain polls both signals and runs
-   the recovery sequence: quarantine the shard (reads degrade to direct
-   single-threaded access under the quarantine lock; writes retry with
-   exponential backoff until recovery or their deadline), close and
-   drain the dead queue (failing the pending sub-batches so clients
-   observe [Timed_out] rather than hanging), rebuild the part from the
-   {!Ei_storage.Table} row table — the source of truth for acknowledged
-   writes: shard domains maintain per-row liveness as they apply —
-   re-spawn the domain on a fresh queue, and re-admit the shard.  A
-   per-operation generation fence keeps an abandoned wedged domain from
-   applying or acknowledging anything if it ever wakes: it stops within
-   one op, never touches the replacement part (each domain captures its
-   part at spawn), and completes — without applying — any waiters it
-   raced away from the supervisor's drain.
+   The supervisor (optional, and always paired with a WAL) makes the
+   fleet self-healing.  A shard domain that dies — a crash escaping the
+   batch loop, structural poison surfacing as [Invariant.Broken], or a
+   failed WAL commit — parks its exception in a per-shard slot; a
+   heartbeat counter bumped after every drained batch is the backstop
+   for a wedged domain that stops making progress without dying.  The
+   supervisor domain polls both signals and runs the recovery sequence:
+   quarantine the shard (reads degrade to direct single-threaded access
+   under the quarantine lock; writes retry with exponential backoff
+   until recovery or their deadline), close and drain the dead queue
+   (failing the pending sub-batches so clients observe [Timed_out]
+   rather than hanging), fence the old WAL writer and rebuild the part
+   from the log — the one recovery source: exactly the framed and
+   fsynced writes, which include every acknowledged one — re-spawn the
+   domain on a fresh queue, and re-admit the shard.  A per-operation
+   generation fence keeps an abandoned wedged domain from applying or
+   acknowledging anything if it ever wakes: it stops within one op,
+   never touches the replacement part (each domain captures its part at
+   spawn), completes — without applying — any waiters it raced away
+   from the supervisor's drain, and withholds the results of a batch
+   whose commit it finished after the fence ({!Ei_wal.Wal.commit}
+   raises on a writer fenced before its fsync returned).
 
    Fault injection: [start ~fault_prefix:p] arms {!Ei_fault.Fault}
    sites [p.crash.shard<i>] (domain dies mid-batch),
@@ -173,7 +176,7 @@ let default_coordinator ~global_bound =
   }
 
 type supervisor_config = {
-  table : Table.t;  (* row table: rebuild source of truth *)
+  table : Table.t;  (* unused: recovery rebuilds from the WAL alone *)
   rebuild : int -> Index_ops.t;  (* fresh, empty part for shard [i] *)
 }
 
@@ -187,12 +190,15 @@ let max_batch = 32
 let poll_interval_s = 0.002
 
 (* Heartbeat silence under queued load that diagnoses a wedged domain.
-   It must sit well above the worst-case batch time: an abandoned
-   slow-but-alive domain is fenced per operation by its generation (it
-   stops applying and completes its popped waiters within one op of
-   waking), but an operation it is inside when abandoned can still mark
-   row liveness concurrently with the rebuild — the one residual wedge
-   race. *)
+   It sits well above the worst-case batch time so a slow domain is not
+   replaced needlessly; a wrong diagnosis costs a rebuild, never an
+   acknowledgement.  An abandoned slow-but-alive domain is fenced per
+   operation by its generation (it stops applying and completes its
+   popped waiters within one op of waking), its WAL writer is fenced
+   before recovery reads the log (a commit that finishes after the
+   fence raises instead of returning), and recovery replays an exact
+   LSN prefix whatever the zombie still appends to its old segment —
+   the properties the [wal-wedge] sim scenario explores. *)
 let stall_timeout_s = 1.0
 
 (* Shard status: running (clients enqueue) or quarantined (reads go
@@ -227,7 +233,7 @@ type shard_state = {
 type recovery = {
   r_shard : int;
   r_cause : string;  (* printed exception, or the wedge diagnosis *)
-  r_rows : int;  (* live rows reinserted from the table *)
+  r_rows : int;  (* entries rebuilt: checkpoint + replayed records *)
 }
 
 type t = {
@@ -238,10 +244,8 @@ type t = {
   rebalances : int Atomic.t;
   recoveries_n : int Atomic.t;
   coordinator : coordinator_config option;
-  supervisor : supervisor_config option;
   timeout_s : float option;  (* default exec deadline *)
   fault_prefix : string option;
-  wal_cfg : Wal.config option;
   wal_restore : (tid:int -> key:string -> unit) option;
   wal_boot : (int * Wal.recovery) list;  (* start-time recovery reports *)
   stopping : bool Atomic.t;
@@ -269,40 +273,6 @@ let apply (ix : Index_ops.t) collect op =
     match collect with
     | Some visit -> ix.Index_ops.scan_keys k n visit
     | None -> ix.Index_ops.scan k n)
-
-(* Supervised apply additionally maintains per-row liveness in the row
-   table, keeping it the source of truth a recovery rebuilds from.  An
-   op marks only after the index accepted it, so a row is never live
-   without having been applied; removes and updates look the old tid up
-   first because the index is the only map from key to tid. *)
-let apply_logged table (ix : Index_ops.t) collect op =
-  match op with
-  | Insert (k, tid) ->
-    if ix.Index_ops.insert k tid then begin
-      Table.mark_live table tid;
-      1
-    end
-    else 0
-  | Remove k ->
-    let prev = ix.Index_ops.find k in
-    if ix.Index_ops.remove k then begin
-      (match prev with
-      | Some tid -> Table.mark_dead table tid
-      | None -> ());
-      1
-    end
-    else 0
-  | Update (k, tid) ->
-    let prev = ix.Index_ops.find k in
-    if ix.Index_ops.update k tid then begin
-      (match prev with
-      | Some old when old <> tid -> Table.mark_dead table old
-      | Some _ | None -> ());
-      Table.mark_live table tid;
-      1
-    end
-    else 0
-  | Find _ | Scan _ -> apply ix collect op
 
 let complete w =
   Mutex.lock w.wlock;
@@ -345,9 +315,8 @@ exception Stale_generation
    {!Fault.Injected} from the part itself as a rejected op. *)
 let yp_op = Fault.site "serve.yield.op"
 let yp_submit = Fault.site "serve.yield.submit"
-let yp_rebuild = Fault.site "serve.yield.rebuild"
 
-let shard_apply t i ~gen (st : shard_state) part ~wal ~defer sub =
+let shard_apply i ~gen (st : shard_state) part ~wal ~defer sub =
   let n = Array.length sub.sops in
   (* Re-root the client's span context on this shard domain: everything
      the apply emits below — grouped descents, elastic conversions, the
@@ -393,10 +362,7 @@ let shard_apply t i ~gen (st : shard_state) part ~wal ~defer sub =
   in
   let apply_one j =
     let r =
-      try
-        match t.supervisor with
-        | Some scfg -> apply_logged scfg.table part sub.collect sub.sops.(j)
-        | None -> apply part sub.collect sub.sops.(j)
+      try apply part sub.collect sub.sops.(j)
       with Fault.Injected _ -> rejected_code
     in
     log_write j r;
@@ -565,23 +531,16 @@ let shard_loop t i ~gen ?wal q =
               part.Index_ops.set_size_bound b;
               process rest
             | Work sub :: rest -> (
-              match shard_apply t i ~gen st part ~wal:None ~defer:None sub with
+              (* Without a WAL there is no supervisor, hence no
+                 generation bump: a death here is final.  Park it before
+                 waking the client, so a client that observed the
+                 timeout also observes the fleet as unhealthy.  Applied
+                 slots stand; untouched slots read as timed out. *)
+              match shard_apply i ~gen st part ~wal:None ~defer:None sub with
               | () ->
                 complete sub.waiter;
                 process rest
-              | exception Stale_generation ->
-                (* Abandoned mid-batch: stop without parking — the parked
-                   slot belongs to the replacement's world — and fail
-                   whatever was popped but not applied. *)
-                complete sub.waiter;
-                fail_popped rest
               | exception e ->
-                (* Dying mid-sub: park the failure before waking the
-                   client — a client that observed the timeout must
-                   also observe the fleet as unhealthy until recovery
-                   completes — then let the exception reach the
-                   supervisor.  Applied slots stand; untouched slots
-                   read as timed out. *)
                 park st ~gen e;
                 complete sub.waiter;
                 raise e)
@@ -603,11 +562,20 @@ let shard_loop t i ~gen ?wal q =
             | [] -> (
               match Wal.commit w ~part with
               | () ->
-                List.iter
-                  (fun (res, s, v) -> res.(s) <- v)
-                  (List.rev !defer);
-                release_acks ();
-                finish_batch ()
+                (* Generation re-check: a domain abandoned while inside
+                   the commit scatters nothing and exits — its waiters
+                   see [Timed_out], and the published size and
+                   heartbeat stay the replacement's.  (The commit itself
+                   already raised if the supervisor fenced the writer
+                   before the fsync returned.) *)
+                if Atomic.get st.gen = gen then begin
+                  List.iter
+                    (fun (res, s, v) -> res.(s) <- v)
+                    (List.rev !defer);
+                  release_acks ();
+                  finish_batch ()
+                end
+                else release_acks ()
               | exception e ->
                 (* The batch is applied in memory but not durable: wake
                    the waiters with their slots untouched (Timed_out)
@@ -628,7 +596,7 @@ let shard_loop t i ~gen ?wal q =
                 release_acks ();
                 raise e)
             | Work sub :: rest -> (
-              match shard_apply t i ~gen st part ~wal ~defer:(Some defer) sub with
+              match shard_apply i ~gen st part ~wal ~defer:(Some defer) sub with
               | () ->
                 acked := sub.waiter :: !acked;
                 process_wal rest
@@ -651,11 +619,11 @@ let shard_loop t i ~gen ?wal q =
   try loop ()
   with
   | Stale_generation -> ()
-  | e -> (
+  | e ->
     park st ~gen e;
-    match t.supervisor with
-    | Some _ -> ()  (* the supervisor joins this domain and recovers *)
-    | None -> raise e)
+    (* With a WAL the supervisor joins this domain and recovers it;
+       without one the death is final and surfaces at [stop]. *)
+    if Option.is_none wal then raise e
 
 (* --- Coordinator ----------------------------------------------------- *)
 
@@ -763,9 +731,9 @@ let drain_and_fail q =
   go ()
 
 (* The recovery sequence: quarantine, fence, reap, fail pending work,
-   rebuild from the row table, swap part and queue, re-spawn, re-admit.
-   Runs on the supervisor domain only. *)
-let recover t scfg i ~cause =
+   rebuild from the WAL, swap part and queue, re-spawn, re-admit.  Runs
+   on the supervisor domain only. *)
+let recover t scfg wcfg i ~cause =
   let st = t.shards.(i) in
   (* The quarantine lock is taken before the quarantine is published:
      a client that observes [st_quarantined] and degrades to a direct
@@ -791,52 +759,26 @@ let recover t scfg i ~cause =
   (match st.domain with Some d -> Domain.join d | None -> ());
   st.domain <- None;
   drain_and_fail (Atomic.get st.queue);
+  (* The WAL is the one recovery source: rebuild exactly what was
+     framed and fsynced, the same state a fresh process would recover.
+     (The in-memory part may be ahead of the log by the batch whose
+     commit died; those ops were never acknowledged, so dropping them
+     here is the contract, not a loss.)  The old writer is fenced
+     before the log is read, so a zombie's commit that has not yet
+     returned raises instead of acknowledging records this recovery
+     may miss. *)
+  (match st.wal with
+  | Some oldw -> if joined then Wal.dispose oldw else Wal.fence oldw
+  | None -> ());
   let fresh = scfg.rebuild i in
-  let rows = ref 0 in
-  (match t.wal_cfg with
-  | Some wcfg ->
-    (* Durable shard: the WAL, not the row table, is the recovery source
-       of truth — rebuild exactly what was framed and fsynced, the same
-       state a fresh process would recover.  (The in-memory part may be
-       ahead of the log by the batch whose commit died; those ops were
-       never acknowledged, so dropping them here is the contract, not a
-       loss.) *)
-    (match st.wal with
-    | Some oldw -> if joined then Wal.dispose oldw else Wal.fence oldw
-    | None -> ());
-    let w, r =
-      Wal.recover ?faults:st.wal_faults ?restore:t.wal_restore wcfg
-        ~shard:i ~part:fresh
-    in
-    st.wal <- Some w;
-    rows := r.Wal.r_ckpt_entries + r.Wal.r_replayed
-  | None ->
-    (* [fold_live] over the row table replays exactly the acknowledged
-       writes; rows of other shards may be marked concurrently by their
-       (healthy) domains, but those are filtered out by routing, and
-       this shard's rows are quiescent — its writes are backing off
-       until re-admission.  A transient injected fault from the fresh
-       part is retried until the row lands: a rebuild must not shed
-       acknowledged rows. *)
-    Table.fold_live scfg.table
-      (fun tid key () ->
-        if Shard.shard_of_key t.router key = i then begin
-          let rec ins () =
-            match fresh.Index_ops.insert key tid with
-            | _ -> ()
-            | exception Fault.Injected _ ->
-              (* Preemption point on the rebuild retry edge: without it a
-                 permanently-armed site spins the supervisor invisibly to
-                 the schedule explorer. *)
-              Fault.point yp_rebuild;
-              ins ()
-          in
-          ins ();
-          incr rows
-        end)
-      ());
+  let w, r =
+    Wal.recover ?faults:st.wal_faults ?restore:t.wal_restore wcfg ~shard:i
+      ~part:fresh
+  in
+  st.wal <- Some w;
+  let rows = r.Wal.r_ckpt_entries + r.Wal.r_replayed in
   (Shard.parts t.router).(i) <- fresh;
-  Trace.emit ev_rebuild i !rows;
+  Trace.emit ev_rebuild i rows;
   Atomic.set t.sizes.(i) (fresh.Index_ops.memory_bytes ());
   Atomic.set st.failed None;
   let q = make_queue ~fault_prefix:t.fault_prefix i in
@@ -848,9 +790,9 @@ let recover t scfg i ~cause =
   Atomic.set st.status st_running;
   Trace.instant ~a:i ev_readmit;
   Metrics.incr c_recoveries;
-  append_recovery t { r_shard = i; r_cause = cause; r_rows = !rows }
+  append_recovery t { r_shard = i; r_cause = cause; r_rows = rows }
 
-let supervisor_loop t scfg =
+let supervisor_loop t scfg wcfg =
   let n = Array.length t.shards in
   let last_hb = Array.make n (-1) in
   let stalled_since = Array.make n 0. in
@@ -861,7 +803,7 @@ let supervisor_loop t scfg =
       let parked = Atomic.get st.failed in
       match parked with
       | Some (g, e) when g = Atomic.get st.gen ->
-        recover t scfg i ~cause:(Printexc.to_string e)
+        recover t scfg wcfg i ~cause:(Printexc.to_string e)
       | Some _ ->
         (* A zombie's late death from a superseded generation: clear
            and ignore — the replacement domain is unaffected. *)
@@ -885,7 +827,7 @@ let supervisor_loop t scfg =
           st.domain <- None;
           last_hb.(i) <- -1;
           stalled_since.(i) <- tnow;
-          recover t scfg i ~cause:"wedged: heartbeat stalled under load"
+          recover t scfg wcfg i ~cause:"wedged: heartbeat stalled under load"
         end
     done
   in
@@ -898,14 +840,17 @@ let supervisor_loop t scfg =
 
 let start ?coordinator ?supervisor ?fault_prefix ?timeout_s ?wal ?wal_restore
     router =
-  (* A failed WAL commit kills its shard domain; without a supervisor to
-     rebuild it, its open queue would block every later deadline-free
-     [exec]. *)
-  if Option.is_some wal && Option.is_none supervisor then
-    invalid_arg "Serve.start: a WAL needs a supervisor";
-  (* Liveness exists only under a supervisor, and before the WAL boot
-     below restores (and so marks) rows or any shard domain marks one. *)
-  Option.iter (fun scfg -> Table.enable_liveness scfg.table) supervisor;
+  (* Supervisor and WAL come together.  A failed WAL commit kills its
+     shard domain; without a supervisor to rebuild it, its open queue
+     would block every later deadline-free [exec].  And the WAL is the
+     only source a supervisor rebuilds from. *)
+  let supervision =
+    match (supervisor, wal) with
+    | Some scfg, Some wcfg -> Some (scfg, wcfg)
+    | None, None -> None
+    | None, Some _ -> invalid_arg "Serve.start: a WAL needs a supervisor"
+    | Some _, None -> invalid_arg "Serve.start: a supervisor needs a WAL"
+  in
   let n = Shard.shard_count router in
   let shards =
     Array.init n (fun i ->
@@ -964,10 +909,8 @@ let start ?coordinator ?supervisor ?fault_prefix ?timeout_s ?wal ?wal_restore
       rebalances = Atomic.make 0;
       recoveries_n = Atomic.make 0;
       coordinator;
-      supervisor;
       timeout_s;
       fault_prefix;
-      wal_cfg = wal;
       wal_restore;
       wal_boot;
       stopping = Atomic.make false;
@@ -991,8 +934,9 @@ let start ?coordinator ?supervisor ?fault_prefix ?timeout_s ?wal ?wal_restore
     | None -> []
   in
   let aux =
-    match supervisor with
-    | Some cfg -> Domain.spawn (fun () -> supervisor_loop t cfg) :: aux
+    match supervision with
+    | Some (scfg, wcfg) ->
+      Domain.spawn (fun () -> supervisor_loop t scfg wcfg) :: aux
     | None -> aux
   in
   t.aux <- aux;

@@ -14,25 +14,21 @@
     paper's elasticity policy lifted from one tree to the fleet: hot
     shards keep more standard leaves, cold shards compact first.
 
-    The supervisor (optional) makes the fleet self-healing: a shard
-    domain that dies or wedges is detected (parked exception /
-    heartbeat stall), its shard quarantined — reads degrade to direct
-    single-threaded access, writes back off exponentially until
-    re-admission or their deadline — its part rebuilt from the
-    {!Ei_storage.Table} row table (the source of truth: supervised
-    shard domains maintain per-row liveness as they apply), and a
-    fresh domain re-admitted.  Recovery never loses an acknowledged
-    write: only applied operations mark the table.
-
-    Durability (optional; it requires the supervisor): [start ~wal:cfg]
-    gives every shard a {!Ei_wal.Wal} writer.  Mutations are framed as
-    they apply and group-committed once per drained batch; results and
-    waiter completions are withheld until the commit returns, so
-    {e ack ⇒ framed + fsynced} (at the default cadence).  On [start]
-    and on every recovery the part is rebuilt from disk — newest valid
-    fingerprinted checkpoint plus log replay — instead of from the row
-    table, which makes acknowledged writes survive process death, not
-    just domain death.
+    The supervisor and durability come together (optional, both or
+    neither).  [start ~supervisor ~wal:cfg] gives every shard a
+    {!Ei_wal.Wal} writer: mutations are framed as they apply and
+    group-committed once per drained batch; results and waiter
+    completions are withheld until the commit returns, so
+    {e ack ⇒ framed + fsynced} (at the default cadence).  The
+    supervisor makes the fleet self-healing: a shard domain that dies
+    or wedges is detected (parked exception / heartbeat stall), its
+    shard quarantined — reads degrade to direct single-threaded access,
+    writes back off exponentially until re-admission or their deadline
+    — its part rebuilt from disk (newest valid fingerprinted checkpoint
+    plus log replay, the same path as [start] and as a fresh process),
+    and a fresh domain re-admitted.  The WAL is the only recovery
+    source, so recovery never loses an acknowledged write and
+    acknowledged writes survive process death, not just domain death.
 
     Fault injection ({!Ei_fault.Fault}): [start ~fault_prefix:p] arms
     sites [p.crash.shard<i>], [p.poison.shard<i>] and
@@ -97,12 +93,10 @@ val split_bounds : coordinator_config -> sizes:int array -> int array
 
 type supervisor_config = {
   table : Ei_storage.Table.t;
-      (** the row table recoveries rebuild from; {!start} enables its
-          per-row liveness, which supervised shard domains maintain as
-          they apply.  Growing the table while the fleet serves is
-          safe: the liveness store is growth-stable (chunks that are
-          appended, never moved — see {!Ei_storage.Table}), so a mark
-          racing an append-driven grow is never lost *)
+      (** unused: recovery rebuilds from the WAL alone.  Kept, like
+          {!default_supervisor}'s [~table], only because the [bench/e2e]
+          fleet still passes it; the next change to that benchmark can
+          drop both *)
   rebuild : int -> Ei_harness.Index_ops.t;
       (** fresh, empty part for shard [i] (same kind/key_len as the
           one it replaces) *)
@@ -113,7 +107,14 @@ val default_supervisor :
   rebuild:(int -> Ei_harness.Index_ops.t) ->
   supervisor_config
 (** The supervisor polls every 2 ms and diagnoses a wedged domain after
-    1 s of heartbeat silence under queued load. *)
+    1 s of heartbeat silence under queued load.  A wrong diagnosis of a
+    slow-but-alive domain costs a rebuild, never an acknowledgement:
+    the abandoned domain stops applying within one op, its WAL writer
+    is fenced before recovery reads the log — a commit that has not
+    returned by then raises instead of acknowledging — and recovery
+    replays an exact LSN prefix whatever the abandoned domain still
+    appends to its old segment.  The [wal-wedge] [ei sim sched]
+    scenario explores exactly this race. *)
 
 type t
 
@@ -127,25 +128,23 @@ val start :
   Shard.t ->
   t
 (** Spawn one domain per shard (plus the coordinator and supervisor
-    domains when configured).  A [supervisor] first gets its table's
-    liveness enabled ({!Ei_storage.Table.enable_liveness}), before any
-    WAL recovery restores rows and before any shard domain runs.  Each
-    shard's request queue holds 64 sub-batches (producers block when
-    full) and its domain drains up to 32 per wakeup; [fault_prefix]
-    arms the injection sites; [timeout_s] is the default {!exec}
-    deadline (none: block until applied).
+    domains when configured).  Each shard's request queue holds 64
+    sub-batches (producers block when full) and its domain drains up to
+    32 per wakeup; [fault_prefix] arms the injection sites; [timeout_s]
+    is the default {!exec} deadline (none: block until applied).
 
     [wal] makes the shards durable: before any domain is spawned,
     every part — which must be handed over {e empty} — is recovered
     from [wal.dir] ({!Ei_wal.Wal.recover}), with [wal_restore] invoked
     per recovered [(tid, key)] so the caller can rematerialise
-    backing-store rows ({!Ei_storage.Table.restore_row}).  A WAL
-    requires a [supervisor]: a failed commit kills the shard domain,
-    which must be rebuilt from disk, or every later {!exec} without a
-    deadline would wait on its queue forever.
+    backing-store rows ({!Ei_storage.Table.restore_row}).  [supervisor]
+    and [wal] require each other: a failed commit kills the shard
+    domain, which must be rebuilt from disk, or every later {!exec}
+    without a deadline would wait on its queue forever; and the WAL is
+    the only source a supervisor rebuilds from.
 
-    @raise Invalid_argument when [wal] is given without
-    [supervisor]. *)
+    @raise Invalid_argument when exactly one of [wal] and [supervisor]
+    is given. *)
 
 val stop : t -> unit
 (** Join the coordinator and supervisor, close the queues, drain
@@ -199,8 +198,8 @@ val recoveries : t -> int
 
 val recovery_log : t -> (int * string * int) list
 (** Completed recoveries, oldest first: shard index, cause (printed
-    exception or wedge diagnosis), rows reinserted (from the row table,
-    or from checkpoint + replay when a WAL is configured). *)
+    exception or wedge diagnosis), entries rebuilt from the WAL
+    (checkpoint entries plus replayed records). *)
 
 val wal_recoveries : t -> (int * Ei_wal.Wal.recovery) list
 (** Per-shard start-time WAL recovery reports ([[]] without a WAL):

@@ -557,110 +557,169 @@ let olc_breathe_scenario () =
     check;
   }
 
-(* A WAL writer racing a crash lever under schedule exploration: the
-   durability-prefix contract of {!Ei_wal.Wal}.  One fiber applies a
-   fixed op tape (inserts, removes, in-place updates, elastic bound
-   retunes) to a live part while logging every mutation, group-
-   committing every 4 ops; a crasher fiber pauses a few times and then
-   fires a deterministic crash lever — [crash_torn] (the batch tail
-   never reaches the file) or [crash_unsynced] (everything since the
-   last fsync lived only in the page cache).  Where the crash lands
-   relative to the writer's commits is exactly what the scheduler
-   explores.
+(* --- WAL scenarios -------------------------------------------------- *)
 
-   The check recovers the shard from disk into a fresh part and demands
-   that the recovered state is a *prefix* of the logged history: its
-   fingerprint must equal the shadow oracle's fingerprint at LSN
-   [r_last_lsn], and that LSN must lie in the window
-   [durable-at-crash, appended-at-crash] — below the window an fsynced
-   (hence acknowledgeable) record was lost; above it recovery invented
-   records.  The recovered elastic bound is held to the same prefix.
-   [wal-torn] runs with fsync_every = 1 (ack => durable: the window
-   floor is every committed op); [wal-fsync] runs with fsync_every = 3,
-   so committed-but-unsynced batches legally vanish and the window is
-   genuinely wide. *)
-let wal_crash_scenario ~label ~fsync_every ~crash () =
-  let key_len = 8 in
-  let table = Table.create ~key_len () in
-  let n = 40 in
-  let keys = Array.init n Key.of_int in
-  let tids = Array.map (fun k -> Table.append table k) keys in
-  (* second row per key, so updates remap to a real, distinct tid *)
-  let alt = Array.map (fun k -> Table.append table k) keys in
-  let mk_part name table =
-    Registry.make ~name ~key_len ~load:(Table.loader table)
-      (Registry.Elastic
-         (Ei_core.Elasticity.default_config ~size_bound:(1 lsl 20)))
+(* The harness the WAL scenarios share.  A writer applies a fixed op
+   tape — inserts, removes, in-place updates, elastic bound retunes —
+   to a live part while logging every mutation, group-committing every
+   [commit_every] steps; a shadow oracle follows the same tape, and its
+   fingerprint and elastic bound are recorded at every LSN: the prefix
+   states a recovery must land on.  The WAL runs with tiny segments (and
+   by default frequent checkpoints), so a 40-step tape crosses
+   rotations and checkpoints. *)
+let wal_n = 40
+
+(* at most 4 records per tape step *)
+let wal_max_lsn = 4 * wal_n
+
+(* The oracle history of one writer: shadow fingerprint and elastic
+   bound per recorded LSN. *)
+type wal_history = {
+  shadow : Index_ops.t;
+  recorded : bool array;
+  fps : int array;
+  bnds : int array;
+  mutable bound_now : int;
+}
+
+(* The tape's keys, and two rows per key: updates remap to the second. *)
+let wal_tape table ~first =
+  let keys = Array.init wal_n (fun i -> Key.of_int (first + i)) in
+  let rows () = Array.map (fun k -> Table.append table k) keys in
+  let tids = rows () in
+  (keys, tids, rows ())
+
+let wal_history ?(shadow = Oracle.create ~key_len:8 ()) ~base ~bound () =
+  let h =
+    {
+      shadow;
+      recorded = Array.make (wal_max_lsn + 1) false;
+      fps = Array.make (wal_max_lsn + 1) 0;
+      bnds = Array.make (wal_max_lsn + 1) 0;
+      bound_now = bound;
+    }
   in
-  let part = mk_part (label ^ "-live") table in
-  let shadow = Oracle.create ~key_len () in
+  h.recorded.(base) <- true;
+  h.fps.(base) <- Index_ops.fingerprint shadow;
+  h.bnds.(base) <- bound;
+  h
+
+let wal_part ~name table =
+  Registry.make ~name ~key_len:8 ~load:(Table.loader table)
+    (Registry.Elastic (Ei_core.Elasticity.default_config ~size_bound:(1 lsl 20)))
+
+(* A fresh WAL directory for [label]. *)
+let wal_config ?(checkpoint_every = 4) label ~fsync_every =
   let dir =
     Filename.concat
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "ei-sim-%d-%s" (Unix.getpid ()) label)
   in
   Wal.reset_dir dir;
-  let cfg =
-    {
-      (Wal.default_config ~dir) with
-      Wal.fsync_every;
-      checkpoint_every = 4;
-      segment_bytes = 1024;  (* force rotation inside a 40-op tape *)
-    }
-  in
-  let w, _ = Wal.recover cfg ~shard:0 ~part in
-  (* shadow fingerprint and expected elastic bound per LSN (dense,
-     1-based, at most 4 records per tape step): the oracle prefix
-     states the recovered part must land on *)
-  let max_lsn = 4 * n in
-  let recorded = Array.make (max_lsn + 1) false in
-  let fps = Array.make (max_lsn + 1) 0 in
-  let bnds = Array.make (max_lsn + 1) 0 in
-  let bound_now = ref 0 in
-  recorded.(0) <- true;
-  fps.(0) <- Index_ops.fingerprint shadow;
+  {
+    (Wal.default_config ~dir) with
+    Wal.fsync_every;
+    checkpoint_every;
+    segment_bytes = 1024;  (* force rotation inside a 40-op tape *)
+  }
+
+(* Run the tape through [w], [part] and [h] until it ends or the writer
+   dies; [on_commit] runs after every commit that returned. *)
+let wal_writer (keys, tids, alt) h w (part : Index_ops.t) ~commit_every
+    ~on_commit () =
   let record () =
     let l = Wal.last_lsn w in
-    recorded.(l) <- true;
-    fps.(l) <- Index_ops.fingerprint shadow;
-    bnds.(l) <- !bound_now
+    h.recorded.(l) <- true;
+    h.fps.(l) <- Index_ops.fingerprint h.shadow;
+    h.bnds.(l) <- h.bound_now
   in
+  let both f =
+    ignore (f part);
+    ignore (f h.shadow);
+    record ()
+  in
+  try
+    for i = 0 to wal_n - 1 do
+      if i mod 10 = 5 then begin
+        let b = if i mod 20 = 5 then 512 else 1 lsl 20 in
+        Wal.log_bound w b;
+        part.Index_ops.set_size_bound b;
+        h.bound_now <- b;
+        record ()
+      end;
+      Wal.log_insert w keys.(i) tids.(i);
+      both (fun ix -> ix.Index_ops.insert keys.(i) tids.(i));
+      if i mod 5 = 3 then begin
+        Wal.log_remove w keys.(i - 2);
+        both (fun ix -> ix.Index_ops.remove keys.(i - 2))
+      end;
+      if i mod 7 = 6 then begin
+        Wal.log_update w keys.(i - 1) alt.(i - 1);
+        both (fun ix -> ix.Index_ops.update keys.(i - 1) alt.(i - 1))
+      end;
+      if i mod commit_every = commit_every - 1 || i = wal_n - 1 then begin
+        Wal.commit w ~part;
+        on_commit ()
+      end;
+      Sched.pause ()
+    done
+  with Wal.Died _ -> ()
+
+(* Recover the shard from disk into a fresh part over [table] (a fresh
+   one models a fresh process) and demand a prefix of [h]: the
+   recovered LSN lies in [lo, hi], and the part's fingerprint and
+   elastic bound are the history's at that LSN. *)
+let wal_recover_prefix ~label ~what ~table cfg h ~lo ~hi =
+  let fresh = wal_part ~name:(label ^ "-" ^ what) table in
+  let w, r =
+    Wal.recover cfg ~shard:0
+      ~restore:(fun ~tid ~key -> Table.restore_row table ~tid ~key)
+      ~part:fresh
+  in
+  let l = r.Wal.r_last_lsn in
+  (* below [lo] a durable record was lost, above [hi] one was invented *)
+  if l < lo || l > hi then
+    Invariant.brokenf "%s: %s recovered to LSN %d, outside [%d, %d]" label
+      what l lo hi;
+  if l > wal_max_lsn || not h.recorded.(l) then
+    Invariant.brokenf "%s: %s recovered to an unknown LSN %d" label what l;
+  if Index_ops.fingerprint fresh <> h.fps.(l) then
+    Invariant.brokenf "%s: %s state is not the LSN-%d prefix of the history"
+      label what l;
+  if r.Wal.r_bound <> h.bnds.(l) then
+    Invariant.brokenf "%s: %s bound %d, prefix says %d" label what
+      r.Wal.r_bound h.bnds.(l);
+  (w, r, fresh)
+
+(* A WAL writer racing a crash lever under schedule exploration: the
+   durability-prefix contract of {!Ei_wal.Wal}.  The harness writer
+   group-commits every 4 steps; a crasher fiber pauses a few times and
+   then fires a deterministic crash lever — [crash_torn] (the batch
+   tail never reaches the file) or [crash_unsynced] (everything since
+   the last fsync lived only in the page cache).  Where the crash lands
+   relative to the writer's commits is exactly what the scheduler
+   explores.
+
+   The check recovers the shard from disk and demands a prefix of the
+   logged history whose LSN lies in the window [durable-at-crash,
+   appended-at-crash] — below the window an fsynced (hence
+   acknowledgeable) record was lost; above it recovery invented
+   records.  [wal-torn] runs with fsync_every = 1 (ack => durable: the
+   window floor is every committed op); [wal-fsync] runs with
+   fsync_every = 3, so committed-but-unsynced batches legally vanish
+   and the window is genuinely wide. *)
+let wal_crash_scenario ~label ~fsync_every ~crash () =
+  let table = Table.create ~key_len:8 () in
+  let tape = wal_tape table ~first:0 in
+  let part = wal_part ~name:(label ^ "-live") table in
+  let cfg = wal_config label ~fsync_every in
+  let w, _ = Wal.recover cfg ~shard:0 ~part in
+  let h = wal_history ~base:0 ~bound:0 () in
   let crash_at = ref None in
-  let writer () =
-    try
-      for i = 0 to n - 1 do
-        if i mod 10 = 5 then begin
-          let b = if i mod 20 = 5 then 512 else 1 lsl 20 in
-          Wal.log_bound w b;
-          part.Index_ops.set_size_bound b;
-          bound_now := b;
-          record ()
-        end;
-        Wal.log_insert w keys.(i) tids.(i);
-        ignore (part.Index_ops.insert keys.(i) tids.(i));
-        ignore (shadow.Index_ops.insert keys.(i) tids.(i));
-        record ();
-        if i mod 5 = 3 then begin
-          Wal.log_remove w keys.(i - 2);
-          ignore (part.Index_ops.remove keys.(i - 2));
-          ignore (shadow.Index_ops.remove keys.(i - 2));
-          record ()
-        end;
-        if i mod 7 = 6 then begin
-          Wal.log_update w keys.(i - 1) alt.(i - 1);
-          ignore (part.Index_ops.update keys.(i - 1) alt.(i - 1));
-          ignore (shadow.Index_ops.update keys.(i - 1) alt.(i - 1));
-          record ()
-        end;
-        if i mod 4 = 3 then Wal.commit w ~part;
-        Sched.pause ()
-      done
-    with Wal.Died _ -> ()
-  in
   let crasher () =
-    Sched.pause ();
-    Sched.pause ();
-    Sched.pause ();
+    for _ = 1 to 3 do
+      Sched.pause ()
+    done;
     crash_at := Some (Wal.durable_lsn w, Wal.last_lsn w);
     try crash w with Wal.Died _ -> ()
   in
@@ -671,34 +730,25 @@ let wal_crash_scenario ~label ~fsync_every ~crash () =
       | None -> Invariant.broken (label ^ ": crash lever never fired")
     in
     Wal.dispose w;
-    let rtable = Table.create ~key_len () in
-    let fresh = mk_part (label ^ "-recovered") rtable in
-    let w2, r =
-      Wal.recover cfg ~shard:0
-        ~restore:(fun ~tid ~key -> Table.restore_row rtable ~tid ~key)
-        ~part:fresh
+    let w2, r, _ =
+      wal_recover_prefix ~label ~what:"recovery"
+        ~table:(Table.create ~key_len:8 ())
+        cfg h ~lo:durable ~hi:appended
     in
     Wal.close w2;
     if r.Wal.r_clean then
       Invariant.brokenf "%s: clean-shutdown marker present after a crash"
-        label;
-    if r.Wal.r_last_lsn < durable then
-      Invariant.brokenf "%s: durable record lost: recovered to LSN %d < %d"
-        label r.Wal.r_last_lsn durable;
-    if r.Wal.r_last_lsn > appended then
-      Invariant.brokenf "%s: recovered past the append horizon: %d > %d"
-        label r.Wal.r_last_lsn appended;
-    let l = r.Wal.r_last_lsn in
-    if l > max_lsn || not recorded.(l) then
-      Invariant.brokenf "%s: recovered to an unknown LSN %d" label l;
-    if Index_ops.fingerprint fresh <> fps.(l) then
-      Invariant.brokenf
-        "%s: recovered state is not the LSN-%d prefix of the history" label l;
-    if r.Wal.r_bound <> bnds.(l) then
-      Invariant.brokenf "%s: recovered bound %d, prefix says %d" label
-        r.Wal.r_bound bnds.(l)
+        label
   in
-  { Sched.fibers = [| ("writer", writer); ("crash", crasher) |]; check }
+  {
+    Sched.fibers =
+      [|
+        ( "writer",
+          wal_writer tape h w part ~commit_every:4 ~on_commit:(fun () -> ()) );
+        ("crash", crasher);
+      |];
+    check;
+  }
 
 let wal_torn_scenario () =
   wal_crash_scenario ~label:"wal-torn" ~fsync_every:1 ~crash:Wal.crash_torn ()
@@ -706,6 +756,101 @@ let wal_torn_scenario () =
 let wal_fsync_scenario () =
   wal_crash_scenario ~label:"wal-fsync" ~fsync_every:3
     ~crash:Wal.crash_unsynced ()
+
+(* The supervisor's recovery racing a wedged-but-alive shard writer:
+   the WAL side of Serve's wedge race.  The harness writer (the shard,
+   committing every 2 steps, fsync every commit so a returned commit is
+   an acknowledgement) is parked by the scheduler anywhere — between
+   steps or at the yield points inside [Wal.commit], before its write,
+   between write and fsync, after the fsync.  A supervisor fiber then
+   does what Serve's does to an abandoned domain: fence the writer,
+   recover the shard from disk into a fresh part, and carry on as the
+   replacement writer on a second tape of fresh keys.  The zombie may
+   resume afterwards and finish its commit — its late bytes land in its
+   old segment.
+
+   The check demands: (1) every commit the zombie saw return was
+   fsynced before the fence, so (2) the supervisor's recovery holds
+   every acknowledged record (no lost ack) and is a prefix of the
+   zombie's history; and (3) a second, restart-style recovery after
+   both writers are gone yields exactly the replacement's history —
+   the recovered prefix followed by every record the replacement
+   acknowledged — whatever the zombie appended to the old segment. *)
+let wal_wedge_scenario () =
+  let label = "wal-wedge" in
+  let table = Table.create ~key_len:8 () in
+  let tape = wal_tape table ~first:0 in
+  let tape2 = wal_tape table ~first:wal_n in
+  let part = wal_part ~name:(label ^ "-live") table in
+  (* No checkpoints: one would let the replacement prune the zombie's
+     old segment, and with it the late bytes the restart must ignore. *)
+  let cfg = wal_config ~checkpoint_every:0 label ~fsync_every:1 in
+  let w, _ = Wal.recover cfg ~shard:0 ~part in
+  let h = wal_history ~base:0 ~bound:0 () in
+  let acked = ref 0 in
+  let fenced = ref None in
+  let replacement = ref None in
+  let acked2 = ref 0 in
+  let supervisor () =
+    for _ = 1 to 6 do
+      Sched.pause ()
+    done;
+    let durable = Wal.durable_lsn w in
+    fenced := Some (durable, Wal.last_lsn w);
+    Wal.fence w;
+    let w2, r, fresh =
+      wal_recover_prefix ~label ~what:"supervisor recovery" ~table cfg h
+        ~lo:(max durable !acked) ~hi:(Wal.last_lsn w)
+    in
+    (* the replacement's oracle starts from the recovered state, which
+       was just checked to be the history's prefix *)
+    let shadow = Oracle.create ~key_len:8 () in
+    ignore
+      (fresh.Index_ops.scan_keys (low_key 8) max_int (fun k ->
+           match fresh.Index_ops.find k with
+           | Some tid -> ignore (shadow.Index_ops.insert k tid)
+           | None -> ()));
+    let base = r.Wal.r_last_lsn in
+    let h2 = wal_history ~shadow ~base ~bound:r.Wal.r_bound () in
+    replacement := Some (w2, h2);
+    acked2 := base;
+    wal_writer tape2 h2 w2 fresh ~commit_every:2
+      ~on_commit:(fun () -> acked2 := Wal.last_lsn w2)
+      ()
+  in
+  let check () =
+    let durable =
+      match !fenced with
+      | Some (d, _) -> d
+      | None -> Invariant.broken (label ^ ": the supervisor never fenced")
+    in
+    if !acked > durable then
+      Invariant.brokenf
+        "%s: a commit returned after the fence without being durable \
+         before it: acked LSN %d, durable at the fence %d"
+        label !acked durable;
+    Wal.dispose w;
+    match !replacement with
+    | None -> Invariant.broken (label ^ ": no replacement writer")
+    | Some (w2, h2) ->
+      Wal.dispose w2;
+      let w3, _, _ =
+        wal_recover_prefix ~label ~what:"restart"
+          ~table:(Table.create ~key_len:8 ())
+          cfg h2 ~lo:!acked2 ~hi:!acked2
+      in
+      Wal.close w3
+  in
+  {
+    Sched.fibers =
+      [|
+        ( "shard",
+          wal_writer tape h w part ~commit_every:2 ~on_commit:(fun () ->
+              acked := Wal.last_lsn w) );
+        ("supervisor", supervisor);
+      |];
+    check;
+  }
 
 (* The ei_net connection state machines under adversarial interleavings
    of partial reads and writes — runnable here precisely because they
@@ -850,6 +995,7 @@ let () =
   register_scenario "olc-hysteresis" olc_hysteresis_scenario;
   register_scenario "wal-torn" wal_torn_scenario;
   register_scenario "wal-fsync" wal_fsync_scenario;
+  register_scenario "wal-wedge" wal_wedge_scenario;
   register_scenario "net-pipeline" net_pipeline_scenario
 
 (* --- Serve exploration ------------------------------------------------ *)

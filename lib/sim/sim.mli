@@ -90,6 +90,12 @@ val scenario_names : unit -> string list
     racing a deterministic crash lever — torn batch tail / dropped page
     cache; recovery from disk must land on an exact prefix of the
     logged history, no lower than the fsynced horizon at the crash),
+    ["wal-wedge"] (the supervisor fencing and recovering a shard whose
+    writer is parked anywhere, inside [Wal.commit] included, then
+    writing on as its replacement while the zombie may finish its
+    commit: every commit that returned was fsynced before the fence,
+    no acknowledged record is lost, and a restart-style recovery is
+    exactly the replacement's history),
     ["net-pipeline"] (the pure [ei_net] connection state machines under
     1-byte reads, short writes and a mid-frame connection drop: the
     reply stream must be exactly one in-order reply per complete

@@ -30,9 +30,12 @@
 
    Recovery = newest valid checkpoint + ordered replay of every record
    with a larger LSN, truncating a torn tail (incomplete or
-   CRC-mismatched final frame) of the last segment.  A fresh segment is
-   always opened after recovery, so a fenced zombie writer holding the
-   old file descriptor can no longer reach bytes the new writer owns. *)
+   CRC-mismatched final frame) of the last segment.  Recovery always
+   opens a new segment file, so a fenced zombie writer holding an old
+   descriptor cannot reach bytes the new writer owns; and a segment
+   counts only below its successor's first LSN, so what the zombie
+   still appends never enters a later recovery: the replay is an exact
+   LSN prefix. *)
 
 module Fault = Ei_fault.Fault
 module Metrics = Ei_obs.Metrics
@@ -477,6 +480,11 @@ let checkpoint w ~(part : Index_ops.t) =
   Metrics.observe h_ckpt (Ei_util.Bench_clock.now_ns () - t0);
   prune w
 
+(* Preemption points inside [commit] — before the write, between write
+   and fsync, after the fsync — where the [wal-wedge] scenario parks a
+   writer while the supervisor fences and recovers. *)
+let yp_commit = Fault.site "wal.yield.commit"
+
 let commit w ~part =
   let tc = Trace.start () in
   let recs = w.buffered in
@@ -491,12 +499,22 @@ let commit w ~part =
       | None -> (false, false)
     in
     if torn_fired then crash_torn w;
+    Fault.point yp_commit;
     flush_buf w;
     w.commits <- w.commits + 1;
     w.unsynced_commits <- w.unsynced_commits + 1;
     if fsync_fired then crash_unsynced w;
+    Fault.point yp_commit;
     if w.cfg.fsync_every > 0 && w.unsynced_commits >= w.cfg.fsync_every then
       do_fsync w;
+    Fault.point yp_commit;
+    (* The fence again, once the batch is durable: a writer fenced while
+       this commit was in flight (a wedged domain the supervisor
+       abandoned) must not report success, since recovery may have read
+       the log before these bytes landed.  Success thus means fsynced
+       before any fence, hence before any recovery read.  Rotation and
+       checkpoint, which create files, are skipped with it. *)
+    check_alive w;
     if w.seg_len >= w.cfg.segment_bytes then rotate w;
     if w.cfg.checkpoint_every > 0 && w.commits mod w.cfg.checkpoint_every = 0
     then checkpoint w ~part
@@ -649,36 +667,46 @@ let recover ?faults ?(restore = fun ~tid:_ ~key:_ -> ()) cfg ~shard
   let bound = ref base_bound in
   let replayed = ref 0 in
   let torn = ref 0 in
-  let segs = list_segments sdir in
-  let nsegs = List.length segs in
-  List.iteri
-    (fun i (_, path) ->
+  (* Replay an exact LSN prefix.  Every recovery opens a segment named
+     by the next LSN, so a segment owns the LSNs below its successor's
+     first; records or torn bytes past that were appended by a fenced
+     writer inside a commit — never acknowledged, and superseded.
+     Inside its range a segment must continue the log without a gap.
+     A torn tail of the newest segment is unacknowledged and cut. *)
+  let corrupt path fmt =
+    Printf.ksprintf
+      (fun msg -> raise (Died (Printf.sprintf "corrupt segment %s: %s" path msg)))
+      fmt
+  in
+  let rec replay = function
+    | [] -> ()
+    | (_, path) :: rest ->
+      let limit = match rest with (next, _) :: _ -> next | [] -> max_int in
       let records, err = Frame.decode_all (read_file path) in
-      (match err with
-      | None -> ()
-      | Some (off, msg) ->
-        if i = nsegs - 1 then begin
-          (* torn tail of the newest segment: unacked bytes, cut them *)
-          truncate_file path off;
-          incr torn;
-          Metrics.incr c_torn
-        end
-        else
-          raise
-            (Died
-               (Printf.sprintf "corrupt interior segment %s at byte %d: %s"
-                  path off msg)));
       List.iter
         (fun r ->
           let l = Frame.lsn r in
-          if l > !last then begin
+          if l > !last && l < limit then begin
+            if l <> !last + 1 then corrupt path "gap before LSN %d" l;
             apply_record ~part ~restore r;
             (match r with Frame.Bound { bound = b; _ } -> bound := b | _ -> ());
             last := l;
             incr replayed
           end)
-        records)
-    segs;
+        records;
+      (match err with
+      | None -> ()
+      | Some (off, msg) ->
+        if rest = [] then begin
+          truncate_file path off;
+          incr torn;
+          Metrics.incr c_torn
+        end
+        else if !last < limit - 1 then
+          corrupt path "byte %d: %s before LSN %d" off msg (limit - 1));
+      replay rest
+  in
+  replay (list_segments sdir);
   Metrics.add c_replayed !replayed;
   Metrics.observe h_replay (Ei_util.Bench_clock.now_ns () - t0);
   Trace.span ev_replay ~start_ns:tr !replayed;
@@ -705,6 +733,10 @@ let recover ?faults ?(restore = fun ~tid:_ ~key:_ -> ()) cfg ~shard
       closed = false;
     }
   in
+  (* A file already named by the next LSN holds no replayed record: it
+     is the empty segment a fenced writer opened and may still hold.
+     Unlinking it sends that writer's late bytes to the orphan. *)
+  (try Sys.remove (seg_path sdir w.next_lsn) with Sys_error _ -> ());
   open_segment w ~first_lsn:w.next_lsn;
   fsync_dir sdir;
   ( w,
@@ -836,8 +868,15 @@ let rec remove_tree path =
   | _ -> Sys.remove path
   | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
 
-let reset_dir dir =
+let refuse_root name dir =
   if String.length dir = 0 || String.equal dir "/" then
-    invalid_arg "Wal.reset_dir: refusing to clear this path";
+    invalid_arg (name ^ ": refusing to clear this path")
+
+let reset_dir dir =
+  refuse_root "Wal.reset_dir" dir;
   remove_tree dir;
   mkdir_p dir
+
+let remove_dir dir =
+  refuse_root "Wal.remove_dir" dir;
+  remove_tree dir

@@ -72,9 +72,11 @@ val commit : writer -> part:Ei_harness.Index_ops.t -> unit
 (** Group-commit the buffered records: one write, then fsync / rotate /
     checkpoint per the configured cadences.  [part] is the shard's
     index, snapshotted when a checkpoint falls due.  Raises {!Died} if
-    the writer is fenced, closed, or an injected crash fires; buffered
-    records may then be partially on disk but are, by construction,
-    unacknowledged. *)
+    the writer is fenced (on entry, or by another domain before the
+    fsync returned — the commit then neither rotates nor checkpoints),
+    closed, or an injected crash fires; buffered records may then be
+    partially on disk but are, by construction, unacknowledged.  A
+    commit that returns was therefore durable before any fence. *)
 
 val close : writer -> unit
 (** Clean shutdown: flush, fsync (whatever the cadence), write the
@@ -93,11 +95,13 @@ val fence : writer -> unit
 (** Mark the writer dead from another domain: every subsequent log or
     commit on it raises {!Died}.  The supervisor fences the old writer
     before reading the shard's files, so an abandoned (wedged) domain
-    cannot keep appending.  (A zombie already inside a [write] can
-    still finish that syscall — the same residual window as the
-    documented wedge-mark race in Serve; recovery always opens a fresh
-    segment, so the zombie can only touch a file recovery has already
-    consumed or truncated.) *)
+    cannot keep appending, and a {!commit} already in flight raises
+    {!Died} once its fsync returns instead of reporting success.  A
+    zombie already inside a [write] can still finish that syscall, but
+    only into its old segment: recovery always opens a fresh segment
+    named by the next LSN, and replays each older segment only below
+    its successor's first LSN, so late zombie bytes never enter a
+    recovered state. *)
 
 val dispose : writer -> unit
 (** [fence] plus descriptor close — only safe once the owning domain
@@ -125,13 +129,16 @@ val recover :
   writer * recovery
 (** Rebuild [part] (which must be empty) from disk — newest valid
     checkpoint, then ordered log replay with torn-tail truncation —
-    and open a writer on a fresh segment.  [restore] is invoked with
-    every [(tid, key)] pair before it is inserted, so the caller can
-    rematerialise backing-store rows (see
+    and open a writer on a fresh segment.  The replay is an exact LSN
+    prefix: each segment counts only below its successor's first LSN
+    (what a fenced writer appended to it later is ignored, torn bytes
+    included), and an LSN gap inside that range is corruption.
+    [restore] is invoked with every [(tid, key)] pair before it is
+    inserted, so the caller can rematerialise backing-store rows (see
     {!Ei_storage.Table.restore_row}).  Also the way a {e fresh} WAL
     directory is opened (everything is zero).  Raises {!Died} only on
-    non-tail corruption of an interior segment, which group commit
-    never produces. *)
+    corruption inside an interior segment's range or an LSN gap, which
+    group commit never produces. *)
 
 (** {1 Read-only inspection (the [ei wal] CLI)} *)
 
@@ -176,6 +183,10 @@ val records : dir:string -> shard:int -> Frame.record list
 val reset_dir : string -> unit
 (** Destructively clear and recreate a WAL root (refuses [""] and
     ["/"]).  Chaos runs own their directory. *)
+
+val remove_dir : string -> unit
+(** Destructively remove a WAL root (refuses [""] and ["/"]): the end
+    of a run that kept its log in a temporary directory. *)
 
 val crash_torn : writer -> 'a
 (** Deterministic crash lever for ei_sim schedules: tear the tail of

@@ -403,6 +403,43 @@ let test_with_capacity () =
       if Seqtree.find grown ~load k = None then Alcotest.fail "key lost by grow")
     keys
 
+(* An insert into a compact leaf loads one key from the table: the
+   candidate its search verifies against.  That candidate shares the
+   longest prefix with the new key, which fixes both new BlindiBits
+   entries without loading the neighbours.  Middle inserts on either
+   side of their candidate, and inserts at both ends, each load once;
+   the node stays valid and finds every key. *)
+let test_insert_loads_once () =
+  let table = Table.create ~key_len:8 () in
+  let keys = Array.init 20 (fun i -> Key.of_int (16 + (4 * i))) in
+  let tids = Array.map (Table.append table) keys in
+  List.iter
+    (fun x ->
+      let t =
+        Seqtree.of_sorted ~key_len:8 ~capacity:32 ~levels:2 ~breathing:0 keys
+          tids 20
+      in
+      let k = Key.of_int x in
+      let tid = Table.append table k in
+      let loads = ref 0 in
+      let load i =
+        incr loads;
+        Table.loader table i
+      in
+      (match Seqtree.insert t ~load k tid with
+      | Seqtree.Inserted -> ()
+      | _ -> Alcotest.failf "insert of %d not in place" x);
+      Alcotest.(check int) (Printf.sprintf "table loads inserting %d" x) 1 !loads;
+      let load = Table.loader table in
+      Seqtree.check_invariants t ~load;
+      Array.iteri
+        (fun i k ->
+          Alcotest.(check (option int)) "old key" (Some tids.(i))
+            (Seqtree.find t ~load k))
+        keys;
+      Alcotest.(check (option int)) "new key" (Some tid) (Seqtree.find t ~load k))
+    [ 41; 43; 57; 63; 1; 200 ]
+
 (* of_sorted / split / merge / with_capacity at capacity 300, where
    BlindiTree slots are 2 bytes wide. *)
 let test_round_trip_wide () =
@@ -566,6 +603,8 @@ let () =
           Alcotest.test_case "split/merge" `Quick test_split_merge;
           Alcotest.test_case "subtrie split/merge" `Quick test_subtrie_split_merge;
           Alcotest.test_case "with_capacity" `Quick test_with_capacity;
+          Alcotest.test_case "insert loads one key" `Quick
+            test_insert_loads_once;
           Alcotest.test_case "round trip at capacity 300" `Quick
             test_round_trip_wide;
         ] );

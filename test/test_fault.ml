@@ -12,7 +12,8 @@
    d. Supervisor crash recovery: injected shard-domain crashes under a
       live insert workload; every acknowledged insert must be present
       after the last recovery (zero lost acks) and the recovery count
-      must be visible in the log.
+      must be visible in the log.  The supervisor rebuilds from the
+      WAL, which lives in a temporary directory.
    e. Chaos determinism: two equal-seed soak runs agree byte-for-byte
       on the fault schedule and the recovery sequence. *)
 
@@ -26,6 +27,7 @@ module Table = Ei_storage.Table
 module Registry = Ei_harness.Registry
 module Olc = Ei_olc.Btree_olc
 module Key = Ei_util.Key
+module Wal = Ei_wal.Wal
 
 (* --- a. fault sites -------------------------------------------------- *)
 
@@ -160,6 +162,8 @@ let rec wait_healthy serve =
   end
 
 let test_supervisor_recovery () =
+  let dir = Filename.temp_dir "ei-test-fault-" "" in
+  Fun.protect ~finally:(fun () -> Wal.remove_dir dir) @@ fun () ->
   let shards = 2 in
   let n = 600 in
   Fault.configure ~seed:11 [ ("serve.crash", 0.01) ];
@@ -167,7 +171,7 @@ let test_supervisor_recovery () =
     Fleet.start ~shards
       ~part:(Fleet.part (Registry.Olc Olc.Olc_std))
       ~fault_prefix:"serve" ~timeout_s:0.2
-      ~supervised:true ()
+      ~wal:(Wal.default_config ~dir) ()
   in
   let keys = Array.init n (fun i -> Key.of_int (i * 7919)) in
   let tids = Array.map (Table.append table) keys in

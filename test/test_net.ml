@@ -337,10 +337,10 @@ let olc_part = Fleet.part (Registry.Olc Olc.Olc_std)
 (* Start fleet + server on a fresh unix socket, run [f server serve
    client], tear everything down (fault plan included) even on
    failure. *)
-let with_server ?config ?serve_timeout_s ?supervised ?(shards = 2) name f =
+let with_server ?config ?serve_timeout_s ?wal ?(shards = 2) name f =
   let { Fleet.table; serve; _ } =
     Fleet.start ~shards ~part:olc_part ?timeout_s:serve_timeout_s
-      ~fault_prefix:"serve" ?supervised ()
+      ~fault_prefix:"serve" ?wal ()
   in
   let server =
     Server.start ?config ~serve ~table (Unix.ADDR_UNIX (sock_path name))
@@ -496,9 +496,13 @@ let test_exactly_one_reply_across_crashes () =
      keeps pipelining: Client.call itself asserts the exactly-one-reply
      contract (it raises Protocol on a lost, duplicated or reordered
      reply, and blocks forever on a dropped one); the statuses must
-     stay in the typed set with the connection alive throughout. *)
+     stay in the typed set with the connection alive throughout.  The
+     supervisor rebuilds from a WAL in a temporary directory. *)
+  let dir = Filename.temp_dir "ei-test-net-" "" in
+  Fun.protect ~finally:(fun () -> Ei_wal.Wal.remove_dir dir) @@ fun () ->
   Fault.configure ~seed:11 [ ("serve.crash", 0.02) ];
-  with_server ~serve_timeout_s:0.2 ~supervised:true "crash"
+  with_server ~serve_timeout_s:0.2 ~wal:(Ei_wal.Wal.default_config ~dir)
+    "crash"
     (fun _server serve c ->
       let sent = ref 0 in
       for round = 0 to 39 do

@@ -477,6 +477,44 @@ let test_olc_elastic_blocks () =
     (fixed + sum leaf_words imgs + (inners * inner_words))
     (heap_words tree)
 
+(* An elastic preload under a tight bound (60 % of 27 B/key) loads one
+   key from the table per compact-leaf insert — the verify of its
+   search — and nothing else: a compact-leaf insert derives its
+   BlindiBits from that one load, and a compact -> compact capacity
+   change (32 -> 64 -> 128) carries tids and bits over without loading
+   any key. *)
+let test_elastic_preload_loads () =
+  let n = 50_000 in
+  let table = Table.create ~key_len:8 () in
+  let loads = ref 0 in
+  let load tid =
+    incr loads;
+    Table.loader table tid
+  in
+  let tree =
+    Olc.create ~kind:(elastic_kind ~size_bound:(n * 27 * 60 / 100)) ~key_len:8
+      ~load ()
+  in
+  let st = Ei_blindi.Stats.current () in
+  let inserts0 = st.Ei_blindi.Stats.inserts in
+  for i = 0 to n - 1 do
+    let k = Key.of_int (i * 7919 mod 50_021) in
+    ignore (Olc.insert tree k (Table.append table k))
+  done;
+  let compact_inserts = st.Ei_blindi.Stats.inserts - inserts0 in
+  let capacities =
+    Olc.fold_leaves tree
+      (fun acc ~compact ~capacity ~count:_ ~bytes:_ ->
+        if compact && not (List.mem capacity acc) then capacity :: acc
+        else acc)
+      []
+  in
+  Alcotest.(check bool) "compact leaves of several capacities" true
+    (List.length capacities >= 2);
+  Alcotest.(check bool) "compact-leaf inserts ran" true (compact_inserts > 0);
+  Alcotest.(check int) "table loads = compact-leaf inserts" compact_inserts
+    !loads
+
 (* --- Version-word primitives --------------------------------------- *)
 
 module Vw = Olc.For_tests
@@ -588,6 +626,8 @@ let () =
           Alcotest.test_case "concurrent drain" `Quick test_elastic_concurrent_drain;
           Alcotest.test_case "invariants after 100k-op churn" `Quick
             test_elastic_churn;
+          Alcotest.test_case "preload loads one key per compact insert" `Quick
+            test_elastic_preload_loads;
           Alcotest.test_case "300-byte keys and header limits" `Quick
             test_elastic_long_keys;
         ] );

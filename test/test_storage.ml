@@ -29,73 +29,6 @@ let test_table () =
   Alcotest.(check int) "data bytes" (100 * (8 + 24))
     (Table.data_bytes ~row_bytes:24 t)
 
-(* A table that tracks liveness, as a supervised fleet's is. *)
-let live_table ~initial_capacity ~key_len =
-  let t = Table.create ~initial_capacity ~key_len () in
-  Table.enable_liveness t;
-  t
-
-let test_liveness () =
-  let t = live_table ~initial_capacity:4 ~key_len:8 in
-  let n = 10_000 in
-  (* crosses several liveness chunks and many grows *)
-  for i = 0 to n - 1 do
-    let tid = Table.append t (Ei_util.Key.of_int i) in
-    Alcotest.(check bool) "rows start dead" false (Table.is_live t tid)
-  done;
-  let live i = i mod 3 = 0 in
-  for tid = 0 to n - 1 do
-    if live tid then Table.mark_live t tid
-  done;
-  (* Growth after marking must not shed a single mark. *)
-  for i = n to (2 * n) - 1 do
-    ignore (Table.append t (Ei_util.Key.of_int i))
-  done;
-  for tid = 0 to n - 1 do
-    Alcotest.(check bool) "mark survives growth" (live tid)
-      (Table.is_live t tid)
-  done;
-  Table.mark_dead t 0;
-  Alcotest.(check bool) "mark_dead" false (Table.is_live t 0);
-  let folded =
-    Table.fold_live t (fun tid key acc ->
-        Alcotest.(check string) "fold key" (Ei_util.Key.of_int tid) key;
-        acc + 1) 0
-  in
-  Alcotest.(check int) "fold_live count" ((n + 2) / 3 - 1) folded
-
-(* The growth-stability race itself: one domain appends (growing the
-   table from a tiny capacity), the other marks each row live as soon
-   as its tid is published.  With a flat liveness buffer a grow blits
-   and replaces it, losing any mark that lands in the old bytes — the
-   chunked store must not lose one. *)
-let test_liveness_grow_race () =
-  let t = live_table ~initial_capacity:2 ~key_len:8 in
-  let n = 30_000 in
-  let published = Atomic.make 0 in
-  let marker =
-    Domain.spawn (fun () ->
-        let next = ref 0 in
-        while !next < n do
-          let upto = Atomic.get published in
-          while !next < upto do
-            Table.mark_live t !next;
-            incr next
-          done;
-          if !next < n then Domain.cpu_relax ()
-        done)
-  in
-  for i = 0 to n - 1 do
-    let tid = Table.append t (Ei_util.Key.of_int i) in
-    Atomic.set published (tid + 1)
-  done;
-  Domain.join marker;
-  let missing = ref 0 in
-  for tid = 0 to n - 1 do
-    if not (Table.is_live t tid) then incr missing
-  done;
-  Alcotest.(check int) "no mark lost to growth" 0 !missing
-
 (* The same race for keys: one domain appends from a tiny capacity while
    the other loads every published tid.  Growth appends chunks and
    never moves one, so no load may fail or read another row's bytes. *)
@@ -123,25 +56,6 @@ let test_key_grow_race () =
   done;
   Alcotest.(check int) "every published key reads back" 0 (Domain.join loader)
 
-(* Without liveness (no supervisor attached) a restore keeps the key
-   and marks nothing, and the mark operations refuse to run. *)
-let test_no_liveness () =
-  let t = Table.create ~key_len:8 () in
-  Table.restore_row t ~tid:5 ~key:(Ei_util.Key.of_int 5);
-  Alcotest.(check string) "restored key" (Ei_util.Key.of_int 5) (Table.key t 5);
-  Alcotest.(check bool) "restored row not marked" false (Table.is_live t 5);
-  let rejects name f =
-    match f () with
-    | _ -> Alcotest.failf "%s accepted" name
-    | exception Invalid_argument _ -> ()
-  in
-  rejects "mark_live" (fun () -> Table.mark_live t 5);
-  rejects "fold_live" (fun () -> Table.fold_live t (fun _ _ n -> n + 1) 0);
-  Table.enable_liveness t;
-  Alcotest.(check bool) "rows dead once enabled" false (Table.is_live t 5);
-  Table.mark_live t 5;
-  Alcotest.(check bool) "marks once enabled" true (Table.is_live t 5)
-
 (* The chunked key store at two key widths: three chunks of appends,
    grown one chunk at a time from a tiny capacity, read back at every
    row (both ends of each chunk included); out-of-range tids and
@@ -167,28 +81,31 @@ let test_arena ~key_len () =
   rejects "long key" (fun () -> ignore (Table.append t (String.make (key_len + 1) 'k')));
   Alcotest.(check int) "rejected appends add no row" n (Table.length t)
 
-(* WAL recovery restores rows out of order and with gaps: the restored
-   rows read back and fold in tid order, gap rows stay dead. *)
+(* WAL recovery restores rows out of order and with gaps: walked in
+   tid order, exactly the restored rows carry their keys and every gap
+   row reads as zero bytes. *)
 let test_arena_restore ~key_len () =
   let key i = Printf.sprintf "%0*d" key_len i in
-  let t = live_table ~initial_capacity:2 ~key_len in
+  let t = Table.create ~initial_capacity:2 ~key_len () in
   let restored = [ 40; 3; 17; 0; 300; 18; 9000 ] in
   List.iter (fun tid -> Table.restore_row t ~tid ~key:(key tid)) restored;
   Alcotest.(check int) "length covers the highest tid" 9001 (Table.length t);
   List.iter
     (fun tid -> Alcotest.(check string) "restored key" (key tid) (Table.key t tid))
     restored;
-  Alcotest.(check bool) "gap row dead" false (Table.is_live t 1);
+  let zero = String.make key_len '\000' in
   List.iter
     (fun tid ->
-      Alcotest.(check string) "gap row reads zero bytes"
-        (String.make key_len '\000') (Table.key t tid))
+      Alcotest.(check string) "gap row reads zero bytes" zero (Table.key t tid))
     [ 1; 301; 8999 ];
-  let folded = Table.fold_live t (fun tid k acc -> (tid, k) :: acc) [] in
-  Alcotest.(check (list (pair int string)))
-    "fold_live: restored rows in tid order"
-    (List.map (fun tid -> (tid, key tid)) (List.sort compare restored))
-    (List.rev folded);
+  let rows =
+    List.filter
+      (fun tid -> not (String.equal (Table.key t tid) zero))
+      (List.init (Table.length t) Fun.id)
+  in
+  Alcotest.(check (list int))
+    "restored rows in tid order, all other rows zero"
+    (List.sort compare restored) rows;
   (* appends continue after the highest restored tid *)
   Alcotest.(check int) "next tid" 9001 (Table.append t (key 9001))
 
@@ -321,12 +238,7 @@ let () =
       ( "storage",
         [
           Alcotest.test_case "table" `Quick test_table;
-          Alcotest.test_case "row liveness across growth" `Quick test_liveness;
-          Alcotest.test_case "liveness marks vs grow race" `Quick
-            test_liveness_grow_race;
           Alcotest.test_case "key loads vs grow race" `Quick test_key_grow_race;
-          Alcotest.test_case "no liveness without a supervisor" `Quick
-            test_no_liveness;
           Alcotest.test_case "key arena, 8-byte keys" `Quick (test_arena ~key_len:8);
           Alcotest.test_case "key arena, 16-byte keys" `Quick (test_arena ~key_len:16);
           Alcotest.test_case "arena restore with gaps, 8-byte keys" `Quick

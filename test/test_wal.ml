@@ -466,6 +466,67 @@ let test_wal_needs_supervisor () =
     Alcotest.fail "a WAL without a supervisor was accepted"
   | exception Invalid_argument _ -> ()
 
+(* The mirror rule: the WAL is the only source a supervisor rebuilds
+   from, so a supervisor without one is refused. *)
+let test_supervisor_needs_wal () =
+  let table = Table.create ~key_len:8 () in
+  let rebuild i = mk_part table (Printf.sprintf "bare-sup/%d" i) in
+  let router = Shard.create [| rebuild 0 |] in
+  match
+    Serve.start
+      ~supervisor:(Serve.default_supervisor ~table ~rebuild)
+      router
+  with
+  | serve ->
+    Serve.stop serve;
+    Alcotest.fail "a supervisor without a WAL was accepted"
+  | exception Invalid_argument _ -> ()
+
+(* A supervised shard applies a remove or an update with the index's own
+   call alone: the WAL needs no lookup of the old tid. *)
+let test_supervised_remove_one_lookup () =
+  let dir = fresh_dir "serve-lookups" in
+  let finds = Atomic.make 0 in
+  let part table i =
+    let ix = mk_part table (Printf.sprintf "lookups/%d" i) in
+    {
+      ix with
+      Index_ops.find =
+        (fun k ->
+          Atomic.incr finds;
+          ix.Index_ops.find k);
+    }
+  in
+  let { Fleet.table; serve; _ } =
+    Fleet.start ~shards:2 ~part ~wal:(Wal.default_config ~dir) ()
+  in
+  let n = 200 in
+  let keys = Array.init n (fun i -> Key.of_int (i * 7919)) in
+  let inserts =
+    Array.map (fun k -> Serve.Insert (k, Table.append table k)) keys
+  in
+  Array.iter
+    (function
+      | Serve.Applied 1 -> () | _ -> Alcotest.fail "insert not applied")
+    (Serve.exec serve inserts);
+  Atomic.set finds 0;
+  let ops =
+    Array.mapi
+      (fun i k ->
+        if i mod 2 = 0 then Serve.Remove k
+        else Serve.Update (k, Table.append table k))
+      keys
+  in
+  let outs = Serve.exec serve ops in
+  Serve.stop serve;
+  Array.iter
+    (function
+      | Serve.Applied 1 -> ()
+      | _ -> Alcotest.fail "remove / update not applied")
+    outs;
+  Alcotest.(check int) "index finds for removes and updates" 0
+    (Atomic.get finds)
+
 (* --- d. mini durable chaos soak --------------------------------------- *)
 
 let test_chaos_wal () =
@@ -474,7 +535,6 @@ let test_chaos_wal () =
     {
       (Chaos.default_config ~seed:123) with
       Chaos.scale = 0.05;
-      plan = Chaos.default_wal_plan;
       wal_dir = Some dir;
     }
   in
@@ -482,7 +542,8 @@ let test_chaos_wal () =
   let r2 = Chaos.run config in
   Alcotest.(check bool) "first durable soak ok" true (Chaos.ok r1);
   Alcotest.(check bool) "second durable soak ok" true (Chaos.ok r2);
-  Alcotest.(check bool) "restart check ran" true r1.Chaos.wal;
+  Alcotest.(check bool) "restart check ran" true
+    (r1.Chaos.restart_replayed > 0);
   Alcotest.(check string) "equal seeds agree on the pure schedule"
     (Chaos.schedule_digest r1) (Chaos.schedule_digest r2)
 
@@ -499,7 +560,7 @@ let test_sim_wal_scenarios () =
         | Some f ->
           Alcotest.failf "%s failed (round %d): %s" name f.Sched.round
             f.Sched.error))
-    [ "wal-torn"; "wal-fsync" ]
+    [ "wal-torn"; "wal-fsync"; "wal-wedge" ]
 
 let () =
   let qt =
@@ -542,6 +603,10 @@ let () =
             `Quick test_wal_fault_no_hang;
           Alcotest.test_case "a WAL needs a supervisor" `Quick
             test_wal_needs_supervisor;
+          Alcotest.test_case "a supervisor needs a WAL" `Quick
+            test_supervisor_needs_wal;
+          Alcotest.test_case "a supervised remove is one lookup" `Quick
+            test_supervised_remove_one_lookup;
         ] );
       ( "chaos",
         [ Alcotest.test_case "durable soak + digest" `Quick test_chaos_wal ] );
