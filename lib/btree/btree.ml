@@ -197,7 +197,6 @@ let split_leaf t leaf (spec : Policy.leaf_spec) =
     | Leaf.Std l, Policy.Spec_std -> Leaf.Std (Std_leaf.split l)
     | Leaf.Pre l, Policy.Spec_pre -> Leaf.Pre (Prefix_leaf.split l)
     | Leaf.Bw l, Policy.Spec_bw -> Leaf.Bw (Bw_leaf.split l)
-    | Leaf.Gap l, Policy.Spec_gap -> Leaf.Gap (Gapped_leaf.split l)
     | Leaf.Seq l, Policy.Spec_seq c when Ei_blindi.Seqtree.capacity l = c ->
       let left, right = Ei_blindi.Seqtree.split l ~left_capacity:c ~right_capacity:c in
       leaf.Leaf.repr <- Leaf.Seq left;
@@ -583,8 +582,6 @@ let merge_leaf_children t nd i left right =
     Prefix_leaf.absorb a b
   | Leaf.Bw a, Leaf.Bw b, Policy.Spec_bw when Bw_leaf.capacity a >= total ->
     Bw_leaf.absorb a b
-  | Leaf.Gap a, Leaf.Gap b, Policy.Spec_gap when Gapped_leaf.capacity a >= total ->
-    Gapped_leaf.absorb a b
   | Leaf.Seq a, Leaf.Seq b, Policy.Spec_seq c ->
     left.Leaf.repr <-
       Leaf.Seq

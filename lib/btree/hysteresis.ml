@@ -33,6 +33,7 @@ let double ~max_capacity (c : int) =
 let halve ~floor (c : int) = if c / 2 > floor then Some (c / 2) else None
 let min_count c = (c / 2) + 1
 let underflows ~capacity ~(count : int) = count < min_count capacity
+let search_split_probability = 1.0 /. 32.0
 
 let lift ~(std : int) ~initial ~max_capacity =
   if initial > std then (initial, max_capacity)

@@ -37,6 +37,10 @@ val min_count : int -> int
 
 val underflows : capacity:int -> count:int -> bool
 
+val search_split_probability : float
+(** 1/32: the chance that a search reaching a compact leaf while
+    Expanding splits it (§4). *)
+
 val lift : std:int -> initial:int -> max_capacity:int -> int * int
 (** [(initial, max_capacity)], raised to [(2 std, max max_capacity
     (4 std))] when [initial <= std] (§4's [2n]). *)

@@ -17,7 +17,6 @@ type repr =
   | Pre of Prefix_leaf.t
   | Str of Stringtrie.t
   | Bw of Bw_leaf.t
-  | Gap of Gapped_leaf.t
 
 type t = {
   mutable repr : repr;
@@ -35,7 +34,6 @@ let count t =
   | Pre l -> Prefix_leaf.count l
   | Str l -> Stringtrie.count l
   | Bw l -> Bw_leaf.count l
-  | Gap l -> Gapped_leaf.count l
 
 let capacity t =
   match t.repr with
@@ -45,7 +43,6 @@ let capacity t =
   | Pre l -> Prefix_leaf.capacity l
   | Str l -> Stringtrie.capacity l
   | Bw l -> Bw_leaf.capacity l
-  | Gap l -> Gapped_leaf.capacity l
 
 let is_full t = count t >= capacity t
 
@@ -53,7 +50,7 @@ let is_full t = count t >= capacity t
    indirect-key sense. *)
 let is_compact t =
   match t.repr with
-  | Std _ | Pre _ | Bw _ | Gap _ -> false
+  | Std _ | Pre _ | Bw _ -> false
   | Seq _ | Sub _ | Str _ -> true
 
 let spec t : Policy.leaf_spec =
@@ -64,7 +61,6 @@ let spec t : Policy.leaf_spec =
   | Pre _ -> Spec_pre
   | Str l -> Spec_str (Stringtrie.capacity l)
   | Bw _ -> Spec_bw
-  | Gap _ -> Spec_gap
 
 (* Entry at a position in key order; compact leaves load the key. *)
 let entry_at t ~(load : int -> string) i =
@@ -72,7 +68,6 @@ let entry_at t ~(load : int -> string) i =
   | Std l -> (Std_leaf.key_at l i, Std_leaf.tid_at l i)
   | Pre l -> (Prefix_leaf.key_at l i, Prefix_leaf.tid_at l i)
   | Bw l -> (Bw_leaf.key_at l i, Bw_leaf.tid_at l i)
-  | Gap l -> (Gapped_leaf.key_at l i, Gapped_leaf.tid_at l i)
   | Seq l ->
     let tid = Seqtree.tid_at l i in
     (load tid, tid)
@@ -91,7 +86,6 @@ let memory_bytes t =
   | Pre l -> Prefix_leaf.memory_bytes l
   | Str l -> Stringtrie.memory_bytes l
   | Bw l -> Bw_leaf.memory_bytes l
-  | Gap l -> Gapped_leaf.memory_bytes l
 
 let find t ~(load : load) key =
   match t.repr with
@@ -101,7 +95,6 @@ let find t ~(load : load) key =
   | Pre l -> Prefix_leaf.find l key
   | Str l -> Stringtrie.find l ~load key
   | Bw l -> Bw_leaf.find l key
-  | Gap l -> Gapped_leaf.find l key
 
 type insert_result = Inserted | Full | Duplicate
 
@@ -119,11 +112,6 @@ let insert t ~(load : load) key tid =
     | Std_leaf.Duplicate -> Duplicate)
   | Bw l -> (
     match Bw_leaf.insert l key tid with
-    | Std_leaf.Inserted -> Inserted
-    | Std_leaf.Full -> Full
-    | Std_leaf.Duplicate -> Duplicate)
-  | Gap l -> (
-    match Gapped_leaf.insert l key tid with
     | Std_leaf.Inserted -> Inserted
     | Std_leaf.Full -> Full
     | Std_leaf.Duplicate -> Duplicate)
@@ -155,7 +143,6 @@ let update t ~(load : load) key tid =
   | Pre l -> Prefix_leaf.update l key tid
   | Str l -> Stringtrie.update l ~load key tid
   | Bw l -> Bw_leaf.update l key tid
-  | Gap l -> Gapped_leaf.update l key tid
 
 type remove_result = Removed | Not_present
 
@@ -171,10 +158,6 @@ let remove t ~(load : load) key =
     | Std_leaf.Not_present -> Not_present)
   | Bw l -> (
     match Bw_leaf.remove l key with
-    | Std_leaf.Removed -> Removed
-    | Std_leaf.Not_present -> Not_present)
-  | Gap l -> (
-    match Gapped_leaf.remove l key with
     | Std_leaf.Removed -> Removed
     | Std_leaf.Not_present -> Not_present)
   | Seq l -> (
@@ -198,7 +181,6 @@ let lower_bound t ~(load : load) key =
   | Pre l -> Prefix_leaf.lower_bound l key
   | Str l -> Stringtrie.lower_bound l ~load key
   | Bw l -> Bw_leaf.lower_bound l key
-  | Gap l -> Gapped_leaf.lower_bound l key
 
 (* First key of the leaf; compact leaves load it from the table.  Used
    for separators.  The leaf must be non-empty. *)
@@ -211,7 +193,6 @@ let min_key t ~(load : load) =
   | Pre l -> Prefix_leaf.key_at l 0
   | Str l -> load (Stringtrie.tid_at l 0)
   | Bw l -> Bw_leaf.key_at l 0
-  | Gap l -> Gapped_leaf.key_at l 0
 
 (* Fold (key, tid) pairs in key order starting at position [pos].
    Compact leaves load every key — the indirect-access cost that makes
@@ -224,7 +205,6 @@ let fold_from t ~(load : load) pos f acc =
   | Pre l -> Prefix_leaf.fold_from l pos f acc
   | Str l -> Stringtrie.fold_from l pos (fun acc tid -> f acc (load tid) tid) acc
   | Bw l -> Bw_leaf.fold_from l pos f acc
-  | Gap l -> Gapped_leaf.fold_from l pos f acc
 
 (* Extract all entries as sorted parallel arrays (keys loaded for compact
    leaves); used by rebuilds, mixed-representation merges and borrows. *)
@@ -237,17 +217,6 @@ let entries t ~(load : load) =
     (Array.init n (fun i -> Prefix_leaf.key_at l i), Array.init n (fun i -> Prefix_leaf.tid_at l i))
   | Bw l ->
     (Array.init n (fun i -> Bw_leaf.key_at l i), Array.init n (fun i -> Bw_leaf.tid_at l i))
-  | Gap l ->
-    (* One ordered sweep instead of n [key_at] position scans. *)
-    let keys = Array.make n "" and tids = Array.make n 0 in
-    ignore
-      (Gapped_leaf.fold_from l 0
-         (fun i k tid ->
-           keys.(i) <- k;
-           tids.(i) <- tid;
-           i + 1)
-         0);
-    (keys, tids)
   | Seq l ->
     let tids = Array.init n (fun i -> Seqtree.tid_at l i) in
     (Array.map load tids, tids)
@@ -282,9 +251,6 @@ let repr_of_spec ~key_len ~std_capacity ~seq_levels ~seq_breathing
   | Policy.Spec_bw ->
     assert (n <= std_capacity);
     Bw (Bw_leaf.of_sorted ~key_len ~capacity:std_capacity keys tids n)
-  | Policy.Spec_gap ->
-    assert (n <= std_capacity);
-    Gap (Gapped_leaf.of_sorted ~key_len ~capacity:std_capacity keys tids n)
 
 let check_invariants t ~(load : load) =
   match t.repr with
@@ -294,4 +260,3 @@ let check_invariants t ~(load : load) =
   | Pre l -> Prefix_leaf.check_invariants l
   | Str l -> Stringtrie.check_invariants l ~load
   | Bw l -> Bw_leaf.check_invariants l
-  | Gap l -> Gapped_leaf.check_invariants l

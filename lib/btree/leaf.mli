@@ -14,7 +14,6 @@ type repr =
   | Pre of Prefix_leaf.t             (** prefix-compressed leaf *)
   | Str of Ei_blindi.Stringtrie.t    (** compact String B-Trie *)
   | Bw of Bw_leaf.t                  (** delta-chained Bw-tree leaf *)
-  | Gap of Gapped_leaf.t             (** gapped/slotted leaf (BS-tree) *)
 
 type t = { mutable repr : repr; mutable next : t option; mutable hits : int }
 

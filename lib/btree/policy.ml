@@ -15,7 +15,6 @@ type leaf_spec =
   | Spec_pre         (* prefix-compressed leaf, standard capacity *)
   | Spec_str of int  (* String B-Trie with this capacity *)
   | Spec_bw          (* Bw-tree delta-chained leaf, standard capacity *)
-  | Spec_gap         (* gapped/slotted leaf, standard capacity *)
 
 (* What the policy may inspect when deciding. *)
 type view = {
@@ -56,7 +55,7 @@ type t = {
 let std_underflow spec ~std_capacity ~count =
   let capacity =
     match spec with
-    | Spec_std | Spec_pre | Spec_bw | Spec_gap -> std_capacity
+    | Spec_std | Spec_pre | Spec_bw -> std_capacity
     | Spec_seq c | Spec_sub c | Spec_str c -> c
   in
   count < capacity / 2
@@ -120,21 +119,6 @@ let all_bw () =
     underflow_at = std_underflow;
   }
 
-(* Gapped-leaf B+-tree (BS-tree style): every leaf keeps distributed
-   gaps so inserts usually fill a slot instead of shifting the tail. *)
-let all_gapped () =
-  {
-    name = "stx-gapped";
-    initial = Spec_gap;
-    seq_levels = 0;
-    seq_breathing = 0;
-    on_overflow = (fun _ ~current:_ -> Split Spec_gap);
-    on_underflow = (fun _ ~current:_ ~count:_ -> Rebalance);
-    on_search_compact = (fun _ ~current:_ -> None);
-    on_merge = (fun _ ~total:_ ~left:_ ~right:_ -> Spec_gap);
-    underflow_at = std_underflow;
-  }
-
 (* STX-StringBTrie: every leaf a pointer-based String B-Trie (§5.1's
    third blind-trie representation). *)
 let all_stringtrie ~capacity () =
@@ -165,7 +149,7 @@ let all_subtrie ~capacity () =
   }
 
 let spec_capacity ~std_capacity = function
-  | Spec_std | Spec_pre | Spec_bw | Spec_gap -> std_capacity
+  | Spec_std | Spec_pre | Spec_bw -> std_capacity
   | Spec_seq c | Spec_sub c | Spec_str c -> c
 
 let pp_spec ppf = function
@@ -175,4 +159,3 @@ let pp_spec ppf = function
   | Spec_pre -> Fmt.string ppf "pre"
   | Spec_str c -> Fmt.pf ppf "str%d" c
   | Spec_bw -> Fmt.string ppf "bw"
-  | Spec_gap -> Fmt.string ppf "gap"

@@ -15,7 +15,6 @@ type leaf_spec =
   | Spec_pre             (** prefix-compressed leaf, standard capacity *)
   | Spec_str of int      (** String B-Trie with this capacity *)
   | Spec_bw              (** Bw-tree delta-chained leaf, standard capacity *)
-  | Spec_gap             (** gapped/slotted leaf, standard capacity *)
 
 (** What a policy may inspect when deciding. *)
 type view = {
@@ -64,10 +63,6 @@ val all_prefix : unit -> t
 
 val all_bw : unit -> t
 (** Bw-tree-style B+-tree with delta-chained leaves (§6.1 baseline). *)
-
-val all_gapped : unit -> t
-(** Gapped-leaf B+-tree (BS-tree style): distributed in-leaf gaps, so
-    inserts usually fill a slot instead of shifting the tail. *)
 
 val spec_capacity : std_capacity:int -> leaf_spec -> int
 val pp_spec : Format.formatter -> leaf_spec -> unit

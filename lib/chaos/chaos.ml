@@ -176,15 +176,6 @@ type entry = Present of int | Absent | Unsettled
    and never misses an acknowledged write that a later crash could
    surface as lost. *)
 
-let hex_of_key k =
-  let b = Buffer.create (2 * String.length k) in
-  String.iter (fun c -> Buffer.add_string b (Printf.sprintf "%02x" (Char.code c))) k;
-  Buffer.contents b
-
-let key_of_hex s =
-  let n = String.length s / 2 in
-  String.init n (fun i -> Char.chr (int_of_string ("0x" ^ String.sub s (2 * i) 2)))
-
 type journal = { jfd : Unix.file_descr; jbuf : Buffer.t }
 
 let journal_path dir = Filename.concat dir "shadow.journal"
@@ -234,18 +225,18 @@ let read_journal path =
        (fun line ->
          match String.split_on_char ' ' line with
          | [ "S"; _ ] -> ()
-         | [ "T"; h ] -> Strtbl.replace pending (key_of_hex h) ()
+         | [ "T"; h ] -> Strtbl.replace pending (Key.of_hex h) ()
          | [ "P"; h; tid ] ->
-           let k = key_of_hex h in
+           let k = Key.of_hex h in
            Strtbl.remove pending k;
            Strtbl.replace shadow k (Present (int_of_string tid))
          | [ "A"; h ] ->
-           let k = key_of_hex h in
+           let k = Key.of_hex h in
            Strtbl.remove pending k;
            Strtbl.replace shadow k Absent
-         | [ "K"; h ] -> Strtbl.remove pending (key_of_hex h)
+         | [ "K"; h ] -> Strtbl.remove pending (Key.of_hex h)
          | [ "U"; h ] ->
-           let k = key_of_hex h in
+           let k = Key.of_hex h in
            Strtbl.remove pending k;
            Strtbl.replace shadow k Unsettled
          | [ "R"; _ ] -> Strtbl.clear pending
@@ -335,7 +326,7 @@ let soak cfg ~dir =
       Array.iter
         (function
           | Serve.Insert (k, _) | Serve.Remove k | Serve.Update (k, _) ->
-            jline j "T %s" (hex_of_key k)
+            jline j "T %s" (Key.to_hex k)
           | Serve.Find _ | Serve.Scan _ -> ())
         ops;
       jflush j
@@ -391,14 +382,14 @@ let soak cfg ~dir =
           match (ops.(i), out) with
           | (Serve.Insert (k, tid) | Serve.Update (k, tid)), Serve.Applied 1
             ->
-            jline j "P %s %d" (hex_of_key k) tid
-          | Serve.Remove k, Serve.Applied 1 -> jline j "A %s" (hex_of_key k)
+            jline j "P %s %d" (Key.to_hex k) tid
+          | Serve.Remove k, Serve.Applied 1 -> jline j "A %s" (Key.to_hex k)
           | ( (Serve.Insert (k, _) | Serve.Remove k | Serve.Update (k, _)),
               (Serve.Applied _ | Serve.Rejected) ) ->
-            jline j "K %s" (hex_of_key k)
+            jline j "K %s" (Key.to_hex k)
           | ( (Serve.Insert (k, _) | Serve.Remove k | Serve.Update (k, _)),
               Serve.Timed_out ) ->
-            jline j "U %s" (hex_of_key k)
+            jline j "U %s" (Key.to_hex k)
           | (Serve.Find _ | Serve.Scan _), _ -> ())
         outs;
       jline j "R %d" round;

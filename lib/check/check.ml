@@ -305,7 +305,7 @@ let check_btree_ctx ?(strict = false) ctx (tree : Btree.t) =
             "leaf %d: compact capacity %d holds %d keys (< %d)" i cap count
             (Hysteresis.min_count cap)
       | Leaf.Std l -> check_std_image ctx ~what:(Printf.sprintf "leaf %d" i) l
-      | Leaf.Sub _ | Leaf.Pre _ | Leaf.Str _ | Leaf.Bw _ | Leaf.Gap _ -> ())
+      | Leaf.Sub _ | Leaf.Pre _ | Leaf.Str _ | Leaf.Bw _ -> ())
     it.Btree.leaves;
   (* O(1) counters vs recomputation. *)
   if !item_sum <> it.Btree.items then
@@ -345,7 +345,7 @@ let check_elastic_ctx ?strict ctx (tree : Elastic_btree.t) =
                i c initial std max_capacity
          | Policy.Spec_std -> ()
          | Policy.Spec_sub _ | Policy.Spec_pre | Policy.Spec_str _
-         | Policy.Spec_bw | Policy.Spec_gap ->
+         | Policy.Spec_bw ->
            fail ctx "elasticity" "leaf %d: foreign representation %s" i
              (Format.asprintf "%a" Policy.pp_spec spec));
          i + 1)

@@ -58,7 +58,6 @@ type config = {
   max_segment_capacity : int;
   seq_levels : int;
   breathing : int;
-  search_split_probability : float;
   seed : int;
 }
 
@@ -69,7 +68,6 @@ let default_config ~size_bound =
     max_segment_capacity = 128;
     seq_levels = 2;
     breathing = 4;
-    search_split_probability = 1.0 /. 32.0;
     seed = 0xe1a5;
   }
 
@@ -245,7 +243,7 @@ let rec find t key =
   (match target with
   | Some ({ payload = Segment _; _ } as node)
     when Hysteresis.state_equal t.state Hysteresis.Expanding
-         && Float.compare (Rng.float t.rng) t.config.search_split_probability
+         && Float.compare (Rng.float t.rng) Hysteresis.search_split_probability
             < 0 ->
     dissolve t node
   | Some _ | None -> ());

@@ -16,7 +16,6 @@ type config = {
   max_segment_capacity : int;
   seq_levels : int;
   breathing : int;
-  search_split_probability : float;
   seed : int;
 }
 

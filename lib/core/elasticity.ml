@@ -51,7 +51,6 @@ type config = {
   max_compact_capacity : int;       (* compact capacity cap (128, §4) *)
   seq_levels : int;                 (* BlindiTree levels (2, §6.1) *)
   breathing : int;                  (* breathing slack (4, §6.1) *)
-  search_split_probability : float; (* expansion-state split chance *)
   cold_sweep_period : int;          (* ops between cold-compaction sweeps;
                                        0 disables the access-aware policy *)
   cold_sweep_batch : int;           (* leaves inspected per sweep *)
@@ -67,7 +66,6 @@ let default_config ~size_bound =
     max_compact_capacity = 128;
     seq_levels = 2;
     breathing = 4;
-    search_split_probability = 1.0 /. 32.0;
     cold_sweep_period = 0;
     cold_sweep_batch = 8;
     seed = 0x5eed;
@@ -185,13 +183,12 @@ let on_overflow t view ~current =
   | Policy.Spec_pre, _ -> Policy.Split Policy.Spec_pre
   | Policy.Spec_str c, _ -> Policy.Split (Policy.Spec_str c)
   | Policy.Spec_bw, _ -> Policy.Split Policy.Spec_bw
-  | Policy.Spec_gap, _ -> Policy.Split Policy.Spec_gap
 
 let on_underflow t view ~current ~count:_ =
   update t view;
   match current with
   | Policy.Spec_std | Policy.Spec_sub _ | Policy.Spec_pre | Policy.Spec_str _
-  | Policy.Spec_bw | Policy.Spec_gap ->
+  | Policy.Spec_bw ->
     Policy.Rebalance
   | Policy.Spec_seq c ->
     let spec = below t c in
@@ -204,7 +201,7 @@ let on_search_compact t view ~current =
   match (t.state, current) with
   | Hysteresis.Expanding, Policy.Spec_seq c
     when Float.compare (Ei_util.Rng.float t.rng)
-           t.config.search_split_probability
+           Hysteresis.search_split_probability
          < 0 ->
     let spec = below t c in
     Metrics.incr c_search_splits;
@@ -233,8 +230,7 @@ let on_merge t view ~total ~left ~right =
 
 let underflow_at _t spec ~std_capacity ~count =
   match spec with
-  | Policy.Spec_std | Policy.Spec_sub _ | Policy.Spec_pre | Policy.Spec_bw
-  | Policy.Spec_gap ->
+  | Policy.Spec_std | Policy.Spec_sub _ | Policy.Spec_pre | Policy.Spec_bw ->
     count < std_capacity / 2
   | Policy.Spec_str c -> count < c / 2
   | Policy.Spec_seq capacity -> Hysteresis.underflows ~capacity ~count

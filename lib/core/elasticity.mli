@@ -18,7 +18,6 @@ type config = {
   max_compact_capacity : int;       (** compact capacity cap (128) *)
   seq_levels : int;                 (** BlindiTree levels (2) *)
   breathing : int;                  (** breathing slack (4) *)
-  search_split_probability : float; (** expansion-state split chance *)
   cold_sweep_period : int;
   (** operations between cold-compaction sweeps; 0 disables the
       access-aware policy variant (§4 design space) *)

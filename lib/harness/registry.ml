@@ -11,7 +11,6 @@ type kind =
   | Elastic of Ei_core.Elasticity.config
   | Prefix  (* prefix-compressed B+-tree (key truncation) *)
   | Bwtree  (* Bw-tree-style delta-chained leaves *)
-  | Gapped  (* gapped/slotted leaves (BS-tree style) *)
   | Hot
   | Art
   | Skiplist
@@ -27,7 +26,6 @@ let kind_name = function
   | Elastic _ -> "elastic"
   | Prefix -> "prefix"
   | Bwtree -> "bwtree"
-  | Gapped -> "gapped"
   | Hot -> "hot"
   | Art -> "art"
   | Skiplist -> "skiplist"
@@ -71,11 +69,6 @@ let make ?name ?(leaf_capacity = 16) ~key_len ~load kind =
     Index_ops.of_btree name
       (Ei_btree.Btree.create ~leaf_capacity ~key_len ~load
          ~policy:(Ei_btree.Policy.all_bw ())
-         ())
-  | Gapped ->
-    Index_ops.of_btree name
-      (Ei_btree.Btree.create ~leaf_capacity ~key_len ~load
-         ~policy:(Ei_btree.Policy.all_gapped ())
          ())
   | Hot ->
     Index_ops.of_radix name

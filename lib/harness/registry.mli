@@ -9,10 +9,6 @@ type kind =
   | Elastic of Ei_core.Elasticity.config   (** the elastic B+-tree *)
   | Prefix                                 (** prefix-compressed B+-tree *)
   | Bwtree                                 (** Bw-tree-style delta chains *)
-  | Gapped                                 (** gapped/slotted leaves
-                                               (BS-tree style): inserts
-                                               fill distributed gaps
-                                               instead of shifting *)
   | Hot                                    (** blind radix trie, indirect keys *)
   | Art                                    (** blind radix trie, stored keys *)
   | Skiplist

@@ -1,10 +1,5 @@
-(* Length-prefixed, CRC-framed binary codec for the network protocol.
-
-   Wire layout of one frame (all integers little-endian) — the same
-   shape as the WAL codec ({!Ei_wal.Frame}), so the two adversarial
-   test suites share one property harness:
-
-     u32 payload_len | u32 crc32(payload) | payload
+(* The network protocol codec: the tags and fields of requests and
+   replies, carried in the shared CRC-framed {!Ei_wal.Envelope}.
 
    Request payload = u8 tag | u64 id | tag-specific fields
      tag 1 Insert : u16 key_len | key bytes
@@ -21,17 +16,9 @@
 
    Clients never hand the server a row id: the server owns the row
    table and assigns tids on insert/update; [Find] returns the tid as
-   its result, so a tid is an opaque handle on the wire.
+   its result, so a tid is an opaque handle on the wire. *)
 
-   The decoder is total and incremental: a frame whose remaining bytes
-   have simply not arrived yet is [More] (feed more bytes), while any
-   definite protocol violation — implausible length field, CRC
-   mismatch, bad tag, field overrun, trailing payload bytes — is
-   [Corrupt], never an exception and never a wrong value.  The length
-   field is bounded before any buffering decision, so a length-field
-   lie can never make a reader buffer unboundedly. *)
-
-module Crc32 = Ei_wal.Crc32
+module Envelope = Ei_wal.Envelope
 
 type op =
   | Insert of string
@@ -50,7 +37,7 @@ type status =
 
 type reply = { rid : int; status : status }
 
-type 'a progress =
+type 'a progress = 'a Envelope.progress =
   | Done of 'a * int
   | More
   | Corrupt of string
@@ -58,9 +45,7 @@ type 'a progress =
 let op_key = function
   | Insert k | Remove k | Update k | Find k | Scan (k, _) -> k
 
-let hex s =
-  String.concat ""
-    (List.init (String.length s) (fun i -> Printf.sprintf "%02x" (Char.code s.[i])))
+let hex = Ei_util.Key.to_hex
 
 let describe_request { id; op } =
   match op with
@@ -77,34 +62,20 @@ let describe_reply { rid; status } =
   | Timed_out -> Printf.sprintf "%d timed-out" rid
   | Busy -> Printf.sprintf "%d busy" rid
 
-(* Keys are short byte strings (u16 length field); the largest payload
-   is tag + id + key_len + key + scan count. *)
+(* The smallest payload is tag + id (an empty-bodied reply); the
+   largest is tag + id + key_len + key + scan count. *)
+let min_payload = 1 + 8
 let max_payload = 1 + 8 + 2 + 0xffff + 4
-let header_bytes = 8
-
-(* Smallest well-formed payload: tag + id (an empty-bodied reply). *)
-let min_payload = 9
 
 (* --- Encoding -------------------------------------------------------- *)
-
-let add_key buf key =
-  if String.length key > 0xffff then invalid_arg "Wire.encode: key too long";
-  Buffer.add_uint16_le buf (String.length key);
-  Buffer.add_string buf key
-
-let add_frame buf payload =
-  let p = Buffer.contents payload in
-  Buffer.add_int32_le buf (Int32.of_int (String.length p));
-  Buffer.add_int32_le buf (Int32.of_int (Crc32.string p));
-  Buffer.add_string buf p
 
 let encode_request_into buf { id; op } =
   if id < 0 then invalid_arg "Wire.encode: negative request id";
   let payload = Buffer.create 32 in
   let tagged tag key =
     Buffer.add_uint8 payload tag;
-    Buffer.add_int64_le payload (Int64.of_int id);
-    add_key payload key
+    Envelope.add_i64 payload id;
+    Envelope.add_key payload key
   in
   (match op with
   | Insert k -> tagged 1 k
@@ -115,7 +86,7 @@ let encode_request_into buf { id; op } =
     if n < 0 || n > 0xffffffff then invalid_arg "Wire.encode: bad scan count";
     tagged 5 k;
     Buffer.add_int32_le payload (Int32.of_int n));
-  add_frame buf payload
+  Envelope.add buf (Buffer.contents payload)
 
 let encode_request r =
   let buf = Buffer.create 48 in
@@ -127,16 +98,16 @@ let encode_reply_into buf { rid; status } =
   let payload = Buffer.create 24 in
   let tagged tag =
     Buffer.add_uint8 payload tag;
-    Buffer.add_int64_le payload (Int64.of_int rid)
+    Envelope.add_i64 payload rid
   in
   (match status with
   | Applied r ->
     tagged 16;
-    Buffer.add_int64_le payload (Int64.of_int r)
+    Envelope.add_i64 payload r
   | Rejected -> tagged 17
   | Timed_out -> tagged 18
   | Busy -> tagged 19);
-  add_frame buf payload
+  Envelope.add buf (Buffer.contents payload)
 
 let encode_reply r =
   let buf = Buffer.create 32 in
@@ -145,94 +116,32 @@ let encode_reply r =
 
 (* --- Decoding -------------------------------------------------------- *)
 
-let u32 s pos = Int32.to_int (String.get_int32_le s pos) land 0xffffffff
-
-(* Non-negative 63-bit value (ids). *)
-let i64 s pos =
-  let v = String.get_int64_le s pos in
-  if Int64.compare v 0L < 0 || Int64.compare v (Int64.of_int max_int) > 0 then
-    None
-  else Some (Int64.to_int v)
+let parse_request p =
+  let tag = Envelope.u8 p in
+  let id = Envelope.i64 p ~what:"request id" in
+  match tag with
+  | 1 -> { id; op = Insert (Envelope.key p) }
+  | 2 -> { id; op = Remove (Envelope.key p) }
+  | 3 -> { id; op = Update (Envelope.key p) }
+  | 4 -> { id; op = Find (Envelope.key p) }
+  | 5 ->
+    let key = Envelope.key p in
+    { id; op = Scan (key, Envelope.u32 p ~what:"scan count") }
+  | t -> Envelope.malformed (Printf.sprintf "unknown request tag %d" t)
 
 (* Operation results are at least -1 ([Find] misses report -1). *)
-let i64r s pos =
-  let v = String.get_int64_le s pos in
-  if Int64.compare v (-1L) < 0 || Int64.compare v (Int64.of_int max_int) > 0
-  then None
-  else Some (Int64.to_int v)
+let parse_reply p =
+  let tag = Envelope.u8 p in
+  let rid = Envelope.i64 p ~what:"reply id" in
+  match tag with
+  | 16 -> { rid; status = Applied (Envelope.i64 ~min:(-1) p ~what:"result") }
+  | 17 -> { rid; status = Rejected }
+  | 18 -> { rid; status = Timed_out }
+  | 19 -> { rid; status = Busy }
+  | t -> Envelope.malformed (Printf.sprintf "unknown reply tag %d" t)
 
-(* Frame plumbing shared by both directions: header, length
-   plausibility, CRC, then [parse s ~base ~len] over the verified
-   payload.  [parse] failures can only come from an encoder this
-   decoder does not know — still rejected, never a guess. *)
-let frame s ~pos ~parse =
-  let n = String.length s in
-  if pos < 0 || pos > n then Corrupt "position out of range"
-  else if n - pos < header_bytes then More
-  else begin
-    let len = u32 s pos in
-    let crc = u32 s (pos + 4) in
-    if len < min_payload || len > max_payload then
-      Corrupt (Printf.sprintf "implausible payload length %d" len)
-    else if n - pos - header_bytes < len then More
-    else begin
-      let base = pos + header_bytes in
-      if Crc32.string ~pos:base ~len s <> crc then Corrupt "crc mismatch"
-      else
-        match parse s ~base ~len with
-        | Ok v -> Done (v, base + len)
-        | Error msg -> Corrupt msg
-    end
-  end
+let decode_request s ~pos =
+  Envelope.decode ~min:min_payload ~max:max_payload s ~pos parse_request
 
-let parse_request s ~base ~len =
-  let tag = Char.code s.[base] in
-  let with_key k =
-    (* [k pos key] parses the tag-specific tail after the key. *)
-    if len < 11 then Error "payload too short for key"
-    else begin
-      let klen = Char.code s.[base + 9] lor (Char.code s.[base + 10] lsl 8) in
-      if 11 + klen > len then Error "key overruns payload"
-      else k (base + 11 + klen) (String.sub s (base + 9 + 2) klen)
-    end
-  in
-  let finish consumed r =
-    if consumed - base <> len then Error "payload length mismatch" else Ok r
-  in
-  match i64 s (base + 1) with
-  | None -> Error "bad request id"
-  | Some id -> (
-    let keyed mk = with_key (fun p key -> finish p { id; op = mk key }) in
-    match tag with
-    | 1 -> keyed (fun k -> Insert k)
-    | 2 -> keyed (fun k -> Remove k)
-    | 3 -> keyed (fun k -> Update k)
-    | 4 -> keyed (fun k -> Find k)
-    | 5 ->
-      with_key (fun p key ->
-          if p + 4 > base + len then Error "truncated scan count"
-          else finish (p + 4) { id; op = Scan (key, u32 s p) })
-    | t -> Error (Printf.sprintf "unknown request tag %d" t))
-
-let parse_reply s ~base ~len =
-  let tag = Char.code s.[base] in
-  let finish consumed r =
-    if consumed - base <> len then Error "payload length mismatch" else Ok r
-  in
-  match i64 s (base + 1) with
-  | None -> Error "bad reply id"
-  | Some rid -> (
-    match tag with
-    | 16 ->
-      if len < 17 then Error "truncated result"
-      else (
-        match i64r s (base + 9) with
-        | None -> Error "bad result"
-        | Some r -> finish (base + 17) { rid; status = Applied r })
-    | 17 -> finish (base + 9) { rid; status = Rejected }
-    | 18 -> finish (base + 9) { rid; status = Timed_out }
-    | 19 -> finish (base + 9) { rid; status = Busy }
-    | t -> Error (Printf.sprintf "unknown reply tag %d" t))
-
-let decode_request s ~pos = frame s ~pos ~parse:parse_request
-let decode_reply s ~pos = frame s ~pos ~parse:parse_reply
+let decode_reply s ~pos =
+  Envelope.decode ~min:min_payload ~max:max_payload s ~pos parse_reply

@@ -1,11 +1,8 @@
-(** Length-prefixed, CRC-framed binary codec for the network protocol.
+(** The network protocol codec: one request or reply per
+    {!Ei_wal.Envelope} frame, the envelope the WAL record codec
+    ({!Ei_wal.Frame}) uses too.
 
-    Wire layout of one frame (all integers little-endian), the same
-    shape as the WAL record codec ({!Ei_wal.Frame}):
-
-    {v u32 payload_len | u32 crc32(payload) | payload v}
-
-    where [payload] starts with a [u8] tag and a [u64] request id.
+    Each payload starts with a [u8] tag and a [u64] request id.
     Requests carry an operation over a key (tags 1–5: insert, remove,
     update, find, scan); replies carry the typed outcome (tags 16–19:
     applied-with-result, rejected, timed-out, busy).  Clients never
@@ -47,7 +44,7 @@ type status =
 type reply = { rid : int; status : status }
 
 (** Incremental decode outcome. *)
-type 'a progress =
+type 'a progress = 'a Ei_wal.Envelope.progress =
   | Done of 'a * int  (** the value and the position after its frame *)
   | More  (** the frame's remaining bytes have not arrived yet *)
   | Corrupt of string
@@ -58,9 +55,6 @@ val op_key : op -> string
 val describe_request : request -> string
 val describe_reply : reply -> string
 (** One-line renderings for diagnostics and test oracles. *)
-
-val max_payload : int
-val header_bytes : int
 
 val encode_request_into : Buffer.t -> request -> unit
 val encode_request : request -> string

@@ -24,14 +24,6 @@ let node_header = 16
 let std_leaf_bytes ~capacity ~key_len =
   node_header + (2 * word) + (capacity * (key_len + word))
 
-(* Gapped (slotted) B+-tree leaf, BS-tree style: the standard leaf
-   layout plus a one-byte-per-slot occupancy map.  The key/tid arrays
-   are always allocated at full [capacity] — the gaps are the point —
-   so the space cost relative to [std_leaf_bytes] is exactly the
-   occupancy bytes. *)
-let gapped_leaf_bytes ~capacity ~key_len =
-  std_leaf_bytes ~capacity ~key_len + capacity
-
 (* B+-tree inner node: header, [capacity] separator keys and
    [capacity + 1] child pointers. *)
 let inner_bytes ~capacity ~key_len =

@@ -12,10 +12,6 @@ val node_header : int
 val std_leaf_bytes : capacity:int -> key_len:int -> int
 (** STX-style leaf: header, sibling pointers, [capacity] key+tid slots. *)
 
-val gapped_leaf_bytes : capacity:int -> key_len:int -> int
-(** Gapped (slotted) leaf, BS-tree style: a standard leaf plus one
-    occupancy byte per slot; key/tid arrays stay at full capacity. *)
-
 val inner_bytes : capacity:int -> key_len:int -> int
 (** B+-tree inner node: separators plus child pointers. *)
 

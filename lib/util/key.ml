@@ -170,6 +170,10 @@ let to_hex k =
   String.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) k;
   Buffer.contents buf
 
+let of_hex s =
+  String.init (String.length s / 2) (fun i ->
+      Char.chr (int_of_string ("0x" ^ String.sub s (2 * i) 2)))
+
 let pp ppf k = Fmt.string ppf (to_hex k)
 
 (* Random key of [len] bytes. *)

@@ -60,6 +60,11 @@ val first_diff_bit : t -> t -> int option
     or [None] if equal. *)
 
 val to_hex : t -> string
+(** Two lowercase hex digits per byte. *)
+
+val of_hex : string -> t
+(** Inverse of {!to_hex}.  Raises [Failure] on a non-hex digit. *)
+
 val pp : Format.formatter -> t -> unit
 
 val random : Rng.t -> int -> t

@@ -1,8 +1,7 @@
-(** The WAL record codec: length-prefixed, CRC-32-framed binary frames.
+(** The WAL record codec: one record per {!Envelope} frame.
 
-    One frame is [u32 payload_len | u32 crc32(payload) | payload], all
-    little-endian; the payload carries a tag byte, the record's LSN and
-    the tag-specific fields.  Decoding is {e total}: truncated, torn or
+    The payload carries a tag byte, the record's LSN and the
+    tag-specific fields.  Decoding is {e total}: truncated, torn or
     bit-flipped input yields [Error], never an exception and never a
     wrong record — the property the adversarial qcheck suite pins
     down, and what makes torn-tail truncation during recovery safe. *)
@@ -25,9 +24,6 @@ val encode : record -> string
     a key longer than 65535 bytes (never produced by the writer). *)
 
 val encode_into : Buffer.t -> record -> unit
-
-val header_bytes : int
-(** Frame header size (length + CRC words). *)
 
 val decode : string -> pos:int -> (record * int, string) result
 (** [decode s ~pos] reads one frame starting at [pos] and returns the

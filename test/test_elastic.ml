@@ -149,7 +149,7 @@ let test_capacity_progression () =
         match spec with
         | Policy.Spec_seq c ->
           if not (List.mem c acc) then c :: acc else acc
-        | Policy.Spec_std | Policy.Spec_sub _ | Policy.Spec_pre | Policy.Spec_str _ | Policy.Spec_bw | Policy.Spec_gap -> acc)
+        | Policy.Spec_std | Policy.Spec_sub _ | Policy.Spec_pre | Policy.Spec_str _ | Policy.Spec_bw -> acc)
       []
   in
   (* Compact capacities must be from the 32 -> 64 -> 128 progression and

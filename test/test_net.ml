@@ -34,7 +34,6 @@ module Fault = Ei_fault.Fault
 module Olc = Ei_olc.Btree_olc
 module Key = Ei_util.Key
 module Rng = Ei_util.Rng
-module Crc32 = Ei_wal.Crc32
 module Sim = Ei_sim.Sim
 module Sched = Ei_sim.Sched
 module H = Codec_harness
@@ -175,12 +174,7 @@ let prop_reply_random_flip =
 
 (* Attacks a single bit flip cannot reach: frames whose CRC is valid
    but whose payload violates the protocol. *)
-let forge payload =
-  let b = Buffer.create 32 in
-  Buffer.add_int32_le b (Int32.of_int (String.length payload));
-  Buffer.add_int32_le b (Int32.of_int (Crc32.string payload));
-  Buffer.add_string b payload;
-  Buffer.contents b
+let forge = H.frame
 
 let test_valid_crc_forgeries () =
   let le64 v =
@@ -206,6 +200,38 @@ let test_valid_crc_forgeries () =
   match Wire.decode_reply (forge ("\x10" ^ le64 1 ^ le64 3)) ~pos:0 with
   | Wire.Done ({ Wire.rid = 1; status = Wire.Applied 3 }, _) -> ()
   | _ -> Alcotest.fail "forge helper builds broken frames"
+
+(* The bytes the encoder wrote when the protocol was fixed, one frame
+   per tag: a format change fails here even where every round trip
+   still passes. *)
+let test_golden_frames () =
+  let key = Key.of_int 0x0102030405060708 in
+  let check name encode decode v =
+    let frame = H.golden name in
+    Alcotest.(check string) name (Key.to_hex frame) (Key.to_hex (encode v));
+    match decode frame ~pos:0 with
+    | Wire.Done (v', next) when v' = v && next = String.length frame -> ()
+    | Wire.Done _ | Wire.More | Wire.Corrupt _ ->
+      Alcotest.failf "%s does not decode back" name
+  in
+  List.iter
+    (fun (name, r) -> check name Wire.encode_request Wire.decode_request r)
+    [
+      ("wire-insert", { Wire.id = 1; op = Wire.Insert key });
+      ("wire-remove", { Wire.id = 2; op = Wire.Remove key });
+      ("wire-update", { Wire.id = 3; op = Wire.Update key });
+      ("wire-find", { Wire.id = 4; op = Wire.Find key });
+      ("wire-scan", { Wire.id = 5; op = Wire.Scan (key, 100) });
+    ];
+  List.iter
+    (fun (name, r) -> check name Wire.encode_reply Wire.decode_reply r)
+    [
+      ("wire-applied", { Wire.rid = 6; status = Wire.Applied 42 });
+      ("wire-applied-miss", { Wire.rid = 7; status = Wire.Applied (-1) });
+      ("wire-rejected", { Wire.rid = 8; status = Wire.Rejected });
+      ("wire-timed-out", { Wire.rid = 9; status = Wire.Timed_out });
+      ("wire-busy", { Wire.rid = 10; status = Wire.Busy });
+    ]
 
 (* --- b. connection state machines ------------------------------------- *)
 
@@ -575,6 +601,7 @@ let () =
             test_length_lies;
           Alcotest.test_case "valid-CRC forgeries refused" `Quick
             test_valid_crc_forgeries;
+          Alcotest.test_case "golden frame bytes" `Quick test_golden_frames;
         ] );
       ( "conn",
         [

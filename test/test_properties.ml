@@ -373,64 +373,6 @@ let prop_elastic_skiplist =
     ~count:200 (ops_arbitrary 150)
     (fun ops -> agree_with_model (elastic_skiplist_driver ~size_bound:800 ()) ops)
 
-let prop_btree_gapped =
-  QCheck.Test.make ~name:"gapped btree agrees with model" ~count:200
-    (ops_arbitrary 150)
-    (fun ops -> agree_with_model (btree_driver (Policy.all_gapped ())) ops)
-
-let prop_btree_gapped_dense =
-  QCheck.Test.make ~name:"gapped btree agrees with model on dense prefixes"
-    ~count:200 (ops_arbitrary 150)
-    (fun ops ->
-      agree_with_model ~key_of:dense_key_of_pool
-        (btree_driver (Policy.all_gapped ()))
-        ops)
-
-(* --- Gapped leaf vs standard leaf ------------------------------------- *)
-
-(* Differential: the gapped leaf is behaviourally identical to the
-   packed standard leaf at equal capacity — same insert/remove results
-   (including [Full], since both fill at [capacity] live entries), same
-   lookups, same positional view in key order. *)
-let prop_gapped_leaf =
-  let module Std_leaf = Ei_btree.Std_leaf in
-  let module Gapped = Ei_btree.Gapped_leaf in
-  QCheck.Test.make ~name:"gapped leaf matches std leaf" ~count:400
-    (ops_arbitrary ~pool:24 120)
-    (fun ops ->
-      let std = Std_leaf.create ~key_len:8 ~capacity:16 () in
-      let gap = Gapped.create ~key_len:8 ~capacity:16 () in
-      List.for_all
-        (fun op ->
-          let ok =
-            match op with
-            | Insert i ->
-              let k = key_of_pool i in
-              Std_leaf.insert std k i = Gapped.insert gap k i
-            | Remove i ->
-              let k = key_of_pool i in
-              Std_leaf.remove std k = Gapped.remove gap k
-            | Find i ->
-              let k = key_of_pool i in
-              Std_leaf.find std k = Gapped.find gap k
-              && Std_leaf.lower_bound std k = Gapped.lower_bound gap k
-            | Scan (i, n) ->
-              let k = key_of_pool i in
-              let from = Std_leaf.lower_bound std k in
-              let take l =
-                List.rev
-                  (l from (fun acc k' tid ->
-                       if List.length acc < n then (k', tid) :: acc else acc)
-                     [])
-              in
-              take (Std_leaf.fold_from std) = take (Gapped.fold_from gap)
-          in
-          Gapped.check_invariants gap;
-          ok
-          && Std_leaf.count std = Gapped.count gap
-          && Std_leaf.is_full std = Gapped.is_full gap)
-        ops)
-
 (* --- Inline standard leaf vs a sorted-assoc model ----------------------- *)
 
 (* Keys of [key_len] bytes from a pool index.  Length 3 exercises only
@@ -606,7 +548,6 @@ let prop_multi_find =
   let backends =
     [
       ("stx", mk_plain Registry.Stx);
-      ("gapped", mk_plain Registry.Gapped);
       ("seqtree", mk_plain (Registry.Seqtree 64));
       ( "elastic",
         mk_plain (Registry.Elastic (Elasticity.default_config ~size_bound:2_000)) );
@@ -740,10 +681,7 @@ let () =
           qt prop_seqtree_dense;
           qt prop_btree_elastic_dense;
           qt prop_radix_dense;
-          qt prop_btree_gapped;
-          qt prop_btree_gapped_dense;
         ] );
-      ("gapped-leaf", [ qt prop_gapped_leaf ]);
       ("std-leaf", List.map (fun kl -> qt (prop_std_leaf_model kl)) [ 3; 8; 16 ]);
       ("olc-tracker", List.map qt prop_olc_tracker);
       ("multi-find", List.map qt prop_multi_find);

@@ -2,7 +2,9 @@
 
    a. Frame codec: qcheck round-trips plus *adversarial* rejection —
       every single-bit flip and every truncation of a frame must
-      decode to Error (never raise, never return a wrong record).
+      decode to Error (never raise, never return a wrong record) —
+      golden bytes for one record per tag, and the shared frame
+      envelope's own adversaries (Codec_harness.envelope_cases).
    b. Writer/recovery units: clean close + recovery fidelity
       (contents, elastic bound, clean marker), rotation + checkpoint
       pruning, corrupt-newest-checkpoint fallback, and the two
@@ -172,6 +174,25 @@ let test_torn_tail_decode () =
   match err with
   | Some (off, _) -> Alcotest.(check int) "torn offset" good off
   | None -> Alcotest.fail "torn tail went unreported"
+
+(* The bytes the encoder wrote when the format was fixed, one record
+   per tag: a format change fails here even where every round trip
+   still passes, so a log written by an older build keeps recovering. *)
+let test_golden_frames () =
+  let key = Key.of_int 0x0102030405060708 in
+  List.iter
+    (fun (name, r) ->
+      let frame = Codec_harness.golden name in
+      Alcotest.(check string) name (Key.to_hex frame) (Key.to_hex (Frame.encode r));
+      match Frame.decode frame ~pos:0 with
+      | Ok (r', next) when r' = r && next = String.length frame -> ()
+      | Ok _ | Error _ -> Alcotest.failf "%s does not decode back" name)
+    [
+      ("wal-insert", Frame.Insert { lsn = 7; key; tid = 42 });
+      ("wal-remove", Frame.Remove { lsn = 8; key });
+      ("wal-update", Frame.Update { lsn = 9; key; tid = 43 });
+      ("wal-bound", Frame.Bound { lsn = 10; bound = 49152 });
+    ]
 
 (* --- b. writer / recovery units -------------------------------------- *)
 
@@ -583,7 +604,9 @@ let () =
           Alcotest.test_case "length-field lies rejected" `Quick
             test_length_lies;
           Alcotest.test_case "torn tail localised" `Quick test_torn_tail_decode;
+          Alcotest.test_case "golden frame bytes" `Quick test_golden_frames;
         ] );
+      ("envelope", Codec_harness.envelope_cases);
       ( "recovery",
         [
           Alcotest.test_case "clean close round-trips" `Quick
