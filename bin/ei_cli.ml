@@ -109,30 +109,28 @@ let index_arg =
 
 (* --- ycsb ------------------------------------------------------------ *)
 
+let parse_workload w =
+  match Ycsb.workload_of_name w with
+  | Some w -> w
+  | None ->
+    Printf.ksprintf failwith "unknown workload %s" (String.uppercase_ascii w)
+
+(* The YCSB run flags of [ycsb] and [stats]. *)
+let ycsb_workload_arg =
+  Arg.(value & opt string "A" & info [ "w"; "workload" ] ~docv:"A..F" ~doc:"YCSB workload.")
+
+let ycsb_records_arg =
+  Arg.(value & opt int 50_000 & info [ "records" ] ~doc:"Records to load.")
+
+let ycsb_ops_arg =
+  Arg.(value & opt int 100_000 & info [ "ops" ] ~doc:"Transactions to run.")
+
+let zipf_arg =
+  Arg.(value & flag & info [ "zipfian" ] ~doc:"Zipfian key distribution (default uniform).")
+
 let ycsb_cmd =
-  let workload_arg =
-    Arg.(value & opt string "A" & info [ "w"; "workload" ] ~docv:"A..F" ~doc:"YCSB workload.")
-  in
-  let records_arg =
-    Arg.(value & opt int 50_000 & info [ "records" ] ~doc:"Records to load.")
-  in
-  let ops_arg =
-    Arg.(value & opt int 100_000 & info [ "ops" ] ~doc:"Transactions to run.")
-  in
-  let zipf_arg =
-    Arg.(value & flag & info [ "zipfian" ] ~doc:"Zipfian key distribution (default uniform).")
-  in
   let run index_name workload records ops zipfian =
-    let workload =
-      match String.uppercase_ascii workload with
-      | "A" -> Ycsb.A
-      | "B" -> Ycsb.B
-      | "C" -> Ycsb.C
-      | "D" -> Ycsb.D
-      | "E" -> Ycsb.E
-      | "F" -> Ycsb.F
-      | w -> Printf.ksprintf failwith "unknown workload %s" w
-    in
+    let workload = parse_workload workload in
     match kind_of_name ~approx_items:records ~key_len:8 index_name with
     | Error (`Msg m) -> prerr_endline m; exit 2
     | Ok kind ->
@@ -155,7 +153,10 @@ let ycsb_cmd =
         (Clock.mib (index.Index_ops.memory_bytes ()))
         (index.Index_ops.info ())
   in
-  let term = Term.(const run $ index_arg $ workload_arg $ records_arg $ ops_arg $ zipf_arg) in
+  let term =
+    Term.(const run $ index_arg $ ycsb_workload_arg $ ycsb_records_arg
+          $ ycsb_ops_arg $ zipf_arg)
+  in
   Cmd.v (Cmd.info "ycsb" ~doc:"Run a YCSB workload against an index.") term
 
 (* --- ingest ----------------------------------------------------------- *)
@@ -302,6 +303,20 @@ let with_drain_signals f =
       Sys.set_signal Sys.sigint prev_int)
     (fun () -> f stop)
 
+(* Load the YCSB keys of sequence numbers [0, records) into a fleet:
+   append their rows to its table, then insert them in one [Fleet.run].
+   Returns the tids (indexed by sequence number) and the shed count. *)
+let preload ?stop (fleet : Ei_shard.Fleet.t) records =
+  let tids =
+    Array.init records (fun s ->
+        Table.append fleet.Ei_shard.Fleet.table (Ycsb.key_of_seq s))
+  in
+  let inserts =
+    Array.init records (fun s ->
+        Ei_shard.Serve.Insert (Ycsb.key_of_seq s, tids.(s)))
+  in
+  (tids, Ei_shard.Fleet.run ?stop fleet inserts)
+
 let serve_cmd =
   let module Shard = Ei_shard.Shard in
   let module Serve = Ei_shard.Serve in
@@ -344,7 +359,7 @@ let serve_cmd =
         ~coordinator:(Serve.default_coordinator ~global_bound)
         ?wal ()
     in
-    let { Fleet.table; router; serve } = fleet in
+    let { Fleet.router; serve; _ } = fleet in
     (match Serve.wal_recoveries serve with
     | [] -> ()
     | boot ->
@@ -366,18 +381,11 @@ let serve_cmd =
        the next start recovers them without replay surprises. *)
     let interrupted =
       with_drain_signals @@ fun stop ->
-      let shed = ref 0 in
-      let batched a = shed := !shed + Fleet.run ~stop fleet a in
-      let tids = Array.make records 0 in
-      for s = 0 to records - 1 do
-        tids.(s) <- Table.append table (Ycsb.key_of_seq s)
-      done;
-      let (), load_dt =
-        Clock.time (fun () ->
-            batched
-              (Array.init records (fun s ->
-                   Ei_shard.Serve.Insert (Ycsb.key_of_seq s, tids.(s)))))
+      let (tids, load_shed), load_dt =
+        Clock.time (fun () -> preload ~stop fleet records)
       in
+      let shed = ref load_shed in
+      let batched a = shed := !shed + Fleet.run ~stop fleet a in
       Printf.printf
         "%d shard domain(s) + coordinator%s; global bound %.1f MiB\n" shards
         (if wal = None then "" else " + WAL")
@@ -514,12 +522,7 @@ let serve_net_cmd =
       Fleet.start ~shards ~part:(Fleet.part (Registry.Olc Olc.Olc_std)) ?wal ()
     in
     let { Fleet.table; serve; _ } = fleet in
-    if records > 0 then
-      ignore
-        (Fleet.run fleet
-           (Array.init records (fun s ->
-                let k = Ycsb.key_of_seq s in
-                Serve.Insert (k, Table.append table k))));
+    if records > 0 then ignore (preload fleet records);
     let config =
       {
         Server.default_config with
@@ -811,8 +814,9 @@ let chaos_cmd =
 
 (* Read-only WAL forensics (plus one explicit repair): what an operator
    points at a durable shard's directory after a crash, before deciding
-   to restart.  Everything rides on {!Ei_wal.Wal}'s total decoders —
-   corrupt bytes are reported, never raised through. *)
+   to restart.  The listing rides on {!Ei_wal.Wal}'s total decoders;
+   the verdict is {!Ei_wal.Wal.verify}, recovery's own walk run
+   read-only, so this command holds no recoverability rule of its own. *)
 let wal_cmd =
   let module Wal = Ei_wal.Wal in
   let dir_arg =
@@ -829,11 +833,9 @@ let wal_cmd =
     Arg.(value & flag
          & info [ "verify" ]
              ~doc:"Exit non-zero unless every shard is recoverable: \
-                   contiguous segments, no interior torn frame before \
-                   the next segment's first LSN (a torn tail of the \
-                   newest segment is legal — recovery truncates it), \
-                   and a validating checkpoint whenever any checkpoint \
-                   exists.")
+                   recovery's own checkpoint pick and LSN-prefix replay, \
+                   run read-only (a torn tail of the newest segment is \
+                   legal — recovery truncates it).")
   in
   let truncate_arg =
     Arg.(value & flag
@@ -871,22 +873,15 @@ let wal_cmd =
         shards
     else begin
       let bad = ref 0 in
-      let problem fmt =
-        Printf.ksprintf
-          (fun s ->
-            incr bad;
-            Printf.printf "  PROBLEM: %s\n" s)
-          fmt
-      in
       List.iter
         (fun i ->
           let segs, ckpts, clean = Wal.inspect_shard ~dir ~shard:i in
           Printf.printf "shard%d: %d segment(s), %d checkpoint(s)%s\n" i
             (List.length segs) (List.length ckpts)
             (if clean then ", clean shutdown" else "");
-          List.iteri
-            (fun j s ->
-              if not verify then
+          if not verify then begin
+            List.iter
+              (fun s ->
                 Printf.printf "  %s: %s, %d byte(s)%s\n"
                   (Filename.basename s.Wal.si_path)
                   (if s.Wal.si_frames = 0 then
@@ -898,35 +893,10 @@ let wal_cmd =
                   (match s.Wal.si_torn with
                   | None -> ""
                   | Some (off, e) ->
-                    Printf.sprintf " — TORN at byte %d (%s)" off e);
-              (* recovery ignores an interior segment's bytes past its
-                 successor's first LSN (a fenced writer's late tail) *)
-              match (s.Wal.si_torn, List.nth_opt segs (j + 1)) with
-              | Some (off, e), Some next
-                when s.Wal.si_last_lsn < next.Wal.si_first_lsn - 1 ->
-                problem "interior segment %s torn at byte %d (%s)"
-                  (Filename.basename s.Wal.si_path) off e
-              | _ -> ())
-            segs;
-          (* contiguity: each segment resumes where the previous ended *)
-          let rec gaps = function
-            | a :: (b :: _ as rest) ->
-              if
-                a.Wal.si_frames > 0
-                && b.Wal.si_first_lsn > a.Wal.si_last_lsn + 1
-              then
-                problem "LSN gap: %s ends at %d, %s starts at %d"
-                  (Filename.basename a.Wal.si_path)
-                  a.Wal.si_last_lsn
-                  (Filename.basename b.Wal.si_path)
-                  b.Wal.si_first_lsn;
-              gaps rest
-            | _ -> ()
-          in
-          gaps segs;
-          List.iter
-            (fun c ->
-              if not verify then
+                    Printf.sprintf " — TORN at byte %d (%s)" off e))
+              segs;
+            List.iter
+              (fun c ->
                 Printf.printf
                   "  ckpt %d: lsn %d, %d entries, fingerprint %016x, \
                    bound %d%s\n"
@@ -935,21 +905,13 @@ let wal_cmd =
                   (match c.Wal.ci_error with
                   | None -> ""
                   | Some e -> " — INVALID (" ^ e ^ ")"))
-            ckpts;
-          if ckpts <> [] && List.for_all (fun c -> c.Wal.ci_error <> None) ckpts
-          then problem "every checkpoint is corrupt — no fallback left";
-          (* replay must be able to reach the newest valid checkpoint *)
-          (match
-             ( List.find_opt (fun c -> c.Wal.ci_error = None) ckpts,
-               List.find_opt (fun s -> s.Wal.si_frames > 0) segs )
-           with
-          | Some c, Some s when s.Wal.si_first_lsn > c.Wal.ci_lsn + 1 ->
-            problem
-              "LSN gap after checkpoint %d (covers %d): oldest segment \
-               starts at %d"
-              c.Wal.ci_seq c.Wal.ci_lsn s.Wal.si_first_lsn
-          | _ -> ());
-          if verify && !bad = 0 then Printf.printf "  recoverable\n")
+              ckpts
+          end;
+          match Wal.verify ~dir ~shard:i with
+          | Ok _ -> if verify then print_endline "  recoverable"
+          | Error msg ->
+            incr bad;
+            Printf.printf "  PROBLEM: %s\n" msg)
         shards;
       if verify then
         if !bad = 0 then print_endline "wal verify: OK"
@@ -981,34 +943,13 @@ let wal_cmd =
    a scrape file or [jq]. *)
 let stats_cmd =
   let module Metrics = Ei_obs.Metrics in
-  let workload_arg =
-    Arg.(value & opt string "A" & info [ "w"; "workload" ] ~docv:"A..F" ~doc:"YCSB workload.")
-  in
-  let records_arg =
-    Arg.(value & opt int 50_000 & info [ "records" ] ~doc:"Records to load.")
-  in
-  let ops_arg =
-    Arg.(value & opt int 100_000 & info [ "ops" ] ~doc:"Transactions to run.")
-  in
-  let zipf_arg =
-    Arg.(value & flag & info [ "zipfian" ] ~doc:"Zipfian key distribution (default uniform).")
-  in
   let json_arg =
     Arg.(value & flag
          & info [ "json" ]
              ~doc:"Emit the registry as JSON instead of Prometheus text.")
   in
   let run index_name workload records ops zipfian json =
-    let workload =
-      match String.uppercase_ascii workload with
-      | "A" -> Ycsb.A
-      | "B" -> Ycsb.B
-      | "C" -> Ycsb.C
-      | "D" -> Ycsb.D
-      | "E" -> Ycsb.E
-      | "F" -> Ycsb.F
-      | w -> Printf.ksprintf failwith "unknown workload %s" w
-    in
+    let workload = parse_workload workload in
     match kind_of_name ~approx_items:records ~key_len:8 index_name with
     | Error (`Msg m) -> prerr_endline m; exit 2
     | Ok kind ->
@@ -1036,7 +977,8 @@ let stats_cmd =
       print_string (if json then Metrics.dump_json () else Metrics.dump_prometheus ())
   in
   let term =
-    Term.(const run $ index_arg $ workload_arg $ records_arg $ ops_arg $ zipf_arg $ json_arg)
+    Term.(const run $ index_arg $ ycsb_workload_arg $ ycsb_records_arg
+          $ ycsb_ops_arg $ zipf_arg $ json_arg)
   in
   Cmd.v
     (Cmd.info "stats"
@@ -1068,15 +1010,10 @@ let run_obs_fleet ~shards ~records ~ops ~update_pct ~pct ~seed ?wal_dir ~phase
       ~part:(Fleet.part (Fleet.olc_elastic ~global_bound ~shards))
       ?wal ()
   in
-  let { Fleet.table; serve; _ } = fleet in
-  let shed = ref 0 in
+  let tids, load_shed = preload fleet records in
+  let shed = ref load_shed in
   let batched a = shed := !shed + Fleet.run fleet a in
-  let tids = Array.make records 0 in
-  for s = 0 to records - 1 do
-    tids.(s) <- Table.append table (Ycsb.key_of_seq s)
-  done;
-  batched
-    (Array.init records (fun s -> Serve.Insert (Ycsb.key_of_seq s, tids.(s))));
+  let serve = fleet.Fleet.serve in
   (* One explicit coordinator pass delivers the configured split. *)
   Serve.rebalance_with serve (Serve.default_coordinator ~global_bound);
   phase "load";
@@ -1102,11 +1039,13 @@ let run_obs_fleet ~shards ~records ~ops ~update_pct ~pct ~seed ?wal_dir ~phase
   (!shed, Serve.batches serve)
 
 let update_pct_of_workload w =
-  match String.uppercase_ascii w with
-  | "A" -> 50
-  | "B" -> 5
-  | "C" -> 0
-  | w -> Printf.ksprintf failwith "unknown workload %s (want A, B or C)" w
+  match Ycsb.workload_of_name w with
+  | Some Ycsb.A -> 50
+  | Some Ycsb.B -> 5
+  | Some Ycsb.C -> 0
+  | Some _ | None ->
+    Printf.ksprintf failwith "unknown workload %s (want A, B or C)"
+      (String.uppercase_ascii w)
 
 (* The fleet-shape flags of the observability commands. *)
 let obs_shards_arg =

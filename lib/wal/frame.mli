@@ -17,7 +17,8 @@ type record =
 val lsn : record -> int
 
 val describe : record -> string
-(** One human-readable line (hex keys) for [ei wal inspect]. *)
+(** One human-readable line (hex keys): the record printer of the
+    codec tests' qcheck and adversarial cases. *)
 
 val encode : record -> string
 (** A complete frame.  Raises [Invalid_argument] on a negative LSN or

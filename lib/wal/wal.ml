@@ -627,52 +627,31 @@ let apply_record ~(part : Index_ops.t) ~restore r =
   | Frame.Bound { bound; _ } ->
     absorb_injected (fun () -> part.Index_ops.set_size_bound bound)
 
-let recover ?faults ?(restore = fun ~tid:_ ~key:_ -> ()) cfg ~shard
-    ~(part : Index_ops.t) =
-  let tr = Trace.start () in
-  let t0 = Ei_util.Bench_clock.now_ns () in
-  let sdir = shard_dir cfg shard in
-  mkdir_p sdir;
-  let r_clean = Sys.file_exists (clean_path sdir) in
-  if r_clean then Sys.remove (clean_path sdir);
-  (* sweep orphan temporaries a crash mid-checkpoint may have left *)
-  List.iter
-    (fun name ->
-      if String.ends_with ~suffix:".tmp" name then
-        try Sys.remove (Filename.concat sdir name) with Sys_error _ -> ())
-    (readdir_sorted sdir);
-  (* newest checkpoint that validates wins; every reject is a fallback *)
-  let ckpts = list_ckpts sdir in
-  let max_seq = match ckpts with (s, _) :: _ -> s | [] -> 0 in
+(* The one recoverability rule, read-only, for [recover] and [verify]:
+   the newest checkpoint that validates (every reject is a fallback) goes
+   to [on_ckpt], then an exact LSN prefix of the log above it to
+   [on_record].  Every recovery opens a segment named by the next LSN,
+   so a segment owns the LSNs below its successor's first; what lies past
+   that a fenced writer appended unacknowledged.  A gap inside a
+   segment's range raises [Died]; a torn tail of the newest segment is
+   returned as [(path, offset)] for recovery to cut. *)
+let walk ~sdir ~clean ~on_ckpt ~on_record =
   let rec pick fallbacks = function
     | [] -> (0, 0, 0, 0, fallbacks)
     | (seq, _) :: rest -> (
       match validate_ckpt ~sdir seq with
       | Ok (lsn, bound, entries) ->
-        if bound > 0 then
-          absorb_injected (fun () -> part.Index_ops.set_size_bound bound);
-        List.iter
-          (fun (key, tid) ->
-            restore ~tid ~key;
-            absorb_injected (fun () ->
-                ignore (part.Index_ops.insert key tid)))
-          entries;
+        on_ckpt ~bound entries;
         (seq, List.length entries, lsn, bound, fallbacks)
-      | Error _ ->
-        Metrics.incr c_fallbacks;
-        pick (fallbacks + 1) rest)
+      | Error _ -> pick (fallbacks + 1) rest)
   in
-  let ckpt_seq, ckpt_entries, base_lsn, base_bound, fallbacks = pick 0 ckpts in
+  let ckpt_seq, ckpt_entries, base_lsn, base_bound, fallbacks =
+    pick 0 (list_ckpts sdir)
+  in
   let last = ref base_lsn in
   let bound = ref base_bound in
   let replayed = ref 0 in
-  let torn = ref 0 in
-  (* Replay an exact LSN prefix.  Every recovery opens a segment named
-     by the next LSN, so a segment owns the LSNs below its successor's
-     first; records or torn bytes past that were appended by a fenced
-     writer inside a commit — never acknowledged, and superseded.
-     Inside its range a segment must continue the log without a gap.
-     A torn tail of the newest segment is unacknowledged and cut. *)
+  let cut = ref None in
   let corrupt path fmt =
     Printf.ksprintf
       (fun msg -> raise (Died (Printf.sprintf "corrupt segment %s: %s" path msg)))
@@ -688,7 +667,7 @@ let recover ?faults ?(restore = fun ~tid:_ ~key:_ -> ()) cfg ~shard
           let l = Frame.lsn r in
           if l > !last && l < limit then begin
             if l <> !last + 1 then corrupt path "gap before LSN %d" l;
-            apply_record ~part ~restore r;
+            on_record r;
             (match r with Frame.Bound { bound = b; _ } -> bound := b | _ -> ());
             last := l;
             incr replayed
@@ -697,19 +676,59 @@ let recover ?faults ?(restore = fun ~tid:_ ~key:_ -> ()) cfg ~shard
       (match err with
       | None -> ()
       | Some (off, msg) ->
-        if rest = [] then begin
-          truncate_file path off;
-          incr torn;
-          Metrics.incr c_torn
-        end
+        if rest = [] then cut := Some (path, off)
         else if !last < limit - 1 then
           corrupt path "byte %d: %s before LSN %d" off msg (limit - 1));
       replay rest
   in
   replay (list_segments sdir);
-  Metrics.add c_replayed !replayed;
+  ( {
+      r_ckpt_seq = ckpt_seq;
+      r_ckpt_entries = ckpt_entries;
+      r_ckpt_fallbacks = fallbacks;
+      r_replayed = !replayed;
+      r_torn = (if Option.is_none !cut then 0 else 1);
+      r_last_lsn = !last;
+      r_bound = !bound;
+      r_clean = clean;
+    },
+    !cut )
+
+let recover ?faults ?(restore = fun ~tid:_ ~key:_ -> ()) cfg ~shard
+    ~(part : Index_ops.t) =
+  let tr = Trace.start () in
+  let t0 = Ei_util.Bench_clock.now_ns () in
+  let sdir = shard_dir cfg shard in
+  mkdir_p sdir;
+  let clean = Sys.file_exists (clean_path sdir) in
+  if clean then Sys.remove (clean_path sdir);
+  (* sweep orphan temporaries a crash mid-checkpoint may have left *)
+  List.iter
+    (fun name ->
+      if String.ends_with ~suffix:".tmp" name then
+        try Sys.remove (Filename.concat sdir name) with Sys_error _ -> ())
+    (readdir_sorted sdir);
+  let r, cut =
+    walk ~sdir ~clean
+      ~on_ckpt:(fun ~bound entries ->
+        if bound > 0 then
+          absorb_injected (fun () -> part.Index_ops.set_size_bound bound);
+        List.iter
+          (fun (key, tid) ->
+            restore ~tid ~key;
+            absorb_injected (fun () -> ignore (part.Index_ops.insert key tid)))
+          entries)
+      ~on_record:(apply_record ~part ~restore)
+  in
+  Option.iter
+    (fun (path, off) ->
+      truncate_file path off;
+      Metrics.incr c_torn)
+    cut;
+  Metrics.add c_fallbacks r.r_ckpt_fallbacks;
+  Metrics.add c_replayed r.r_replayed;
   Metrics.observe h_replay (Ei_util.Bench_clock.now_ns () - t0);
-  Trace.span ev_replay ~start_ns:tr !replayed;
+  Trace.span ev_replay ~start_ns:tr r.r_replayed;
   let w =
     {
       cfg;
@@ -721,15 +740,15 @@ let recover ?faults ?(restore = fun ~tid:_ ~key:_ -> ()) cfg ~shard
       seg_first_lsn = 0;
       seg_len = 0;
       synced_len = 0;
-      next_lsn = !last + 1;
-      written_lsn = !last;
-      durable = !last;
+      next_lsn = r.r_last_lsn + 1;
+      written_lsn = r.r_last_lsn;
+      durable = r.r_last_lsn;
       buf = Buffer.create 4096;
       buffered = 0;
       unsynced_commits = 0;
       commits = 0;
-      last_bound = !bound;
-      ckpt_seq = max_seq;
+      last_bound = r.r_bound;
+      ckpt_seq = (match list_ckpts sdir with (seq, _) :: _ -> seq | [] -> 0);
       closed = false;
     }
   in
@@ -739,17 +758,14 @@ let recover ?faults ?(restore = fun ~tid:_ ~key:_ -> ()) cfg ~shard
   (try Sys.remove (seg_path sdir w.next_lsn) with Sys_error _ -> ());
   open_segment w ~first_lsn:w.next_lsn;
   fsync_dir sdir;
-  ( w,
-    {
-      r_ckpt_seq = ckpt_seq;
-      r_ckpt_entries = ckpt_entries;
-      r_ckpt_fallbacks = fallbacks;
-      r_replayed = !replayed;
-      r_torn = !torn;
-      r_last_lsn = !last;
-      r_bound = !bound;
-      r_clean;
-    } )
+  (w, r)
+
+let verify ~dir ~shard =
+  let sdir = shard_dir_in dir shard in
+  let clean = Sys.file_exists (clean_path sdir) in
+  match walk ~sdir ~clean ~on_ckpt:(fun ~bound:_ _ -> ()) ~on_record:ignore with
+  | r, _ -> Ok r
+  | exception (Died msg | Sys_error msg) -> Error msg
 
 (* --- Read-only inspection (ei wal) ------------------------------------ *)
 
@@ -792,39 +808,20 @@ let inspect_shard ~dir ~shard =
   let ckpts =
     List.map
       (fun (seq, json) ->
-        match validate_ckpt ~sdir seq with
-        | Ok (lsn, bound, entries) ->
-          let fp =
-            match read_manifest json with Ok (_, _, fp, _) -> fp | Error _ -> 0
-          in
-          {
-            ci_seq = seq;
-            ci_lsn = lsn;
-            ci_count = List.length entries;
-            ci_fingerprint = fp;
-            ci_bound = bound;
-            ci_error = None;
-          }
-        | Error msg -> (
-          match read_manifest json with
-          | Ok (lsn, count, fp, bound) ->
-            {
-              ci_seq = seq;
-              ci_lsn = lsn;
-              ci_count = count;
-              ci_fingerprint = fp;
-              ci_bound = bound;
-              ci_error = Some msg;
-            }
-          | Error _ ->
-            {
-              ci_seq = seq;
-              ci_lsn = 0;
-              ci_count = 0;
-              ci_fingerprint = 0;
-              ci_bound = 0;
-              ci_error = Some msg;
-            }))
+        (* a validating checkpoint's manifest is its content, so the
+           manifest's fields stand for it either way *)
+        let lsn, count, fp, bound =
+          match read_manifest json with Ok m -> m | Error _ -> (0, 0, 0, 0)
+        in
+        {
+          ci_seq = seq;
+          ci_lsn = lsn;
+          ci_count = count;
+          ci_fingerprint = fp;
+          ci_bound = bound;
+          ci_error = Result.fold ~ok:(fun _ -> None) ~error:Option.some
+              (validate_ckpt ~sdir seq);
+        })
       (list_ckpts sdir)
   in
   (segs, ckpts, Sys.file_exists (clean_path sdir))
@@ -849,12 +846,6 @@ let truncate_torn ~dir ~shard =
       truncate_file path off;
       1
     | _, None -> 0)
-
-let records ~dir ~shard =
-  let sdir = shard_dir_in dir shard in
-  List.concat_map
-    (fun (_, path) -> fst (Frame.decode_all (read_file path)))
-    (list_segments sdir)
 
 (* --- Test/chaos support ----------------------------------------------- *)
 

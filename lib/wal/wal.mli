@@ -140,6 +140,14 @@ val recover :
     corruption inside an interior segment's range or an LSN gap, which
     group commit never produces. *)
 
+val verify : dir:string -> shard:int -> (recovery, string) result
+(** [recover]'s own checkpoint pick and replay walk over
+    [<dir>/shard<i>/], run read-only: [Ok r] is the record {!recover}
+    would return on these files (a torn tail counted in [r_torn], not
+    cut), [Error msg] the message it would raise {!Died} with (or an
+    unreadable file's [Sys_error] message).  Writes nothing: no
+    truncation, no marker removal, no metric. *)
+
 (** {1 Read-only inspection (the [ei wal] CLI)} *)
 
 type segment_info = {
@@ -174,9 +182,6 @@ val manifest : dir:string -> shard:int -> Ei_util.Mini_json.t option
 val truncate_torn : dir:string -> shard:int -> int
 (** Repair a torn tail of the newest segment in place; returns the
     number of segments truncated (0 or 1). *)
-
-val records : dir:string -> shard:int -> Frame.record list
-(** Every decodable log record in LSN order (stops at a torn tail). *)
 
 (** {1 Test and chaos support} *)
 

@@ -23,6 +23,11 @@ let workload_name = function
   | E -> "E"
   | F -> "F"
 
+let workload_of_name name =
+  List.find_opt
+    (fun w -> String.equal (workload_name w) (String.uppercase_ascii name))
+    [ A; B; C; D; E; F ]
+
 (* Operation mix per workload, in percent. *)
 type mix = { read : int; update : int; insert : int; scan : int; rmw : int }
 

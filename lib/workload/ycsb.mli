@@ -10,6 +10,10 @@ type workload = A | B | C | D | E | F
 
 val workload_name : workload -> string
 
+val workload_of_name : string -> workload option
+(** The inverse of {!workload_name}, case-insensitive ("a" and "A" are
+    both [Some A]). *)
+
 type distribution = Uniform | Zipfian | Latest
 
 val key_of_seq : int -> string

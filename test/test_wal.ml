@@ -9,7 +9,9 @@
       (contents, elastic bound, clean marker), rotation + checkpoint
       pruning, corrupt-newest-checkpoint fallback, and the two
       deterministic crash levers (torn batch tail, dropped page
-      cache).
+      cache).  On each of these directories, and on a lone corrupt
+      checkpoint and a CRC-valid LSN gap, the read-only [Wal.verify]
+      must report exactly what [Wal.recover] returns or raises.
    c. Serve integration: a durable fleet stopped cleanly recovers
       byte-identical contents in a fresh process image (fresh Table,
       fresh parts); a crashing fleet under fault injection loses no
@@ -223,6 +225,37 @@ let recover_fresh ?faults cfg ~name =
   in
   (w, r, p)
 
+(* Every file of shard 0 under [dir], as (name, bytes), in name order. *)
+let shard_files dir =
+  let sdir = Filename.concat dir "shard0" in
+  Sys.readdir sdir |> Array.to_list |> List.sort String.compare
+  |> List.map (fun name ->
+         (name, In_channel.with_open_bin (Filename.concat sdir name)
+                  In_channel.input_all))
+
+(* [Wal.verify] on shard 0 of [cfg.dir] writes nothing and reports what
+   [Wal.recover] returns on a byte-copy of the directory.  Returns that
+   recovery's record and part. *)
+let verify_agrees cfg ~name =
+  let dir = cfg.Wal.dir in
+  let before = shard_files dir in
+  let verdict = Wal.verify ~dir ~shard:0 in
+  Alcotest.(check bool)
+    "verify leaves every file byte-identical" true
+    (shard_files dir = before);
+  let copy = dir ^ "-copy" in
+  Wal.reset_dir (Filename.concat copy "shard0");
+  List.iter
+    (fun (name, bytes) ->
+      Out_channel.with_open_bin (Filename.concat copy ("shard0/" ^ name))
+        (fun oc -> Out_channel.output_string oc bytes))
+    before;
+  let w, r, p = recover_fresh { cfg with Wal.dir = copy } ~name in
+  Wal.close w;
+  Wal.remove_dir copy;
+  Alcotest.(check bool) "verify reports recover's record" true (verdict = Ok r);
+  (r, p)
+
 let test_basic_recovery () =
   let dir = fresh_dir "basic" in
   let cfg = { (Wal.default_config ~dir) with Wal.fsync_every = 1 } in
@@ -237,6 +270,7 @@ let test_basic_recovery () =
   Wal.close w;
   let fp = Index_ops.fingerprint part in
   let count = part.Index_ops.count () in
+  ignore (verify_agrees cfg ~name:"wal-basic-verify");
   let w2, r, p2 = recover_fresh cfg ~name:"wal-basic-rec" in
   Wal.close w2;
   Alcotest.(check bool) "clean marker honoured" true r.Wal.r_clean;
@@ -274,6 +308,7 @@ let test_checkpoint_fallback () =
     (fun c ->
       Alcotest.(check bool) "checkpoint validates" true (c.Wal.ci_error = None))
     ckpts;
+  ignore (verify_agrees cfg ~name:"wal-ckpt-verify");
   let w2, r, p2 = recover_fresh cfg ~name:"wal-ckpt-rec" in
   Wal.close w2;
   Alcotest.(check bool) "recovery used a checkpoint" true
@@ -295,6 +330,7 @@ let test_checkpoint_fallback () =
   let mid = String.length bytes / 2 in
   Out_channel.with_open_bin newest (fun oc ->
       Out_channel.output_string oc (flip_bit bytes (mid * 8)));
+  ignore (verify_agrees cfg ~name:"wal-ckpt-fb-verify");
   let w3, r3, p3 = recover_fresh cfg ~name:"wal-ckpt-fb" in
   Wal.close w3;
   Alcotest.(check bool) "corrupt newest skipped" true
@@ -321,6 +357,7 @@ let test_crash_torn () =
   (match Wal.crash_torn w with
   | _ -> Alcotest.fail "crash_torn returned"
   | exception Wal.Died _ -> ());
+  ignore (verify_agrees cfg ~name:"wal-torn-verify");
   let w2, r, p2 = recover_fresh cfg ~name:"wal-torn-rec" in
   Wal.close w2;
   Alcotest.(check int) "torn tail truncated" 1 r.Wal.r_torn;
@@ -352,11 +389,72 @@ let test_crash_unsynced () =
   (match Wal.crash_unsynced w with
   | _ -> Alcotest.fail "crash_unsynced returned"
   | exception Wal.Died _ -> ());
+  ignore (verify_agrees cfg ~name:"wal-unsync-verify");
   let w2, r, p2 = recover_fresh cfg ~name:"wal-unsync-rec" in
   Wal.close w2;
   Alcotest.(check int) "recovered exactly the synced prefix" 20
     r.Wal.r_last_lsn;
   Alcotest.(check int) "unsynced records gone" 20 (p2.Index_ops.count ())
+
+(* One segment from LSN 1 and a single checkpoint whose data file has
+   one byte flipped: no checkpoint validates, yet nothing is lost —
+   recovery counts the fallback and replays the whole log. *)
+let test_lone_corrupt_checkpoint () =
+  let dir = fresh_dir "lone-ckpt" in
+  let cfg =
+    { (Wal.default_config ~dir) with Wal.fsync_every = 1; checkpoint_every = 4 }
+  in
+  let table = Table.create ~key_len:8 () in
+  let part = mk_part table "wal-lone" in
+  let w, _ = Wal.recover cfg ~shard:0 ~part in
+  for i = 0 to 63 do
+    let key = Key.of_int (i * 7919) in
+    let tid = Table.append table key in
+    Wal.log_insert w key tid;
+    ignore (part.Index_ops.insert key tid);
+    if i mod 16 = 15 then Wal.commit w ~part
+  done;
+  Wal.close w;
+  let dat = Filename.concat dir "shard0/ckpt-000001.dat" in
+  let bytes = In_channel.with_open_bin dat In_channel.input_all in
+  Out_channel.with_open_bin dat (fun oc ->
+      Out_channel.output_string oc
+        (flip_bit bytes (String.length bytes / 2 * 8)));
+  let segs, ckpts, _ = Wal.inspect_shard ~dir ~shard:0 in
+  Alcotest.(check int) "one segment" 1 (List.length segs);
+  Alcotest.(check bool) "the only checkpoint is corrupt" true
+    (List.map (fun c -> c.Wal.ci_error <> None) ckpts = [ true ]);
+  let r, p = verify_agrees cfg ~name:"wal-lone-verify" in
+  Alcotest.(check int) "fallback counted" 1 r.Wal.r_ckpt_fallbacks;
+  Alcotest.(check int) "whole log replayed" 64 r.Wal.r_replayed;
+  Alcotest.(check int) "contents recovered" (Index_ops.fingerprint part)
+    (Index_ops.fingerprint p)
+
+(* A CRC-valid segment holding LSNs 1, 2 and 4: every frame decodes,
+   but the log has a hole, so recovery refuses it and verify says the
+   same words. *)
+let test_valid_frames_lsn_gap () =
+  let dir = fresh_dir "lsn-gap" in
+  let sdir = Filename.concat dir "shard0" in
+  Unix.mkdir sdir 0o755;
+  Out_channel.with_open_bin
+    (Filename.concat sdir "wal-0000000000000001.seg")
+    (fun oc ->
+      List.iter
+        (fun lsn ->
+          Out_channel.output_string oc
+            (Frame.encode (Frame.Insert { lsn; key = Key.of_int lsn; tid = lsn })))
+        [ 1; 2; 4 ]);
+  let before = shard_files dir in
+  match Wal.verify ~dir ~shard:0 with
+  | Ok _ -> Alcotest.fail "verify accepted an LSN gap"
+  | Error msg -> (
+    Alcotest.(check bool) "verify writes nothing" true
+      (shard_files dir = before);
+    match recover_fresh (Wal.default_config ~dir) ~name:"wal-gap-rec" with
+    | _ -> Alcotest.fail "recover accepted an LSN gap"
+    | exception Wal.Died died ->
+      Alcotest.(check string) "verify's error is recover's" died msg)
 
 (* --- c. serve integration --------------------------------------------- *)
 
@@ -615,6 +713,10 @@ let () =
             test_checkpoint_fallback;
           Alcotest.test_case "torn batch tail" `Quick test_crash_torn;
           Alcotest.test_case "dropped page cache" `Quick test_crash_unsynced;
+          Alcotest.test_case "lone corrupt checkpoint verifies" `Quick
+            test_lone_corrupt_checkpoint;
+          Alcotest.test_case "CRC-valid LSN gap fails verify" `Quick
+            test_valid_frames_lsn_gap;
         ] );
       ( "serve",
         [

@@ -77,6 +77,17 @@ let test_ycsb_key_uniqueness () =
     Hashtbl.add seen k ()
   done
 
+let test_workload_names () =
+  List.iter
+    (fun w ->
+      let name = Ycsb.workload_name w in
+      Alcotest.(check bool) (name ^ " round-trips") true
+        (Ycsb.workload_of_name name = Some w
+        && Ycsb.workload_of_name (String.lowercase_ascii name) = Some w))
+    [ Ycsb.A; Ycsb.B; Ycsb.C; Ycsb.D; Ycsb.E; Ycsb.F ];
+  Alcotest.(check bool) "other names rejected" true
+    (List.for_all (fun n -> Ycsb.workload_of_name n = None) [ ""; "G"; "AB"; " a" ])
+
 (* Every workload on every index kind: counts must stay consistent and no
    operation may lose a key. *)
 let ycsb_matrix =
@@ -259,6 +270,7 @@ let () =
       ( "ycsb",
         Alcotest.test_case "load phase" `Quick test_ycsb_load
         :: Alcotest.test_case "key uniqueness" `Quick test_ycsb_key_uniqueness
+        :: Alcotest.test_case "workload names" `Quick test_workload_names
         :: ycsb_matrix );
       ( "mcas",
         [
