@@ -45,10 +45,9 @@ let run () =
   header "Figure 6 (parallel): sharded YCSB with the global memory coordinator";
   let record_count = scaled 100_000 in
   let ops = scaled 200_000 in
-  (* Global soft bound: ~60 % of an unconstrained BTreeOLC for this load
-     (the same heuristic as Fig 7's elastic line), split across shards
-     by the coordinator. *)
-  let global_bound = record_count * 27 * 6 / 10 in
+  (* Global soft bound: 60 % of STX for this load (as Fig 7's elastic
+     line), split across shards by the coordinator. *)
+  let global_bound = Fleet.stx_bound ~key_len:8 ~records:record_count ~pct:60 in
   pf "load = %d records; %d ops per phase; global bound = %s MB\n"
     record_count ops (mb global_bound);
   print_row ~w:11

@@ -66,9 +66,9 @@ let parallel_mops t per_thread worker =
 let run_7bc record_count =
   let ops = scaled 200_000 in
   (* The elastic BTreeOLC (which the paper frames as bounded by the other
-     two but does not implement) runs with a bound of ~60% of BTreeOLC's
-     size for this load. *)
-  let elastic_bound = record_count * 27 * 6 / 10 in
+     two but does not implement) runs with a bound of 60 % of STX for
+     this load. *)
+  let elastic_bound = Ei_shard.Fleet.stx_bound ~key_len:8 ~records:record_count ~pct:60 in
   let kinds =
     [
       ("btreeolc", Olc.Olc_std);

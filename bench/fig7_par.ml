@@ -18,7 +18,7 @@ module Fleet = Ei_shard.Fleet
 module Rng = Ei_util.Rng
 
 let kinds ~record_count =
-  let elastic_bound = record_count * 27 * 6 / 10 in
+  let elastic_bound = Fleet.stx_bound ~key_len:8 ~records:record_count ~pct:60 in
   [
     ("olc", (fun (_ : int) -> Registry.Olc Olc.Olc_std), None);
     ( "olc-seqtree",

@@ -38,9 +38,9 @@
 
    Examples:
      ei ycsb --index elastic --workload E --records 50000 --ops 100000
-     ei ingest --index elastic50 --rows 200000
+     ei ingest --index elastic --bound 50 --rows 200000
      ei volumes --days 90
-     ei check --index elastic40 --ops 200000 --strict
+     ei check --index elastic --bound 40 --ops 200000 --strict
      ei serve --shards 4 --records 100000 --ops 200000 --bound 60
      ei serve-net --shards 8 --socket /tmp/ei-net.sock
      ei bench-net --clients 4 --count 50000 --mode closed --window 64
@@ -64,98 +64,103 @@ module Check = Ei_check.Check
 module Iotta = Ei_workload.Iotta
 module Clock = Ei_util.Bench_clock
 
-(* --- shared index argument ------------------------------------------ *)
-
-(* Parse "stx", "hot", "art", "skiplist", "seqtree<N>", "subtrie<N>",
-   "elastic" or "elastic<PCT>"; elastic bounds are computed against an
-   STX-sized estimate for [approx_items] keys of [key_len] bytes. *)
-let kind_of_name ~approx_items ~key_len name =
-  let stx_estimate =
-    (* ~1.2x the raw leaf entry cost, as inner nodes add ~10-20%. *)
-    approx_items * (key_len + 8) * 2
-  in
-  let elastic pct =
-    Registry.Elastic
-      (Ei_core.Elasticity.default_config
-         ~size_bound:(stx_estimate * pct / 100))
-  in
-  match name with
-  | "stx" -> Ok Registry.Stx
-  | "hot" -> Ok Registry.Hot
-  | "art" -> Ok Registry.Art
-  | "skiplist" -> Ok Registry.Skiplist
-  | "elastic" -> Ok (elastic 60)
-  | s when String.length s > 7 && String.sub s 0 7 = "elastic" -> (
-    match int_of_string_opt (String.sub s 7 (String.length s - 7)) with
-    | Some pct when pct > 0 -> Ok (elastic pct)
-    | _ -> Error (`Msg ("bad elastic percentage: " ^ s)))
-  | s when String.length s > 7 && String.sub s 0 7 = "seqtree" -> (
-    match int_of_string_opt (String.sub s 7 (String.length s - 7)) with
-    | Some c when c >= 32 -> Ok (Registry.Seqtree c)
-    | _ -> Error (`Msg ("bad seqtree capacity: " ^ s)))
-  | s when String.length s > 7 && String.sub s 0 7 = "subtrie" -> (
-    match int_of_string_opt (String.sub s 7 (String.length s - 7)) with
-    | Some c when c >= 32 -> Ok (Registry.Subtrie c)
-    | _ -> Error (`Msg ("bad subtrie capacity: " ^ s)))
-  | s -> Error (`Msg ("unknown index: " ^ s))
+(* --- shared index and bound arguments ------------------------------ *)
 
 let index_arg =
   let doc =
-    "Index to use: stx, hot, art, skiplist, seqtree<N>, subtrie<N>, \
-     elastic or elastic<PCT> (shrink bound as a percentage of the \
-     estimated STX size)."
+    "Index to use: " ^ String.concat ", " Registry.names
+    ^ " (N >= 32).  Elastic indexes are bounded by $(b,--bound)."
   in
   Arg.(value & opt string "elastic" & info [ "i"; "index" ] ~docv:"INDEX" ~doc)
 
+let bound_arg =
+  Arg.(value & opt int 60
+       & info [ "bound" ] ~docv:"PCT"
+           ~doc:"Soft memory bound as a percentage of the STX index's \
+                 size for the load (27 B/key at 8-byte keys).  The \
+                 fleet commands split it across shards; trace, timeline \
+                 and top halve it mid-churn.")
+
+(* The index named [name], elastic kinds bounded at [pct] percent of
+   STX for [records] keys of [key_len] bytes; exits 2 on a bad name. *)
+let kind_of_arg ~key_len ~records ~pct name =
+  let bound = Ei_shard.Fleet.stx_bound ~key_len ~records ~pct in
+  match Registry.kind_of_name ~bound name with
+  | Ok kind -> kind
+  | Error m -> prerr_endline m; exit 2
+
+(* An empty index of [name] over a fresh row table of 8-byte keys. *)
+let index_of_arg ~records ~pct name =
+  let kind = kind_of_arg ~key_len:8 ~records ~pct name in
+  let table = Table.create ~key_len:8 () in
+  (table, Registry.make ~key_len:8 ~load:(Table.loader table) kind)
+
+(* --- shared run flags -------------------------------------------------- *)
+
+(* Exits 2 below one shard. *)
+let shards_arg default =
+  let at_least_one n =
+    if n >= 1 then n else (prerr_endline "need at least one shard"; exit 2)
+  in
+  Term.(const at_least_one
+        $ Arg.(value & opt int default & info [ "shards" ] ~doc:"Shard domains to spawn."))
+
+let records_arg default =
+  Arg.(value & opt int default & info [ "records" ] ~doc:"Records to load.")
+
+let seed_arg =
+  Arg.(value & opt int 42 & info [ "seed" ] ~doc:"RNG seed for the workload.")
+
+let wal_arg =
+  Term.(const (Option.map (fun dir -> Ei_wal.Wal.default_config ~dir))
+        $ Arg.(value & opt (some string) None
+               & info [ "wal" ] ~docv:"DIR"
+                   ~doc:"Write-ahead-log directory: shards run durable \
+                         (group commit, fingerprinted checkpoints) and \
+                         recover from DIR on start."))
+
 (* --- ycsb ------------------------------------------------------------ *)
 
-let parse_workload w =
-  match Ycsb.workload_of_name w with
-  | Some w -> w
-  | None ->
-    Printf.ksprintf failwith "unknown workload %s" (String.uppercase_ascii w)
-
-(* The YCSB run flags of [ycsb] and [stats]. *)
+(* The YCSB run flags of [ycsb] and [stats], parsed. *)
 let ycsb_workload_arg =
-  Arg.(value & opt string "A" & info [ "w"; "workload" ] ~docv:"A..F" ~doc:"YCSB workload.")
-
-let ycsb_records_arg =
-  Arg.(value & opt int 50_000 & info [ "records" ] ~doc:"Records to load.")
+  let parse w =
+    match Ycsb.workload_of_name w with
+    | Some w -> w
+    | None ->
+      Printf.ksprintf failwith "unknown workload %s" (String.uppercase_ascii w)
+  in
+  Term.(const parse
+        $ Arg.(value & opt string "A" & info [ "w"; "workload" ] ~docv:"A..F" ~doc:"YCSB workload."))
 
 let ycsb_ops_arg =
   Arg.(value & opt int 100_000 & info [ "ops" ] ~doc:"Transactions to run.")
 
-let zipf_arg =
-  Arg.(value & flag & info [ "zipfian" ] ~doc:"Zipfian key distribution (default uniform).")
+let dist_arg =
+  Term.(const (fun z -> if z then Ycsb.Zipfian else Ycsb.Uniform)
+        $ Arg.(value & flag & info [ "zipfian" ] ~doc:"Zipfian key distribution (default uniform)."))
 
 let ycsb_cmd =
-  let run index_name workload records ops zipfian =
-    let workload = parse_workload workload in
-    match kind_of_name ~approx_items:records ~key_len:8 index_name with
-    | Error (`Msg m) -> prerr_endline m; exit 2
-    | Ok kind ->
-      let table = Table.create ~key_len:8 () in
-      let index = Registry.make ~key_len:8 ~load:(Table.loader table) kind in
-      let runner = Ycsb.create ~index ~table ~record_count:records () in
-      let (), load_dt = Clock.time (fun () -> Ycsb.load runner records) in
-      Printf.printf "%-12s load  %8d recs  %6.2f Mops  %7.2f MiB %s\n"
-        index.Index_ops.name records (Clock.mops records load_dt)
-        (Clock.mib (index.Index_ops.memory_bytes ()))
-        (index.Index_ops.info ());
-      let dist = if zipfian then Ycsb.Zipfian else Ycsb.Uniform in
-      let (), dt =
-        Clock.time (fun () -> ignore (Ycsb.run runner ~workload ~dist ~ops))
-      in
-      Printf.printf "%-12s txn-%s %8d ops   %6.2f Mops  %7.2f MiB %s\n"
-        index.Index_ops.name
-        (Ycsb.workload_name workload)
-        ops (Clock.mops ops dt)
-        (Clock.mib (index.Index_ops.memory_bytes ()))
-        (index.Index_ops.info ())
+  let run index_name pct workload records ops dist =
+    let table, index = index_of_arg ~records ~pct index_name in
+    let runner = Ycsb.create ~index ~table ~record_count:records () in
+    let (), load_dt = Clock.time (fun () -> Ycsb.load runner records) in
+    Printf.printf "%-12s load  %8d recs  %6.2f Mops  %7.2f MiB %s\n"
+      index.Index_ops.name records (Clock.mops records load_dt)
+      (Clock.mib (index.Index_ops.memory_bytes ()))
+      (index.Index_ops.info ());
+    let (), dt =
+      Clock.time (fun () -> ignore (Ycsb.run runner ~workload ~dist ~ops))
+    in
+    Printf.printf "%-12s txn-%s %8d ops   %6.2f Mops  %7.2f MiB %s\n"
+      index.Index_ops.name
+      (Ycsb.workload_name workload)
+      ops (Clock.mops ops dt)
+      (Clock.mib (index.Index_ops.memory_bytes ()))
+      (index.Index_ops.info ())
   in
   let term =
-    Term.(const run $ index_arg $ ycsb_workload_arg $ ycsb_records_arg
-          $ ycsb_ops_arg $ zipf_arg)
+    Term.(const run $ index_arg $ bound_arg $ ycsb_workload_arg
+          $ records_arg 50_000 $ ycsb_ops_arg $ dist_arg)
   in
   Cmd.v (Cmd.info "ycsb" ~doc:"Run a YCSB workload against an index.") term
 
@@ -165,45 +170,43 @@ let ingest_cmd =
   let rows_arg =
     Arg.(value & opt int 200_000 & info [ "rows" ] ~doc:"Trace rows to ingest.")
   in
-  let run index_name rows_n =
-    match kind_of_name ~approx_items:rows_n ~key_len:16 index_name with
-    | Error (`Msg m) -> prerr_endline m; exit 2
-    | Ok kind ->
-      let rows = Iotta.generate ~rows:rows_n ~objects:(max 100 (rows_n / 10)) () in
-      let store = Ei_mcas.Store.create () in
-      let table = Ei_mcas.Log_table.create ~index_kind:kind () in
-      Ei_mcas.Store.attach_ado store ~partition:0 (Ei_mcas.Log_table.ado table);
-      let (), ingest_dt =
-        Clock.time (fun () ->
-            Array.iter
-              (fun r ->
-                ignore
-                  (Ei_mcas.Store.invoke store ~partition:0 (Ei_mcas.Ado.Ingest r)))
-              rows)
-      in
-      Printf.printf "ingested %d rows in %.2f s (%.2f Mops)\n" rows_n ingest_dt
-        (Clock.mops rows_n ingest_dt);
-      Printf.printf "index %s: %.2f MiB (%.2fx the dataset) %s\n"
-        (Ei_mcas.Log_table.index_name table)
-        (Clock.mib (Ei_mcas.Log_table.index_memory_bytes table))
-        (float_of_int (Ei_mcas.Log_table.index_memory_bytes table)
-        /. float_of_int (Ei_mcas.Log_table.data_bytes table))
-        (Ei_mcas.Log_table.index_info table);
-      let rng = Ei_util.Rng.create 3 in
-      let lookups = min 100_000 rows_n in
-      let (), lkp_dt =
-        Clock.time (fun () ->
-            for _ = 1 to lookups do
-              let r = rows.(Ei_util.Rng.int rng rows_n) in
+  let run index_name pct rows_n =
+    let kind = kind_of_arg ~key_len:16 ~records:rows_n ~pct index_name in
+    let rows = Iotta.generate ~rows:rows_n ~objects:(max 100 (rows_n / 10)) () in
+    let store = Ei_mcas.Store.create () in
+    let table = Ei_mcas.Log_table.create ~index_kind:kind () in
+    Ei_mcas.Store.attach_ado store ~partition:0 (Ei_mcas.Log_table.ado table);
+    let (), ingest_dt =
+      Clock.time (fun () ->
+          Array.iter
+            (fun r ->
               ignore
-                (Ei_mcas.Store.invoke store ~partition:0
-                   (Ei_mcas.Ado.Lookup (Iotta.key_of_row r)))
-            done)
-      in
-      Printf.printf "%d lookups: %.2f Mops end-to-end\n" lookups
-        (Clock.mops lookups lkp_dt)
+                (Ei_mcas.Store.invoke store ~partition:0 (Ei_mcas.Ado.Ingest r)))
+            rows)
+    in
+    Printf.printf "ingested %d rows in %.2f s (%.2f Mops)\n" rows_n ingest_dt
+      (Clock.mops rows_n ingest_dt);
+    Printf.printf "index %s: %.2f MiB (%.2fx the dataset) %s\n"
+      (Ei_mcas.Log_table.index_name table)
+      (Clock.mib (Ei_mcas.Log_table.index_memory_bytes table))
+      (float_of_int (Ei_mcas.Log_table.index_memory_bytes table)
+      /. float_of_int (Ei_mcas.Log_table.data_bytes table))
+      (Ei_mcas.Log_table.index_info table);
+    let rng = Ei_util.Rng.create 3 in
+    let lookups = min 100_000 rows_n in
+    let (), lkp_dt =
+      Clock.time (fun () ->
+          for _ = 1 to lookups do
+            let r = rows.(Ei_util.Rng.int rng rows_n) in
+            ignore
+              (Ei_mcas.Store.invoke store ~partition:0
+                 (Ei_mcas.Ado.Lookup (Iotta.key_of_row r)))
+          done)
+    in
+    Printf.printf "%d lookups: %.2f Mops end-to-end\n" lookups
+      (Clock.mops lookups lkp_dt)
   in
-  let term = Term.(const run $ index_arg $ rows_arg) in
+  let term = Term.(const run $ index_arg $ bound_arg $ rows_arg) in
   Cmd.v
     (Cmd.info "ingest"
        ~doc:"Ingest a synthetic object-store log trace via the MCAS-like \
@@ -214,9 +217,6 @@ let ingest_cmd =
 (* --- check ------------------------------------------------------------- *)
 
 let check_cmd =
-  let records_arg =
-    Arg.(value & opt int 20_000 & info [ "records" ] ~doc:"Records to load before churning.")
-  in
   let ops_arg =
     Arg.(value & opt int 100_000 & info [ "ops" ] ~doc:"Random mutations to drive after the load.")
   in
@@ -228,59 +228,53 @@ let check_cmd =
          & info [ "strict" ]
              ~doc:"Treat lazily-enforced compact-occupancy advisories as errors.")
   in
-  let seed_arg =
-    Arg.(value & opt int 42 & info [ "seed" ] ~doc:"RNG seed for the churn workload.")
-  in
-  let run index_name records ops every strict seed =
-    match kind_of_name ~approx_items:records ~key_len:8 index_name with
-    | Error (`Msg m) -> prerr_endline m; exit 2
-    | Ok kind ->
-      let table = Table.create ~key_len:8 () in
-      let index = Registry.make ~key_len:8 ~load:(Table.loader table) kind in
-      let periodic = ref 0 in
-      let bad = ref 0 in
-      let on_report r =
-        incr periodic;
-        if not (Check.ok r) then begin
-          incr bad;
-          Format.printf "%a@." Check.pp_report r
-        end
-      in
-      let wrapped = Check.wrap ~strict ~every:(max 1 every) ~on_report index in
-      let rng = Ei_util.Rng.create seed in
-      let pool =
-        Array.init (max 16 records) (fun _ -> Ei_util.Key.random rng 8)
-      in
-      let tid_of = Ei_util.Strtbl.create 1024 in
-      let tid_for k =
-        match Ei_util.Strtbl.find_opt tid_of k with
-        | Some tid -> tid
-        | None ->
-          let tid = Table.append table k in
-          Ei_util.Strtbl.add tid_of k tid;
-          tid
-      in
-      Array.iter (fun k -> ignore (wrapped.Index_ops.insert k (tid_for k))) pool;
-      (* Mixed churn over a bounded key pool: inserts and removes fight
-         so an elastic index crosses its size bound in both directions. *)
-      for _ = 1 to ops do
-        let k = pool.(Ei_util.Rng.int rng (Array.length pool)) in
-        let c = Ei_util.Rng.int rng 100 in
-        if c < 45 then ignore (wrapped.Index_ops.insert k (tid_for k))
-        else if c < 80 then ignore (wrapped.Index_ops.remove k)
-        else if c < 95 then ignore (wrapped.Index_ops.update k (tid_for k))
-        else ignore (wrapped.Index_ops.scan_keys k 16 (fun _ -> ()))
-      done;
-      let final = Check.run ~strict index in
-      Format.printf "%a@." Check.pp_report final;
-      Format.printf "ei check: %s — %d periodic checks (%d with errors), final %s %s@."
-        index.Index_ops.name !periodic !bad
-        (if Check.ok final then "clean" else "CORRUPT")
-        (index.Index_ops.info ());
-      if !bad > 0 || not (Check.ok final) then exit 1
+  let run index_name pct records ops every strict seed =
+    let table, index = index_of_arg ~records ~pct index_name in
+    let periodic = ref 0 in
+    let bad = ref 0 in
+    let on_report r =
+      incr periodic;
+      if not (Check.ok r) then begin
+        incr bad;
+        Format.printf "%a@." Check.pp_report r
+      end
+    in
+    let wrapped = Check.wrap ~strict ~every:(max 1 every) ~on_report index in
+    let rng = Ei_util.Rng.create seed in
+    let pool =
+      Array.init (max 16 records) (fun _ -> Ei_util.Key.random rng 8)
+    in
+    let tid_of = Ei_util.Strtbl.create 1024 in
+    let tid_for k =
+      match Ei_util.Strtbl.find_opt tid_of k with
+      | Some tid -> tid
+      | None ->
+        let tid = Table.append table k in
+        Ei_util.Strtbl.add tid_of k tid;
+        tid
+    in
+    Array.iter (fun k -> ignore (wrapped.Index_ops.insert k (tid_for k))) pool;
+    (* Mixed churn over a bounded key pool: inserts and removes fight
+       so an elastic index crosses its size bound in both directions. *)
+    for _ = 1 to ops do
+      let k = pool.(Ei_util.Rng.int rng (Array.length pool)) in
+      let c = Ei_util.Rng.int rng 100 in
+      if c < 45 then ignore (wrapped.Index_ops.insert k (tid_for k))
+      else if c < 80 then ignore (wrapped.Index_ops.remove k)
+      else if c < 95 then ignore (wrapped.Index_ops.update k (tid_for k))
+      else ignore (wrapped.Index_ops.scan_keys k 16 (fun _ -> ()))
+    done;
+    let final = Check.run ~strict index in
+    Format.printf "%a@." Check.pp_report final;
+    Format.printf "ei check: %s — %d periodic checks (%d with errors), final %s %s@."
+      index.Index_ops.name !periodic !bad
+      (if Check.ok final then "clean" else "CORRUPT")
+      (index.Index_ops.info ());
+    if !bad > 0 || not (Check.ok final) then exit 1
   in
   let term =
-    Term.(const run $ index_arg $ records_arg $ ops_arg $ every_arg $ strict_arg $ seed_arg)
+    Term.(const run $ index_arg $ bound_arg $ records_arg 20_000 $ ops_arg
+          $ every_arg $ strict_arg $ seed_arg)
   in
   Cmd.v
     (Cmd.info "check"
@@ -317,47 +311,32 @@ let preload ?stop (fleet : Ei_shard.Fleet.t) records =
   in
   (tids, Ei_shard.Fleet.run ?stop fleet inserts)
 
+(* The fleet of [serve] and the observability commands: elastic
+   BTreeOLC shards bounded at [pct] percent of STX for [records] keys,
+   with the periodic coordinator when [coordinated].  Returns the fleet
+   and its global bound. *)
+let elastic_fleet ~coordinated ~shards ~records ~pct ?wal () =
+  let module Fleet = Ei_shard.Fleet in
+  let global_bound = Fleet.stx_bound ~key_len:8 ~records ~pct in
+  let coordinator = Ei_shard.Serve.default_coordinator ~global_bound in
+  ( Fleet.start ~shards
+      ~part:(Fleet.part (Fleet.olc_elastic ~global_bound ~shards))
+      ?coordinator:(if coordinated then Some coordinator else None)
+      ?wal (),
+    global_bound )
+
 let serve_cmd =
   let module Shard = Ei_shard.Shard in
   let module Serve = Ei_shard.Serve in
   let module Fleet = Ei_shard.Fleet in
-  let shards_arg =
-    Arg.(value & opt int 4 & info [ "shards" ] ~doc:"Shard domains to spawn.")
-  in
-  let records_arg =
-    Arg.(value & opt int 100_000 & info [ "records" ] ~doc:"Records to load.")
-  in
   let ops_arg =
     Arg.(value & opt int 200_000
          & info [ "ops" ] ~doc:"Read and churn operations per phase.")
   in
-  let bound_arg =
-    Arg.(value & opt int 60
-         & info [ "bound" ]
-             ~doc:"Global soft memory bound as a percentage of the \
-                   unconstrained BTreeOLC estimate for the load.")
-  in
-  let seed_arg =
-    Arg.(value & opt int 42 & info [ "seed" ] ~doc:"RNG seed for the workload.")
-  in
-  let wal_arg =
-    Arg.(value & opt (some string) None
-         & info [ "wal" ] ~docv:"DIR"
-             ~doc:"Write-ahead-log directory: shards run durable (group \
-                   commit, fingerprinted checkpoints) and recover from \
-                   DIR on start.  Keys already recovered are rejected \
-                   by the load phase as duplicates.")
-  in
-  let run shards records ops pct seed wal_dir =
-    if shards < 1 then begin prerr_endline "need at least one shard"; exit 2 end;
+  let run shards records ops pct seed wal =
     let module Wal = Ei_wal.Wal in
-    let global_bound = records * 27 * pct / 100 in
-    let wal = Option.map (fun dir -> Wal.default_config ~dir) wal_dir in
-    let fleet =
-      Fleet.start ~shards
-        ~part:(Fleet.part (Fleet.olc_elastic ~global_bound ~shards))
-        ~coordinator:(Serve.default_coordinator ~global_bound)
-        ?wal ()
+    let fleet, global_bound =
+      elastic_fleet ~coordinated:true ~shards ~records ~pct ?wal ()
     in
     let { Fleet.router; serve; _ } = fleet in
     (match Serve.wal_recoveries serve with
@@ -439,8 +418,8 @@ let serve_cmd =
     end
   in
   let term =
-    Term.(const run $ shards_arg $ records_arg $ ops_arg $ bound_arg $ seed_arg
-          $ wal_arg)
+    Term.(const run $ shards_arg 4 $ records_arg 100_000 $ ops_arg $ bound_arg
+          $ seed_arg $ wal_arg)
   in
   Cmd.v
     (Cmd.info "serve"
@@ -479,15 +458,6 @@ let serve_net_cmd =
   let module Server = Ei_net.Server in
   let module Metrics = Ei_obs.Metrics in
   let module Trace = Ei_obs.Trace in
-  let module Wal = Ei_wal.Wal in
-  let shards_arg =
-    Arg.(value & opt int 4 & info [ "shards" ] ~doc:"Shard domains to spawn.")
-  in
-  let records_arg =
-    Arg.(value & opt int 0
-         & info [ "records" ]
-             ~doc:"Records to preload before accepting connections.")
-  in
   let window_arg =
     Arg.(value & opt int 256
          & info [ "window" ]
@@ -501,23 +471,15 @@ let serve_net_cmd =
              ~doc:"Serve.exec deadline per round; expired slots reply \
                    Timed_out (0 = no deadline).")
   in
-  let wal_arg =
-    Arg.(value & opt (some string) None
-         & info [ "wal" ] ~docv:"DIR"
-             ~doc:"Write-ahead-log directory: shards run durable and \
-                   recover from DIR on start.")
-  in
   let trace_arg =
     Arg.(value & opt (some string) None
          & info [ "trace" ] ~docv:"FILE"
              ~doc:"Enable the trace ring and dump Chrome trace_events \
                    JSON to FILE on shutdown.")
   in
-  let run shards records socket port host window timeout_s wal_dir trace_out =
-    if shards < 1 then begin prerr_endline "need at least one shard"; exit 2 end;
+  let run shards records socket port host window timeout_s wal trace_out =
     Metrics.set_enabled true;
     if trace_out <> None then Trace.set_enabled true;
-    let wal = Option.map (fun dir -> Wal.default_config ~dir) wal_dir in
     let fleet =
       Fleet.start ~shards ~part:(Fleet.part (Registry.Olc Olc.Olc_std)) ?wal ()
     in
@@ -563,7 +525,7 @@ let serve_net_cmd =
       requests shed proto
   in
   let term =
-    Term.(const run $ shards_arg $ records_arg $ net_socket_arg $ net_port_arg
+    Term.(const run $ shards_arg 4 $ records_arg 0 $ net_socket_arg $ net_port_arg
           $ net_host_arg $ window_arg $ timeout_arg $ wal_arg $ trace_arg)
   in
   Cmd.v
@@ -693,9 +655,6 @@ let chaos_cmd =
          & info [ "scale" ]
              ~doc:"Workload scale factor (1.0 = full soak; CI smoke uses 0.05).")
   in
-  let shards_arg =
-    Arg.(value & opt int 4 & info [ "shards" ] ~doc:"Shard domains to spawn.")
-  in
   let plan_arg =
     Arg.(value & opt (some string) None
          & info [ "plan" ]
@@ -730,7 +689,6 @@ let chaos_cmd =
                    the on-disk acknowledgement journal, deep-validate.")
   in
   let run seed scale shards plan quiet wal_dir kill_at verify_only =
-    if shards < 1 then begin prerr_endline "need at least one shard"; exit 2 end;
     if (kill_at > 0 || verify_only) && wal_dir = None then begin
       prerr_endline "--kill-at and --verify-only require --wal-dir";
       exit 2
@@ -797,7 +755,7 @@ let chaos_cmd =
       end
   in
   let term =
-    Term.(const run $ seed_arg $ scale_arg $ shards_arg $ plan_arg $ quiet_arg
+    Term.(const run $ seed_arg $ scale_arg $ shards_arg 4 $ plan_arg $ quiet_arg
           $ wal_dir_arg $ kill_at_arg $ verify_arg)
   in
   Cmd.v
@@ -840,8 +798,10 @@ let wal_cmd =
   let truncate_arg =
     Arg.(value & flag
          & info [ "truncate" ]
-             ~doc:"Repair: truncate a torn tail of each shard's newest \
-                   segment in place.  The only mutating mode.")
+             ~doc:"Repair: cut each shard's torn tail where recovery \
+                   would cut it.  A shard recovery refuses is left \
+                   untouched and reported (exit 1).  The only mutating \
+                   mode.")
   in
   let manifest_arg =
     Arg.(value & flag
@@ -857,13 +817,20 @@ let wal_cmd =
       Printf.eprintf "no shards under %s\n" dir;
       exit 2
     end;
-    if truncate then
+    let bad = ref 0 in
+    if truncate then begin
       List.iter
         (fun i ->
-          let n = Wal.truncate_torn ~dir ~shard:i in
           Printf.printf "shard%d: %s\n" i
-            (if n = 0 then "no torn tail" else "torn tail truncated"))
-        shards
+            (match Wal.truncate_torn ~dir ~shard:i with
+            | Ok 0 -> "no torn tail"
+            | Ok _ -> "torn tail truncated"
+            | Error msg ->
+              incr bad;
+              "PROBLEM: " ^ msg))
+        shards;
+      if !bad > 0 then exit 1
+    end
     else if manifest then
       List.iter
         (fun i ->
@@ -872,7 +839,6 @@ let wal_cmd =
           | None -> Printf.printf "shard%d: no parseable manifest\n" i)
         shards
     else begin
-      let bad = ref 0 in
       List.iter
         (fun i ->
           let segs, ckpts, clean = Wal.inspect_shard ~dir ~shard:i in
@@ -948,37 +914,31 @@ let stats_cmd =
          & info [ "json" ]
              ~doc:"Emit the registry as JSON instead of Prometheus text.")
   in
-  let run index_name workload records ops zipfian json =
-    let workload = parse_workload workload in
-    match kind_of_name ~approx_items:records ~key_len:8 index_name with
-    | Error (`Msg m) -> prerr_endline m; exit 2
-    | Ok kind ->
-      Metrics.set_enabled true;
-      (* Tracing on too: per-op root contexts feed the histogram
-         exemplars, so --json can name the trace behind a p999. *)
-      Ei_obs.Trace.set_enabled true;
-      let table = Table.create ~key_len:8 () in
-      let index = Registry.make ~key_len:8 ~load:(Table.loader table) kind in
-      let observed = Index_ops.traced (Index_ops.observed ~prefix:"op" index) in
-      let runner = Ycsb.create ~index:observed ~table ~record_count:records () in
-      let (), load_dt = Clock.time (fun () -> Ycsb.load runner records) in
-      let dist = if zipfian then Ycsb.Zipfian else Ycsb.Uniform in
-      let (), dt =
-        Clock.time (fun () -> ignore (Ycsb.run runner ~workload ~dist ~ops))
-      in
-      Printf.eprintf
-        "%s: load %d recs %.2f Mops; txn-%s %d ops %.2f Mops; %.2f MiB %s\n"
-        index.Index_ops.name records
-        (Clock.mops records load_dt)
-        (Ycsb.workload_name workload)
-        ops (Clock.mops ops dt)
-        (Clock.mib (index.Index_ops.memory_bytes ()))
-        (index.Index_ops.info ());
-      print_string (if json then Metrics.dump_json () else Metrics.dump_prometheus ())
+  let run index_name pct workload records ops dist json =
+    Metrics.set_enabled true;
+    (* Tracing on too: per-op root contexts feed the histogram
+       exemplars, so --json can name the trace behind a p999. *)
+    Ei_obs.Trace.set_enabled true;
+    let table, index = index_of_arg ~records ~pct index_name in
+    let observed = Index_ops.traced (Index_ops.observed ~prefix:"op" index) in
+    let runner = Ycsb.create ~index:observed ~table ~record_count:records () in
+    let (), load_dt = Clock.time (fun () -> Ycsb.load runner records) in
+    let (), dt =
+      Clock.time (fun () -> ignore (Ycsb.run runner ~workload ~dist ~ops))
+    in
+    Printf.eprintf
+      "%s: load %d recs %.2f Mops; txn-%s %d ops %.2f Mops; %.2f MiB %s\n"
+      index.Index_ops.name records
+      (Clock.mops records load_dt)
+      (Ycsb.workload_name workload)
+      ops (Clock.mops ops dt)
+      (Clock.mib (index.Index_ops.memory_bytes ()))
+      (index.Index_ops.info ());
+    print_string (if json then Metrics.dump_json () else Metrics.dump_prometheus ())
   in
   let term =
-    Term.(const run $ index_arg $ ycsb_workload_arg $ ycsb_records_arg
-          $ ycsb_ops_arg $ zipf_arg $ json_arg)
+    Term.(const run $ index_arg $ bound_arg $ ycsb_workload_arg
+          $ records_arg 50_000 $ ycsb_ops_arg $ dist_arg $ json_arg)
   in
   Cmd.v
     (Cmd.info "stats"
@@ -997,18 +957,12 @@ let stats_cmd =
    coordinator is deliberately NOT started — it would restore the
    original bound split on its next pass and blur the slash;
    [Serve.rebalance_with] delivers each split exactly once.  Returns
-   the shed count and the sub-batches applied. *)
-let run_obs_fleet ~shards ~records ~ops ~update_pct ~pct ~seed ?wal_dir ~phase
-    () =
+   the shed count, the sub-batches applied and the global bound. *)
+let run_obs_fleet ~shards ~records ~ops ~update_pct ~pct ~seed ?wal ~phase () =
   let module Serve = Ei_shard.Serve in
   let module Fleet = Ei_shard.Fleet in
-  let module Wal = Ei_wal.Wal in
-  let global_bound = records * 27 * pct / 100 in
-  let wal = Option.map (fun dir -> Wal.default_config ~dir) wal_dir in
-  let fleet =
-    Fleet.start ~shards
-      ~part:(Fleet.part (Fleet.olc_elastic ~global_bound ~shards))
-      ?wal ()
+  let fleet, global_bound =
+    elastic_fleet ~coordinated:false ~shards ~records ~pct ?wal ()
   in
   let tids, load_shed = preload fleet records in
   let shed = ref load_shed in
@@ -1036,7 +990,7 @@ let run_obs_fleet ~shards ~records ~ops ~update_pct ~pct ~seed ?wal_dir ~phase
   phase "churn-slashed";
   Serve.stop serve;
   phase "drain";
-  (!shed, Serve.batches serve)
+  (!shed, Serve.batches serve, global_bound)
 
 let update_pct_of_workload w =
   match Ycsb.workload_of_name w with
@@ -1047,31 +1001,15 @@ let update_pct_of_workload w =
     Printf.ksprintf failwith "unknown workload %s (want A, B or C)"
       (String.uppercase_ascii w)
 
-(* The fleet-shape flags of the observability commands. *)
-let obs_shards_arg =
-  Arg.(value & opt int 2 & info [ "shards" ] ~doc:"Shard domains to spawn.")
-
-let obs_records_arg =
-  Arg.(value & opt int 50_000 & info [ "records" ] ~doc:"Records to load.")
-
+(* The churn flags of the observability commands. *)
 let obs_ops_arg default =
   Arg.(value & opt int default & info [ "ops" ] ~doc:"Churn operations.")
-
-let obs_bound_arg =
-  Arg.(value & opt int 60
-       & info [ "bound" ]
-           ~doc:"Global soft memory bound as a percentage of the \
-                 unconstrained BTreeOLC estimate for the load; halved \
-                 mid-churn.")
 
 let obs_workload_arg =
   Arg.(value & opt string "A"
        & info [ "w"; "workload" ] ~docv:"A..C"
            ~doc:"YCSB point-op mix for the churn phases: A = 50/50 \
                  read/update, B = 95/5, C = reads only.")
-
-let obs_seed_arg =
-  Arg.(value & opt int 42 & info [ "seed" ] ~doc:"RNG seed for the workload.")
 
 (* A tracing run over the sharded serving layer ({!run_obs_fleet}): load,
    churn, slash the global soft bound mid-churn, keep churning, then
@@ -1086,15 +1024,13 @@ let obs_trace_cmd =
                    chrome://tracing or ui.perfetto.dev).")
   in
   let run shards records ops pct workload out seed =
-    if shards < 1 then begin prerr_endline "need at least one shard"; exit 2 end;
     let update_pct = update_pct_of_workload workload in
     Metrics.set_enabled true;
     Trace.set_enabled true;
-    let shed, batches =
+    let shed, batches, global_bound =
       run_obs_fleet ~shards ~records ~ops ~update_pct ~pct ~seed
         ~phase:ignore ()
     in
-    let global_bound = records * 27 * pct / 100 in
     let events = Trace.events () in
     Trace.write_json out;
     Printf.printf
@@ -1113,8 +1049,8 @@ let obs_trace_cmd =
     end
   in
   let term =
-    Term.(const run $ obs_shards_arg $ obs_records_arg $ obs_ops_arg 100_000
-          $ obs_bound_arg $ obs_workload_arg $ out_arg $ obs_seed_arg)
+    Term.(const run $ shards_arg 2 $ records_arg 50_000 $ obs_ops_arg 100_000
+          $ bound_arg $ obs_workload_arg $ out_arg $ seed_arg)
   in
   Cmd.v
     (Cmd.info "trace"
@@ -1137,14 +1073,7 @@ let obs_timeline_cmd =
          & info [ "o"; "out" ] ~docv:"FILE"
              ~doc:"Output file for the JSON-Lines frames (- = stdout).")
   in
-  let wal_arg =
-    Arg.(value & opt (some string) None
-         & info [ "wal" ] ~docv:"DIR"
-             ~doc:"Run the fleet durable (group-commit WAL under DIR) so \
-                   the captured windows include the WAL counters.")
-  in
-  let run shards records ops pct workload interval out seed wal_dir =
-    if shards < 1 then begin prerr_endline "need at least one shard"; exit 2 end;
+  let run shards records ops pct workload interval out seed wal =
     let update_pct = update_pct_of_workload workload in
     Metrics.set_enabled true;
     (* Tracing on too: span contexts ride the same run, so the frames'
@@ -1154,8 +1083,8 @@ let obs_timeline_cmd =
     Timeline.capture ~label:"start" ();
     if Float.compare interval 0.0 > 0 then
       Timeline.start_ticker ~interval_s:interval;
-    let shed, _ =
-      run_obs_fleet ~shards ~records ~ops ~update_pct ~pct ~seed ?wal_dir
+    let shed, _, _ =
+      run_obs_fleet ~shards ~records ~ops ~update_pct ~pct ~seed ?wal
         ~phase:(fun l -> Timeline.capture ~label:l ())
         ()
     in
@@ -1175,9 +1104,9 @@ let obs_timeline_cmd =
     end
   in
   let term =
-    Term.(const run $ obs_shards_arg $ obs_records_arg $ obs_ops_arg 100_000
-          $ obs_bound_arg $ obs_workload_arg $ interval_arg $ out_arg
-          $ obs_seed_arg $ wal_arg)
+    Term.(const run $ shards_arg 2 $ records_arg 50_000 $ obs_ops_arg 100_000
+          $ bound_arg $ obs_workload_arg $ interval_arg $ out_arg
+          $ seed_arg $ wal_arg)
   in
   Cmd.v
     (Cmd.info "timeline"
@@ -1242,13 +1171,12 @@ let obs_top_cmd =
     flush stdout
   in
   let run shards records ops pct workload interval once seed =
-    if shards < 1 then begin prerr_endline "need at least one shard"; exit 2 end;
     let update_pct = update_pct_of_workload workload in
     Metrics.set_enabled true;
     Timeline.set_enabled true;
     Timeline.capture ~label:"start" ();
     if once then begin
-      let shed, _ =
+      let shed, _, _ =
         run_obs_fleet ~shards ~records ~ops ~update_pct ~pct ~seed
           ~phase:(fun l -> Timeline.capture ~label:l ())
           ()
@@ -1267,7 +1195,7 @@ let obs_top_cmd =
       let done_flag = Atomic.make false in
       let worker =
         Domain.spawn (fun () ->
-            let shed, _ =
+            let shed, _, _ =
               run_obs_fleet ~shards ~records ~ops ~update_pct ~pct ~seed
                 ~phase:(fun _ -> ())
                 ()
@@ -1291,9 +1219,9 @@ let obs_top_cmd =
     end
   in
   let term =
-    Term.(const run $ obs_shards_arg $ obs_records_arg $ obs_ops_arg 200_000
-          $ obs_bound_arg $ obs_workload_arg $ interval_arg $ once_arg
-          $ obs_seed_arg)
+    Term.(const run $ shards_arg 2 $ records_arg 50_000 $ obs_ops_arg 200_000
+          $ bound_arg $ obs_workload_arg $ interval_arg $ once_arg
+          $ seed_arg)
   in
   Cmd.v
     (Cmd.info "top"
@@ -1328,7 +1256,7 @@ let sim_cmd =
     Arg.(value & opt string "oracle" & info [ "a" ] ~docv:"SUBJECT" ~doc:subject_doc)
   in
   let b_arg =
-    Arg.(value & opt string "btree" & info [ "b" ] ~docv:"SUBJECT" ~doc:subject_doc)
+    Arg.(value & opt string "stx" & info [ "b" ] ~docv:"SUBJECT" ~doc:subject_doc)
   in
   let ops_arg =
     Arg.(value & opt int 40_000 & info [ "ops" ] ~doc:"Tape length (diff).")

@@ -35,6 +35,41 @@ let kind_name = function
   | Olc (Ei_olc.Btree_olc.Olc_seqtree _) -> "olc-seqtree"
   | Olc (Ei_olc.Btree_olc.Olc_elastic _) -> "olc-elastic"
 
+(* [kind_of_name] prints each candidate back: the fixed-name kinds, or
+   the leaf-capacity families when the name's digits read >= 32. *)
+let fixed ~bound =
+  let module Olc = Ei_olc.Btree_olc in
+  [
+    Stx; Prefix; Bwtree; Hot; Art; Skiplist; Hybrid 0.1;
+    Elastic (Ei_core.Elasticity.default_config ~size_bound:bound);
+    Elastic_skiplist (Ei_core.Elastic_skiplist.default_config ~size_bound:bound);
+    Olc Olc.Olc_std;
+    Olc (Olc.Olc_seqtree { capacity = 128; levels = 2; breathing = 4 });
+    Olc (Olc.Olc_elastic (Olc.default_elastic_config ~size_bound:bound));
+  ]
+
+let sized c = [ Seqtree c; Subtrie c; Stringtrie c ]
+
+let names =
+  List.map kind_name (fixed ~bound:0)
+  @ List.map (fun k -> Filename.chop_suffix (kind_name k) "32" ^ "<N>") (sized 32)
+
+let kind_of_name ~bound name =
+  let digits =
+    String.of_seq (Seq.filter (String.contains "0123456789") (String.to_seq name))
+  in
+  let candidates =
+    match int_of_string_opt digits with
+    | Some c when c >= 32 -> sized c
+    | Some _ | None -> fixed ~bound
+  in
+  match List.find_opt (fun k -> String.equal (kind_name k) name) candidates with
+  | Some k -> Ok k
+  | None ->
+    Error
+      (Printf.sprintf "unknown index %S (one of: %s; N >= 32)" name
+         (String.concat " " names))
+
 let make ?name ?(leaf_capacity = 16) ~key_len ~load kind =
   let name = match name with Some n -> n | None -> kind_name kind in
   match kind with

@@ -23,6 +23,14 @@ type kind =
 
 val kind_name : kind -> string
 
+val names : string list
+(** The names {!kind_of_name} accepts, [<N>] a capacity of at least 32. *)
+
+val kind_of_name : bound:int -> string -> (kind, string) result
+(** The inverse of {!kind_name}.  What a name drops is fixed: elastic
+    kinds are [default_config ~size_bound:bound], [olc-seqtree] is
+    [{128; 2; 4}] and [hybrid] merges at 0.1. *)
+
 val make :
   ?name:string ->
   ?leaf_capacity:int ->

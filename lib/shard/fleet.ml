@@ -7,6 +7,8 @@ type t = { table : Table.t; router : Shard.t; serve : Serve.t }
 
 let share ~global_bound ~shards = max 1 (global_bound / shards)
 
+let stx_bound ~key_len ~records ~pct = records * (key_len + 8) * 27 * pct / 1600
+
 let olc_elastic ~global_bound ~shards =
   Registry.Olc
     (Olc.Olc_elastic

@@ -15,6 +15,10 @@ val share : global_bound:int -> shards:int -> int
 (** A shard's even share of a global bound:
     [max 1 (global_bound / shards)]. *)
 
+val stx_bound : key_len:int -> records:int -> pct:int -> int
+(** The paper's elastic bound (§6): [pct] percent of STX's size for
+    [records] keys of [key_len] bytes, 27 B per 16 B of key and tid. *)
+
 val olc_elastic : global_bound:int -> shards:int -> Ei_harness.Registry.kind
 (** An elastic BTreeOLC bounded by its {!share} of [global_bound]. *)
 

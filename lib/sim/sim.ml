@@ -46,56 +46,28 @@ type subject = {
 let subject ~name ~elastic make =
   { s_name = name; s_elastic = elastic; s_make = make }
 
-let oracle ~key_len =
-  {
-    s_name = "oracle";
-    s_elastic = true;  (* 0 bytes: trivially compliant *)
-    s_make = (fun _ -> Oracle.create ~key_len ());
-  }
+let subject_names = "oracle" :: Registry.names
 
-let subject_names =
-  [
-    "oracle"; "btree"; "seqtree"; "skiplist"; "prefix"; "elastic";
-    "elastic-skiplist"; "olc"; "olc-elastic";
-  ]
-
+(* The oracle holds 0 bytes, so it is trivially bound-compliant. *)
 let subject_of_name ?(bound = 1 lsl 20) ~key_len name =
-  let mk ?leaf_capacity kind elastic =
-    Ok
-      {
-        s_name = name;
-        s_elastic = elastic;
-        s_make =
-          (fun table ->
-            Registry.make ~name ?leaf_capacity ~key_len
-              ~load:(Table.loader table) kind);
-      }
-  in
-  match name with
-  | "oracle" -> Ok (oracle ~key_len)
-  | "btree" -> mk Registry.Stx false
-  | "seqtree" -> mk (Registry.Seqtree 64) false
-  | "skiplist" -> mk Registry.Skiplist false
-  | "prefix" -> mk Registry.Prefix false
-  | "elastic" ->
-    mk
-      (Registry.Elastic (Ei_core.Elasticity.default_config ~size_bound:bound))
-      true
-  | "elastic-skiplist" ->
-    mk
-      (Registry.Elastic_skiplist
-         (Ei_core.Elastic_skiplist.default_config ~size_bound:bound))
-      true
-  | "olc" -> mk (Registry.Olc Olc.Olc_std) false
-  | "olc-elastic" ->
-    mk
-      (Registry.Olc
-         (Olc.Olc_elastic (Olc.default_elastic_config ~size_bound:bound)))
-      true
-  | _ ->
-    Error
-      (Printf.sprintf "unknown subject %S (one of: %s)" name
-         (String.concat " " subject_names))
+  if String.equal name "oracle" then
+    Ok (subject ~name ~elastic:true (fun _ -> Oracle.create ~key_len ()))
+  else
+    match Registry.kind_of_name ~bound name with
+    | Error _ ->
+      Error
+        (Printf.sprintf "unknown subject %S (one of: %s)" name
+           (String.concat " " subject_names))
+    | Ok kind ->
+      let elastic =
+        match kind with
+        | Registry.Elastic _ | Registry.Elastic_skiplist _
+        | Registry.Olc (Olc.Olc_elastic _) -> true
+        | _ -> false
+      in
+      Ok
+        (subject ~name ~elastic (fun table ->
+             Registry.make ~name ~key_len ~load:(Table.loader table) kind))
 
 (* --- Differential engine ---------------------------------------------- *)
 
@@ -608,7 +580,7 @@ let wal_part ~name table =
   Registry.make ~name ~key_len:8 ~load:(Table.loader table)
     (Registry.Elastic (Ei_core.Elasticity.default_config ~size_bound:(1 lsl 20)))
 
-(* A fresh WAL directory for [label]. *)
+(* A fresh WAL directory for [label]; the scenario's check removes it. *)
 let wal_config ?(checkpoint_every = 4) label ~fsync_every =
   let dir =
     Filename.concat
@@ -747,7 +719,7 @@ let wal_crash_scenario ~label ~fsync_every ~crash () =
           wal_writer tape h w part ~commit_every:4 ~on_commit:(fun () -> ()) );
         ("crash", crasher);
       |];
-    check;
+    check = (fun () -> Fun.protect ~finally:(fun () -> Wal.remove_dir cfg.Wal.dir) check);
   }
 
 let wal_torn_scenario () =
@@ -849,7 +821,7 @@ let wal_wedge_scenario () =
               acked := Wal.last_lsn w) );
         ("supervisor", supervisor);
       |];
-    check;
+    check = (fun () -> Fun.protect ~finally:(fun () -> Wal.remove_dir cfg.Wal.dir) check);
   }
 
 (* The ei_net connection state machines under adversarial interleavings

@@ -22,16 +22,14 @@ val subject :
 (** Wrap any index constructor as a sim subject (used by tests to plant
     deliberately buggy branches). *)
 
-val oracle : key_len:int -> subject
-(** The pure sorted-map reference ({!Oracle}). *)
-
 val subject_names : string list
 
 val subject_of_name :
   ?bound:int -> key_len:int -> string -> (subject, string) result
-(** Named subjects for the CLI and artifacts: oracle, btree, seqtree,
-    skiplist, prefix, elastic, elastic-skiplist, olc, olc-elastic.
-    [bound] seeds the elastic configs (default 1 MiB). *)
+(** Named subjects for the CLI and artifacts: ["oracle"], the pure
+    sorted-map reference ({!Oracle}), or any
+    {!Ei_harness.Registry.kind_of_name} name, elastic exactly when the
+    kind is.  [bound] seeds the elastic configs (default 1 MiB). *)
 
 (** {2 Differential engine} *)
 

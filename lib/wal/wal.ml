@@ -760,12 +760,15 @@ let recover ?faults ?(restore = fun ~tid:_ ~key:_ -> ()) cfg ~shard
   fsync_dir sdir;
   (w, r)
 
-let verify ~dir ~shard =
+(* [walk] over [<dir>/shard<i>/] with no side effects. *)
+let walk_dir ~dir ~shard =
   let sdir = shard_dir_in dir shard in
   let clean = Sys.file_exists (clean_path sdir) in
   match walk ~sdir ~clean ~on_ckpt:(fun ~bound:_ _ -> ()) ~on_record:ignore with
-  | r, _ -> Ok r
+  | walked -> Ok walked
   | exception (Died msg | Sys_error msg) -> Error msg
+
+let verify ~dir ~shard = Result.map fst (walk_dir ~dir ~shard)
 
 (* --- Read-only inspection (ei wal) ------------------------------------ *)
 
@@ -837,15 +840,13 @@ let manifest ~dir ~shard =
     (list_ckpts sdir)
 
 let truncate_torn ~dir ~shard =
-  let sdir = shard_dir_in dir shard in
-  match List.rev (list_segments sdir) with
-  | [] -> 0
-  | (_, path) :: _ -> (
-    match Frame.decode_all (read_file path) with
-    | _, Some (off, _) ->
-      truncate_file path off;
-      1
-    | _, None -> 0)
+  Result.map
+    (function
+      | _, None -> 0
+      | _, Some (path, off) ->
+        truncate_file path off;
+        1)
+    (walk_dir ~dir ~shard)
 
 (* --- Test/chaos support ----------------------------------------------- *)
 

@@ -179,9 +179,11 @@ val inspect_shard :
 val manifest : dir:string -> shard:int -> Ei_util.Mini_json.t option
 (** The newest parseable checkpoint manifest, verbatim. *)
 
-val truncate_torn : dir:string -> shard:int -> int
-(** Repair a torn tail of the newest segment in place; returns the
-    number of segments truncated (0 or 1). *)
+val truncate_torn : dir:string -> shard:int -> (int, string) result
+(** Cut the torn tail {!recover} would cut, where it would cut it, and
+    nothing else: [Ok n] is the number of segments truncated (0 or 1),
+    [Error msg] the message {!verify} refuses the shard with, in which
+    case no file is touched. *)
 
 (** {1 Test and chaos support} *)
 

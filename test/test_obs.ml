@@ -312,7 +312,8 @@ let test_flight_trigger () =
       Fun.protect
         ~finally:(fun () ->
           Flight.disarm ();
-          Timeline.set_enabled false)
+          Timeline.set_enabled false;
+          Ei_wal.Wal.remove_dir dir)
         (fun () ->
           let sp = Trace.define ~span:true ~arg1:"n" ~cat:"test" "test.breach" in
           Ctx.set (Ctx.mint ());

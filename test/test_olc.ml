@@ -477,7 +477,7 @@ let test_olc_elastic_blocks () =
     (fixed + sum leaf_words imgs + (inners * inner_words))
     (heap_words tree)
 
-(* An elastic preload under a tight bound (60 % of 27 B/key) loads one
+(* An elastic preload under a tight bound (60 % of STX) loads one
    key from the table per compact-leaf insert — the verify of its
    search — and nothing else: a compact-leaf insert derives its
    BlindiBits from that one load, and a compact -> compact capacity
@@ -492,8 +492,8 @@ let test_elastic_preload_loads () =
     Table.loader table tid
   in
   let tree =
-    Olc.create ~kind:(elastic_kind ~size_bound:(n * 27 * 60 / 100)) ~key_len:8
-      ~load ()
+    let size_bound = Ei_shard.Fleet.stx_bound ~key_len:8 ~records:n ~pct:60 in
+    Olc.create ~kind:(elastic_kind ~size_bound) ~key_len:8 ~load ()
   in
   let st = Ei_blindi.Stats.current () in
   let inserts0 = st.Ei_blindi.Stats.inserts in

@@ -40,7 +40,7 @@ let test_run_deterministic () =
       Alcotest.(check bool)
         (name ^ " traces byte-identical across invocations")
         true (traces_equal t1 t2))
-    [ "btree"; "olc-elastic" ]
+    [ "stx"; "olc-elastic" ]
 
 let test_tape_json_roundtrip () =
   let tape = Tape.generate ~seed (Tape.elastic_gen ~ops:500 ~base_bound:4096 ()) in
@@ -56,8 +56,8 @@ let test_tape_json_roundtrip () =
          tape.Tape.ops tape'.Tape.ops);
     Alcotest.(check bool) "identical traces" true
       (traces_equal
-         (Sim.run_tape (subj "seqtree") tape)
-         (Sim.run_tape (subj "seqtree") tape'))
+         (Sim.run_tape (subj "seqtree64") tape)
+         (Sim.run_tape (subj "seqtree64") tape'))
 
 (* --- Differential runs ------------------------------------------------ *)
 
@@ -70,16 +70,16 @@ let agree ?slack ?check_mem ?(gen = fun ~ops () -> Tape.default_gen ~ops ())
   | None -> ()
   | Some d -> Alcotest.fail (Sim.pp_divergence ~a:"oracle" ~b:name d)
 
-let test_oracle_vs_btree = agree ~ops:100_000 "btree"
+let test_oracle_vs_btree = agree ~ops:100_000 "stx"
 let test_oracle_vs_skiplist = agree ~ops:100_000 "skiplist"
-let test_oracle_vs_seqtree = agree ~ops:100_000 "seqtree"
+let test_oracle_vs_seqtree = agree ~ops:100_000 "seqtree64"
 let test_oracle_vs_olc = agree ~ops:100_000 "olc"
 
 let test_oracle_vs_btree_faulty () =
-  agree ~gen:(fun ~ops () -> Tape.faulty_gen ~ops ()) ~ops:60_000 "btree" ();
+  agree ~gen:(fun ~ops () -> Tape.faulty_gen ~ops ()) ~ops:60_000 "stx" ();
   (* Guard against vacuous plumbing: the windows must actually inject. *)
   let tape = Tape.generate ~seed (Tape.faulty_gen ~ops:60_000 ()) in
-  let tr = Sim.run_tape (subj "btree") tape in
+  let tr = Sim.run_tape (subj "stx") tape in
   let injected =
     Array.fold_left
       (fun acc e ->
@@ -111,7 +111,7 @@ let test_oracle_vs_olc_elastic = elastic_agree "olc-elastic"
    instead of ">=").  The harness must catch it and shrink the repro
    to a tiny tape (an insert and a scan hitting that key). *)
 let buggy_btree () =
-  let real = subj "btree" in
+  let real = subj "stx" in
   Sim.subject ~name:"buggy-btree" ~elastic:false (fun table ->
       let ix = real.Sim.s_make table in
       let skip_eq start visit k =
@@ -166,7 +166,7 @@ let test_divergence_caught_and_shrunk () =
            {
              tape = shrunk;
              a = "oracle";
-             b = "btree";
+             b = "stx";
              bound = 1 lsl 20;
              slack = 3.0;
              check_mem = false;

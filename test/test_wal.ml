@@ -38,14 +38,10 @@ module Olc = Ei_olc.Btree_olc
 module Sim = Ei_sim.Sim
 module Sched = Ei_sim.Sched
 
-let fresh_dir name =
-  let d =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "ei-test-wal-%d-%s" (Unix.getpid ()) name)
-  in
-  Wal.reset_dir d;
-  d
+(* [f] on a fresh WAL root for [name], removed afterwards. *)
+let with_dir name f =
+  let d = Filename.temp_dir ("ei-test-wal-" ^ name ^ "-") "" in
+  Fun.protect ~finally:(fun () -> Wal.remove_dir d) (fun () -> f d)
 
 let mk_part ?(bound = 1 lsl 20) table name =
   Registry.make ~name ~key_len:8 ~load:(Table.loader table)
@@ -257,7 +253,7 @@ let verify_agrees cfg ~name =
   (r, p)
 
 let test_basic_recovery () =
-  let dir = fresh_dir "basic" in
+  with_dir "basic" @@ fun dir ->
   let cfg = { (Wal.default_config ~dir) with Wal.fsync_every = 1 } in
   let table = Table.create ~key_len:8 () in
   let part = mk_part table "wal-basic" in
@@ -280,7 +276,7 @@ let test_basic_recovery () =
   Alcotest.(check int) "elastic bound recovered" 4096 r.Wal.r_bound
 
 let test_checkpoint_fallback () =
-  let dir = fresh_dir "ckpt" in
+  with_dir "ckpt" @@ fun dir ->
   let cfg =
     {
       (Wal.default_config ~dir) with
@@ -339,7 +335,7 @@ let test_checkpoint_fallback () =
     (Index_ops.fingerprint p3)
 
 let test_crash_torn () =
-  let dir = fresh_dir "torn" in
+  with_dir "torn" @@ fun dir ->
   let cfg = { (Wal.default_config ~dir) with Wal.fsync_every = 1 } in
   let table = Table.create ~key_len:8 () in
   let part = mk_part table "wal-torn-unit" in
@@ -357,10 +353,16 @@ let test_crash_torn () =
   (match Wal.crash_torn w with
   | _ -> Alcotest.fail "crash_torn returned"
   | exception Wal.Died _ -> ());
-  ignore (verify_agrees cfg ~name:"wal-torn-verify");
+  (* recovery cuts the torn tail on a byte-copy; after truncate's cut
+     it finds the same log and nothing left to cut *)
+  let torn, _ = verify_agrees cfg ~name:"wal-torn-verify" in
+  Alcotest.(check int) "torn tail truncated" 1 torn.Wal.r_torn;
+  Alcotest.(check bool) "truncate cuts it" true
+    (Wal.truncate_torn ~dir ~shard:0 = Ok 1);
   let w2, r, p2 = recover_fresh cfg ~name:"wal-torn-rec" in
   Wal.close w2;
-  Alcotest.(check int) "torn tail truncated" 1 r.Wal.r_torn;
+  Alcotest.(check bool) "truncate cut where recovery cuts" true
+    (r = { torn with Wal.r_torn = 0 });
   Alcotest.(check bool) "no clean marker" false r.Wal.r_clean;
   (* 20 committed + 2 complete frames of the torn batch; the 23rd frame
      lost its last bytes *)
@@ -368,7 +370,7 @@ let test_crash_torn () =
   Alcotest.(check int) "durable prefix intact" 22 (p2.Index_ops.count ())
 
 let test_crash_unsynced () =
-  let dir = fresh_dir "unsynced" in
+  with_dir "unsynced" @@ fun dir ->
   let cfg = { (Wal.default_config ~dir) with Wal.fsync_every = 2 } in
   let table = Table.create ~key_len:8 () in
   let part = mk_part table "wal-unsync-unit" in
@@ -400,7 +402,7 @@ let test_crash_unsynced () =
    one byte flipped: no checkpoint validates, yet nothing is lost —
    recovery counts the fallback and replays the whole log. *)
 let test_lone_corrupt_checkpoint () =
-  let dir = fresh_dir "lone-ckpt" in
+  with_dir "lone-ckpt" @@ fun dir ->
   let cfg =
     { (Wal.default_config ~dir) with Wal.fsync_every = 1; checkpoint_every = 4 }
   in
@@ -430,11 +432,12 @@ let test_lone_corrupt_checkpoint () =
   Alcotest.(check int) "contents recovered" (Index_ops.fingerprint part)
     (Index_ops.fingerprint p)
 
-(* A CRC-valid segment holding LSNs 1, 2 and 4: every frame decodes,
-   but the log has a hole, so recovery refuses it and verify says the
-   same words. *)
+(* A CRC-valid segment holding LSNs 1, 2 and 4, then stray bytes:
+   every frame decodes, but the log has a hole, so recovery refuses it,
+   and verify and truncate refuse it with the same words and write
+   nothing. *)
 let test_valid_frames_lsn_gap () =
-  let dir = fresh_dir "lsn-gap" in
+  with_dir "lsn-gap" @@ fun dir ->
   let sdir = Filename.concat dir "shard0" in
   Unix.mkdir sdir 0o755;
   Out_channel.with_open_bin
@@ -444,12 +447,15 @@ let test_valid_frames_lsn_gap () =
         (fun lsn ->
           Out_channel.output_string oc
             (Frame.encode (Frame.Insert { lsn; key = Key.of_int lsn; tid = lsn })))
-        [ 1; 2; 4 ]);
+        [ 1; 2; 4 ];
+      Out_channel.output_string oc "\x07\x00");
   let before = shard_files dir in
   match Wal.verify ~dir ~shard:0 with
   | Ok _ -> Alcotest.fail "verify accepted an LSN gap"
   | Error msg -> (
-    Alcotest.(check bool) "verify writes nothing" true
+    Alcotest.(check bool) "truncate refuses with verify's error" true
+      (Wal.truncate_torn ~dir ~shard:0 = Error msg);
+    Alcotest.(check bool) "verify and truncate write nothing" true
       (shard_files dir = before);
     match recover_fresh (Wal.default_config ~dir) ~name:"wal-gap-rec" with
     | _ -> Alcotest.fail "recover accepted an LSN gap"
@@ -465,7 +471,7 @@ let wal_fleet ?timeout_s ?fault_prefix ~wal name =
     ?timeout_s ?fault_prefix ~wal ()
 
 let test_serve_restart () =
-  let dir = fresh_dir "serve" in
+  with_dir "serve" @@ fun dir ->
   let wal = Wal.default_config ~dir in
   let n = 500 in
   let { Fleet.table; router; serve } = wal_fleet ~wal "serve-wal" in
@@ -507,7 +513,7 @@ let rec wait_healthy serve =
   end
 
 let test_serve_crash_rebuild_from_disk () =
-  let dir = fresh_dir "serve-crash" in
+  with_dir "serve-crash" @@ fun dir ->
   let wal = { (Wal.default_config ~dir) with Wal.checkpoint_every = 16 } in
   let n = 400 in
   Fault.configure ~seed:11 [ ("serve.crash", 0.01) ];
@@ -548,7 +554,7 @@ let test_serve_crash_rebuild_from_disk () =
    both shards from disk instead.  A batch racing the rebuild may time
    out, so the later batches start once the fleet is healthy again. *)
 let test_wal_fault_no_hang () =
-  let dir = fresh_dir "serve-fsync" in
+  with_dir "serve-fsync" @@ fun dir ->
   let { Fleet.table; serve; _ } =
     wal_fleet ~fault_prefix:"serve" ~wal:(Wal.default_config ~dir) "fsync-wal"
   in
@@ -576,7 +582,7 @@ let test_wal_fault_no_hang () =
     (recoveries >= 1)
 
 let test_wal_needs_supervisor () =
-  let dir = fresh_dir "serve-bare" in
+  with_dir "serve-bare" @@ fun dir ->
   let table = Table.create ~key_len:8 () in
   let router = Shard.create [| mk_part table "bare-wal/0" |] in
   match Serve.start ~wal:(Wal.default_config ~dir) router with
@@ -604,7 +610,7 @@ let test_supervisor_needs_wal () =
 (* A supervised shard applies a remove or an update with the index's own
    call alone: the WAL needs no lookup of the old tid. *)
 let test_supervised_remove_one_lookup () =
-  let dir = fresh_dir "serve-lookups" in
+  with_dir "serve-lookups" @@ fun dir ->
   let finds = Atomic.make 0 in
   let part table i =
     let ix = mk_part table (Printf.sprintf "lookups/%d" i) in
@@ -649,7 +655,7 @@ let test_supervised_remove_one_lookup () =
 (* --- d. mini durable chaos soak --------------------------------------- *)
 
 let test_chaos_wal () =
-  let dir = fresh_dir "chaos" in
+  with_dir "chaos" @@ fun dir ->
   let config =
     {
       (Chaos.default_config ~seed:123) with

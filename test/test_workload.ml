@@ -88,6 +88,46 @@ let test_workload_names () =
   Alcotest.(check bool) "other names rejected" true
     (List.for_all (fun n -> Ycsb.workload_of_name n = None) [ ""; "G"; "AB"; " a" ])
 
+(* [Registry.kind_of_name] inverts [kind_name] on one kind of every
+   constructor, hands elastic kinds its bound, and rejects the rest. *)
+let test_index_names () =
+  let module Olc = Ei_olc.Btree_olc in
+  let parse = Registry.kind_of_name ~bound:12_345 in
+  Registry.
+    [ Stx; Seqtree 64; Subtrie 32; Stringtrie 128; Prefix; Bwtree; Hot; Art;
+      Skiplist; Hybrid 0.08; Olc Olc.Olc_std;
+      Olc (Olc.Olc_seqtree { capacity = 16; levels = 2; breathing = 1 });
+      Olc (Olc.Olc_elastic (Olc.default_elastic_config ~size_bound:1));
+      Elastic (Ei_core.Elasticity.default_config ~size_bound:1);
+      Elastic_skiplist (Ei_core.Elastic_skiplist.default_config ~size_bound:1) ]
+  |> List.iter (fun k ->
+         let name = Registry.kind_name k in
+         Alcotest.(check (result string string)) name (Ok name)
+           (Result.map Registry.kind_name (parse name)));
+  let bound = function
+    | Ok (Registry.Elastic c) -> c.Ei_core.Elasticity.size_bound
+    | Ok (Registry.Elastic_skiplist c) -> c.Ei_core.Elastic_skiplist.size_bound
+    | Ok (Registry.Olc (Olc.Olc_elastic c)) -> c.Olc.size_bound
+    | Ok _ | Error _ -> 0
+  in
+  Alcotest.(check (list int)) "elastic kinds carry the bound"
+    [ 12_345; 12_345; 12_345 ]
+    (List.map (fun n -> bound (parse n)) [ "elastic"; "elastic-skiplist"; "olc-elastic" ]);
+  List.iter
+    (fun n -> Alcotest.(check bool) (n ^ " rejected") true (Result.is_error (parse n)))
+    [ ""; "btree"; "seqtree"; "seqtree31"; "seqtree064"; "elastic60" ]
+
+(* At 8-byte keys the bound is the paper's 27 B/key rule, exactly. *)
+let test_stx_bound () =
+  List.iter
+    (fun records ->
+      List.iter
+        (fun pct ->
+          Alcotest.(check int) "27 B/key" (records * 27 * pct / 100)
+            (Ei_shard.Fleet.stx_bound ~key_len:8 ~records ~pct))
+        [ 1; 7; 33; 37; 60; 99; 100; 150 ])
+    [ 0; 1; 3; 999; 5_000; 33_333; 100_001; 2_000_000 ]
+
 (* Every workload on every index kind: counts must stay consistent and no
    operation may lose a key. *)
 let ycsb_matrix =
@@ -271,6 +311,8 @@ let () =
         Alcotest.test_case "load phase" `Quick test_ycsb_load
         :: Alcotest.test_case "key uniqueness" `Quick test_ycsb_key_uniqueness
         :: Alcotest.test_case "workload names" `Quick test_workload_names
+        :: Alcotest.test_case "index names" `Quick test_index_names
+        :: Alcotest.test_case "stx bound" `Quick test_stx_bound
         :: ycsb_matrix );
       ( "mcas",
         [
