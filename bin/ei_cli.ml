@@ -262,7 +262,7 @@ let check_cmd =
       if c < 45 then ignore (wrapped.Index_ops.insert k (tid_for k))
       else if c < 80 then ignore (wrapped.Index_ops.remove k)
       else if c < 95 then ignore (wrapped.Index_ops.update k (tid_for k))
-      else ignore (wrapped.Index_ops.scan_keys k 16 (fun _ -> ()))
+      else ignore (wrapped.Index_ops.scan_keys k 16 (fun _ _ -> ()))
     done;
     let final = Check.run ~strict index in
     Format.printf "%a@." Check.pp_report final;

@@ -430,11 +430,13 @@ let multi_find ?(group = 8) t keys =
   Trace.span ev_multi_find ~start_ns:tmf nkeys;
   out
 
-(* In-place value update of an existing key; false if absent. *)
+(* In-place value update of an existing key; false if absent.  Tracked
+   like any leaf mutation: a Bw-tree leaf grows by a delta record (and
+   may consolidate) on an update. *)
 let update t key tid =
   let leaf = find_leaf t t.root key in
   leaf.Leaf.hits <- leaf.Leaf.hits + 1;
-  Leaf.update leaf ~load:t.load key tid
+  mutate_leaf t leaf (fun () -> Leaf.update leaf ~load:t.load key tid)
 
 (* ------------------------------------------------------------------ *)
 (* Range scans.                                                        *)

@@ -533,7 +533,7 @@ let check_generic_ctx ctx (ix : Index_ops.t) =
   let seen = ref 0 and prev = ref None in
   guard ctx v (fun () ->
       let visited =
-        ix.Index_ops.scan_keys zero_key (count + 1) (fun k ->
+        ix.Index_ops.scan_keys zero_key (count + 1) (fun k _ ->
             incr seen;
             (match !prev with
             | Some p when Key.compare p k >= 0 ->

@@ -16,31 +16,22 @@ type backend =
     (* a router composed over sub-indexes (e.g. the shard fleet);
        validators recurse into the parts *)
 
+(* The fields are documented in index_ops.mli. *)
 and t = {
   name : string;
   backend : backend;
-  key_len : int;  (* length in bytes of every key the index accepts *)
+  key_len : int;
   insert : string -> int -> bool;
   remove : string -> bool;
-  update : string -> int -> bool;  (* in-place value overwrite *)
+  update : string -> int -> bool;
   find : string -> int option;
   multi_find : string array -> int option array;
-  (* batched point lookup: slot [i] is [find keys.(i)].  Backends with a
-     native group-descent path (B+-tree, OLC) overlap the per-level node
-     fetches of a batch; the rest fall back to a [find] loop. *)
   scan : string -> int -> int;
-  (* [scan start n] visits up to [n] entries with key >= start and
-     returns how many were visited; visiting materialises each key (the
-     included-column access pattern of §2). *)
-  scan_keys : string -> int -> (string -> unit) -> int;
-  (* like [scan] but hands each visited key to the callback: the
-     included-column query path of §2 (results computed from key bytes) *)
+  scan_keys : string -> int -> (string -> int -> unit) -> int;
   memory_bytes : unit -> int;
   count : unit -> int;
   set_size_bound : int -> unit;
-  (* retune the elastic soft bound on a live index; no-op for inelastic
-     indexes — the uniform lever the global memory coordinator pulls *)
-  info : unit -> string;  (* index-specific status, e.g. elastic state *)
+  info : unit -> string;
 }
 
 let no_size_bound (_ : int) = ()
@@ -48,53 +39,50 @@ let no_size_bound (_ : int) = ()
 (* Fallback batched lookup for backends without a group-descent path. *)
 let multi_of_find find keys = Ei_util.Arr.map ~fill:None find keys
 
-(* Transient operation failure, injected in front of any index: each
-   point operation first draws at the site and raises [Fault.Injected]
-   when it fires.  The backend is passed through unchanged, so deep
-   validators ({!Ei_check}) still reach the real structure.  Scans and
-   aggregates are not wrapped — transient faults model per-op resource
-   refusals (allocation failure, admission control), which a caller
-   retries; corrupting read-only introspection would only blind the
-   validators this substrate exists to feed. *)
-let inject ~site (ix : t) =
-  let module Fault = Ei_fault.Fault in
+(* The operations the decorators below wrap, and the one wrapping:
+   [around w ix] is [ix] whose point operations and [scan] each run as
+   [w.run op f].  The backend passes through unchanged, so deep
+   validators ({!Ei_check}) still reach the real structure. *)
+type op = Insert | Remove | Update | Find | Multi_find | Scan
+type around = { run : 'a. op -> (unit -> 'a) -> 'a }
+
+let around w (ix : t) =
   {
     ix with
-    insert =
-      (fun k tid ->
-        Fault.inject site;
-        ix.insert k tid);
-    remove =
-      (fun k ->
-        Fault.inject site;
-        ix.remove k);
-    update =
-      (fun k tid ->
-        Fault.inject site;
-        ix.update k tid);
-    find =
-      (fun k ->
-        Fault.inject site;
-        ix.find k);
-    multi_find =
-      (* a batch is a sequence of point lookups, so each key draws —
-         matching the per-op granularity callers retry at.  A fault
-         aborts the rest of the batch; the grouped descent is skipped
-         because partial batches under injection are exactly what the
-         per-op fallback paths exist to handle. *)
-      (fun keys ->
-        Ei_util.Arr.map ~fill:None
-          (fun k ->
-            Fault.inject site;
-            ix.find k)
-          keys);
+    insert = (fun k tid -> w.run Insert (fun () -> ix.insert k tid));
+    remove = (fun k -> w.run Remove (fun () -> ix.remove k));
+    update = (fun k tid -> w.run Update (fun () -> ix.update k tid));
+    find = (fun k -> w.run Find (fun () -> ix.find k));
+    multi_find = (fun keys -> w.run Multi_find (fun () -> ix.multi_find keys));
+    scan = (fun start n -> w.run Scan (fun () -> ix.scan start n));
   }
 
-(* Per-operation latency observation, mirroring [inject]: the closures
-   are wrapped, the backend passes through untouched.  Each op lands in
-   its own log-bucketed histogram ([<prefix>.<op>_ns]), so one registry
-   snapshot shows the full latency profile of a run.  When the registry
-   is disabled the wrapper costs one atomic load per op. *)
+(* Transient operation failure, injected in front of any index: each
+   point operation first draws at the site and raises [Fault.Injected]
+   when it fires.  Scans and aggregates are not wrapped — transient
+   faults model per-op resource refusals (allocation failure, admission
+   control), which a caller retries; corrupting read-only introspection
+   would only blind the validators this substrate exists to feed. *)
+let inject ~site (ix : t) =
+  let draw op f =
+    (match op with
+    | Scan -> ()
+    | Insert | Remove | Update | Find | Multi_find ->
+      Ei_fault.Fault.inject site);
+    f ()
+  in
+  let ix = around { run = draw } ix in
+  (* a batch is a sequence of point lookups, so each key draws —
+     matching the per-op granularity callers retry at.  A fault aborts
+     the rest of the batch; the grouped descent is skipped because
+     partial batches under injection are exactly what the per-op
+     fallback paths exist to handle. *)
+  { ix with multi_find = multi_of_find ix.find }
+
+(* Per-operation latency observation, mirroring [inject].  Each op
+   lands in its own log-bucketed histogram ([<prefix>.<op>_ns]), so one
+   registry snapshot shows the full latency profile of a run.  When the
+   registry is disabled the wrapper costs one atomic load per op. *)
 let observed ~prefix (ix : t) =
   let module Metrics = Ei_obs.Metrics in
   let module Clock = Ei_util.Bench_clock in
@@ -105,24 +93,24 @@ let observed ~prefix (ix : t) =
   and h_find = h "find"
   and h_multi = h "multi_find"
   and h_scan = h "scan" in
-  let timed h f =
+  let hist = function
+    | Insert -> h_insert
+    | Remove -> h_remove
+    | Update -> h_update
+    | Find -> h_find
+    | Multi_find -> h_multi
+    | Scan -> h_scan
+  in
+  let timed op f =
     if Metrics.enabled () then begin
       let t0 = Clock.now_ns () in
       let r = f () in
-      Metrics.observe h (Clock.now_ns () - t0);
+      Metrics.observe (hist op) (Clock.now_ns () - t0);
       r
     end
     else f ()
   in
-  {
-    ix with
-    insert = (fun k tid -> timed h_insert (fun () -> ix.insert k tid));
-    remove = (fun k -> timed h_remove (fun () -> ix.remove k));
-    update = (fun k tid -> timed h_update (fun () -> ix.update k tid));
-    find = (fun k -> timed h_find (fun () -> ix.find k));
-    multi_find = (fun keys -> timed h_multi (fun () -> ix.multi_find keys));
-    scan = (fun start n -> timed h_scan (fun () -> ix.scan start n));
-  }
+  around { run = timed } ix
 
 (* Per-operation root span contexts, for drivers that call the index
    directly rather than through {!Ei_shard.Serve} (which mints its
@@ -133,7 +121,7 @@ let observed ~prefix (ix : t) =
 let traced (ix : t) =
   let module Ctx = Ei_obs.Ctx in
   let module Trace = Ei_obs.Trace in
-  let under f =
+  let under _ f =
     if Trace.enabled () then begin
       Ctx.set (Ctx.mint ());
       match f () with
@@ -146,38 +134,44 @@ let traced (ix : t) =
     end
     else f ()
   in
-  {
-    ix with
-    insert = (fun k tid -> under (fun () -> ix.insert k tid));
-    remove = (fun k -> under (fun () -> ix.remove k));
-    update = (fun k tid -> under (fun () -> ix.update k tid));
-    find = (fun k -> under (fun () -> ix.find k));
-    multi_find = (fun keys -> under (fun () -> ix.multi_find keys));
-    scan = (fun start n -> under (fun () -> ix.scan start n));
-  }
+  around { run = under } ix
 
+(* Every backend's [scan_keys]: its own range fold, handing each entry
+   to [visit] and counting them. *)
+let walk fold start n visit =
+  fold ~start ~n
+    (fun acc k tid ->
+      visit k tid;
+      acc + 1)
+    0
+
+(* Every backend's [scan]: [scan_keys] folding each key's first byte
+   into a sink, so the compiler cannot elide the key materialisation. *)
 let checksum = ref 0
-(* Scanned keys are folded into this sink so the compiler cannot elide
-   the key materialisation work. *)
 
-(* Order-sensitive digest of the full contents: FNV-1a chained over
-   every (key, tid) pair in key order, starting from the all-zero key
-   (the minimum of the fixed-length big-endian key space).  Two indexes
-   over the same logical map produce the same fingerprint whatever their
-   physical layout — the equality ei_sim's differential engine checks at
-   tape checkpoints.  Quiescent use only: it walks the live structure
-   via [scan_keys] and [find]. *)
+let counting scan_keys start n =
+  scan_keys start n (fun k _ ->
+      checksum := !checksum lxor Char.code (String.unsafe_get k 0))
+
+let fingerprint_entry h key tid =
+  Ei_util.Fnv.hash ~seed:h (key ^ string_of_int tid)
+
+(* Order-sensitive digest of the full contents: [fingerprint_entry]
+   chained over every (key, tid) pair in key order, starting from the
+   all-zero key (the minimum of the fixed-length big-endian key space).
+   Two indexes over the same logical map produce the same fingerprint
+   whatever their physical layout — the equality ei_sim's differential
+   engine checks at tape checkpoints.  One read-only [scan_keys] walk:
+   quiescent use only, since it walks the live structure. *)
 let fingerprint (ix : t) =
-  let module Fnv = Ei_util.Fnv in
   let h = ref 0 in
   let low = String.make ix.key_len '\000' in
   ignore
-    (ix.scan_keys low max_int (fun k ->
-         let tid = match ix.find k with Some tid -> tid | None -> -1 in
-         h := Fnv.hash ~seed:!h (k ^ string_of_int tid)));
+    (ix.scan_keys low max_int (fun k tid -> h := fingerprint_entry !h k tid));
   !h
 
 let of_btree name (tree : Ei_btree.Btree.t) =
+  let scan_keys = walk (Ei_btree.Btree.fold_range tree) in
   {
     name;
     backend = B_btree tree;
@@ -187,20 +181,8 @@ let of_btree name (tree : Ei_btree.Btree.t) =
     update = Ei_btree.Btree.update tree;
     find = Ei_btree.Btree.find tree;
     multi_find = Ei_btree.Btree.multi_find tree;
-    scan =
-      (fun start n ->
-        Ei_btree.Btree.fold_range tree ~start ~n
-          (fun acc k _ ->
-            checksum := !checksum lxor Char.code (String.unsafe_get k 0);
-            acc + 1)
-          0);
-    scan_keys =
-      (fun start n visit ->
-        Ei_btree.Btree.fold_range tree ~start ~n
-          (fun acc k _ ->
-            visit k;
-            acc + 1)
-          0);
+    scan = counting scan_keys;
+    scan_keys;
     memory_bytes = (fun () -> Ei_btree.Btree.memory_bytes tree);
     count = (fun () -> Ei_btree.Btree.count tree);
     set_size_bound = no_size_bound;
@@ -208,6 +190,7 @@ let of_btree name (tree : Ei_btree.Btree.t) =
   }
 
 let of_elastic name (tree : Ei_core.Elastic_btree.t) =
+  let scan_keys = walk (Ei_core.Elastic_btree.fold_range tree) in
   {
     name;
     backend = B_elastic tree;
@@ -220,20 +203,8 @@ let of_elastic name (tree : Ei_core.Elastic_btree.t) =
       (* the elastic wrapper delegates point ops to the inner tree, so
          group descent over it is the same lookup the [find] above runs *)
       Ei_btree.Btree.multi_find (Ei_core.Elastic_btree.tree tree);
-    scan =
-      (fun start n ->
-        Ei_core.Elastic_btree.fold_range tree ~start ~n
-          (fun acc k _ ->
-            checksum := !checksum lxor Char.code (String.unsafe_get k 0);
-            acc + 1)
-          0);
-    scan_keys =
-      (fun start n visit ->
-        Ei_core.Elastic_btree.fold_range tree ~start ~n
-          (fun acc k _ ->
-            visit k;
-            acc + 1)
-          0);
+    scan = counting scan_keys;
+    scan_keys;
     memory_bytes = (fun () -> Ei_core.Elastic_btree.memory_bytes tree);
     count = (fun () -> Ei_core.Elastic_btree.count tree);
     set_size_bound = Ei_core.Elastic_btree.set_size_bound tree;
@@ -243,6 +214,7 @@ let of_elastic name (tree : Ei_core.Elastic_btree.t) =
   }
 
 let of_radix name (tree : Ei_baselines.Radix.t) =
+  let scan_keys = walk (Ei_baselines.Radix.fold_range tree) in
   {
     name;
     backend = B_radix tree;
@@ -252,20 +224,8 @@ let of_radix name (tree : Ei_baselines.Radix.t) =
     update = Ei_baselines.Radix.update tree;
     find = Ei_baselines.Radix.find tree;
     multi_find = multi_of_find (Ei_baselines.Radix.find tree);
-    scan =
-      (fun start n ->
-        Ei_baselines.Radix.fold_range tree ~start ~n
-          (fun acc k _ ->
-            checksum := !checksum lxor Char.code (String.unsafe_get k 0);
-            acc + 1)
-          0);
-    scan_keys =
-      (fun start n visit ->
-        Ei_baselines.Radix.fold_range tree ~start ~n
-          (fun acc k _ ->
-            visit k;
-            acc + 1)
-          0);
+    scan = counting scan_keys;
+    scan_keys;
     memory_bytes = (fun () -> Ei_baselines.Radix.memory_bytes tree);
     count = (fun () -> Ei_baselines.Radix.count tree);
     set_size_bound = no_size_bound;
@@ -273,6 +233,7 @@ let of_radix name (tree : Ei_baselines.Radix.t) =
   }
 
 let of_elastic_skiplist name (tree : Ei_core.Elastic_skiplist.t) =
+  let scan_keys = walk (Ei_core.Elastic_skiplist.fold_range tree) in
   {
     name;
     backend = B_elastic_skiplist tree;
@@ -282,20 +243,8 @@ let of_elastic_skiplist name (tree : Ei_core.Elastic_skiplist.t) =
     update = Ei_core.Elastic_skiplist.update_value tree;
     find = Ei_core.Elastic_skiplist.find tree;
     multi_find = multi_of_find (Ei_core.Elastic_skiplist.find tree);
-    scan =
-      (fun start n ->
-        Ei_core.Elastic_skiplist.fold_range tree ~start ~n
-          (fun acc k _ ->
-            checksum := !checksum lxor Char.code (String.unsafe_get k 0);
-            acc + 1)
-          0);
-    scan_keys =
-      (fun start n visit ->
-        Ei_core.Elastic_skiplist.fold_range tree ~start ~n
-          (fun acc k _ ->
-            visit k;
-            acc + 1)
-          0);
+    scan = counting scan_keys;
+    scan_keys;
     memory_bytes = (fun () -> Ei_core.Elastic_skiplist.memory_bytes tree);
     count = (fun () -> Ei_core.Elastic_skiplist.count tree);
     set_size_bound = Ei_core.Elastic_skiplist.set_size_bound tree;
@@ -305,6 +254,7 @@ let of_elastic_skiplist name (tree : Ei_core.Elastic_skiplist.t) =
   }
 
 let of_hybrid name (tree : Ei_baselines.Hybrid.t) =
+  let scan_keys = walk (Ei_baselines.Hybrid.fold_range tree) in
   {
     name;
     backend = B_hybrid tree;
@@ -314,20 +264,8 @@ let of_hybrid name (tree : Ei_baselines.Hybrid.t) =
     update = Ei_baselines.Hybrid.update tree;
     find = Ei_baselines.Hybrid.find tree;
     multi_find = multi_of_find (Ei_baselines.Hybrid.find tree);
-    scan =
-      (fun start n ->
-        Ei_baselines.Hybrid.fold_range tree ~start ~n
-          (fun acc k _ ->
-            checksum := !checksum lxor Char.code (String.unsafe_get k 0);
-            acc + 1)
-          0);
-    scan_keys =
-      (fun start n visit ->
-        Ei_baselines.Hybrid.fold_range tree ~start ~n
-          (fun acc k _ ->
-            visit k;
-            acc + 1)
-          0);
+    scan = counting scan_keys;
+    scan_keys;
     memory_bytes = (fun () -> Ei_baselines.Hybrid.memory_bytes tree);
     count = (fun () -> Ei_baselines.Hybrid.count tree);
     set_size_bound = no_size_bound;
@@ -338,6 +276,7 @@ let of_hybrid name (tree : Ei_baselines.Hybrid.t) =
   }
 
 let of_skiplist name (tree : Ei_baselines.Skiplist.t) =
+  let scan_keys = walk (Ei_baselines.Skiplist.fold_range tree) in
   {
     name;
     backend = B_skiplist tree;
@@ -347,20 +286,8 @@ let of_skiplist name (tree : Ei_baselines.Skiplist.t) =
     update = Ei_baselines.Skiplist.update tree;
     find = Ei_baselines.Skiplist.find tree;
     multi_find = multi_of_find (Ei_baselines.Skiplist.find tree);
-    scan =
-      (fun start n ->
-        Ei_baselines.Skiplist.fold_range tree ~start ~n
-          (fun acc k _ ->
-            checksum := !checksum lxor Char.code (String.unsafe_get k 0);
-            acc + 1)
-          0);
-    scan_keys =
-      (fun start n visit ->
-        Ei_baselines.Skiplist.fold_range tree ~start ~n
-          (fun acc k _ ->
-            visit k;
-            acc + 1)
-          0);
+    scan = counting scan_keys;
+    scan_keys;
     memory_bytes = (fun () -> Ei_baselines.Skiplist.memory_bytes tree);
     count = (fun () -> Ei_baselines.Skiplist.count tree);
     set_size_bound = no_size_bound;
@@ -369,6 +296,7 @@ let of_skiplist name (tree : Ei_baselines.Skiplist.t) =
 
 let of_olc name (tree : Ei_olc.Btree_olc.t) =
   let module Olc = Ei_olc.Btree_olc in
+  let scan_keys = walk (Olc.fold_range tree) in
   {
     name;
     backend = B_olc tree;
@@ -378,20 +306,8 @@ let of_olc name (tree : Ei_olc.Btree_olc.t) =
     update = Olc.update tree;
     find = Olc.find tree;
     multi_find = Olc.multi_find tree;
-    scan =
-      (fun start n ->
-        Olc.fold_range tree ~start ~n
-          (fun acc k _ ->
-            checksum := !checksum lxor Char.code (String.unsafe_get k 0);
-            acc + 1)
-          0);
-    scan_keys =
-      (fun start n visit ->
-        Olc.fold_range tree ~start ~n
-          (fun acc k _ ->
-            visit k;
-            acc + 1)
-          0);
+    scan = counting scan_keys;
+    scan_keys;
     memory_bytes =
       (* the tracked size: O(1) and safe to read while other domains
          mutate, for every leaf kind ([Olc.memory_bytes] is a full

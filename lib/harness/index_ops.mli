@@ -32,9 +32,11 @@ and t = {
       (** [scan start n] visits up to [n] entries with key >= start and
           returns how many were visited; each visited key is
           materialised (the included-column access pattern of §2) *)
-  scan_keys : string -> int -> (string -> unit) -> int;
-      (** like [scan] but hands each visited key to the callback — the
-          included-column query path of §2 *)
+  scan_keys : string -> int -> (string -> int -> unit) -> int;
+      (** like [scan] but hands each visited entry's key and tid to the
+          callback — the included-column query path of §2.  A callback
+          must not call [find]: on an expanding elastic tree a search
+          may split the leaf being walked (§4) *)
   memory_bytes : unit -> int;
   count : unit -> int;
   set_size_bound : int -> unit;
@@ -73,16 +75,19 @@ val traced : t -> t
     the index directly; {!Ei_shard.Serve} mints its own contexts.
     One atomic load per op while tracing is disabled. *)
 
-val checksum : int ref
-(** Sink for scanned key bytes (prevents dead-code elimination). *)
+val fingerprint_entry : int -> string -> int -> int
+(** [fingerprint_entry h key tid] chains one [(key, tid)] pair into the
+    FNV-1a digest [h] (start from [0]) — the one step {!fingerprint},
+    WAL checkpoints and their validation all fold. *)
 
 val fingerprint : t -> int
-(** Order-sensitive FNV-1a digest of the full contents — every
-    [(key, tid)] pair in key order, walked from the all-zero key.  Two
-    indexes over the same logical map fingerprint equally whatever
-    their physical layout; this is the checkpoint equality of the
-    ei_sim differential engine.  Quiescent use only (walks the live
-    structure). *)
+(** Order-sensitive digest of the full contents — {!fingerprint_entry}
+    over every [(key, tid)] pair in key order, walked once by
+    [scan_keys] from the all-zero key.  Two indexes over the same
+    logical map fingerprint equally whatever their physical layout;
+    this is the checkpoint equality of the ei_sim differential engine.
+    Read-only (no [find], so no elastic state steps), but quiescent use
+    only: it walks the live structure. *)
 
 val of_btree : string -> Ei_btree.Btree.t -> t
 val of_elastic : string -> Ei_core.Elastic_btree.t -> t

@@ -84,7 +84,7 @@ let scan t ~start ~n = t.index.Index_ops.scan start n
 let distinct_objects t ~start ~n =
   let seen = Ei_util.Strtbl.create 64 in
   ignore
-    (t.index.Index_ops.scan_keys start n (fun key ->
+    (t.index.Index_ops.scan_keys start n (fun key _ ->
          Ei_util.Strtbl.replace seen (String.sub key 8 8) ()));
   Ei_util.Strtbl.length seen
 

@@ -150,7 +150,7 @@ type sub = {
   (* result slots are written by the shard domain and read by the client
      only after [waiter.pending] reaches zero under [wlock] *)
   results : int array [@ei.guarded_by "waiter.wlock"];
-  collect : (string -> unit) option;  (* scan_keys sink *)
+  collect : (string -> int -> unit) option;  (* scan_keys sink *)
   waiter : waiter;
   (* span context frozen at submit: the root trace id and the span to
      parent the shard-side work under (both 0 when tracing is off) *)
@@ -1275,54 +1275,32 @@ let exec ?collect ?timeout_s ?(barrier = false) t (ops : op array) =
 (* --- The serving layer as a uniform index ---------------------------- *)
 
 let index_ops ?(name = "served") t =
-  let one op = (exec t [| op |]).(0) in
+  let one ?collect op = (exec ?collect t [| op |]).(0) in
   let parts = Shard.parts t.router in
+  let applied = function Applied r -> r = 1 | Rejected | Timed_out -> false in
+  let found = function
+    | Applied tid when tid >= 0 -> Some tid
+    | Applied _ | Rejected | Timed_out -> None
+  in
+  let scanned = function Applied c -> c | Rejected | Timed_out -> 0 in
   {
     Index_ops.name;
     backend = Index_ops.B_composite parts;
     key_len = Shard.key_len t.router;
-    insert =
-      (fun k tid ->
-        match one (Insert (k, tid)) with
-        | Applied r -> r = 1
-        | Rejected | Timed_out -> false);
-    remove =
-      (fun k ->
-        match one (Remove k) with
-        | Applied r -> r = 1
-        | Rejected | Timed_out -> false);
-    update =
-      (fun k tid ->
-        match one (Update (k, tid)) with
-        | Applied r -> r = 1
-        | Rejected | Timed_out -> false);
-    find =
-      (fun k ->
-        match one (Find k) with
-        | Applied tid when tid >= 0 -> Some tid
-        | Applied _ | Rejected | Timed_out -> None);
+    insert = (fun k tid -> applied (one (Insert (k, tid))));
+    remove = (fun k -> applied (one (Remove k)));
+    update = (fun k tid -> applied (one (Update (k, tid))));
+    find = (fun k -> found (one (Find k)));
     multi_find =
       (* one exec round: [run_round] buckets the reads per shard, and
          each shard domain answers its sub-batch through the grouped
          descent path of [shard_apply] *)
       (fun keys ->
         let ops = Arr.map ~fill:(Find "") (fun k -> Find k) keys in
-        let outcomes = exec t ops in
-        Arr.map ~fill:None
-          (function
-            | Applied tid when tid >= 0 -> Some tid
-            | Applied _ | Rejected | Timed_out -> None)
-          outcomes);
-    scan =
-      (fun start n ->
-        match one (Scan (start, n)) with
-        | Applied c -> c
-        | Rejected | Timed_out -> 0);
+        Arr.map ~fill:None found (exec t ops));
+    scan = (fun start n -> scanned (one (Scan (start, n))));
     scan_keys =
-      (fun start n visit ->
-        match (exec ~collect:visit t [| Scan (start, n) |]).(0) with
-        | Applied c -> c
-        | Rejected | Timed_out -> 0);
+      (fun start n visit -> scanned (one ~collect:visit (Scan (start, n))));
     memory_bytes =
       (* published sizes: safe to read while shard domains run *)
       (fun () -> Array.fold_left ( + ) 0 (shard_sizes t));

@@ -153,7 +153,7 @@ val stop : t -> unit
     indexes remain usable single-threaded afterwards. *)
 
 val exec :
-  ?collect:(string -> unit) ->
+  ?collect:(string -> int -> unit) ->
   ?timeout_s:float ->
   ?barrier:bool ->
   t ->
@@ -164,12 +164,12 @@ val exec :
     ([timeout_s], defaulting to the [start] value) passes.  Outcomes
     are positional.  Scans continue across shards until satisfied; a
     scan whose continuation fails reports the failure, never a partial
-    count as if complete.  [collect] receives every key visited by
-    scan ops (shared by all scans in the batch).  On a quarantined
-    shard, reads are answered directly (degraded single-threaded path,
-    serialised against the rebuild — a degraded read always sees the
-    rebuilt part, never the dying one) and writes retry with
-    exponential backoff until re-admission or the deadline.
+    count as if complete.  [collect] receives the key and tid of every
+    entry visited by scan ops (shared by all scans in the batch).  On a
+    quarantined shard, reads are answered directly (degraded
+    single-threaded path, serialised against the rebuild — a degraded
+    read always sees the rebuilt part, never the dying one) and writes
+    retry with exponential backoff until re-admission or the deadline.
 
     [barrier] (default [false]) trades the degraded path for
     determinism: each sub-batch submission first waits — bounded by

@@ -17,16 +17,12 @@ module Index_ops = Ei_harness.Index_ops
 let create ?(name = "oracle") ~key_len () : Index_ops.t =
   let m = ref Smap.empty in
   let scan_from start n visit =
-    let taken = ref 0 in
-    (try
-       Seq.iter
-         (fun (k, _) ->
-           if !taken >= n then raise Stdlib.Exit;
-           incr taken;
-           visit k)
-         (Smap.to_seq_from start !m)
-     with Stdlib.Exit -> ());
-    !taken
+    Seq.fold_left
+      (fun c (k, tid) ->
+        visit k tid;
+        c + 1)
+      0
+      (Seq.take (max 0 n) (Smap.to_seq_from start !m))
   in
   {
     Index_ops.name;
@@ -55,8 +51,8 @@ let create ?(name = "oracle") ~key_len () : Index_ops.t =
         else false);
     find = (fun k -> Smap.find_opt k !m);
     multi_find = (fun keys -> Array.map (fun k -> Smap.find_opt k !m) keys);
-    scan = (fun start n -> scan_from start n (fun _ -> ()));
-    scan_keys = (fun start n visit -> scan_from start n visit);
+    scan = (fun start n -> scan_from start n (fun _ _ -> ()));
+    scan_keys = scan_from;
     memory_bytes = (fun () -> 0);
     (* The model spends no index bytes, so bound compliance is
        trivially satisfied — the real subject's side of the checkpoint

@@ -22,7 +22,6 @@
 
 module Rng = Ei_util.Rng
 module Key = Ei_util.Key
-module Fnv = Ei_util.Fnv
 module Strtbl = Ei_util.Strtbl
 module Invariant = Ei_util.Invariant
 module Fault = Ei_fault.Fault
@@ -147,7 +146,8 @@ let run_tape ?(slack = 3.0) ?(check_mem = false) (s : subject) (tape : Tape.t)
         | Tape.Scan (i, n) ->
           let h = ref 0 in
           let c =
-            ix.Index_ops.scan_keys keys.(i) n (fun k -> h := Fnv.hash ~seed:!h k)
+            ix.Index_ops.scan_keys keys.(i) n (fun k tid ->
+                h := Index_ops.fingerprint_entry !h k tid)
           in
           Printf.sprintf "scn %d %d -> %d %x" i n c !h
         | Tape.Set_bound b ->
@@ -778,10 +778,8 @@ let wal_wedge_scenario () =
        was just checked to be the history's prefix *)
     let shadow = Oracle.create ~key_len:8 () in
     ignore
-      (fresh.Index_ops.scan_keys (low_key 8) max_int (fun k ->
-           match fresh.Index_ops.find k with
-           | Some tid -> ignore (shadow.Index_ops.insert k tid)
-           | None -> ()));
+      (fresh.Index_ops.scan_keys (low_key 8) max_int (fun k tid ->
+           ignore (shadow.Index_ops.insert k tid)));
     let base = r.Wal.r_last_lsn in
     let h2 = wal_history ~shadow ~base ~bound:r.Wal.r_bound () in
     replacement := Some (w2, h2);

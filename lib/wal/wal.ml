@@ -42,7 +42,6 @@ module Metrics = Ei_obs.Metrics
 module Trace = Ei_obs.Trace
 module Index_ops = Ei_harness.Index_ops
 module J = Ei_util.Mini_json
-module Fnv = Ei_util.Fnv
 
 exception Died of string
 
@@ -178,23 +177,22 @@ let readdir_sorted dir =
     Array.to_list names
   | exception Sys_error _ -> []
 
-let list_segments sdir =
+(* [(number, path)] of every [<prefix><number><suffix>] in [sdir] *)
+let list_named sdir ~prefix ~suffix =
   List.filter_map
     (fun name ->
       Option.map
-        (fun lsn -> (lsn, Filename.concat sdir name))
-        (parse_named ~prefix:"wal-" ~suffix:".seg" name))
+        (fun n -> (n, Filename.concat sdir name))
+        (parse_named ~prefix ~suffix name))
     (readdir_sorted sdir)
-  |> List.sort compare
+
+let list_segments sdir =
+  List.sort compare (list_named sdir ~prefix:"wal-" ~suffix:".seg")
 
 let list_ckpts sdir =
-  List.filter_map
-    (fun name ->
-      Option.map
-        (fun seq -> (seq, Filename.concat sdir name))
-        (parse_named ~prefix:"ckpt-" ~suffix:".json" name))
-    (readdir_sorted sdir)
-  |> List.sort (fun (a, _) (b, _) -> compare b a)
+  List.sort
+    (fun (a, _) (b, _) -> compare b a)
+    (list_named sdir ~prefix:"ckpt-" ~suffix:".json")
 
 let shards ~dir =
   List.filter_map (parse_named ~prefix:"shard" ~suffix:"")
@@ -371,14 +369,8 @@ let read_manifest path =
 let prune w =
   let keep = max 1 w.cfg.keep_checkpoints in
   let ckpts = list_ckpts w.sdir in
-  let rec split i = function
-    | [] -> ([], [])
-    | x :: rest when i < keep ->
-      let kept, dropped = split (i + 1) rest in
-      (x :: kept, dropped)
-    | dropped -> ([], dropped)
-  in
-  let kept, dropped = split 0 ckpts in
+  let kept = List.filteri (fun i _ -> i < keep) ckpts in
+  let dropped = List.filteri (fun i _ -> i >= keep) ckpts in
   List.iter
     (fun (seq, json) ->
       (try Sys.remove (ckpt_dat_path w.sdir seq) with Sys_error _ -> ());
@@ -404,11 +396,13 @@ let prune w =
       drop (list_segments w.sdir))
 
 (* The part may be wrapped with {!Index_ops.inject} (the chaos soak
-   does): a transient [Fault.Injected] from a point operation is
-   retried until it lands — an acknowledged, durable record must never
-   be shed by a snapshot or a replay — mirroring the supervisor's
+   does): during replay a transient [Fault.Injected] from a point
+   operation is retried until it lands — an acknowledged, durable
+   record must never be shed — mirroring the supervisor's
    rebuild-from-table retry, yield point included so a permanently
-   armed site cannot spin invisibly to the schedule explorer. *)
+   armed site cannot spin invisibly to the schedule explorer.
+   Checkpoints need no such retry: their one walk makes no point
+   operation. *)
 let yp_replay = Fault.site "wal.yield.replay"
 
 let rec absorb_injected f =
@@ -418,6 +412,9 @@ let rec absorb_injected f =
     Fault.point yp_replay;
     absorb_injected f
 
+(* One read-only [scan_keys] walk writes the snapshot: each entry's tid
+   comes from the walk, so no [find] runs mid-walk (on an expanding
+   elastic tree a [find] may split the leaf being walked). *)
 let checkpoint w ~(part : Index_ops.t) =
   check_alive w;
   let t0 = Ei_util.Bench_clock.now_ns () in
@@ -427,37 +424,22 @@ let checkpoint w ~(part : Index_ops.t) =
   let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
   let count = ref 0 in
   let h = ref 0 in
-  match
-    Fun.protect
-      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-      (fun () ->
-        let buf = Buffer.create 65536 in
-        let low = String.make part.Index_ops.key_len '\000' in
-        ignore
-          (part.Index_ops.scan_keys low max_int (fun k ->
-               let tid =
-                 match absorb_injected (fun () -> part.Index_ops.find k) with
-                 | Some t -> t
-                 | None -> -1
-               in
-               Frame.encode_into buf (Frame.Insert { lsn = 0; key = k; tid });
-               (* the same chained digest Index_ops.fingerprint computes,
-                  folded during the single key-order walk *)
-               h := Fnv.hash ~seed:!h (k ^ string_of_int tid);
-               incr count;
-               if Buffer.length buf >= 65536 then begin
-                 write_fully fd (Buffer.contents buf);
-                 Buffer.clear buf
-               end));
-        write_fully fd (Buffer.contents buf);
-        Unix.fsync fd)
-  with
-  | exception Fault.Injected _ ->
-    (* A transient fault from the scan itself cannot be resumed
-       mid-walk: abandon this snapshot (the log it would have covered
-       stays) and let the next cadence point retry from scratch. *)
-    (try Sys.remove tmp with Sys_error _ -> ())
-  | () ->
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      let buf = Buffer.create 65536 in
+      let low = String.make part.Index_ops.key_len '\000' in
+      ignore
+        (part.Index_ops.scan_keys low max_int (fun k tid ->
+             Frame.encode_into buf (Frame.Insert { lsn = 0; key = k; tid });
+             h := Index_ops.fingerprint_entry !h k tid;
+             incr count;
+             if Buffer.length buf >= 65536 then begin
+               write_fully fd (Buffer.contents buf);
+               Buffer.clear buf
+             end));
+      write_fully fd (Buffer.contents buf);
+      Unix.fsync fd);
   (match w.faults with
   | Some f -> if Fault.fire f.f_ckpt then corrupt_one_byte tmp
   | None -> ());
@@ -570,39 +552,21 @@ let validate_ckpt ~sdir seq =
       | _, Some (off, msg) ->
         Error (Printf.sprintf "data frame at %d: %s" off msg)
       | records, None ->
-        let h = ref 0 in
-        let n = ref 0 in
-        let prev = ref "" in
-        let bad = ref None in
-        List.iter
-          (fun r ->
-            match (!bad, r) with
-            | Some _, _ -> ()
-            | None, Frame.Insert { key; tid; _ } ->
-              if !n > 0 && String.compare !prev key >= 0 then
-                bad := Some "keys not strictly ascending"
-              else begin
-                prev := key;
-                h := Fnv.hash ~seed:!h (key ^ string_of_int tid);
-                incr n
-              end
-            | None, _ -> bad := Some "non-insert record in checkpoint")
-          records;
-        (match !bad with
-        | Some msg -> Error msg
-        | None ->
-          if !n <> count then
-            Error (Printf.sprintf "count %d, manifest says %d" !n count)
-          else if !h <> fp then Error "fingerprint mismatch"
-          else
-            Ok
-              ( lsn,
-                bound,
-                List.filter_map
-                  (function
-                    | Frame.Insert { key; tid; _ } -> Some (key, tid)
-                    | _ -> None)
-                  records ))))
+        let rec check h n prev entries = function
+          | [] ->
+            if n <> count then
+              Error (Printf.sprintf "count %d, manifest says %d" n count)
+            else if h <> fp then Error "fingerprint mismatch"
+            else Ok (lsn, bound, List.rev entries)
+          | Frame.Insert { key; tid; _ } :: rest ->
+            if n > 0 && String.compare prev key >= 0 then
+              Error "keys not strictly ascending"
+            else
+              check (Index_ops.fingerprint_entry h key tid) (n + 1) key
+                ((key, tid) :: entries) rest
+          | _ :: _ -> Error "non-insert record in checkpoint"
+        in
+        check 0 0 "" [] records))
 
 let truncate_file path len =
   let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in
@@ -792,6 +756,8 @@ type ckpt_info = {
 
 let inspect_shard ~dir ~shard =
   let sdir = shard_dir_in dir shard in
+  (* the torn mark is recovery's: only the tail its walk would cut *)
+  let cut = match walk_dir ~dir ~shard with Ok (_, c) -> c | Error _ -> None in
   let segs =
     List.map
       (fun (first_lsn, path) ->
@@ -804,7 +770,10 @@ let inspect_shard ~dir ~shard =
           si_frames = List.length records;
           si_last_lsn =
             List.fold_left (fun acc r -> max acc (Frame.lsn r)) 0 records;
-          si_torn = err;
+          si_torn =
+            (match (cut, err) with
+            | Some (p, _), Some _ when String.equal p path -> err
+            | _ -> None);
         })
       (list_segments sdir)
   in

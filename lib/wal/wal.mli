@@ -156,7 +156,10 @@ type segment_info = {
   si_bytes : int;
   si_frames : int;
   si_last_lsn : int;
-  si_torn : (int * string) option;  (** byte offset and decode error *)
+  si_torn : (int * string) option;
+      (** byte offset and decode error of the torn tail {!verify}'s walk
+          finds (and {!recover} would cut); [None] on every other
+          segment, whatever bytes it holds past its last frame *)
 }
 
 type ckpt_info = {

@@ -71,7 +71,7 @@ let run_trial seed =
         else if c < ins + rem then ignore (wrapped.Index_ops.remove k)
         else if c < ins + rem + 10 then
           ignore (wrapped.Index_ops.update k (tid_for k))
-        else ignore (wrapped.Index_ops.scan_keys k 16 (fun _ -> ()));
+        else ignore (wrapped.Index_ops.scan_keys k 16 (fun _ _ -> ()));
         note_state ()
       done)
     phases;

@@ -114,27 +114,21 @@ let buggy_btree () =
   let real = subj "stx" in
   Sim.subject ~name:"buggy-btree" ~elastic:false (fun table ->
       let ix = real.Sim.s_make table in
-      let skip_eq start visit k =
-        if not (String.equal k start) then visit k
+      (* the tape's scans walk [scan_keys] alone *)
+      let skip_eq start visit k tid =
+        if not (String.equal k start) then visit k tid
       in
       {
         ix with
-        Index_ops.scan =
-          (fun start n ->
-            let c = ref 0 in
-            ignore
-              (ix.Index_ops.scan_keys start n
-                 (skip_eq start (fun _ -> incr c)));
-            !c);
-        scan_keys =
+        Index_ops.scan_keys =
           (fun start n visit ->
             let c = ref 0 in
             ignore
               (ix.Index_ops.scan_keys start n
                  (skip_eq start
-                    (fun k ->
+                    (fun k tid ->
                       incr c;
-                      visit k)));
+                      visit k tid)));
             !c);
       })
 
@@ -189,6 +183,45 @@ let test_divergence_caught_and_shrunk () =
   match Sim.diff_pair oracle buggy reloaded with
   | None -> Alcotest.fail "reloaded tape no longer diverges"
   | Some _ -> ()
+
+(* --- Known divergence: a scan handing out wrong tids ------------------ *)
+
+(* Every subject, its [scan_keys] handing out each entry's tid plus one:
+   a scan op folds each yielded tid into its digest, so the first
+   divergence is at a scan, not at the next checkpoint's fingerprint. *)
+let test_wrong_scan_tid_caught () =
+  let oracle = subj "oracle" in
+  let tape = Tape.generate ~seed (Tape.default_gen ~ops:2_000 ()) in
+  let nops = Array.length tape.Tape.ops in
+  List.iter
+    (fun name ->
+      (* a sized kind ([seqtree<N>]) at N = 64 *)
+      let name =
+        match String.index_opt name '<' with
+        | Some i -> String.sub name 0 i ^ "64"
+        | None -> name
+      in
+      let real = subj name in
+      let wrong =
+        Sim.subject ~name:(name ^ "-wrong-tid") ~elastic:real.Sim.s_elastic
+          (fun table ->
+            let ix = real.Sim.s_make table in
+            {
+              ix with
+              Index_ops.scan_keys =
+                (fun start n visit ->
+                  ix.Index_ops.scan_keys start n (fun k tid ->
+                      visit k (tid + 1)));
+            })
+      in
+      match Sim.diff_pair ~check_mem:false oracle wrong tape with
+      | None -> Alcotest.failf "%s: a wrong scan tid went unnoticed" name
+      | Some d -> (
+        let at = d.Sim.d_index in
+        match if at < nops then Some tape.Tape.ops.(at) else None with
+        | Some (Tape.Scan _) -> ()
+        | _ -> Alcotest.failf "%s: first caught at op %d, not a scan" name at))
+    (List.filter (fun n -> not (String.equal n "oracle")) Sim.subject_names)
 
 (* --- Fiber scheduler -------------------------------------------------- *)
 
@@ -340,6 +373,8 @@ let () =
             test_oracle_vs_olc_elastic;
           Alcotest.test_case "planted off-by-one caught, shrunk, replayed"
             `Quick test_divergence_caught_and_shrunk;
+          Alcotest.test_case "a wrong scan tid is caught at the scan" `Quick
+            test_wrong_scan_tid_caught;
         ] );
       ( "scheduler",
         [

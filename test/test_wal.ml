@@ -11,7 +11,9 @@
       deterministic crash levers (torn batch tail, dropped page
       cache).  On each of these directories, and on a lone corrupt
       checkpoint and a CRC-valid LSN gap, the read-only [Wal.verify]
-      must report exactly what [Wal.recover] returns or raises.
+      must report exactly what [Wal.recover] returns or raises; the
+      listing marks torn only the tail recovery cuts; and a checkpoint
+      of an expanding elastic part is its walk alone (no [find]).
    c. Serve integration: a durable fleet stopped cleanly recovers
       byte-identical contents in a fresh process image (fresh Table,
       fresh parts); a crashing fleet under fault injection loses no
@@ -46,6 +48,23 @@ let with_dir name f =
 let mk_part ?(bound = 1 lsl 20) table name =
   Registry.make ~name ~key_len:8 ~load:(Table.loader table)
     (Registry.Elastic (Ei_core.Elasticity.default_config ~size_bound:bound))
+
+(* Log an insert of key [i * 7919] on a fresh row, and apply it. *)
+let log_and_insert w (part : Index_ops.t) table i =
+  let key = Key.of_int (i * 7919) in
+  let tid = Table.append table key in
+  Wal.log_insert w key tid;
+  ignore (part.Index_ops.insert key tid)
+
+(* [ix] counting its [find] calls into [finds]. *)
+let counting_finds finds (ix : Index_ops.t) =
+  {
+    ix with
+    Index_ops.find =
+      (fun k ->
+        Atomic.incr finds;
+        ix.Index_ops.find k);
+  }
 
 (* --- a. frame codec --------------------------------------------------- *)
 
@@ -194,9 +213,15 @@ let test_golden_frames () =
 
 (* --- b. writer / recovery units -------------------------------------- *)
 
-(* Apply a deterministic mixed tape through a writer and a live part;
-   returns (expected fingerprint, expected count) captured at close. *)
-let run_tape w part table keys tids ~n =
+(* Apply a deterministic mixed tape of [n] keys ([stride] apart) through
+   a fresh writer on [cfg] and a live part, then close the writer;
+   returns the writer's recovery record and the part. *)
+let write_tape cfg ~name ~n ~stride =
+  let table = Table.create ~key_len:8 () in
+  let part = mk_part table name in
+  let keys = Array.init n (fun i -> Key.of_int (i * stride)) in
+  let tids = Array.map (Table.append table) keys in
+  let w, r0 = Wal.recover cfg ~shard:0 ~part in
   for i = 0 to n - 1 do
     Wal.log_insert w keys.(i) tids.(i);
     ignore (part.Index_ops.insert keys.(i) tids.(i));
@@ -209,17 +234,21 @@ let run_tape w part table keys tids ~n =
   Wal.log_bound w 4096;
   part.Index_ops.set_size_bound 4096;
   Wal.commit w ~part;
-  ignore table
+  Wal.close w;
+  (r0, part)
 
-let recover_fresh ?faults cfg ~name =
+(* Recover shard 0 into a fresh table and part, then close the writer;
+   returns the recovery record and the part. *)
+let recover_fresh cfg ~name =
   let t = Table.create ~key_len:8 () in
   let p = mk_part t name in
   let w, r =
-    Wal.recover ?faults cfg ~shard:0
+    Wal.recover cfg ~shard:0
       ~restore:(fun ~tid ~key -> Table.restore_row t ~tid ~key)
       ~part:p
   in
-  (w, r, p)
+  Wal.close w;
+  (r, p)
 
 (* Every file of shard 0 under [dir], as (name, bytes), in name order. *)
 let shard_files dir =
@@ -246,8 +275,7 @@ let verify_agrees cfg ~name =
       Out_channel.with_open_bin (Filename.concat copy ("shard0/" ^ name))
         (fun oc -> Out_channel.output_string oc bytes))
     before;
-  let w, r, p = recover_fresh { cfg with Wal.dir = copy } ~name in
-  Wal.close w;
+  let r, p = recover_fresh { cfg with Wal.dir = copy } ~name in
   Wal.remove_dir copy;
   Alcotest.(check bool) "verify reports recover's record" true (verdict = Ok r);
   (r, p)
@@ -255,20 +283,12 @@ let verify_agrees cfg ~name =
 let test_basic_recovery () =
   with_dir "basic" @@ fun dir ->
   let cfg = { (Wal.default_config ~dir) with Wal.fsync_every = 1 } in
-  let table = Table.create ~key_len:8 () in
-  let part = mk_part table "wal-basic" in
-  let n = 200 in
-  let keys = Array.init n (fun i -> Key.of_int (i * 7919)) in
-  let tids = Array.map (Table.append table) keys in
-  let w, r0 = Wal.recover cfg ~shard:0 ~part in
+  let r0, part = write_tape cfg ~name:"wal-basic" ~n:200 ~stride:7919 in
   Alcotest.(check int) "fresh dir: nothing replayed" 0 r0.Wal.r_replayed;
-  run_tape w part table keys tids ~n;
-  Wal.close w;
   let fp = Index_ops.fingerprint part in
   let count = part.Index_ops.count () in
   ignore (verify_agrees cfg ~name:"wal-basic-verify");
-  let w2, r, p2 = recover_fresh cfg ~name:"wal-basic-rec" in
-  Wal.close w2;
+  let r, p2 = recover_fresh cfg ~name:"wal-basic-rec" in
   Alcotest.(check bool) "clean marker honoured" true r.Wal.r_clean;
   Alcotest.(check int) "contents recovered bit-for-bit" fp
     (Index_ops.fingerprint p2);
@@ -286,14 +306,7 @@ let test_checkpoint_fallback () =
       keep_checkpoints = 2;
     }
   in
-  let table = Table.create ~key_len:8 () in
-  let part = mk_part table "wal-ckpt" in
-  let n = 300 in
-  let keys = Array.init n (fun i -> Key.of_int (i * 104729)) in
-  let tids = Array.map (Table.append table) keys in
-  let w, _ = Wal.recover cfg ~shard:0 ~part in
-  run_tape w part table keys tids ~n;
-  Wal.close w;
+  let _, part = write_tape cfg ~name:"wal-ckpt" ~n:300 ~stride:104729 in
   let fp = Index_ops.fingerprint part in
   let segs, ckpts, clean = Wal.inspect_shard ~dir ~shard:0 in
   Alcotest.(check bool) "clean marker" true clean;
@@ -305,8 +318,7 @@ let test_checkpoint_fallback () =
       Alcotest.(check bool) "checkpoint validates" true (c.Wal.ci_error = None))
     ckpts;
   ignore (verify_agrees cfg ~name:"wal-ckpt-verify");
-  let w2, r, p2 = recover_fresh cfg ~name:"wal-ckpt-rec" in
-  Wal.close w2;
+  let r, p2 = recover_fresh cfg ~name:"wal-ckpt-rec" in
   Alcotest.(check bool) "recovery used a checkpoint" true
     (r.Wal.r_ckpt_entries > 0);
   Alcotest.(check int) "contents recovered" fp (Index_ops.fingerprint p2);
@@ -327,8 +339,7 @@ let test_checkpoint_fallback () =
   Out_channel.with_open_bin newest (fun oc ->
       Out_channel.output_string oc (flip_bit bytes (mid * 8)));
   ignore (verify_agrees cfg ~name:"wal-ckpt-fb-verify");
-  let w3, r3, p3 = recover_fresh cfg ~name:"wal-ckpt-fb" in
-  Wal.close w3;
+  let r3, p3 = recover_fresh cfg ~name:"wal-ckpt-fb" in
   Alcotest.(check bool) "corrupt newest skipped" true
     (r3.Wal.r_ckpt_fallbacks >= 1);
   Alcotest.(check int) "fallback still recovers contents" fp
@@ -359,8 +370,7 @@ let test_crash_torn () =
   Alcotest.(check int) "torn tail truncated" 1 torn.Wal.r_torn;
   Alcotest.(check bool) "truncate cuts it" true
     (Wal.truncate_torn ~dir ~shard:0 = Ok 1);
-  let w2, r, p2 = recover_fresh cfg ~name:"wal-torn-rec" in
-  Wal.close w2;
+  let r, p2 = recover_fresh cfg ~name:"wal-torn-rec" in
   Alcotest.(check bool) "truncate cut where recovery cuts" true
     (r = { torn with Wal.r_torn = 0 });
   Alcotest.(check bool) "no clean marker" false r.Wal.r_clean;
@@ -392,8 +402,7 @@ let test_crash_unsynced () =
   | _ -> Alcotest.fail "crash_unsynced returned"
   | exception Wal.Died _ -> ());
   ignore (verify_agrees cfg ~name:"wal-unsync-verify");
-  let w2, r, p2 = recover_fresh cfg ~name:"wal-unsync-rec" in
-  Wal.close w2;
+  let r, p2 = recover_fresh cfg ~name:"wal-unsync-rec" in
   Alcotest.(check int) "recovered exactly the synced prefix" 20
     r.Wal.r_last_lsn;
   Alcotest.(check int) "unsynced records gone" 20 (p2.Index_ops.count ())
@@ -410,10 +419,7 @@ let test_lone_corrupt_checkpoint () =
   let part = mk_part table "wal-lone" in
   let w, _ = Wal.recover cfg ~shard:0 ~part in
   for i = 0 to 63 do
-    let key = Key.of_int (i * 7919) in
-    let tid = Table.append table key in
-    Wal.log_insert w key tid;
-    ignore (part.Index_ops.insert key tid);
+    log_and_insert w part table i;
     if i mod 16 = 15 then Wal.commit w ~part
   done;
   Wal.close w;
@@ -461,6 +467,98 @@ let test_valid_frames_lsn_gap () =
     | _ -> Alcotest.fail "recover accepted an LSN gap"
     | exception Wal.Died died ->
       Alcotest.(check string) "verify's error is recover's" died msg)
+
+(* The listing marks a segment torn only where recovery's walk cuts:
+   bytes past an interior segment's last frame hold no LSN recovery
+   replays, so [inspect_shard], [verify] and [truncate_torn] all pass
+   over them, while the newest segment's torn tail is marked at the
+   offset truncation cuts. *)
+let test_torn_mark_is_recoverys () =
+  with_dir "torn-mark" @@ fun dir ->
+  let cfg =
+    { (Wal.default_config ~dir) with Wal.fsync_every = 1; segment_bytes = 512 }
+  in
+  let table = Table.create ~key_len:8 () in
+  let part = mk_part table "wal-torn-mark" in
+  let w, _ = Wal.recover cfg ~shard:0 ~part in
+  for i = 0 to 63 do
+    log_and_insert w part table i;
+    if i mod 8 = 7 then Wal.commit w ~part
+  done;
+  Wal.close w;
+  let segs, _, _ = Wal.inspect_shard ~dir ~shard:0 in
+  (* the (segment, offset) pairs the listing marks torn *)
+  let marks () =
+    let segs, _, _ = Wal.inspect_shard ~dir ~shard:0 in
+    List.filter_map
+      (fun s -> Option.map (fun (off, _) -> (s.Wal.si_path, off)) s.Wal.si_torn)
+      segs
+  in
+  let append (s : Wal.segment_info) =
+    Out_channel.with_open_gen [ Open_append; Open_binary ] 0o644 s.Wal.si_path
+      (fun oc -> Out_channel.output_string oc "abc")
+  in
+  let last = List.nth segs (List.length segs - 1) in
+  Alcotest.(check bool) "rotation happened" true (List.length segs > 1);
+  append (List.hd segs);
+  Alcotest.(check (list (pair string int)))
+    "interior stray bytes not marked torn" [] (marks ());
+  Alcotest.(check bool) "verify finds the log recoverable" true
+    (Result.is_ok (Wal.verify ~dir ~shard:0));
+  Alcotest.(check bool) "truncate finds no torn tail" true
+    (Wal.truncate_torn ~dir ~shard:0 = Ok 0);
+  append last;
+  Alcotest.(check (list (pair string int)))
+    "the newest segment is marked at its end"
+    [ (last.Wal.si_path, last.Wal.si_bytes) ]
+    (marks ());
+  Alcotest.(check bool) "truncate cuts the marked tail" true
+    (Wal.truncate_torn ~dir ~shard:0 = Ok 1);
+  Alcotest.(check int) "cut at the mark" last.Wal.si_bytes
+    (Unix.stat last.Wal.si_path).Unix.st_size
+
+(* A checkpoint taken just after the bound is raised, while the elastic
+   part is expanding, where a [find] may split the compact leaf a walk
+   is on (§4).  Checkpoints and fingerprints read the part through the
+   walk alone, with no [find]: the snapshot validates, holds the part's
+   count, and the shard stays recoverable; two fingerprints of the
+   unchanged map agree and move no byte. *)
+let test_checkpoint_while_expanding () =
+  with_dir "expanding" @@ fun dir ->
+  let cfg =
+    { (Wal.default_config ~dir) with Wal.fsync_every = 1; checkpoint_every = 1 }
+  in
+  let table = Table.create ~key_len:8 () in
+  let finds = Atomic.make 0 in
+  let part =
+    counting_finds finds (mk_part ~bound:600_000 table "wal-expanding")
+  in
+  let w, _ = Wal.recover cfg ~shard:0 ~part in
+  for i = 0 to 49_999 do
+    log_and_insert w part table i
+  done;
+  Wal.commit w ~part;
+  Wal.log_bound w 100_000_000;
+  part.Index_ops.set_size_bound 100_000_000;
+  log_and_insert w part table 50_000;
+  Wal.commit w ~part;
+  Alcotest.(check int) "checkpoints make no find" 0 (Atomic.get finds);
+  let mem = part.Index_ops.memory_bytes () in
+  let fp = Index_ops.fingerprint part in
+  Alcotest.(check int) "a second fingerprint agrees" fp
+    (Index_ops.fingerprint part);
+  Alcotest.(check int) "fingerprints move no byte" mem
+    (part.Index_ops.memory_bytes ());
+  Alcotest.(check int) "fingerprints make no find" 0 (Atomic.get finds);
+  Wal.close w;
+  let _, ckpts, _ = Wal.inspect_shard ~dir ~shard:0 in
+  Alcotest.(check (list (option string))) "every checkpoint validates"
+    (List.map (fun _ -> None) ckpts)
+    (List.map (fun c -> c.Wal.ci_error) ckpts);
+  Alcotest.(check int) "newest checkpoint holds the part's count"
+    (part.Index_ops.count ()) (List.hd ckpts).Wal.ci_count;
+  let _, p = verify_agrees cfg ~name:"wal-expanding-verify" in
+  Alcotest.(check int) "contents recovered" fp (Index_ops.fingerprint p)
 
 (* --- c. serve integration --------------------------------------------- *)
 
@@ -613,14 +711,7 @@ let test_supervised_remove_one_lookup () =
   with_dir "serve-lookups" @@ fun dir ->
   let finds = Atomic.make 0 in
   let part table i =
-    let ix = mk_part table (Printf.sprintf "lookups/%d" i) in
-    {
-      ix with
-      Index_ops.find =
-        (fun k ->
-          Atomic.incr finds;
-          ix.Index_ops.find k);
-    }
+    counting_finds finds (mk_part table (Printf.sprintf "lookups/%d" i))
   in
   let { Fleet.table; serve; _ } =
     Fleet.start ~shards:2 ~part ~wal:(Wal.default_config ~dir) ()
@@ -723,6 +814,10 @@ let () =
             test_lone_corrupt_checkpoint;
           Alcotest.test_case "CRC-valid LSN gap fails verify" `Quick
             test_valid_frames_lsn_gap;
+          Alcotest.test_case "only recovery's torn tail is marked" `Quick
+            test_torn_mark_is_recoverys;
+          Alcotest.test_case "checkpoint while expanding, with no find"
+            `Quick test_checkpoint_while_expanding;
         ] );
       ( "serve",
         [
