@@ -185,7 +185,7 @@ let representations_ablation () =
            three representations differ only in their trie layout. *)
         Ei_harness.Index_ops.of_btree "seqtree"
           (Ei_btree.Btree.create ~key_len:8 ~load
-             ~policy:(Ei_btree.Policy.all_seqtree ~levels ~breathing:0 ~capacity:128 ())
+             ~policy:(Ei_btree.Policy.fixed ~levels ~breathing:0 (Ei_btree.Policy.Spec_seq 128))
              ())
     in
     let ins =
@@ -248,10 +248,10 @@ let skiplist_ablation () =
         Array.iter (fun (k, tid) -> ignore (Ei_baselines.Skiplist.insert plain k tid)) keys)
   in
   let plain_bytes = Ei_baselines.Skiplist.memory_bytes plain in
-  let config =
-    Ei_core.Elastic_skiplist.default_config ~size_bound:(plain_bytes / 3)
+  let elastic =
+    Ei_core.Elastic_skiplist.create ~key_len ~load ~size_bound:(plain_bytes / 3)
+      ()
   in
-  let elastic = Ei_core.Elastic_skiplist.create ~key_len ~load config () in
   let e_ins =
     mops n (fun () ->
         Array.iter

@@ -42,10 +42,10 @@ let run () =
   List.iter
     (fun slots ->
       let seq_ins, seq_srch, seq_bytes =
-        bench ~keys ~load (Policy.all_seqtree ~levels:2 ~breathing:0 ~capacity:slots ())
+        bench ~keys ~load (Policy.fixed ~levels:2 ~breathing:0 (Policy.Spec_seq slots))
       in
       let sub_ins, sub_srch, sub_bytes =
-        bench ~keys ~load (Policy.all_subtrie ~capacity:slots ())
+        bench ~keys ~load (Policy.fixed (Policy.Spec_sub slots))
       in
       List.iter
         (fun (policy, ins, srch, bytes) ->

@@ -14,7 +14,7 @@ let slot_values = [ 16; 32; 64; 128 ]
 let breathing_values = [ 0; 1; 2; 4; 8 ]
 
 let bench ~keys ~load ~slots ~breathing =
-  let policy = Policy.all_seqtree ~levels:2 ~breathing ~capacity:slots () in
+  let policy = Policy.fixed ~levels:2 ~breathing (Policy.Spec_seq slots) in
   let tree = Btree.create ~key_len:8 ~load ~policy () in
   let n = Array.length keys in
   let ins =

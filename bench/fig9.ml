@@ -19,7 +19,7 @@ let max_levels slots =
   log2 slots - 1
 
 let bench_one ~keys ~load ~slots ~levels =
-  let policy = Policy.all_seqtree ~levels ~breathing:0 ~capacity:slots () in
+  let policy = Policy.fixed ~levels ~breathing:0 (Policy.Spec_seq slots) in
   let tree = Btree.create ~key_len:8 ~load ~policy () in
   let n = Array.length keys in
   let ins =

@@ -70,7 +70,7 @@ let multi_sweep () =
   let load = Table.loader table in
   let rng = Rng.create Bench_util.seed in
   let keys = Bench_util.unique_keys rng table n 8 in
-  let stx = Btree.create ~key_len:8 ~load ~policy:Policy.stx () in
+  let stx = Btree.create ~key_len:8 ~load ~policy:(Policy.fixed Policy.Spec_std) () in
   let olc = Olc.create ~key_len:8 ~load () in
   Array.iter
     (fun (k, tid) ->

@@ -51,7 +51,7 @@ let soak_btree () =
 let soak_skiplist () =
   let module E = Ei_core.Elastic_skiplist in
   let table = Table.create ~key_len:8 () in
-  let t = E.create ~key_len:8 ~load:(Table.loader table) (E.default_config ~size_bound:60_000) () in
+  let t = E.create ~key_len:8 ~load:(Table.loader table) ~size_bound:60_000 () in
   let rng = Rng.create 777 in
   let pool = Array.init 6_000 (fun _ -> Key.random rng 8) in
   let tid_of = Hashtbl.create 1024 in

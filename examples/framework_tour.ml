@@ -41,7 +41,7 @@ let () =
   let tids = Array.map (Table.append table) keys in
   (* What would the plain structures need? *)
   let plain_btree =
-    Ei_btree.Btree.create ~key_len ~load ~policy:Ei_btree.Policy.stx ()
+    Ei_btree.Btree.create ~key_len ~load ~policy:Ei_btree.Policy.(fixed Spec_std) ()
   in
   Array.iteri (fun i k -> ignore (Ei_btree.Btree.insert plain_btree k tids.(i))) keys;
   let btree_bytes = Ei_btree.Btree.memory_bytes plain_btree in
@@ -65,9 +65,7 @@ let () =
 
   (* 2. Elastic skip list: same bound, same compact representation. *)
   let esl =
-    Ei_core.Elastic_skiplist.create ~key_len ~load
-      (Ei_core.Elastic_skiplist.default_config ~size_bound:bound)
-      ()
+    Ei_core.Elastic_skiplist.create ~key_len ~load ~size_bound:bound ()
   in
   Array.iteri (fun i k -> ignore (Ei_core.Elastic_skiplist.insert esl k tids.(i))) keys;
   Printf.printf "elastic skiplist:  %.2f MiB, %s, %d compact segments\n"

@@ -43,7 +43,7 @@ let create ?(merge_ratio = 0.1) ~key_len ~load () =
     key_len;
     merge_ratio;
     load;
-    dynamic = Btree.create ~key_len ~load ~policy:Ei_btree.Policy.stx ();
+    dynamic = Btree.create ~key_len ~load ~policy:Ei_btree.Policy.(fixed Spec_std) ();
     static_keys = [||];
     static_tids = [||];
     static_n = 0;
@@ -130,7 +130,7 @@ let merge t =
   t.shadows <- 0;
   (* The dynamic stage starts over. *)
   t.dynamic <-
-    Btree.create ~key_len:t.key_len ~load:t.load ~policy:Ei_btree.Policy.stx ()
+    Btree.create ~key_len:t.key_len ~load:t.load ~policy:Ei_btree.Policy.(fixed Spec_std) ()
 
 let maybe_merge t =
   if

@@ -104,7 +104,6 @@ let count t = t.items
 let key_len (t : t) = t.key_len
 let std_capacity t = t.std_capacity
 let memory_bytes t = Tracker.bytes t.tracker
-let high_water_bytes t = Tracker.high_water t.tracker
 let compact_leaves t = t.compact_leaves
 let stats t = t.stats
 let policy t = t.policy

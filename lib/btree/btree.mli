@@ -94,8 +94,6 @@ val key_len : t -> int
 val memory_bytes : t -> int
 (** Current index size under the memory model. *)
 
-val high_water_bytes : t -> int
-
 val compact_leaves : t -> int
 (** Number of leaves currently in a compact representation. *)
 

@@ -1,6 +1,8 @@
-(** The §4 elasticity state machine, written once for every elastic
-    index: one soft size bound with hysteresis, and the compact-leaf
-    capacity progression.  Pure; {!step} does not allocate.  Owners keep
+(** The §4 elasticity rules, written once for every elastic index: one
+    soft size bound with hysteresis, the compact-leaf capacity
+    progression with §6.1's parameters, the shrink-overflow target and
+    the search-split draw.  Pure but for {!search_splits}, which draws
+    from the caller's generator; {!step} does not allocate.  Owners keep
     their own state word, counters and trace names.
 
     For bounds 1 to 4 both thresholds round to the same byte count and
@@ -25,6 +27,24 @@ val step : state -> bound:int -> bytes:int -> compact:int -> state
     shrinking, and expanding → normal once [compact] (live compact
     leaves) is 0. *)
 
+val initial_capacity : int
+(** 32: the first compact capacity (§6.1). *)
+
+val max_capacity : int
+(** 128: the compact capacity cap (§6.1). *)
+
+val seq_levels : int
+(** 2: BlindiTree levels of a compact leaf (§6.1). *)
+
+val breathing : int
+(** 4: breathing slack of a compact leaf (§6.1). *)
+
+val lift : std:int -> int * int
+(** [(initial, max)] capacities of a tree whose standard leaves hold
+    [std] keys: [(initial_capacity, max_capacity)], raised to [(2 std,
+    max max_capacity (4 std))] when [initial_capacity <= std] (§4's
+    [2n]). *)
+
 val double : max_capacity:int -> int -> int option
 (** [Some (2c)] below the cap; [None] at it (the leaf splits). *)
 
@@ -37,14 +57,22 @@ val min_count : int -> int
 
 val underflows : capacity:int -> count:int -> bool
 
+val shrink_to : std:int -> state -> int option -> int option
+(** [shrink_to ~std s leaf] is the compact capacity an overflowing leaf
+    converts to instead of splitting (§4's shrink rule): only while
+    Shrinking, a standard leaf ([leaf = None]) to the initial capacity
+    of {!lift} and a compact leaf of capacity [c] ([Some c]) to
+    {!double}[ c].  [None]: the leaf splits. *)
+
 val search_split_probability : float
 (** 1/32: the chance that a search reaching a compact leaf while
     Expanding splits it (§4). *)
 
-val lift : std:int -> initial:int -> max_capacity:int -> int * int
-(** [(initial, max_capacity)], raised to [(2 std, max max_capacity
-    (4 std))] when [initial <= std] (§4's [2n]). *)
+val search_splits : state -> Ei_util.Rng.t -> bool
+(** Whether a search that reached a compact leaf splits it: only while
+    Expanding, where it draws once from [rng] and hits with
+    {!search_split_probability}.  No draw in any other state. *)
 
-val legal_capacity : std:int -> initial:int -> max_capacity:int -> int -> bool
-(** [c] lies in [(std, max_capacity]] and {!double} or {!halve} (floor
-    [std]) reach it from [initial]. *)
+val legal_capacity : std:int -> int -> bool
+(** [c] lies in [(std, max]] and {!double} or {!halve} (floor [std])
+    reach it from [initial], with [(initial, max)] from {!lift}. *)

@@ -5,8 +5,8 @@
    elasticity algorithm piggybacks on — leaf overflow, leaf underflow,
    leaf merges — plus the expansion-state random split of compact leaves
    reached by searches (§4).  The plain STX B+-tree and the
-   fully-compacted STX-SeqTree/SubTrie variants are degenerate policies
-   of the same interface. *)
+   fully-compacted STX-SeqTree/SubTrie variants are degenerate ({!fixed})
+   policies of the same interface. *)
 
 type leaf_spec =
   | Spec_std
@@ -33,7 +33,6 @@ type underflow_action =
   | Replace of leaf_spec (* rebuild the leaf in place (elastic shrink) *)
 
 type t = {
-  name : string;
   initial : leaf_spec;  (* representation of a fresh (root) leaf *)
   seq_levels : int;     (* BlindiTree levels for SeqTree leaves *)
   seq_breathing : int;  (* breathing slack for SeqTree leaves *)
@@ -60,91 +59,23 @@ let std_underflow spec ~std_capacity ~count =
   in
   count < capacity / 2
 
-(* The baseline STX B+-tree: never compacts anything. *)
-let stx =
+(* A fixed-representation tree: every leaf has [spec], overflowing
+   leaves split and nothing converts.  [Spec_std] is the baseline STX
+   B+-tree; the compact specs are the paper's fully-compacted bounds on
+   space savings and query overhead (STX-SeqTree, STX-SubTrie,
+   STX-StringBTrie), [Spec_pre] the §2 key-truncation comparison point
+   and [Spec_bw] the §6.1 Bw-tree baseline.  [levels] and [breathing]
+   shape SeqTree leaves only. *)
+let fixed ?(levels = Hysteresis.seq_levels) ?(breathing = Hysteresis.breathing)
+    spec =
   {
-    name = "stx";
-    initial = Spec_std;
-    seq_levels = 2;
-    seq_breathing = 0;
-    on_overflow = (fun _ ~current:_ -> Split Spec_std);
-    on_underflow = (fun _ ~current:_ ~count:_ -> Rebalance);
-    on_search_compact = (fun _ ~current:_ -> None);
-    on_merge = (fun _ ~total:_ ~left:_ ~right:_ -> Spec_std);
-    underflow_at = std_underflow;
-  }
-
-(* STX-SeqTree: every leaf is a SeqTree of fixed capacity — the paper's
-   bound on maximum space savings and maximum query overhead. *)
-let all_seqtree ?(levels = 2) ?(breathing = 4) ~capacity () =
-  {
-    name = Printf.sprintf "stx-seqtree%d" capacity;
-    initial = Spec_seq capacity;
+    initial = spec;
     seq_levels = levels;
     seq_breathing = breathing;
-    on_overflow = (fun _ ~current:_ -> Split (Spec_seq capacity));
+    on_overflow = (fun _ ~current:_ -> Split spec);
     on_underflow = (fun _ ~current:_ ~count:_ -> Rebalance);
     on_search_compact = (fun _ ~current:_ -> None);
-    on_merge = (fun _ ~total:_ ~left:_ ~right:_ -> Spec_seq capacity);
-    underflow_at = std_underflow;
-  }
-
-(* Prefix-compressed B+-tree: every leaf truncates the shared key prefix
-   (the §2 comparison point for commercial index key compression). *)
-let all_prefix () =
-  {
-    name = "stx-prefix";
-    initial = Spec_pre;
-    seq_levels = 0;
-    seq_breathing = 0;
-    on_overflow = (fun _ ~current:_ -> Split Spec_pre);
-    on_underflow = (fun _ ~current:_ ~count:_ -> Rebalance);
-    on_search_compact = (fun _ ~current:_ -> None);
-    on_merge = (fun _ ~total:_ ~left:_ ~right:_ -> Spec_pre);
-    underflow_at = std_underflow;
-  }
-
-(* Bw-tree-style B+-tree: every leaf a delta-chained node (the §6.1
-   baseline omitted from the paper's plots as dominated). *)
-let all_bw () =
-  {
-    name = "bwtree";
-    initial = Spec_bw;
-    seq_levels = 0;
-    seq_breathing = 0;
-    on_overflow = (fun _ ~current:_ -> Split Spec_bw);
-    on_underflow = (fun _ ~current:_ ~count:_ -> Rebalance);
-    on_search_compact = (fun _ ~current:_ -> None);
-    on_merge = (fun _ ~total:_ ~left:_ ~right:_ -> Spec_bw);
-    underflow_at = std_underflow;
-  }
-
-(* STX-StringBTrie: every leaf a pointer-based String B-Trie (§5.1's
-   third blind-trie representation). *)
-let all_stringtrie ~capacity () =
-  {
-    name = Printf.sprintf "stx-stringtrie%d" capacity;
-    initial = Spec_str capacity;
-    seq_levels = 0;
-    seq_breathing = 0;
-    on_overflow = (fun _ ~current:_ -> Split (Spec_str capacity));
-    on_underflow = (fun _ ~current:_ ~count:_ -> Rebalance);
-    on_search_compact = (fun _ ~current:_ -> None);
-    on_merge = (fun _ ~total:_ ~left:_ ~right:_ -> Spec_str capacity);
-    underflow_at = std_underflow;
-  }
-
-(* STX-SubTrie: every leaf a SubTrie of fixed capacity (§6.4 baseline). *)
-let all_subtrie ~capacity () =
-  {
-    name = Printf.sprintf "stx-subtrie%d" capacity;
-    initial = Spec_sub capacity;
-    seq_levels = 0;
-    seq_breathing = 0;
-    on_overflow = (fun _ ~current:_ -> Split (Spec_sub capacity));
-    on_underflow = (fun _ ~current:_ ~count:_ -> Rebalance);
-    on_search_compact = (fun _ ~current:_ -> None);
-    on_merge = (fun _ ~total:_ ~left:_ ~right:_ -> Spec_sub capacity);
+    on_merge = (fun _ ~total:_ ~left:_ ~right:_ -> spec);
     underflow_at = std_underflow;
   }
 

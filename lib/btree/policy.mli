@@ -32,7 +32,6 @@ type underflow_action =
   | Replace of leaf_spec (** rebuild the leaf in place (elastic shrink) *)
 
 type t = {
-  name : string;
   initial : leaf_spec;
   seq_levels : int;
   seq_breathing : int;
@@ -46,23 +45,15 @@ type t = {
 val std_underflow : leaf_spec -> std_capacity:int -> count:int -> bool
 (** Standard B+-tree rule: underflow below half capacity. *)
 
-val stx : t
-(** The baseline STX B+-tree: never compacts anything. *)
-
-val all_seqtree : ?levels:int -> ?breathing:int -> capacity:int -> unit -> t
-(** STX-SeqTree: every leaf a SeqTree of fixed capacity. *)
-
-val all_subtrie : capacity:int -> unit -> t
-(** STX-SubTrie: every leaf a SubTrie of fixed capacity (§6.4). *)
-
-val all_stringtrie : capacity:int -> unit -> t
-(** STX-StringBTrie: every leaf a pointer-based String B-Trie (§5.1). *)
-
-val all_prefix : unit -> t
-(** Prefix-compressed B+-tree (§2's key-truncation comparison point). *)
-
-val all_bw : unit -> t
-(** Bw-tree-style B+-tree with delta-chained leaves (§6.1 baseline). *)
+val fixed : ?levels:int -> ?breathing:int -> leaf_spec -> t
+(** Every leaf has this spec; overflowing leaves split and nothing
+    converts.  [fixed Spec_std] is the baseline STX B+-tree, [fixed
+    (Spec_seq c)] STX-SeqTree, [fixed (Spec_sub c)] STX-SubTrie (§6.4),
+    [fixed (Spec_str c)] STX-StringBTrie (§5.1), [fixed Spec_pre] the
+    prefix-compressed B+-tree (§2) and [fixed Spec_bw] the Bw-tree
+    baseline (§6.1).  [levels] and [breathing] (default
+    {!Hysteresis.seq_levels} and {!Hysteresis.breathing}) shape SeqTree
+    leaves only. *)
 
 val spec_capacity : std_capacity:int -> leaf_spec -> int
 val pp_spec : Format.formatter -> leaf_spec -> unit

@@ -326,23 +326,25 @@ let check_btree_ctx ?(strict = false) ctx (tree : Btree.t) =
 (* ------------------------------------------------------------------ *)
 (* Elastic B+-tree: everything above, plus elasticity legality (§4).   *)
 
+(* A compact capacity [c] over standard capacity [std] must lie on §4's
+   progression ({!Hysteresis.legal_capacity}). *)
+let check_capacity ctx v ~what ~std c =
+  if not (Hysteresis.legal_capacity ~std c) then begin
+    let initial, max_capacity = Hysteresis.lift ~std in
+    fail ctx v "%s: compact capacity %d unreachable from %d (std %d, max %d)"
+      what c initial std max_capacity
+  end
+
 let check_elastic_ctx ?strict ctx (tree : Elastic_btree.t) =
   check_btree_ctx ?strict ctx (Elastic_btree.tree tree);
-  let cfg = Elastic_btree.config tree in
   let std = Elastic_btree.std_capacity tree in
-  let initial, max_capacity =
-    Hysteresis.lift ~std ~initial:cfg.Elasticity.initial_compact_capacity
-      ~max_capacity:cfg.Elasticity.max_compact_capacity
-  in
   ignore
     (Btree.fold_leaves (Elastic_btree.tree tree)
        (fun i spec _count ->
          (match spec with
          | Policy.Spec_seq c ->
-           if not (Hysteresis.legal_capacity ~std ~initial ~max_capacity c) then
-             fail ctx "elasticity"
-               "leaf %d: compact capacity %d unreachable from %d (std %d, max %d)"
-               i c initial std max_capacity
+           check_capacity ctx "elasticity" ~what:(Printf.sprintf "leaf %d" i)
+             ~std c
          | Policy.Spec_std -> ()
          | Policy.Spec_sub _ | Policy.Spec_pre | Policy.Spec_str _
          | Policy.Spec_bw ->
@@ -419,9 +421,7 @@ let check_skiplist_ctx ctx (sl : Skiplist.t) =
 let check_elastic_skiplist_ctx ctx (esl : Elastic_skiplist.t) =
   let v = "elastic-skiplist" in
   guard ctx v (fun () -> Elastic_skiplist.check_invariants esl);
-  let cfg = Elastic_skiplist.config esl in
   let load = Elastic_skiplist.load esl in
-  let std = 1 (* singleton nodes hold one key *) in
   let seg_i = ref 0 in
   ignore
     (Elastic_skiplist.fold_payloads esl
@@ -433,16 +433,8 @@ let check_elastic_skiplist_ctx ctx (esl : Elastic_skiplist.t) =
              let what = Printf.sprintf "segment %d" !seg_i in
              incr seg_i;
              check_seqtree_ctx ctx ~what ~load seg;
-             let c = Seqtree.capacity seg in
-             if
-               not
-                 (Hysteresis.legal_capacity ~std
-                    ~initial:cfg.Elastic_skiplist.segment_capacity
-                    ~max_capacity:cfg.Elastic_skiplist.max_segment_capacity c)
-             then
-               fail ctx v "%s: capacity %d unreachable from %d (max %d)" what c
-                 cfg.Elastic_skiplist.segment_capacity
-                 cfg.Elastic_skiplist.max_segment_capacity;
+             check_capacity ctx v ~what ~std:Elastic_skiplist.std_capacity
+               (Seqtree.capacity seg);
              let n = Seqtree.count seg in
              if n = 0 then fail ctx v "%s: empty segment" what;
              ( load (Seqtree.tid_at seg 0),
@@ -464,30 +456,22 @@ let check_elastic_skiplist_ctx ctx (esl : Elastic_skiplist.t) =
 let check_olc_ctx ?(strict = false) ctx (tree : Btree_olc.t) =
   let v = "olc" in
   guard ctx v (fun () -> Btree_olc.check_invariants tree);
-  let compact_sum =
+  let elastic = Option.is_some (Btree_olc.elastic_state tree) in
+  let _, compact_sum =
     Btree_olc.fold_leaves tree
-      (fun compacts ~compact ~capacity ~count ~bytes:_ ->
-        (match Btree_olc.elastic_config tree with
-        | Some cfg when compact ->
-          let std = Btree_olc.leaf_capacity tree in
-          if
-            not
-              (Hysteresis.legal_capacity ~std
-                 ~initial:cfg.Btree_olc.initial_compact_capacity
-                 ~max_capacity:cfg.Btree_olc.max_compact_capacity capacity)
-          then
-            fail ctx "elasticity"
-              "compact capacity %d unreachable from %d (std %d, max %d)"
-              capacity cfg.Btree_olc.initial_compact_capacity std
-              cfg.Btree_olc.max_compact_capacity;
+      (fun (i, compacts) ~compact ~capacity ~count ~bytes:_ ->
+        if elastic && compact then begin
+          let what = Printf.sprintf "leaf %d" i in
+          check_capacity ctx "elasticity" ~what
+            ~std:(Btree_olc.leaf_capacity tree) capacity;
           if Hysteresis.underflows ~capacity ~count then
             emit ctx "occupancy"
               (if strict then Error else Advisory)
               "compact capacity %d holds %d keys (< %d)" capacity count
               (Hysteresis.min_count capacity)
-        | Some _ | None -> ());
-        compacts + if compact then 1 else 0)
-      0
+        end;
+        (i + 1, compacts + if compact then 1 else 0))
+      (0, 0)
   in
   (* Every leaf payload is one tagged image of its layout's length. *)
   ignore
@@ -508,13 +492,12 @@ let check_olc_ctx ?(strict = false) ctx (tree : Btree_olc.t) =
   let walked = Btree_olc.memory_bytes tree in
   if tracked <> walked then
     fail ctx "tracker" "tracked %d bytes, recomputed %d" tracked walked;
-  match Btree_olc.elastic_config tree with
-  | None -> ()
-  | Some _ ->
+  if elastic then begin
     let tracked_compact = Btree_olc.elastic_compact_leaves tree in
     if tracked_compact <> compact_sum then
       fail ctx "counters" "compact-leaf counter %d, found %d" tracked_compact
         compact_sum
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Closure-level checks (any backend) and dispatch.                    *)

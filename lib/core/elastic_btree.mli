@@ -47,21 +47,13 @@ val iter : t -> (string -> int -> unit) -> unit
 val count : t -> int
 val key_len : t -> int
 val memory_bytes : t -> int
-val high_water_bytes : t -> int
 val compact_leaves : t -> int
 val state : t -> Ei_btree.Hysteresis.state
 val transitions : t -> int
 val stats : t -> Ei_btree.Btree.stats
 
-val config : t -> Elasticity.config
-(** The elasticity configuration driving this tree (sanitizer support:
-    {!Ei_check} validates compact capacities against it). *)
-
 val std_capacity : t -> int
 (** Standard-leaf capacity of the underlying tree. *)
-
-val size_bound : t -> int
-(** The current soft size bound in bytes. *)
 
 val set_size_bound : t -> int -> unit
 (** Retune the soft size bound on the live tree (see

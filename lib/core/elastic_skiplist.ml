@@ -52,29 +52,18 @@ type node = {
 }
 [@@ei.single_domain]
 
-type config = {
-  size_bound : int;
-  segment_capacity : int;        (* capacity of a fresh segment *)
-  max_segment_capacity : int;
-  seq_levels : int;
-  breathing : int;
-  seed : int;
-}
+(* The standard capacity the segment progression sits on: singletons
+   hold one key, but a fresh segment is §4's 2n over n = 16, so halving
+   stops there ({!Hysteresis.lift} gives capacities 32..128). *)
+let std_capacity = 16
 
-let default_config ~size_bound =
-  {
-    size_bound;
-    segment_capacity = 32;
-    max_segment_capacity = 128;
-    seq_levels = 2;
-    breathing = 4;
-    seed = 0xe1a5;
-  }
+(* The tower-height and search-split stream's seed. *)
+let seed = 0xe1a5
 
 type t = {
   key_len : int;
-  mutable config : config;
-  (* mutable so a coordinator can retune [size_bound] on a live list *)
+  mutable size_bound : int;
+  (* mutable so a coordinator can retune it on a live list *)
   load : int -> string;
   rng : Rng.t;
   head : node;
@@ -88,12 +77,13 @@ type t = {
 }
 [@@ei.single_domain]
 
-let create ~key_len ~load config () =
+let create ~key_len ~load ~size_bound () =
+  assert (size_bound > 0);
   {
     key_len;
-    config;
+    size_bound;
     load;
-    rng = Rng.create config.seed;
+    rng = Rng.create seed;
     head =
       {
         payload = Single { key = ""; tid = -1 };
@@ -105,7 +95,7 @@ let create ~key_len ~load config () =
     segments = 0;
     state = Hysteresis.Normal;
     transitions = 0;
-  conversions = 0;
+    conversions = 0;
   }
 
 let count t = t.items
@@ -114,12 +104,10 @@ let key_len (t : t) = t.key_len
 let memory_bytes t = t.bytes
 let segments t = t.segments
 let state t = t.state
-let config t = t.config
-let size_bound t = t.config.size_bound
 
 let set_size_bound t bound =
   assert (bound > 0);
-  t.config <- { t.config with size_bound = bound }
+  t.size_bound <- bound
 let load t = t.load
 
 (* Walk the level-0 payloads in key order (sanitizer support). *)
@@ -158,7 +146,7 @@ let track_sub t node =
 
 let update_state t =
   let s =
-    Hysteresis.step t.state ~bound:t.config.size_bound ~bytes:t.bytes
+    Hysteresis.step t.state ~bound:t.size_bound ~bytes:t.bytes
       ~compact:t.segments
   in
   if not (Hysteresis.state_equal t.state s) then begin
@@ -242,9 +230,7 @@ let rec find t key =
   (* Expansion: a search that lands in a segment may dissolve it. *)
   (match target with
   | Some ({ payload = Segment _; _ } as node)
-    when Hysteresis.state_equal t.state Hysteresis.Expanding
-         && Float.compare (Rng.float t.rng) Hysteresis.search_split_probability
-            < 0 ->
+    when Hysteresis.search_splits t.state t.rng ->
     dissolve t node
   | Some _ | None -> ());
   result
@@ -326,9 +312,10 @@ let rec collect_singles node limit acc =
    insertion point into one compact segment (shrinking state).  The
    predecessors in [update] must precede the first node of the run. *)
 let compact_run t update first =
-  let run = collect_singles (Some first) t.config.segment_capacity [] in
+  let capacity, _ = Hysteresis.lift ~std:std_capacity in
+  let run = collect_singles (Some first) capacity [] in
   let n = List.length run in
-  if n >= t.config.segment_capacity / 2 then begin
+  if n >= capacity / 2 then begin
     note_conversion t;
     let keys = Array.make n "" and tids = Array.make n 0 in
     List.iteri
@@ -343,8 +330,8 @@ let compact_run t update first =
     (* Unlink the run back-to-front so [update] stays valid for each. *)
     List.iter (fun node -> unlink t update node) run;
     let seg =
-      Seqtree.of_sorted ~key_len:t.key_len ~capacity:t.config.segment_capacity
-        ~levels:t.config.seq_levels ~breathing:t.config.breathing keys tids n
+      Seqtree.of_sorted ~key_len:t.key_len ~capacity ~levels:Hysteresis.seq_levels
+        ~breathing:Hysteresis.breathing keys tids n
     in
     let node =
       { payload = Segment seg; forward = Array.make (random_height t) None }
@@ -375,20 +362,19 @@ let insert_into_segment t node key tid =
     t.bytes <- t.bytes + (node_bytes t node - before)
   | Segment seg -> (
     match
-      ( t.state,
-        Hysteresis.double ~max_capacity:t.config.max_segment_capacity
-          (Seqtree.capacity seg) )
+      Hysteresis.shrink_to ~std:std_capacity t.state
+        (Some (Seqtree.capacity seg))
     with
-    | Hysteresis.Shrinking, Some capacity ->
+    | Some capacity ->
       (* Grow the segment instead of splitting: the §4 shrink rule. *)
       let before = node_bytes t node in
       let grown =
-        Seqtree.with_capacity seg ~capacity ~levels:t.config.seq_levels
+        Seqtree.with_capacity seg ~capacity ~levels:Hysteresis.seq_levels
       in
       node.payload <- Segment (seg_insert t grown key tid);
       t.bytes <- t.bytes + (node_bytes t node - before);
       note_conversion t
-    | _ ->
+    | None ->
       (* Split in half; the right half becomes a new node. *)
       let before = node_bytes t node in
       let c = Seqtree.capacity seg in
@@ -443,7 +429,7 @@ let insert t key tid =
        stabilises just below it instead of over-compacting. *)
     if
       Hysteresis.state_equal t.state Hysteresis.Shrinking
-      && t.bytes >= Hysteresis.shrink_at t.config.size_bound
+      && t.bytes >= Hysteresis.shrink_at t.size_bound
     then
       compact_run t update node;
     t.items <- t.items + 1;
@@ -478,12 +464,12 @@ let remove_from_segment t update node key =
       end
       else if Hysteresis.underflows ~capacity:c ~count:n then begin
         (* A fresh segment is the progression's 2n: halving stops there. *)
-        match Hysteresis.halve ~floor:(t.config.segment_capacity / 2) c with
+        match Hysteresis.halve ~floor:std_capacity c with
         | Some capacity ->
           let before = node_bytes t node in
           node.payload <-
             Segment
-              (Seqtree.with_capacity seg ~capacity ~levels:t.config.seq_levels);
+              (Seqtree.with_capacity seg ~capacity ~levels:Hysteresis.seq_levels);
           t.bytes <- t.bytes + (node_bytes t node - before);
           note_conversion t
         | None ->

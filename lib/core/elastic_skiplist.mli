@@ -10,18 +10,14 @@
 
 type t
 
-type config = {
-  size_bound : int;
-  segment_capacity : int;
-  max_segment_capacity : int;
-  seq_levels : int;
-  breathing : int;
-  seed : int;
-}
+val std_capacity : int
+(** 16: the standard capacity segments sit on.  Segment capacities are
+    {!Ei_btree.Hysteresis.lift}[ ~std:16]'s progression, 32..128, and
+    halving stops at 32 (an underflowing capacity-32 segment dissolves
+    into singletons unless the list is shrinking). *)
 
-val default_config : size_bound:int -> config
-
-val create : key_len:int -> load:(int -> string) -> config -> unit -> t
+val create : key_len:int -> load:(int -> string) -> size_bound:int -> unit -> t
+(** An empty list under a soft size bound of [size_bound] bytes. *)
 
 val insert : t -> string -> int -> bool
 val remove : t -> string -> bool
@@ -41,12 +37,6 @@ val segments : t -> int
 val state : t -> Ei_btree.Hysteresis.state
 val transitions : t -> int
 val conversions : t -> int
-
-val config : t -> config
-(** The configuration driving this list (sanitizer support). *)
-
-val size_bound : t -> int
-(** The current soft size bound in bytes. *)
 
 val set_size_bound : t -> int -> unit
 (** Retune the soft size bound on the live list (coordinator lever). *)

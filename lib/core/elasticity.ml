@@ -7,8 +7,8 @@
    All conversions piggyback on structure-modification events:
    - shrinking: a standard-leaf overflow converts the leaf to a SeqTree
      of twice its capacity instead of splitting; a compact-leaf overflow
-     doubles the compact capacity up to [max_compact_capacity], after
-     which the leaf splits;
+     doubles the compact capacity up to the cap, after which the leaf
+     splits ({!Hysteresis.shrink_to});
    - any state: a compact-leaf underflow (capacity 2k holding fewer than
      k+1 keys) shrinks the leaf to capacity k, or back to a standard
      leaf when k is the standard capacity;
@@ -47,74 +47,60 @@ let ev_search_split =
 
 type config = {
   size_bound : int;                 (* soft index size bound, bytes *)
-  initial_compact_capacity : int;   (* first SeqTree capacity (2n, §4) *)
-  max_compact_capacity : int;       (* compact capacity cap (128, §4) *)
-  seq_levels : int;                 (* BlindiTree levels (2, §6.1) *)
-  breathing : int;                  (* breathing slack (4, §6.1) *)
   cold_sweep_period : int;          (* ops between cold-compaction sweeps;
                                        0 disables the access-aware policy *)
   cold_sweep_batch : int;           (* leaves inspected per sweep *)
-  seed : int;
   fault_site : string;              (* Ei_fault site name for injected
                                        bound slashes; "" disables *)
 }
 
 let default_config ~size_bound =
-  {
-    size_bound;
-    initial_compact_capacity = 32;
-    max_compact_capacity = 128;
-    seq_levels = 2;
-    breathing = 4;
-    cold_sweep_period = 0;
-    cold_sweep_batch = 8;
-    seed = 0x5eed;
-    fault_site = "";
-  }
+  { size_bound; cold_sweep_period = 0; cold_sweep_batch = 8; fault_site = "" }
+
+(* The search-split stream's seed. *)
+let seed = 0x5eed
 
 (* Serial state machine: owned by the index that embeds it, which is
    itself single-domain (see {!Elastic_btree.t}). *)
 type t = {
-  mutable config : config;
-  (* mutable so a coordinator can retune [size_bound] on a live index *)
+  mutable size_bound : int;
+  (* mutable so a coordinator can retune it on a live index *)
   std_capacity : int;
+  initial : int;       (* first compact capacity ({!Hysteresis.lift}) *)
+  max_capacity : int;  (* compact capacity cap ({!Hysteresis.lift}) *)
   rng : Ei_util.Rng.t;
   mutable state : Hysteresis.state;
   mutable transitions : int;
   slash : Ei_fault.Fault.site option;
-  mutable slashes : int;
 }
 [@@ei.single_domain]
 
-let create ~std_capacity config =
+let create ~std_capacity (config : config) =
   assert (config.size_bound > 0);
-  let initial_compact_capacity, max_compact_capacity =
-    Hysteresis.lift ~std:std_capacity ~initial:config.initial_compact_capacity
-      ~max_capacity:config.max_compact_capacity
-  in
+  let initial, max_capacity = Hysteresis.lift ~std:std_capacity in
   {
-    config = { config with initial_compact_capacity; max_compact_capacity };
+    size_bound = config.size_bound;
     std_capacity;
-    rng = Ei_util.Rng.create config.seed;
+    initial;
+    max_capacity;
+    rng = Ei_util.Rng.create seed;
     state = Normal;
     transitions = 0;
     slash =
       (if String.equal config.fault_site "" then None
        else Some (Ei_fault.Fault.site config.fault_site));
-    slashes = 0;
   }
 
 let state t = t.state
 let transitions t = t.transitions
-let size_bound t = t.config.size_bound
-let slashes t = t.slashes
+let size_bound t = t.size_bound
 
 (* Retune the soft bound on a live index.  The next [update] call sees
    the new thresholds, so the state machine reacts on the following
    structure-modification event — no eager reorganisation. *)
 let set_size_bound t bound =
   assert (bound > 0);
-  t.config <- { t.config with size_bound = bound }
+  t.size_bound <- bound
 
 
 (* State transition check, run whenever the policy is consulted.  The
@@ -125,15 +111,13 @@ let set_size_bound t bound =
 let update t (view : Policy.view) =
   (match t.slash with
   | Some site when Ei_fault.Fault.fire site ->
-    let old_bound = t.config.size_bound in
-    t.config <-
-      { t.config with size_bound = max 1 (t.config.size_bound / 2) };
-    t.slashes <- t.slashes + 1;
+    let old_bound = t.size_bound in
+    t.size_bound <- max 1 (old_bound / 2);
     Metrics.incr c_slashes;
-    Trace.emit ev_slash t.config.size_bound old_bound
+    Trace.emit ev_slash t.size_bound old_bound
   | _ -> ());
   let s =
-    Hysteresis.step t.state ~bound:t.config.size_bound ~bytes:view.bytes
+    Hysteresis.step t.state ~bound:t.size_bound ~bytes:view.bytes
       ~compact:view.compact_leaves
   in
   if not (Hysteresis.state_equal t.state s) then begin
@@ -156,33 +140,36 @@ let below t c =
 (* A leaf's capacity in a conversion event (0 = standard leaf). *)
 let traced_capacity = function Policy.Spec_seq k -> k | _ -> 0
 
+(* Convert an overflowing leaf in place to compact capacity [d] (§4's
+   shrink rule): saves leaf space and avoids the separator insertions a
+   split would push into inner nodes. *)
+let convert d ~from =
+  Metrics.incr c_conversions;
+  Trace.emit ev_convert d from;
+  Policy.Convert (Policy.Spec_seq d)
+
 let on_overflow t view ~current =
   update t view;
-  match (current, t.state) with
-  | Policy.Spec_std, Hysteresis.Shrinking ->
-    (* Convert instead of splitting: saves leaf space and avoids the
-       separator insertions a split would push into inner nodes. *)
-    Metrics.incr c_conversions;
-    Trace.emit ev_convert t.config.initial_compact_capacity 0;
-    Policy.Convert (Policy.Spec_seq t.config.initial_compact_capacity)
-  | Policy.Spec_std, (Hysteresis.Normal | Hysteresis.Expanding) ->
-    Policy.Split Policy.Spec_std
-  | Policy.Spec_seq c, Hysteresis.Shrinking -> (
-    match Hysteresis.double ~max_capacity:t.config.max_compact_capacity c with
-    | Some d ->
-      Metrics.incr c_conversions;
-      Trace.emit ev_convert d c;
-      Policy.Convert (Policy.Spec_seq d)
-    | None -> Policy.Split (Policy.Spec_seq c))
-  | Policy.Spec_seq c, (Hysteresis.Normal | Hysteresis.Expanding) ->
-    (* Outside the shrinking state an overflowing compact leaf walks back
-       down the capacity progression, so write-hot regions decompact even
-       without searches (mirrors the expansion split rule of §4). *)
-    Policy.Split (below t c)
-  | Policy.Spec_sub c, _ -> Policy.Split (Policy.Spec_sub c)
-  | Policy.Spec_pre, _ -> Policy.Split Policy.Spec_pre
-  | Policy.Spec_str c, _ -> Policy.Split (Policy.Spec_str c)
-  | Policy.Spec_bw, _ -> Policy.Split Policy.Spec_bw
+  let std = t.std_capacity in
+  match current with
+  | Policy.Spec_std -> (
+    match Hysteresis.shrink_to ~std t.state None with
+    | Some d -> convert d ~from:0
+    | None -> Policy.Split Policy.Spec_std)
+  | Policy.Spec_seq c -> (
+    match Hysteresis.shrink_to ~std t.state (Some c) with
+    | Some d -> convert d ~from:c
+    | None when Hysteresis.state_equal t.state Hysteresis.Shrinking ->
+      Policy.Split (Policy.Spec_seq c)
+    | None ->
+      (* Outside the shrinking state an overflowing compact leaf walks
+         back down the capacity progression, so write-hot regions
+         decompact even without searches (mirrors the expansion split
+         rule of §4). *)
+      Policy.Split (below t c))
+  | (Policy.Spec_sub _ | Policy.Spec_pre | Policy.Spec_str _ | Policy.Spec_bw)
+    as spec ->
+    Policy.Split spec
 
 let on_underflow t view ~current ~count:_ =
   update t view;
@@ -198,11 +185,8 @@ let on_underflow t view ~current ~count:_ =
 
 let on_search_compact t view ~current =
   update t view;
-  match (t.state, current) with
-  | Hysteresis.Expanding, Policy.Spec_seq c
-    when Float.compare (Ei_util.Rng.float t.rng)
-           Hysteresis.search_split_probability
-         < 0 ->
+  match current with
+  | Policy.Spec_seq c when Hysteresis.search_splits t.state t.rng ->
     let spec = below t c in
     Metrics.incr c_search_splits;
     Trace.emit ev_search_split (traced_capacity spec) c;
@@ -220,11 +204,11 @@ let on_merge t view ~total ~left ~right =
   let shrinking = Hysteresis.state_equal t.state Hysteresis.Shrinking in
   if shrinking || total > t.std_capacity then begin
     let rec fit (c : int) =
-      match Hysteresis.double ~max_capacity:t.config.max_compact_capacity c with
+      match Hysteresis.double ~max_capacity:t.max_capacity c with
       | Some d when c < total -> fit d
       | Some _ | None -> c
     in
-    Policy.Spec_seq (fit t.config.initial_compact_capacity)
+    Policy.Spec_seq (fit t.initial)
   end
   else Policy.Spec_std
 
@@ -237,10 +221,9 @@ let underflow_at _t spec ~std_capacity ~count =
 
 let policy t =
   {
-    Policy.name = "elastic";
-    initial = Policy.Spec_std;
-    seq_levels = t.config.seq_levels;
-    seq_breathing = t.config.breathing;
+    Policy.initial = Policy.Spec_std;
+    seq_levels = Hysteresis.seq_levels;
+    seq_breathing = Hysteresis.breathing;
     on_overflow = (fun view ~current -> on_overflow t view ~current);
     on_underflow = (fun view ~current ~count -> on_underflow t view ~current ~count);
     on_search_compact = (fun view ~current -> on_search_compact t view ~current);

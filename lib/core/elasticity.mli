@@ -8,21 +8,17 @@
     Conversions piggyback on structure modifications: overflowing
     standard leaves convert to SeqTrees of twice the capacity instead of
     splitting (shrinking state); overflowing compact leaves double their
-    capacity up to [max_compact_capacity]; underflowing compact leaves
-    walk back down the progression; and in the expanding state a search
-    reaching a compact leaf randomly splits it. *)
+    capacity up to the cap; underflowing compact leaves walk back down
+    the progression; and in the expanding state a search reaching a
+    compact leaf randomly splits it.  The capacities, SeqTree shape and
+    both conversion rules are {!Ei_btree.Hysteresis}'s. *)
 
 type config = {
   size_bound : int;                 (** soft index size bound, bytes *)
-  initial_compact_capacity : int;   (** first SeqTree capacity (2n) *)
-  max_compact_capacity : int;       (** compact capacity cap (128) *)
-  seq_levels : int;                 (** BlindiTree levels (2) *)
-  breathing : int;                  (** breathing slack (4) *)
   cold_sweep_period : int;
   (** operations between cold-compaction sweeps; 0 disables the
       access-aware policy variant (§4 design space) *)
   cold_sweep_batch : int;           (** leaves inspected per sweep *)
-  seed : int;
   fault_site : string;
   (** {!Ei_fault.Fault} site name for injected memory-pressure spikes
       (the live bound is halved when the site fires at a state-machine
@@ -30,8 +26,7 @@ type config = {
 }
 
 val default_config : size_bound:int -> config
-(** The paper's §6.1 parameters: capacities 32..128, tree levels 2,
-    breathing 4. *)
+(** No cold sweep (batch 8 once a period is set) and no fault site. *)
 
 type t
 
@@ -45,9 +40,6 @@ val transitions : t -> int
 
 val size_bound : t -> int
 (** The current soft bound in bytes. *)
-
-val slashes : t -> int
-(** Injected bound slashes absorbed so far (0 without a [fault_site]). *)
 
 val set_size_bound : t -> int -> unit
 (** Retune the soft bound on a live policy (the elastic memory

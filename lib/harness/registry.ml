@@ -15,7 +15,7 @@ type kind =
   | Art
   | Skiplist
   | Hybrid of float  (* two-stage hybrid index with this merge ratio *)
-  | Elastic_skiplist of Ei_core.Elastic_skiplist.config
+  | Elastic_skiplist of int  (* soft size bound, bytes *)
   | Olc of Ei_olc.Btree_olc.leaf_kind
 
 let kind_name = function
@@ -42,7 +42,7 @@ let fixed ~bound =
   [
     Stx; Prefix; Bwtree; Hot; Art; Skiplist; Hybrid 0.1;
     Elastic (Ei_core.Elasticity.default_config ~size_bound:bound);
-    Elastic_skiplist (Ei_core.Elastic_skiplist.default_config ~size_bound:bound);
+    Elastic_skiplist bound;
     Olc Olc.Olc_std;
     Olc (Olc.Olc_seqtree { capacity = 128; levels = 2; breathing = 4 });
     Olc (Olc.Olc_elastic (Olc.default_elastic_config ~size_bound:bound));
@@ -70,41 +70,23 @@ let kind_of_name ~bound name =
       (Printf.sprintf "unknown index %S (one of: %s; N >= 32)" name
          (String.concat " " names))
 
-let make ?name ?(leaf_capacity = 16) ~key_len ~load kind =
+let make ?name ~key_len ~load kind =
   let name = match name with Some n -> n | None -> kind_name kind in
+  let btree spec =
+    Index_ops.of_btree name
+      (Ei_btree.Btree.create ~key_len ~load ~policy:(Ei_btree.Policy.fixed spec)
+         ())
+  in
   match kind with
-  | Stx ->
-    Index_ops.of_btree name
-      (Ei_btree.Btree.create ~leaf_capacity ~key_len ~load
-         ~policy:Ei_btree.Policy.stx ())
-  | Seqtree capacity ->
-    Index_ops.of_btree name
-      (Ei_btree.Btree.create ~leaf_capacity ~key_len ~load
-         ~policy:(Ei_btree.Policy.all_seqtree ~capacity ())
-         ())
-  | Subtrie capacity ->
-    Index_ops.of_btree name
-      (Ei_btree.Btree.create ~leaf_capacity ~key_len ~load
-         ~policy:(Ei_btree.Policy.all_subtrie ~capacity ())
-         ())
-  | Stringtrie capacity ->
-    Index_ops.of_btree name
-      (Ei_btree.Btree.create ~leaf_capacity ~key_len ~load
-         ~policy:(Ei_btree.Policy.all_stringtrie ~capacity ())
-         ())
+  | Stx -> btree Ei_btree.Policy.Spec_std
+  | Seqtree capacity -> btree (Ei_btree.Policy.Spec_seq capacity)
+  | Subtrie capacity -> btree (Ei_btree.Policy.Spec_sub capacity)
+  | Stringtrie capacity -> btree (Ei_btree.Policy.Spec_str capacity)
   | Elastic config ->
     Index_ops.of_elastic name
-      (Ei_core.Elastic_btree.create ~leaf_capacity ~key_len ~load config ())
-  | Prefix ->
-    Index_ops.of_btree name
-      (Ei_btree.Btree.create ~leaf_capacity ~key_len ~load
-         ~policy:(Ei_btree.Policy.all_prefix ())
-         ())
-  | Bwtree ->
-    Index_ops.of_btree name
-      (Ei_btree.Btree.create ~leaf_capacity ~key_len ~load
-         ~policy:(Ei_btree.Policy.all_bw ())
-         ())
+      (Ei_core.Elastic_btree.create ~key_len ~load config ())
+  | Prefix -> btree Ei_btree.Policy.Spec_pre
+  | Bwtree -> btree Ei_btree.Policy.Spec_bw
   | Hot ->
     Index_ops.of_radix name
       (Ei_baselines.Radix.create ~store_keys:false ~key_len ~load ())
@@ -115,11 +97,10 @@ let make ?name ?(leaf_capacity = 16) ~key_len ~load kind =
   | Hybrid merge_ratio ->
     Index_ops.of_hybrid name
       (Ei_baselines.Hybrid.create ~merge_ratio ~key_len ~load ())
-  | Elastic_skiplist config ->
+  | Elastic_skiplist size_bound ->
     Index_ops.of_elastic_skiplist name
-      (Ei_core.Elastic_skiplist.create ~key_len ~load config ())
+      (Ei_core.Elastic_skiplist.create ~key_len ~load ~size_bound ())
   | Olc kind ->
     (* Concurrent use with compact leaves needs a torn-read-proof loader:
        pass [Btree_olc.safe_loader] as [load]. *)
-    Index_ops.of_olc name
-      (Ei_olc.Btree_olc.create ~leaf_capacity ~kind ~key_len ~load ())
+    Index_ops.of_olc name (Ei_olc.Btree_olc.create ~kind ~key_len ~load ())

@@ -14,8 +14,8 @@ type kind =
   | Skiplist
   | Hybrid of float                        (** two-stage hybrid index [33],
                                                with this merge ratio *)
-  | Elastic_skiplist of Ei_core.Elastic_skiplist.config
-                                           (** the framework on a skip list *)
+  | Elastic_skiplist of int                (** the framework on a skip list,
+                                               with this size bound *)
   | Olc of Ei_olc.Btree_olc.leaf_kind
       (** BTreeOLC (§6.2): standard, compact or elastic leaves.  For
           concurrent use with compact leaves pass
@@ -28,12 +28,11 @@ val names : string list
 
 val kind_of_name : bound:int -> string -> (kind, string) result
 (** The inverse of {!kind_name}.  What a name drops is fixed: elastic
-    kinds are [default_config ~size_bound:bound], [olc-seqtree] is
-    [{128; 2; 4}] and [hybrid] merges at 0.1. *)
+    kinds take [bound] as their size bound and defaults otherwise,
+    [olc-seqtree] is [{128; 2; 4}] and [hybrid] merges at 0.1. *)
 
 val make :
   ?name:string ->
-  ?leaf_capacity:int ->
   key_len:int ->
   load:(int -> string) ->
   kind ->

@@ -204,25 +204,11 @@ type leaf_kind =
        shared atomics, so the soft bound is approximate under races but
        convergent. *)
 
-and elastic_config = {
-  size_bound : int;
-  initial_compact_capacity : int;
-  max_compact_capacity : int;
-  seq_levels : int;
-  breathing : int;
-}
+and elastic_config = { size_bound : int }
 
-let default_elastic_config ~size_bound =
-  {
-    size_bound;
-    initial_compact_capacity = 32;
-    max_compact_capacity = 128;
-    seq_levels = 2;
-    breathing = 4;
-  }
+let default_elastic_config ~size_bound = { size_bound }
 
 type elastic_state = {
-  cfg : elastic_config;
   ebound : int Atomic.t;     (* live soft bound; coordinator-adjustable *)
   ecompact : int Atomic.t;   (* number of compact leaves *)
   estate : Hysteresis.state Atomic.t;
@@ -282,14 +268,14 @@ let create ?(leaf_capacity = 16) ?(inner_capacity = 16) ?(kind = Olc_std)
   let elastic =
     match kind with
     | Olc_elastic cfg ->
-      (* A compact leaf's header fields must hold these parameters;
+      (* The largest compact leaf's header must hold these parameters;
          refuse them here rather than at the first conversion. *)
       ignore
-        (Seqtree.create ~key_len ~capacity:cfg.max_compact_capacity
-           ~levels:cfg.seq_levels ~breathing:cfg.breathing ());
+        (Seqtree.create ~key_len
+           ~capacity:(snd (Hysteresis.lift ~std:leaf_capacity))
+           ~levels:Hysteresis.seq_levels ~breathing:Hysteresis.breathing ());
       Some
         {
-          cfg;
           ebound = Atomic.make cfg.size_bound;
           ecompact = Atomic.make 0;
           estate = Atomic.make Hysteresis.Normal;
@@ -349,9 +335,6 @@ let update_elastic_state t =
 
 let tracked_memory_bytes t = Atomic.get t.bytes
 
-let elastic_size_bound t =
-  match t.elastic with Some e -> Atomic.get e.ebound | None -> 0
-
 (* Coordinator lever: retune the live soft bound and re-evaluate the
    state machine immediately, so a starved tree starts shrinking without
    waiting for its next structure modification.  Safe from any domain. *)
@@ -378,7 +361,7 @@ let elastic_conversions t =
 (* The new representation of a write-locked leaf's [repr] (std -> compact
    or compact capacity change), adjusting the shared accounting; the
    caller stores it back into the leaf. *)
-let convert_repr t repr ~capacity ~levels ~breathing =
+let convert_repr t repr ~capacity =
   Fault.point yp_convert;
   let before = repr_bytes repr in
   let was_compact = is_compact repr in
@@ -387,7 +370,9 @@ let convert_repr t repr ~capacity ~levels ~breathing =
     if was_compact && capacity > t.leaf_capacity then
       (* compact -> compact (32 <-> 64 <-> 128): tids and BlindiBits
          carry over as they are, so no key is loaded *)
-      (Seqtree.with_capacity (seq repr) ~capacity ~levels :> Bytes.t)
+      (Seqtree.with_capacity (seq repr) ~capacity
+         ~levels:Hysteresis.seq_levels
+        :> Bytes.t)
     else begin
       let n, keys, tids =
         if was_compact then begin
@@ -409,7 +394,8 @@ let convert_repr t repr ~capacity ~levels ~breathing =
            tids n
           :> Bytes.t)
       else
-        (Seqtree.of_sorted ~key_len:t.key_len ~capacity ~levels ~breathing keys
+        (Seqtree.of_sorted ~key_len:t.key_len ~capacity
+           ~levels:Hysteresis.seq_levels ~breathing:Hysteresis.breathing keys
            tids n
           :> Bytes.t)
     end
@@ -478,9 +464,6 @@ let fold_leaves t f acc =
 let count t = fold_images t (fun n repr -> n + repr_count repr) 0
 
 let leaf_capacity t = t.leaf_capacity
-
-let elastic_config t =
-  match t.elastic with Some e -> Some e.cfg | None -> None
 
 (* --- Descent helpers ------------------------------------------------ *)
 
@@ -587,14 +570,9 @@ let elastic_overflow t node =
   match (t.elastic, node) with
   | Some e, Leaf l ->
     update_elastic_state t;
-    if Hysteresis.state_equal (Atomic.get e.estate) Hysteresis.Shrinking then begin
-      let repr = l.repr in
-      if is_compact repr then
-        Hysteresis.double ~max_capacity:e.cfg.max_compact_capacity
-          (Seqtree.capacity (seq repr))
-      else Some e.cfg.initial_compact_capacity
-    end
-    else None
+    let repr = l.repr in
+    Hysteresis.shrink_to ~std:t.leaf_capacity (Atomic.get e.estate)
+      (if is_compact repr then Some (Seqtree.capacity (seq repr)) else None)
   | _ -> None
 
 (* Convert a full leaf in place under its write lock (elastic shrink),
@@ -603,14 +581,7 @@ let convert_full_leaf t node nv capacity =
   upgrade_or_restart node nv;
   critical node (fun () ->
       match node with
-      | Leaf l -> (
-        match t.elastic with
-        | Some e ->
-          l.repr <-
-            convert_repr t l.repr ~capacity ~levels:e.cfg.seq_levels
-              ~breathing:e.cfg.breathing
-        | None ->
-          Invariant.impossible "Btree_olc.convert_full_leaf: no elastic config")
+      | Leaf l -> l.repr <- convert_repr t l.repr ~capacity
       | Inner _ -> Invariant.impossible "Btree_olc.convert_full_leaf: inner node");
   write_unlock node;
   raise Restart
@@ -818,7 +789,7 @@ let remove t key =
                    invariant shrinks back down the capacity progression,
                    while holding the write lock. *)
                 (match t.elastic with
-                | Some e when r && is_compact l.repr ->
+                | Some _ when r && is_compact l.repr ->
                   let x = seq l.repr in
                   let c = Seqtree.capacity x in
                   if Hysteresis.underflows ~capacity:c ~count:(Seqtree.count x)
@@ -827,9 +798,7 @@ let remove t key =
                       Option.value ~default:t.leaf_capacity
                         (Hysteresis.halve ~floor:t.leaf_capacity c)
                     in
-                    l.repr <-
-                      convert_repr t l.repr ~capacity ~levels:e.cfg.seq_levels
-                        ~breathing:e.cfg.breathing
+                    l.repr <- convert_repr t l.repr ~capacity
                   end
                 | _ -> ());
                 update_elastic_state t;

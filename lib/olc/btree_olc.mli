@@ -18,13 +18,9 @@ type leaf_kind =
           implement — leaf conversions happen in place under the leaf's
           write lock, with shared atomic size/state accounting *)
 
-and elastic_config = {
-  size_bound : int;
-  initial_compact_capacity : int;
-  max_compact_capacity : int;
-  seq_levels : int;
-  breathing : int;
-}
+and elastic_config = { size_bound : int }
+(** The soft size bound in bytes; the capacities and SeqTree shape are
+    {!Ei_btree.Hysteresis}'s. *)
 
 val default_elastic_config : size_bound:int -> elastic_config
 
@@ -33,9 +29,6 @@ val tracked_memory_bytes : t -> int
     structure change of every leaf kind: O(1) and safe to read under
     concurrency, unlike {!memory_bytes}, which it equals once mutators
     are quiescent. *)
-
-val elastic_size_bound : t -> int
-(** The live soft bound (elastic trees only; 0 otherwise). *)
 
 val set_size_bound : t -> int -> unit
 (** Retune the live soft bound (elastic trees only; no-op otherwise) and
@@ -64,8 +57,8 @@ val create :
   unit ->
   t
 (** [Invalid_argument] when a leaf header cannot hold the parameters:
-    [key_len] above 65535, or an [Olc_elastic] configuration whose
-    compact leaves {!Ei_blindi.Seqtree.create} refuses. *)
+    [key_len] above 65535, or for [Olc_elastic] a largest compact leaf
+    that {!Ei_blindi.Seqtree.create} refuses. *)
 
 val insert : t -> string -> int -> bool
 val remove : t -> string -> bool
@@ -110,8 +103,6 @@ val fold_images : t -> ('a -> Bytes.t -> 'a) -> 'a -> 'a
 
 val leaf_capacity : t -> int
 (** Standard-leaf capacity. *)
-
-val elastic_config : t -> elastic_config option
 
 val check_invariants : t -> unit
 (** Single-threaded structural check (no concurrent mutators). *)

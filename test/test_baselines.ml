@@ -191,7 +191,7 @@ let test_hybrid_merge_behaviour () =
   let table = Table.create ~key_len () in
   let load = Table.loader table in
   let hybrid = Hybrid.create ~merge_ratio:0.1 ~key_len ~load () in
-  let stx = Ei_btree.Btree.create ~key_len ~load ~policy:Ei_btree.Policy.stx () in
+  let stx = Ei_btree.Btree.create ~key_len ~load ~policy:Ei_btree.Policy.(fixed Spec_std) () in
   let n = 20_000 in
   let keys = Array.init n (fun i -> Key.of_int i) in
   let tids = Array.map (Table.append table) keys in
@@ -226,7 +226,7 @@ let test_skiplist_memory () =
   let load = Table.loader table in
   let sl = Skiplist.create ~key_len () in
   let stx =
-    Ei_btree.Btree.create ~key_len ~load ~policy:Ei_btree.Policy.stx ()
+    Ei_btree.Btree.create ~key_len ~load ~policy:Ei_btree.Policy.(fixed Spec_std) ()
   in
   let rng = Rng.stream seed 11 in
   for _ = 1 to 10_000 do

@@ -98,14 +98,14 @@ let random_ops ~key_len ~policy ~nops ~key_space ~check_every () =
 
 let policies =
   [
-    ("stx", Policy.stx);
-    ("seqtree32", Policy.all_seqtree ~capacity:32 ());
-    ("seqtree128", Policy.all_seqtree ~capacity:128 ());
-    ("seqtree128-nobreath", Policy.all_seqtree ~breathing:0 ~capacity:128 ());
-    ("subtrie64", Policy.all_subtrie ~capacity:64 ());
-    ("stringtrie64", Policy.all_stringtrie ~capacity:64 ());
-    ("prefix", Policy.all_prefix ());
-    ("bwtree", Policy.all_bw ());
+    ("stx", Policy.fixed Policy.Spec_std);
+    ("seqtree32", Policy.fixed (Policy.Spec_seq 32));
+    ("seqtree128", Policy.fixed (Policy.Spec_seq 128));
+    ("seqtree128-nobreath", Policy.fixed ~breathing:0 (Policy.Spec_seq 128));
+    ("subtrie64", Policy.fixed (Policy.Spec_sub 64));
+    ("stringtrie64", Policy.fixed (Policy.Spec_str 64));
+    ("prefix", Policy.fixed Policy.Spec_pre);
+    ("bwtree", Policy.fixed Policy.Spec_bw);
   ]
 
 let grid =
@@ -124,18 +124,18 @@ let grid =
 let soak =
   [
     Alcotest.test_case "stx soak 8k ops" `Slow
-      (random_ops ~key_len:8 ~policy:Policy.stx ~nops:8000 ~key_space:3000
+      (random_ops ~key_len:8 ~policy:(Policy.fixed Policy.Spec_std) ~nops:8000 ~key_space:3000
          ~check_every:1000);
     Alcotest.test_case "seqtree128 soak 8k ops" `Slow
       (random_ops ~key_len:8
-         ~policy:(Policy.all_seqtree ~capacity:128 ())
+         ~policy:(Policy.fixed (Policy.Spec_seq 128))
          ~nops:8000 ~key_space:3000 ~check_every:1000);
   ]
 
 (* --- Directed unit tests ------------------------------------------- *)
 
 let test_sequential_insert () =
-  let table, tree = mk_tree ~key_len:8 ~policy:Policy.stx () in
+  let table, tree = mk_tree ~key_len:8 ~policy:(Policy.fixed Policy.Spec_std) () in
   for i = 0 to 999 do
     let k = Key.of_int i in
     let tid = Table.append table k in
@@ -153,7 +153,7 @@ let test_sequential_insert () =
     (List.rev !xs)
 
 let test_drain () =
-  let table, tree = mk_tree ~key_len:8 ~policy:(Policy.all_seqtree ~capacity:32 ()) () in
+  let table, tree = mk_tree ~key_len:8 ~policy:(Policy.fixed (Policy.Spec_seq 32)) () in
   let n = 500 in
   for i = 0 to n - 1 do
     let k = Key.of_int i in
@@ -173,7 +173,7 @@ let test_drain () =
   Alcotest.(check int) "empty" 0 (Btree.count tree)
 
 let test_memory_accounting () =
-  let table, tree = mk_tree ~key_len:8 ~policy:(Policy.all_seqtree ~capacity:128 ()) () in
+  let table, tree = mk_tree ~key_len:8 ~policy:(Policy.fixed (Policy.Spec_seq 128)) () in
   let m0 = Btree.memory_bytes tree in
   for i = 0 to 2999 do
     let k = Key.of_int i in
@@ -222,12 +222,12 @@ let test_prefix_distribution_dependence () =
         in
         fresh ())
   in
-  let stx_shared = build Policy.stx shared in
-  let pre_shared = build (Policy.all_prefix ()) shared in
-  let seq_shared = build (Policy.all_seqtree ~capacity:128 ()) shared in
-  let stx_random = build Policy.stx random in
-  let pre_random = build (Policy.all_prefix ()) random in
-  let seq_random = build (Policy.all_seqtree ~capacity:128 ()) random in
+  let stx_shared = build (Policy.fixed Policy.Spec_std) shared in
+  let pre_shared = build (Policy.fixed Policy.Spec_pre) shared in
+  let seq_shared = build (Policy.fixed (Policy.Spec_seq 128)) shared in
+  let stx_random = build (Policy.fixed Policy.Spec_std) random in
+  let pre_random = build (Policy.fixed Policy.Spec_pre) random in
+  let seq_random = build (Policy.fixed (Policy.Spec_seq 128)) random in
   (* Prefix compression shines on shared prefixes... *)
   Alcotest.(check bool) "prefix wins on shared prefixes" true
     (float_of_int pre_shared < 0.7 *. float_of_int stx_shared);
@@ -250,8 +250,8 @@ let test_compression_ratio () =
     done;
     Btree.memory_bytes tree
   in
-  let stx = build Policy.stx in
-  let compact = build (Policy.all_seqtree ~capacity:128 ()) in
+  let stx = build (Policy.fixed Policy.Spec_std) in
+  let compact = build (Policy.fixed (Policy.Spec_seq 128)) in
   let ratio = float_of_int stx /. float_of_int compact in
   if ratio < 1.8 then
     Alcotest.failf "compression ratio too low: %.2f (stx=%d compact=%d)" ratio
@@ -298,9 +298,9 @@ let test_bulk_load () =
               prev := Some k))
         [ 0; 1; 2; 13; 14; 15; 100; 5_000 ])
     [
-      ("stx", Policy.stx);
-      ("seqtree64", Policy.all_seqtree ~capacity:64 ());
-      ("prefix", Policy.all_prefix ());
+      ("stx", Policy.fixed Policy.Spec_std);
+      ("seqtree64", Policy.fixed (Policy.Spec_seq 64));
+      ("prefix", Policy.fixed Policy.Spec_pre);
     ]
 
 let () =

@@ -74,9 +74,9 @@ let test_wide_keys () =
       Array.iteri (fun i k -> if i mod 2 = 0 then ignore (Btree.remove tree k)) keys;
       Btree.check_invariants tree)
     [
-      Policy.all_seqtree ~capacity:64 ();
-      Policy.all_subtrie ~capacity:64 ();
-      Policy.all_stringtrie ~capacity:64 ();
+      Policy.fixed (Policy.Spec_seq 64);
+      Policy.fixed (Policy.Spec_sub 64);
+      Policy.fixed (Policy.Spec_str 64);
     ]
 
 let test_last_bit_boundary () =
@@ -133,9 +133,9 @@ let test_capacity_300 () =
       Array.iteri (fun i k -> if i mod 3 <> 0 then ignore (Btree.remove tree k)) keys;
       Btree.check_invariants tree)
     [
-      Policy.all_seqtree ~levels:4 ~capacity:300 ();
-      Policy.all_subtrie ~capacity:300 ();
-      Policy.all_stringtrie ~capacity:300 ();
+      Policy.fixed ~levels:4 (Policy.Spec_seq 300);
+      Policy.fixed (Policy.Spec_sub 300);
+      Policy.fixed (Policy.Spec_str 300);
     ]
 
 (* --- Degenerate sizes ------------------------------------------------ *)
@@ -248,7 +248,7 @@ let test_dense_then_sparse () =
   let table = Table.create ~key_len:8 () in
   let load = Table.loader table in
   let tree =
-    Btree.create ~key_len:8 ~load ~policy:(Policy.all_seqtree ~capacity:64 ()) ()
+    Btree.create ~key_len:8 ~load ~policy:(Policy.fixed (Policy.Spec_seq 64)) ()
   in
   let keys =
     Array.init 1_000 (fun i -> Key.of_int i)

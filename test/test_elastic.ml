@@ -234,9 +234,7 @@ let test_capacity_closure () =
      capacity are exactly the ones the legal-capacity check accepts. *)
   List.iter
     (fun std ->
-      let initial, max_capacity =
-        Hysteresis.lift ~std ~initial:32 ~max_capacity:128
-      in
+      let initial, max_capacity = Hysteresis.lift ~std in
       let rec close seen = function
         | [] -> seen
         | c :: rest when List.mem c seen -> close seen rest
@@ -249,12 +247,68 @@ let test_capacity_closure () =
       in
       let reachable = close [] [ initial ] in
       for c = 1 to 4 * max_capacity do
-        let legal = Hysteresis.legal_capacity ~std ~initial ~max_capacity c in
+        let legal = Hysteresis.legal_capacity ~std c in
         if legal <> List.mem c reachable then
           Alcotest.failf "std %d: capacity %d legal %b, reachable %b" std c
             legal (List.mem c reachable)
       done)
     [ 8; 16; 32 ]
+
+let test_shrink_overflow_exhaustive () =
+  (* Every state x standard leaf or compact capacity 32/64/128 x standard
+     capacity 8/16/32, against a written-out table of §4's shrink rule:
+     only a Shrinking tree converts, a standard leaf to the first compact
+     capacity (2n once n reaches 32) and a compact leaf to twice its
+     capacity below 128. *)
+  let shrinking ~std = function
+    | None -> Some (if std >= 32 then 2 * std else 32)
+    | Some 32 -> Some 64
+    | Some 64 -> Some 128
+    | Some _ -> None
+  in
+  let show = function None -> "split" | Some c -> string_of_int c in
+  List.iter
+    (fun std ->
+      List.iter
+        (fun leaf ->
+          List.iter
+            (fun s ->
+              let got = Hysteresis.shrink_to ~std s leaf in
+              let want =
+                match s with
+                | Hysteresis.Shrinking -> shrinking ~std leaf
+                | Hysteresis.Normal | Hysteresis.Expanding -> None
+              in
+              if got <> want then
+                Alcotest.failf "std %d, %s leaf, %s: got %s, want %s" std
+                  (match leaf with None -> "std" | Some c -> string_of_int c)
+                  (Hysteresis.state_name s) (show got) (show want);
+              match got with
+              | Some d when not (Hysteresis.legal_capacity ~std d) ->
+                Alcotest.failf "std %d: target %d is not a legal capacity" std d
+              | Some _ | None -> ())
+            Hysteresis.[ Normal; Shrinking; Expanding ])
+        [ None; Some 32; Some 64; Some 128 ])
+    [ 8; 16; 32 ]
+
+let test_search_split_draw () =
+  (* The draw happens only while Expanding, once per call. *)
+  List.iter
+    (fun s ->
+      let rng = Rng.create 9 in
+      let twin = Rng.copy rng in
+      let hit = Hysteresis.search_splits s rng in
+      let expanding = Hysteresis.state_equal s Hysteresis.Expanding in
+      if expanding then begin
+        Alcotest.(check bool) "hit is the draw" hit
+          (Float.compare (Rng.float twin) Hysteresis.search_split_probability
+           < 0)
+      end
+      else Alcotest.(check bool) "no split" false hit;
+      Alcotest.(check int)
+        (Printf.sprintf "%s: draws" (Hysteresis.state_name s))
+        (Rng.next_int twin) (Rng.next_int rng))
+    Hysteresis.[ Normal; Shrinking; Expanding ]
 
 (* --- Elastic vs STX space at equal item counts ---------------------- *)
 
@@ -266,7 +320,7 @@ let test_space_savings () =
   let table = Table.create ~key_len:8 () in
   let load = Table.loader table in
   let tids = Array.map (Table.append table) keys in
-  let stx = Btree.create ~key_len:8 ~load ~policy:Policy.stx () in
+  let stx = Btree.create ~key_len:8 ~load ~policy:(Policy.fixed Policy.Spec_std) () in
   Array.iteri (fun i k -> ignore (Btree.insert stx k tids.(i))) keys;
   let stx_bytes = Btree.memory_bytes stx in
   let config = Elasticity.default_config ~size_bound:(stx_bytes / 3) in
@@ -381,6 +435,119 @@ let test_cold_sweep_preserves_hot () =
   in
   Alcotest.(check bool) "some standard leaves remain" true (stds > 0)
 
+let test_slash_moves_sweep_bound () =
+  (* An injected slash halves the one live bound, which the cold sweep
+     reads too: an append-only tree configured at 1 MB and slashed once
+     ends within 1.1x of 500 kB, like a tree configured there. *)
+  let module Fault = Ei_fault.Fault in
+  let site = "test.elastic.slash" in
+  let table = Table.create ~key_len:8 () in
+  let config =
+    {
+      (Elasticity.default_config ~size_bound:1_000_000) with
+      Elasticity.cold_sweep_period = 8;
+      cold_sweep_batch = 16;
+      fault_site = site;
+    }
+  in
+  let tree = Elastic.create ~key_len:8 ~load:(Table.loader table) config () in
+  let append i =
+    let k = Key.of_int i in
+    ignore (Elastic.insert tree k (Table.append table k))
+  in
+  Fault.configure ~seed:1 [ (site, 1.0) ];
+  let i = ref 0 in
+  Fun.protect ~finally:Fault.clear (fun () ->
+      while Fault.fired (Fault.site site) = 0 do
+        append !i;
+        incr i
+      done);
+  while !i < 30_000 do
+    append !i;
+    incr i
+  done;
+  Elastic.check_invariants tree;
+  let bytes = Elastic.memory_bytes tree in
+  if bytes > 550_000 then
+    Alcotest.failf "slashed to 500 kB, ended at %d bytes" bytes
+
+(* --- Behaviour pin ------------------------------------------------------ *)
+
+(* A seeded churn with bound retunes mid-run against each elastic index,
+   pinned to the values the tree held before the §4 rules moved into
+   {!Hysteresis}: (memory bytes, compact leaves or segments, conversions,
+   transitions, fingerprint).  The seed is fixed, not [EI_SEED]. *)
+let pin_churn name =
+  let module Registry = Ei_harness.Registry in
+  let module Index_ops = Ei_harness.Index_ops in
+  let module Olc = Ei_olc.Btree_olc in
+  let module Esl = Ei_core.Elastic_skiplist in
+  let module Metrics = Ei_obs.Metrics in
+  let kind =
+    match Registry.kind_of_name ~bound:80_000 name with
+    | Ok k -> k
+    | Error e -> Alcotest.fail e
+  in
+  let table = Table.create ~key_len:8 () in
+  let ix = Registry.make ~key_len:8 ~load:(Table.loader table) kind in
+  let olc_transitions = Metrics.counter "olc.transitions" in
+  Metrics.set_enabled true;
+  let before = Metrics.counter_value olc_transitions in
+  let rng = Rng.create 0x91a5 in
+  let pool = Array.init 6_000 (fun _ -> Key.random rng 8) in
+  let tids = Array.make (Array.length pool) (-1) in
+  Fun.protect ~finally:(fun () -> Metrics.set_enabled false) (fun () ->
+      for step = 1 to 20_000 do
+        (match step with
+        | 5_000 -> ix.Index_ops.set_size_bound 40_000
+        | 10_000 -> ix.Index_ops.set_size_bound 10_000_000
+        | 15_000 -> ix.Index_ops.set_size_bound 60_000
+        | 17_500 -> ix.Index_ops.set_size_bound 10_000_000
+        | _ -> ());
+        let i = Rng.int rng (Array.length pool) in
+        let k = pool.(i) in
+        let choice = Rng.int rng 100 in
+        if choice < 55 then begin
+          if tids.(i) < 0 then tids.(i) <- Table.append table k;
+          ignore (ix.Index_ops.insert k tids.(i))
+        end
+        else if choice < 75 then ignore (ix.Index_ops.remove k)
+        else ignore (ix.Index_ops.find k)
+      done;
+      let compact, conversions, transitions =
+        match ix.Index_ops.backend with
+        | Index_ops.B_elastic t ->
+          ( Elastic.compact_leaves t,
+            (Elastic.stats t).Btree.conversions,
+            Elastic.transitions t )
+        | Index_ops.B_elastic_skiplist t ->
+          (Esl.segments t, Esl.conversions t, Esl.transitions t)
+        | Index_ops.B_olc t ->
+          ( Olc.elastic_compact_leaves t,
+            Olc.elastic_conversions t,
+            Metrics.counter_value olc_transitions - before )
+        | _ -> Alcotest.failf "%s: not an elastic backend" name
+      in
+      ( ix.Index_ops.memory_bytes (),
+        compact,
+        conversions,
+        transitions,
+        Index_ops.fingerprint ix ))
+
+let test_behaviour_pin () =
+  List.iter
+    (fun (name, expected) ->
+      Alcotest.(check (pair int (pair int (pair int (pair int int)))))
+        (name ^ ": bytes, compact, conversions, transitions, fingerprint")
+        expected
+        (let bytes, compact, conversions, transitions, fp = pin_churn name in
+         (bytes, (compact, (conversions, (transitions, fp))))))
+    [
+      ("elastic", (97154, (54, (220, (4, 2951675967606575299)))));
+      ("elastic-skiplist", (96632, (88, (339, (4, 2951675967606575299)))));
+      ("olc-elastic", (91738, (78, (294, (4, 2951675967606575299)))));
+    ]
+
 let () =
   Alcotest.run "ei_core"
     [
@@ -398,6 +565,9 @@ let () =
             test_engine_exhaustive;
           Alcotest.test_case "capacity progression closure" `Quick
             test_capacity_closure;
+          Alcotest.test_case "shrink-overflow target, exhaustively" `Quick
+            test_shrink_overflow_exhaustive;
+          Alcotest.test_case "search-split draw" `Quick test_search_split_draw;
         ] );
       ( "bulk",
         [ Alcotest.test_case "of_sorted + elasticity" `Quick test_bulk_load_elastic ] );
@@ -405,5 +575,12 @@ let () =
         [
           Alcotest.test_case "bound held on append-only" `Quick test_cold_sweep;
           Alcotest.test_case "hot leaves preserved" `Quick test_cold_sweep_preserves_hot;
+          Alcotest.test_case "a bound slash moves the sweep's bound" `Quick
+            test_slash_moves_sweep_bound;
+        ] );
+      ( "pin",
+        [
+          Alcotest.test_case "seeded churn matches the recorded values" `Quick
+            test_behaviour_pin;
         ] );
     ]

@@ -17,8 +17,7 @@ module Smap = Map.Make (String)
 
 let mk ?(size_bound = 64 * 1024) ~key_len () =
   let table = Table.create ~key_len () in
-  let config = Esl.default_config ~size_bound in
-  let t = Esl.create ~key_len ~load:(Table.loader table) config () in
+  let t = Esl.create ~key_len ~load:(Table.loader table) ~size_bound () in
   (table, t)
 
 let test_random_ops () =
@@ -142,8 +141,7 @@ let test_space_savings () =
   let plain = Skiplist.create ~key_len () in
   Array.iteri (fun i k -> ignore (Skiplist.insert plain k tids.(i))) keys;
   let plain_bytes = Skiplist.memory_bytes plain in
-  let config = Esl.default_config ~size_bound:(plain_bytes / 3) in
-  let elastic = Esl.create ~key_len ~load config () in
+  let elastic = Esl.create ~key_len ~load ~size_bound:(plain_bytes / 3) () in
   Array.iteri (fun i k -> ignore (Esl.insert elastic k tids.(i))) keys;
   Esl.check_invariants elastic;
   let ratio = float_of_int (Esl.memory_bytes elastic) /. float_of_int plain_bytes in

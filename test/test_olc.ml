@@ -593,9 +593,11 @@ let test_elastic_long_keys () =
   Array.iteri
     (fun i tid -> Alcotest.(check (option int)) "find" (Some tid) (Olc.find tree (key i)))
     tids;
-  let cfg = { (Olc.default_elastic_config ~size_bound:1) with Olc.breathing = 16 } in
-  match Olc.create ~kind:(Olc.Olc_elastic cfg) ~key_len ~load:(Table.loader table) () with
-  | _ -> Alcotest.fail "breathing 16 accepted"
+  match
+    Olc.create ~kind:(elastic_kind ~size_bound:1) ~key_len:65_536
+      ~load:(Table.loader table) ()
+  with
+  | _ -> Alcotest.fail "key_len 65536 accepted"
   | exception Invalid_argument _ -> ()
 
 let () =

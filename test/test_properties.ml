@@ -243,8 +243,7 @@ let elastic_skiplist_driver ~size_bound () =
   let table = Table.create ~key_len:8 () in
   let tree =
     Ei_core.Elastic_skiplist.create ~key_len:8 ~load:(Table.loader table)
-      (Ei_core.Elastic_skiplist.default_config ~size_bound)
-      ()
+      ~size_bound ()
   in
   let registered = Hashtbl.create 64 in
   let reg k tid =
@@ -304,13 +303,13 @@ let prop_seqtrie =
 let prop_btree_stx =
   QCheck.Test.make ~name:"stx btree agrees with model" ~count:200
     (ops_arbitrary 150)
-    (fun ops -> agree_with_model (btree_driver Policy.stx) ops)
+    (fun ops -> agree_with_model (btree_driver (Policy.fixed Policy.Spec_std)) ops)
 
 let prop_btree_seqtree =
   QCheck.Test.make ~name:"stx-seqtree btree agrees with model" ~count:200
     (ops_arbitrary 150)
     (fun ops ->
-      agree_with_model (btree_driver (Policy.all_seqtree ~capacity:32 ())) ops)
+      agree_with_model (btree_driver (Policy.fixed (Policy.Spec_seq 32))) ops)
 
 let prop_btree_elastic =
   QCheck.Test.make ~name:"elastic btree agrees with model" ~count:200

@@ -99,14 +99,14 @@ let test_index_names () =
       Olc (Olc.Olc_seqtree { capacity = 16; levels = 2; breathing = 1 });
       Olc (Olc.Olc_elastic (Olc.default_elastic_config ~size_bound:1));
       Elastic (Ei_core.Elasticity.default_config ~size_bound:1);
-      Elastic_skiplist (Ei_core.Elastic_skiplist.default_config ~size_bound:1) ]
+      Elastic_skiplist 1 ]
   |> List.iter (fun k ->
          let name = Registry.kind_name k in
          Alcotest.(check (result string string)) name (Ok name)
            (Result.map Registry.kind_name (parse name)));
   let bound = function
     | Ok (Registry.Elastic c) -> c.Ei_core.Elasticity.size_bound
-    | Ok (Registry.Elastic_skiplist c) -> c.Ei_core.Elastic_skiplist.size_bound
+    | Ok (Registry.Elastic_skiplist b) -> b
     | Ok (Registry.Olc (Olc.Olc_elastic c)) -> c.Olc.size_bound
     | Ok _ | Error _ -> 0
   in
@@ -142,8 +142,7 @@ let ycsb_matrix =
       Registry.Skiplist;
       Registry.Hybrid 0.08;
       Registry.Bwtree;
-      Registry.Elastic_skiplist
-        (Ei_core.Elastic_skiplist.default_config ~size_bound:60_000);
+      Registry.Elastic_skiplist 60_000;
     ]
   in
   let workloads = [ Ycsb.A; Ycsb.B; Ycsb.C; Ycsb.D; Ycsb.E; Ycsb.F ] in

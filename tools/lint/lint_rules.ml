@@ -80,7 +80,7 @@ let int_fns =
     "code"; "get"; "unsafe_get"; "count"; "capacity"; "level"; "levels";
     "height"; "bit"; "key_bit"; "byte_at"; "diff_bit"; "first_byte";
     "width_for_bits"; "tree_size"; "tid_slots_for"; "tid_at"; "tid_slots";
-    "spec_capacity"; "std_capacity"; "memory_bytes"; "high_water_bytes";
+    "spec_capacity"; "std_capacity"; "memory_bytes";
     "bytes"; "node_bytes"; "leaf_bytes"; "inner_bytes"; "seqtree_bytes";
     "subtrie_bytes"; "stringtrie_bytes"; "skiplist_node_bytes";
     "int_of_float"; "int_of_char"; "to_int"; "of_int"; "int"; "hash";
@@ -94,9 +94,8 @@ let int_fields =
   [
     "n"; "pos"; "level"; "levels"; "items"; "capacity"; "key_len";
     "breathing"; "hits"; "tid"; "bytes"; "node_bytes"; "std_capacity";
-    "inner_capacity"; "size_bound"; "initial_compact_capacity";
-    "max_compact_capacity"; "segment_capacity"; "max_segment_capacity";
-    "cold_sweep_period"; "cold_sweep_batch"; "seed"; "transitions";
+    "inner_capacity"; "size_bound"; "cold_sweep_period";
+    "cold_sweep_batch"; "seed"; "transitions";
     "segments"; "conversions"; "leaf_splits"; "leaf_merges";
     "search_splits"; "searches"; "scan_steps"; "tree_steps"; "hi_slot";
     "key_compares"; "inserts"; "removes"; "rebuilds"; "merges";
