@@ -29,8 +29,8 @@
               quantiles) as JSON-Lines
      top    — live per-shard telemetry view refreshed from the newest
               timeline frame (--once for a single CI-friendly render)
-     analyze — run the ei_race concurrency-discipline static analyzer
-              over the libraries' typedtrees (.cmt files)
+     analyze — run the ei_race static analyzer (concurrency discipline,
+              exports without a caller) over the typedtrees (.cmt files)
      sim    — deterministic simulation testing ({!Ei_sim}): differential
               op tapes against a pure oracle, schedule exploration over
               the production yield points, perturbed chaos rounds; shrunk
@@ -1443,19 +1443,22 @@ let sim_cmd =
 (* --- analyze ------------------------------------------------------------ *)
 
 (* The ei_race static analyzer behind the CLI: scan the typedtrees
-   (.cmt files) of the concurrent libraries for lock-discipline, yield
-   -point and shared-state findings.  Roots default to the five
-   concurrent libraries and are resolved against _build/default, so
-   [dune build @lib/all && ei analyze] works from a checkout. *)
+   (.cmt files) for lock-discipline, yield-point and shared-state
+   findings and, with no roots, for exports nothing calls.  Roots are
+   resolved against _build/default, so [dune build @check && ei
+   analyze] works from a checkout. *)
 let analyze_cmd =
   let roots_arg =
     Arg.(value & pos_all string []
          & info [] ~docv:"DIR|FILE.cmt"
              ~doc:"Directories (searched recursively for .cmt files) or \
-                   single .cmt files; given paths are tried as-is, then \
-                   under _build/default.  Defaults to the concurrent \
-                   libraries: lib/olc lib/shard lib/core lib/fault \
-                   lib/obs lib/btree lib/wal lib/blindi.")
+                   single .cmt files for the concurrency rules; given \
+                   paths are tried as-is, then under _build/default.  \
+                   With none, the nine concurrent libraries (lib/olc \
+                   lib/shard lib/core lib/fault lib/obs lib/btree lib/wal \
+                   lib/net lib/blindi) plus the export rules over every \
+                   lib/ interface, which need the .cmt files of lib bin \
+                   bench examples tools and test (dune build @check).")
   in
   let baseline_arg =
     Arg.(value & opt (some string) None
@@ -1497,8 +1500,8 @@ let analyze_cmd =
   in
   Cmd.v
     (Cmd.info "analyze"
-       ~doc:"Run the ei_race concurrency-discipline static analyzer over \
-             the libraries' typedtrees (.cmt files).")
+       ~doc:"Run the ei_race static analyzer (concurrency discipline and \
+             exports without a caller) over the typedtrees (.cmt files).")
     term
 
 (* --- volumes ----------------------------------------------------------- *)

@@ -85,8 +85,6 @@ let find t key =
   | None ->
     if Strtbl.mem t.tombstones key then None else static_find t key
 
-let mem t key = Option.is_some (find t key)
-
 (* Rebuild the static stage from static minus tombstones plus dynamic.
    This is the full rebuild §2 contrasts with per-node conversion. *)
 let merge t =
@@ -216,10 +214,6 @@ let fold_range t ~start ~n f acc =
         else go dyn (si + 1) (taken + 1) (f acc sk sv)
   in
   go dyn (static_lower_bound t start) 0 acc
-
-let iter t f =
-  ignore (fold_range t ~start:(String.make t.key_len '\000') ~n:max_int
-            (fun () k v -> f k v) ())
 
 let check_invariants t =
   Btree.check_invariants t.dynamic;

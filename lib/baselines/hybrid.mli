@@ -19,10 +19,8 @@ val update : t -> string -> int -> bool
     skew-assumption cost when updates hit old entries. *)
 
 val find : t -> string -> int option
-val mem : t -> string -> bool
 
 val fold_range : t -> start:string -> n:int -> ('a -> string -> int -> 'a) -> 'a -> 'a
-val iter : t -> (string -> int -> unit) -> unit
 
 val count : t -> int
 val key_len : t -> int

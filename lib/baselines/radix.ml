@@ -41,23 +41,16 @@ type t = {
   mutable root : node;
   mutable items : int;
   mutable node_count : int;
-  mutable key_loads : int;
 }
 
 let create ?(store_keys = false) ~key_len ~load () =
-  { key_len; store_keys; load; root = Empty; items = 0; node_count = 0; key_loads = 0 }
+  { key_len; store_keys; load; root = Empty; items = 0; node_count = 0 }
 
 let count t = t.items
 
 let key_len (t : t) = t.key_len
-let key_loads t = t.key_loads
 
-let key_of_leaf t ~tid ~key =
-  if t.store_keys then key
-  else begin
-    t.key_loads <- t.key_loads + 1;
-    t.load tid
-  end
+let key_of_leaf t ~tid ~key = if t.store_keys then key else t.load tid
 
 let mk_leaf t tid key = Leaf { tid; key = (if t.store_keys then key else "") }
 
@@ -140,8 +133,6 @@ let find t key =
       | `Insert_at _ -> None)
   in
   go t.root
-
-let mem t key = Option.is_some (find t key)
 
 (* In-place value update of an existing key; false if absent.  The new
    row must hold the same key bytes. *)

@@ -16,9 +16,6 @@ val create :
 val count : t -> int
 val key_len : t -> int
 
-val key_loads : t -> int
-(** Number of indirect key loads performed (indirect mode). *)
-
 val memory_bytes : t -> int
 (** Size under the memory model (computed by traversal). *)
 
@@ -26,10 +23,6 @@ val insert : t -> string -> int -> bool
 val remove : t -> string -> bool
 val update : t -> string -> int -> bool
 val find : t -> string -> int option
-val mem : t -> string -> bool
-
-val iter : t -> (string -> int -> unit) -> unit
-(** In-order iteration; loads every key in indirect mode. *)
 
 val fold_range : t -> start:string -> n:int -> ('a -> string -> int -> 'a) -> 'a -> 'a
 (** Ordered scan over up to [n] entries with keys [>= start].  The

@@ -85,8 +85,6 @@ let find t key =
   | Some nxt when Key.equal nxt.key key -> Some nxt.tid
   | Some _ | None -> None
 
-let mem t key = Option.is_some (find t key)
-
 (* In-place value update of an existing key; false if absent. *)
 let update t key tid =
   let update_arr = Array.make max_level t.head in

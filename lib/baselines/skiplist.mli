@@ -29,9 +29,7 @@ val insert : t -> string -> int -> bool
 val remove : t -> string -> bool
 val update : t -> string -> int -> bool
 val find : t -> string -> int option
-val mem : t -> string -> bool
 
 val fold_range : t -> start:string -> n:int -> ('a -> string -> int -> 'a) -> 'a -> 'a
-val iter : t -> (string -> int -> unit) -> unit
 
 val check_invariants : t -> unit

@@ -15,8 +15,6 @@ let create ~width ~capacity =
    for up to 256 values, e.g. bit positions of keys up to 32 bytes. *)
 let width_for_bits count = if count <= 0x100 then 1 else 2
 
-let capacity t = Bytes.length t.data / t.width
-
 let get t i =
   if t.width = 1 then Char.code (Bytes.unsafe_get t.data i)
   else Bytes.get_uint16_le t.data (2 * i)
@@ -30,22 +28,3 @@ let set t i v =
     assert (v >= 0 && v <= 0xffff);
     Bytes.set_uint16_le t.data (2 * i) v
   end
-
-(* Shift entries [i, count) one slot right and write [v] at [i].
-   Requires room for [count + 1] entries. *)
-let insert t ~count (i : int) v =
-  assert (i >= 0 && i <= count);
-  assert ((count + 1) * t.width <= Bytes.length t.data);
-  Bytes.blit t.data (i * t.width) t.data ((i + 1) * t.width) ((count - i) * t.width);
-  set t i v
-
-(* Remove entry [i], shifting entries [i+1, count) one slot left. *)
-let remove t ~count (i : int) =
-  assert (i >= 0 && i < count);
-  Bytes.blit t.data ((i + 1) * t.width) t.data (i * t.width) ((count - i - 1) * t.width)
-
-let blit src spos dst dpos len =
-  assert (src.width = dst.width);
-  Bytes.blit src.data (spos * src.width) dst.data (dpos * dst.width) (len * src.width)
-
-let copy t = { width = t.width; data = Bytes.copy t.data }

@@ -10,16 +10,5 @@ val width_for_bits : int -> int
 (** Entry width (1 or 2 bytes) for entries holding one of [count]
     distinct values 0 .. count-1. *)
 
-val capacity : t -> int
 val get : t -> int -> int
 val set : t -> int -> int -> unit
-
-val insert : t -> count:int -> int -> int -> unit
-(** [insert t ~count i v] shifts entries [i, count) right and writes [v]
-    at [i].  Requires capacity for [count + 1] entries. *)
-
-val remove : t -> count:int -> int -> unit
-(** [remove t ~count i] deletes entry [i], shifting the tail left. *)
-
-val blit : t -> int -> t -> int -> int -> unit
-val copy : t -> t

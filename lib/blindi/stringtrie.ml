@@ -53,7 +53,6 @@ let create ~key_len ~capacity () =
 
 let count t = t.n
 let capacity t = t.capacity
-let is_full t = t.n >= t.capacity
 
 let tid_at t i =
   assert (i >= 0 && i < t.n);
@@ -301,11 +300,6 @@ let fold_from t pos f acc =
     acc := f !acc t.tids.(i)
   done;
   !acc
-
-let iter f t =
-  for i = 0 to t.n - 1 do
-    f t.tids.(i)
-  done
 
 let split t ~(load : load) ~left_capacity ~right_capacity =
   assert (t.n >= 2);

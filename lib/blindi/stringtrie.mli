@@ -9,12 +9,10 @@ type t
 
 type load = int -> string
 
-val create : key_len:int -> capacity:int -> unit -> t
 val of_sorted : key_len:int -> capacity:int -> string array -> int array -> int -> t
 
 val count : t -> int
 val capacity : t -> int
-val is_full : t -> bool
 val tid_at : t -> int -> int
 val memory_bytes : t -> int
 
@@ -37,5 +35,4 @@ val split : t -> load:load -> left_capacity:int -> right_capacity:int -> t * t
 val merge : t -> t -> load:load -> capacity:int -> t
 
 val fold_from : t -> int -> ('a -> int -> 'a) -> 'a -> 'a
-val iter : (int -> unit) -> t -> unit
 val check_invariants : t -> load:load -> unit

@@ -40,7 +40,6 @@ let create ~key_len ~capacity () =
 
 let count t = t.n
 let capacity t = t.capacity
-let is_full t = t.n >= t.capacity
 let tid_at t i =
   assert (i >= 0 && i < t.n);
   t.tids.(i)
@@ -271,11 +270,6 @@ let fold_from t pos f acc =
     acc := f !acc t.tids.(i)
   done;
   !acc
-
-let iter f t =
-  for i = 0 to t.n - 1 do
-    f t.tids.(i)
-  done
 
 let check_invariants t ~load =
   assert (t.n >= 0 && t.n <= t.capacity);

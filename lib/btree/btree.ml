@@ -38,6 +38,9 @@ and inner = {
   keys : string array;
   children : node array;
 }
+(* A tree belongs to one domain: a served part to its shard's domain
+   ({!Ei_shard.Serve}), any other tree to its caller. *)
+[@@ei.single_domain]
 
 type stats = {
   mutable conversions : int;   (* leaf representation changes *)
@@ -45,13 +48,14 @@ type stats = {
   mutable leaf_merges : int;
   mutable search_splits : int; (* expansion-state splits triggered by finds *)
 }
+[@@ei.single_domain]
 
 type t = {
   key_len : int;
   std_capacity : int;
   inner_capacity : int;
   load : int -> string;
-  mutable policy : Policy.t;
+  policy : Policy.t;
   tracker : Tracker.t;
   mutable root : node;
   mutable items : int;
@@ -59,6 +63,7 @@ type t = {
   mutable sweep_cursor : Leaf.t option;  (* cold-compaction scan position *)
   stats : stats;
 }
+[@@ei.single_domain]
 
 let inner_min t = t.inner_capacity / 2
 
@@ -106,8 +111,6 @@ let std_capacity t = t.std_capacity
 let memory_bytes t = Tracker.bytes t.tracker
 let compact_leaves t = t.compact_leaves
 let stats t = t.stats
-let policy t = t.policy
-let set_policy t p = t.policy <- p
 
 let view t : Policy.view =
   { bytes = Tracker.bytes t.tracker; compact_leaves = t.compact_leaves; items = t.items }
@@ -381,8 +384,6 @@ let find t key =
      | Some spec -> force_split_leaf t key spec
      | None -> ());
   result
-
-let mem t key = Option.is_some (find t key)
 
 (* Batched lookup: walk up to [group] keys through the tree in
    lockstep (see {!Interleave}), prefetching each cursor's next node a
@@ -818,6 +819,8 @@ type introspection = {
   compact_count : int;
   load : int -> string;
 }
+(* A snapshot the sanitizer takes and reads on the calling domain. *)
+[@@ei.single_domain]
 
 (* Snapshot the structure for an external validator: leaves with their
    separator-derived bounds and depths (by tree walk), the leaf chain

@@ -56,8 +56,6 @@ val find : t -> string -> int option
 (** Point lookup.  Under an elastic policy in the expanding state, a
     find reaching a compact leaf may split it (§4). *)
 
-val mem : t -> string -> bool
-
 val multi_find : ?group:int -> t -> string array -> int option array
 (** Batched point lookup: slot [i] of the result is [find t keys.(i)].
     Keys are walked through the tree in lockstep groups of [group]
@@ -98,8 +96,6 @@ val compact_leaves : t -> int
 (** Number of leaves currently in a compact representation. *)
 
 val stats : t -> stats
-val policy : t -> Policy.t
-val set_policy : t -> Policy.t -> unit
 
 val std_capacity : t -> int
 (** Standard-leaf capacity the tree was created with. *)

@@ -26,8 +26,10 @@ type t = {
   mutable deltas : delta list;  (* newest first *)
   mutable delta_count : int;
   mutable n : int;              (* live entries (base + deltas) *)
-  mutable consolidations : int;
 }
+(* A leaf belongs to one single-threaded tree ({!Btree}, through {!Leaf}), and so to
+   the one domain that owns that tree. *)
+[@@ei.single_domain]
 
 let create ?(consolidate_at = 8) ~key_len ~capacity () =
   {
@@ -38,14 +40,10 @@ let create ?(consolidate_at = 8) ~key_len ~capacity () =
     deltas = [];
     delta_count = 0;
     n = 0;
-    consolidations = 0;
   }
 
 let count t = t.n
 let capacity t = t.capacity
-let is_full t = t.n >= t.capacity
-let delta_count t = t.delta_count
-let consolidations t = t.consolidations
 
 (* Base nodes are consolidated exactly-sized (the Bw-tree allocates
    per-consolidation buffers, not fixed slotted pages); deltas cost a
@@ -72,7 +70,6 @@ let find t key =
 (* Fold the chain into a fresh, tightly-packed base. *)
 let consolidate t =
   if t.delta_count > 0 then begin
-    t.consolidations <- t.consolidations + 1;
     (* Oldest-first application; the newest decision per key wins, so
        apply newest-first with a "seen" set instead. *)
     let seen = Strtbl.create 16 in

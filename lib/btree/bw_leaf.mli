@@ -6,14 +6,10 @@
 
 type t
 
-val create : ?consolidate_at:int -> key_len:int -> capacity:int -> unit -> t
 val of_sorted : key_len:int -> capacity:int -> string array -> int array -> int -> t
 
 val count : t -> int
 val capacity : t -> int
-val is_full : t -> bool
-val delta_count : t -> int
-val consolidations : t -> int
 val memory_bytes : t -> int
 
 val find : t -> string -> int option
@@ -25,9 +21,6 @@ val key_at : t -> int -> string
 val tid_at : t -> int -> int
 val lower_bound : t -> string -> int
 val fold_from : t -> int -> ('a -> string -> int -> 'a) -> 'a -> 'a
-
-val consolidate : t -> unit
-(** Fold the delta chain into the base node. *)
 
 val split : t -> t
 val absorb : t -> t -> unit

@@ -19,19 +19,11 @@ val code : state -> int
 val shrink_at : int -> int
 (** [int_of_float (0.9 * bound)]: shrink at this many bytes or more. *)
 
-val expand_at : int -> int
-(** [int_of_float (0.75 * bound)]: expand at this many bytes or fewer. *)
-
 val step : state -> bound:int -> bytes:int -> compact:int -> state
-(** Edges: normal → shrinking, shrinking → expanding, expanding →
-    shrinking, and expanding → normal once [compact] (live compact
-    leaves) is 0. *)
-
-val initial_capacity : int
-(** 32: the first compact capacity (§6.1). *)
-
-val max_capacity : int
-(** 128: the compact capacity cap (§6.1). *)
+(** Edges: normal → shrinking at {!shrink_at}; shrinking → expanding
+    at [int_of_float (0.75 * bound)] bytes or fewer; expanding →
+    shrinking at {!shrink_at}, and expanding → normal once [compact]
+    (live compact leaves) is 0. *)
 
 val seq_levels : int
 (** 2: BlindiTree levels of a compact leaf (§6.1). *)
@@ -41,8 +33,8 @@ val breathing : int
 
 val lift : std:int -> int * int
 (** [(initial, max)] capacities of a tree whose standard leaves hold
-    [std] keys: [(initial_capacity, max_capacity)], raised to [(2 std,
-    max max_capacity (4 std))] when [initial_capacity <= std] (§4's
+    [std] keys: [(32, 128)] (§6.1's first compact capacity and cap),
+    raised to [(2 std, max 128 (4 std))] when [32 <= std] (§4's
     [2n]). *)
 
 val double : max_capacity:int -> int -> int option

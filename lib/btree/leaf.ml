@@ -23,6 +23,9 @@ type t = {
   mutable next : t option;
   mutable hits : int;  (* accesses since the last cold-sweep visit *)
 }
+(* A leaf belongs to one single-threaded tree ({!Btree}), and so to
+   the one domain that owns that tree. *)
+[@@ei.single_domain]
 
 type load = int -> string
 
@@ -34,17 +37,6 @@ let count t =
   | Pre l -> Prefix_leaf.count l
   | Str l -> Stringtrie.count l
   | Bw l -> Bw_leaf.count l
-
-let capacity t =
-  match t.repr with
-  | Std l -> Std_leaf.capacity l
-  | Seq l -> Seqtree.capacity l
-  | Sub l -> Subtrie.capacity l
-  | Pre l -> Prefix_leaf.capacity l
-  | Str l -> Stringtrie.capacity l
-  | Bw l -> Bw_leaf.capacity l
-
-let is_full t = count t >= capacity t
 
 (* Prefix leaves store keys internally: not "compact" in the paper's
    indirect-key sense. *)

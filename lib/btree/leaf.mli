@@ -16,12 +16,11 @@ type repr =
   | Bw of Bw_leaf.t                  (** delta-chained Bw-tree leaf *)
 
 type t = { mutable repr : repr; mutable next : t option; mutable hits : int }
+[@@ei.single_domain]
 
 type load = int -> string
 
 val count : t -> int
-val capacity : t -> int
-val is_full : t -> bool
 
 val is_compact : t -> bool
 (** Whether the representation stores keys indirectly. *)

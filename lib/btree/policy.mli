@@ -42,9 +42,6 @@ type t = {
   underflow_at : leaf_spec -> std_capacity:int -> count:int -> bool;
 }
 
-val std_underflow : leaf_spec -> std_capacity:int -> count:int -> bool
-(** Standard B+-tree rule: underflow below half capacity. *)
-
 val fixed : ?levels:int -> ?breathing:int -> leaf_spec -> t
 (** Every leaf has this spec; overflowing leaves split and nothing
     converts.  [fixed Spec_std] is the baseline STX B+-tree, [fixed

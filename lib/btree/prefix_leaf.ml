@@ -20,6 +20,9 @@ type t = {
   std : Std_leaf.t;
   mutable prefix_len : int;  (* shared-prefix length of the current keys *)
 }
+(* A leaf belongs to one single-threaded tree ({!Btree}, through {!Leaf}), and so to
+   the one domain that owns that tree. *)
+[@@ei.single_domain]
 
 let shared_prefix_len a b =
   let n = min (String.length a) (String.length b) in
@@ -35,15 +38,10 @@ let recompute t =
      else if n = 1 then String.length (Std_leaf.key_at t.std 0)
      else shared_prefix_len (Std_leaf.key_at t.std 0) (Std_leaf.key_at t.std (n - 1)))
 
-let create ~key_len ~capacity () =
-  { std = Std_leaf.create ~key_len ~capacity (); prefix_len = 0 }
-
 let count t = Std_leaf.count t.std
 let capacity t = Std_leaf.capacity t.std
-let is_full t = Std_leaf.is_full t.std
 let key_at t i = Std_leaf.key_at t.std i
 let tid_at t i = Std_leaf.tid_at t.std i
-let prefix_len t = t.prefix_len
 
 let memory_bytes t =
   let key_len =

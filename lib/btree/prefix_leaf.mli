@@ -5,16 +5,12 @@
 
 type t
 
-val create : key_len:int -> capacity:int -> unit -> t
 val of_sorted : key_len:int -> capacity:int -> string array -> int array -> int -> t
 
 val count : t -> int
 val capacity : t -> int
-val is_full : t -> bool
 val key_at : t -> int -> string
 val tid_at : t -> int -> int
-val prefix_len : t -> int
-(** Length of the currently shared prefix. *)
 
 val memory_bytes : t -> int
 

@@ -36,11 +36,6 @@ val key_at : t -> int -> string
 val tid_at : t -> int -> int
 val memory_bytes : t -> int
 
-type locate_result = Found of int | Pred of int
-
-val locate : t -> string -> locate_result
-(** Binary search with predecessor semantics. *)
-
 val find : t -> string -> int option
 val update : t -> string -> int -> bool
 

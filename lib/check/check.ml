@@ -573,13 +573,8 @@ let in_ctx f =
   f ctx;
   findings ctx
 
-let check_btree ?strict tree = in_ctx (fun ctx -> check_btree_ctx ?strict ctx tree)
-let check_elastic ?strict tree = in_ctx (fun ctx -> check_elastic_ctx ?strict ctx tree)
 let check_seqtree ~load seg =
   in_ctx (fun ctx -> check_seqtree_ctx ctx ~what:"seqtree" ~load seg)
-let check_skiplist sl = in_ctx (fun ctx -> check_skiplist_ctx ctx sl)
-let check_elastic_skiplist esl =
-  in_ctx (fun ctx -> check_elastic_skiplist_ctx ctx esl)
 let check_olc ?strict tree = in_ctx (fun ctx -> check_olc_ctx ?strict ctx tree)
 
 (* ------------------------------------------------------------------ *)

@@ -44,14 +44,8 @@ val run : ?strict:bool -> Ei_harness.Index_ops.t -> report
 
 (** Structure-specific entry points (each returns its findings). *)
 
-val check_btree : ?strict:bool -> Ei_btree.Btree.t -> finding list
-val check_elastic : ?strict:bool -> Ei_core.Elastic_btree.t -> finding list
-
 val check_seqtree :
   load:(int -> string) -> Ei_blindi.Seqtree.t -> finding list
-
-val check_skiplist : Ei_baselines.Skiplist.t -> finding list
-val check_elastic_skiplist : Ei_core.Elastic_skiplist.t -> finding list
 
 val check_olc : ?strict:bool -> Ei_olc.Btree_olc.t -> finding list
 (** BTreeOLC structure plus, for the elastic variant, the shared atomic

@@ -69,9 +69,7 @@ let insert t key tid =
 let remove t key = Btree.remove t.tree key
 let find t key = Btree.find t.tree key
 let update t key tid = Btree.update t.tree key tid
-let mem t key = Btree.mem t.tree key
 let fold_range t ~start ~n f acc = Btree.fold_range t.tree ~start ~n f acc
-let iter t f = Btree.iter t.tree f
 let count t = Btree.count t.tree
 let memory_bytes t = Btree.memory_bytes t.tree
 let compact_leaves t = Btree.compact_leaves t.tree

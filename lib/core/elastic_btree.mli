@@ -37,12 +37,9 @@ val insert : t -> string -> int -> bool
 val remove : t -> string -> bool
 val update : t -> string -> int -> bool
 val find : t -> string -> int option
-val mem : t -> string -> bool
 
 val fold_range : t -> start:string -> n:int -> ('a -> string -> int -> 'a) -> 'a -> 'a
 (** Ordered scan over up to [n] entries with keys [>= start]. *)
-
-val iter : t -> (string -> int -> unit) -> unit
 
 val count : t -> int
 val key_len : t -> int

@@ -235,8 +235,6 @@ let rec find t key =
   | Some _ | None -> ());
   result
 
-and mem t key = Option.is_some (find t key)
-
 (* --- structural edits ---------------------------------------------------- *)
 
 (* Unlink [node], whose per-level predecessors are in [update]. *)
@@ -540,17 +538,6 @@ let fold_range t ~start ~n f acc =
   in
   walk pred.forward.(0);
   !acc
-
-let iter t f =
-  let rec walk = function
-    | Some node ->
-      (match node.payload with
-      | Single s -> f s.key s.tid
-      | Segment seg -> Seqtree.iter (fun tid -> f (t.load tid) tid) seg);
-      walk node.forward.(0)
-    | None -> ()
-  in
-  walk t.head.forward.(0)
 
 (* --- invariants ------------------------------------------------------------------ *)
 

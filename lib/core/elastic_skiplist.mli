@@ -23,10 +23,8 @@ val insert : t -> string -> int -> bool
 val remove : t -> string -> bool
 val update_value : t -> string -> int -> bool
 val find : t -> string -> int option
-val mem : t -> string -> bool
 
 val fold_range : t -> start:string -> n:int -> ('a -> string -> int -> 'a) -> 'a -> 'a
-val iter : t -> (string -> int -> unit) -> unit
 
 val count : t -> int
 val key_len : t -> int

@@ -211,8 +211,6 @@ let fire s =
 let inject s = if fire s then raise (Injected s.name)
 
 let name s = s.name
-let calls s = s.calls
-let fired s = s.fired
 
 let stats () =
   Mutex.lock registry_lock;

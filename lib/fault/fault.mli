@@ -61,11 +61,6 @@ val inject : site -> unit
 (** [fire] and raise {!Injected} with the site name when it fires. *)
 
 val name : site -> string
-val calls : site -> int
-(** Draws at this site since the last {!configure}. *)
-
-val fired : site -> int
-(** Faults fired at this site since the last {!configure}. *)
 
 val stats : unit -> (string * int * int) list
 (** [(name, calls, fired)] for every site with traffic, sorted by name

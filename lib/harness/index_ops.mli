@@ -49,10 +49,6 @@ and t = {
 val no_size_bound : int -> unit
 (** The no-op [set_size_bound] for inelastic indexes. *)
 
-val multi_of_find : (string -> int option) -> string array -> int option array
-(** Fallback [multi_find] for backends without a group-descent path: a
-    plain [find] loop. *)
-
 val inject : site:Ei_fault.Fault.site -> t -> t
 (** [inject ~site ix] is [ix] whose point operations (insert / remove /
     update / find) first draw at the fault site and raise

@@ -27,5 +27,4 @@ type t = {
   name : string;
   on_work : work -> response;
   memory_bytes : unit -> int;    (* memory used by the plugin's index *)
-  data_bytes : unit -> int;      (* memory used by the stored rows *)
 }

@@ -88,7 +88,6 @@ let distinct_objects t ~start ~n =
          Ei_util.Strtbl.replace seen (String.sub key 8 8) ()));
   Ei_util.Strtbl.length seen
 
-let row_count t = t.cols.n
 let index_memory_bytes t = t.index.Index_ops.memory_bytes ()
 let data_bytes t = t.cols.n * Iotta.row_bytes
 let index_name t = t.index.Index_ops.name
@@ -112,5 +111,4 @@ let ado t =
         | Ado.Distinct_objects (start, n) ->
           Ado.Distinct (distinct_objects t ~start ~n));
     memory_bytes = (fun () -> index_memory_bytes t);
-    data_bytes = (fun () -> data_bytes t);
   }

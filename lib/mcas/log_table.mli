@@ -7,23 +7,9 @@
 
 type t
 
-val key_len : int
-(** 16 bytes: (timestamp, object id). *)
-
 val create :
   ?initial_capacity:int -> index_kind:Ei_harness.Registry.kind -> unit -> t
 
-val ingest : t -> Ei_workload.Iotta.row -> unit
-(** Append a row and index it.  Raises on duplicate key. *)
-
-val lookup : t -> string -> Ei_workload.Iotta.row option
-val scan : t -> start:string -> n:int -> int
-
-val distinct_objects : t -> start:string -> n:int -> int
-(** Monitoring query: distinct object ids among the next [n] entries,
-    computed from the index keys alone (§2's included-column query). *)
-
-val row_count : t -> int
 val index_memory_bytes : t -> int
 val data_bytes : t -> int
 val index_name : t -> string

@@ -1,25 +1,14 @@
 (* MCAS-like in-memory store: a partitioned architecture in which each
    partition's operations are handled by a single-threaded execution
-   engine [29].  Partitions hold a raw key-value pool plus optionally an
-   attached ADO plugin; clients address a partition and submit either
-   plain KV operations or ADO work requests.
+   engine [29].  Each partition optionally carries an attached ADO
+   plugin; clients address a partition and submit ADO work requests.
 
    This is the full-system substrate for §6.3: the end-to-end cost of an
-   operation includes the request dispatch and pool bookkeeping, which is
-   why index-level slowdowns translate into only small end-to-end
-   slowdowns (Fig 8). *)
+   operation includes the request dispatch, which is why index-level
+   slowdowns translate into only small end-to-end slowdowns (Fig 8). *)
 
-module Strtbl = Ei_util.Strtbl
-
-type partition = {
-  id : int;
-  pool : string Strtbl.t;
-  mutable ado : Ado.t option;
-  mutable kv_ops : int;
-  mutable ado_ops : int;
-}
-
-type t = { partitions : partition array; request_work : int; hash_seed : int }
+type partition = { mutable ado : Ado.t option }
+type t = { partitions : partition array; request_work : int }
 
 (* Per-request engine work: MCAS is network-attached, so every operation
    pays request (de)serialisation and engine dispatch before reaching the
@@ -38,49 +27,9 @@ let simulate_request_path rounds =
   done;
   ignore (Sys.opaque_identity !acc)
 
-let create ?(partitions = 1) ?(request_work = 2048) ?(hash_seed = 0x5143) () =
+let create ?(partitions = 1) ?(request_work = 2048) () =
   assert (partitions >= 1);
-  {
-    partitions =
-      Array.init partitions (fun id ->
-          { id; pool = Strtbl.create 1024; ado = None; kv_ops = 0; ado_ops = 0 });
-    request_work;
-    hash_seed;
-  }
-
-let partition_count t = Array.length t.partitions
-
-(* Partition routing: seeded FNV-1a over the key bytes.  Unlike
-   [Hashtbl.hash] — whose bounded-prefix fold collapses long
-   shared-prefix keys onto few partitions and whose output is
-   unspecified across compiler versions — this is deterministic,
-   reproducible, and sensitive to every key byte; the seed lets
-   deployments re-shuffle a pathological key set without code changes. *)
-let route t key = Ei_util.Fnv.hash ~seed:t.hash_seed key mod Array.length t.partitions
-
-(* --- Plain KV operations -------------------------------------------- *)
-
-let put t key value =
-  simulate_request_path t.request_work;
-  let p = t.partitions.(route t key) in
-  p.kv_ops <- p.kv_ops + 1;
-  Strtbl.replace p.pool key value
-
-let get t key =
-  simulate_request_path t.request_work;
-  let p = t.partitions.(route t key) in
-  p.kv_ops <- p.kv_ops + 1;
-  Strtbl.find_opt p.pool key
-
-let delete t key =
-  simulate_request_path t.request_work;
-  let p = t.partitions.(route t key) in
-  p.kv_ops <- p.kv_ops + 1;
-  let existed = Strtbl.mem p.pool key in
-  Strtbl.remove p.pool key;
-  existed
-
-(* --- ADO ------------------------------------------------------------- *)
+  { partitions = Array.init partitions (fun _ -> { ado = None }); request_work }
 
 let attach_ado t ~partition ado =
   let p = t.partitions.(partition) in
@@ -90,19 +39,11 @@ let attach_ado t ~partition ado =
 let invoke t ~partition work =
   simulate_request_path t.request_work;
   let p = t.partitions.(partition) in
-  p.ado_ops <- p.ado_ops + 1;
   match p.ado with
   | Some ado -> ado.Ado.on_work work
   | None -> invalid_arg "Store.invoke: no ADO attached"
 
-let ado_ops t ~partition = t.partitions.(partition).ado_ops
-
 let ado_memory_bytes t ~partition =
   match t.partitions.(partition).ado with
   | Some ado -> ado.Ado.memory_bytes ()
-  | None -> 0
-
-let ado_data_bytes t ~partition =
-  match t.partitions.(partition).ado with
-  | Some ado -> ado.Ado.data_bytes ()
   | None -> 0

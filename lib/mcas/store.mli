@@ -1,7 +1,7 @@
 (** MCAS-like in-memory store: a partitioned architecture where each
     partition's operations are handled by a single-threaded execution
-    engine.  Partitions hold a raw key-value pool and optionally an
-    attached {!Ado} plugin.
+    engine.  Each partition optionally carries an attached {!Ado}
+    plugin.
 
     Every operation pays a modelled request-processing cost (MCAS is
     network-attached), which is why index-level slowdowns translate to
@@ -10,17 +10,9 @@
 
 type t
 
-val create : ?partitions:int -> ?request_work:int -> ?hash_seed:int -> unit -> t
+val create : ?partitions:int -> ?request_work:int -> unit -> t
 (** [request_work] scales the modelled per-request engine cost
-    (checksum rounds; default 2048, ~2 microseconds).  [hash_seed]
-    seeds the FNV-1a partition-routing hash: routing is deterministic
-    for a given seed and every key byte contributes to it. *)
-
-val partition_count : t -> int
-
-val put : t -> string -> string -> unit
-val get : t -> string -> string option
-val delete : t -> string -> bool
+    (checksum rounds; default 2048, ~2 microseconds). *)
 
 val attach_ado : t -> partition:int -> Ado.t -> unit
 (** Attach an ADO plugin to a partition (at most one per partition). *)
@@ -28,6 +20,4 @@ val attach_ado : t -> partition:int -> Ado.t -> unit
 val invoke : t -> partition:int -> Ado.work -> Ado.response
 (** Submit a work request to the partition's ADO. *)
 
-val ado_ops : t -> partition:int -> int
 val ado_memory_bytes : t -> partition:int -> int
-val ado_data_bytes : t -> partition:int -> int

@@ -23,14 +23,12 @@ type 'a reader = {
   decode : string -> pos:int -> 'a Wire.progress;
   mutable pending : string;  (* undecoded tail, always less than one frame *)
   mutable err : string option;  (* a corrupt stream poisons the reader *)
-  mutable bytes_in : int;
 }
 [@@ei.single_domain]
 
-let reader ~decode = { decode; pending = ""; err = None; bytes_in = 0 }
+let reader ~decode = { decode; pending = ""; err = None }
 
 let reader_pending r = String.length r.pending
-let reader_bytes r = r.bytes_in
 let reader_error r = r.err
 
 let feed r ?(pos = 0) ?len chunk =
@@ -41,7 +39,6 @@ let feed r ?(pos = 0) ?len chunk =
     let len = match len with Some l -> l | None -> String.length chunk - pos in
     if pos < 0 || len < 0 || pos + len > String.length chunk then
       invalid_arg "Conn.feed: chunk range out of bounds";
-    r.bytes_in <- r.bytes_in + len;
     let s =
       if String.length r.pending = 0 then String.sub chunk pos len
       else r.pending ^ String.sub chunk pos len
@@ -68,15 +65,13 @@ let feed r ?(pos = 0) ?len chunk =
 type writer = {
   wbuf : Buffer.t;
   mutable woff : int;
-  mutable bytes_out : int;
 }
 [@@ei.single_domain]
 
-let writer () = { wbuf = Buffer.create 256; woff = 0; bytes_out = 0 }
+let writer () = { wbuf = Buffer.create 256; woff = 0 }
 
 let writer_push w s = Buffer.add_string w.wbuf s
 let writer_pending w = Buffer.length w.wbuf - w.woff
-let writer_bytes w = w.bytes_out
 
 let writer_take w ~max =
   Fault.point yp_take;
@@ -86,7 +81,6 @@ let writer_take w ~max =
   else begin
     let s = Buffer.sub w.wbuf w.woff n in
     w.woff <- w.woff + n;
-    w.bytes_out <- w.bytes_out + n;
     if w.woff = Buffer.length w.wbuf then begin
       Buffer.clear w.wbuf;
       w.woff <- 0

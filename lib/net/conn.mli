@@ -29,9 +29,6 @@ val feed : 'a reader -> ?pos:int -> ?len:int -> string -> ('a list, string) resu
 val reader_pending : 'a reader -> int
 (** Buffered undecoded bytes (always less than one full frame). *)
 
-val reader_bytes : 'a reader -> int
-(** Total bytes ever fed. *)
-
 val reader_error : 'a reader -> string option
 
 (** {1 Writer} *)
@@ -49,5 +46,3 @@ val writer_take : writer -> max:int -> string
     accepts fewer bytes than queued simply takes again. *)
 
 val writer_pending : writer -> int
-val writer_bytes : writer -> int
-(** Queued-but-untaken bytes; total bytes ever taken. *)

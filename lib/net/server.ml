@@ -87,7 +87,6 @@ let with_lock m f =
     raise e
 
 let addr t = t.bound
-let connections t = with_lock t.lock (fun () -> List.length t.conns)
 
 (* --- Per-connection handler ------------------------------------------- *)
 

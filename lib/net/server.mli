@@ -68,9 +68,6 @@ val stop : t -> unit
 val addr : t -> Unix.sockaddr
 (** The bound address (a TCP bind to port 0 reports the real port). *)
 
-val connections : t -> int
-(** Currently-open connections. *)
-
 val stats : unit -> int * int * int
 (** Process-wide [(requests, shed, protocol_errors)] counter values
     (0s unless {!Ei_obs.Metrics} is enabled). *)

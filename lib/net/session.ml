@@ -44,13 +44,10 @@ let create ?(window = 256) () =
     replied = 0;
   }
 
-let window t = t.window
 let queued t = Queue.length t.q
 let shed_count t = t.shed
 let replied_count t = t.replied
 let error t = Conn.reader_error t.reader
-let bytes_in t = Conn.reader_bytes t.reader
-let bytes_out t = Conn.writer_bytes t.writer
 
 let feed t ?pos ?len chunk =
   match Conn.feed t.reader ?pos ?len chunk with

@@ -42,10 +42,7 @@ val out_take : t -> max:int -> string
 val out_pending : t -> int
 (** Outgoing bytes, via {!Conn.writer_take} / {!Conn.writer_pending}. *)
 
-val window : t -> int
 val queued : t -> int
 val shed_count : t -> int
 val replied_count : t -> int
 val error : t -> string option
-val bytes_in : t -> int
-val bytes_out : t -> int

@@ -45,16 +45,6 @@ type 'a progress = 'a Envelope.progress =
 let op_key = function
   | Insert k | Remove k | Update k | Find k | Scan (k, _) -> k
 
-let hex = Ei_util.Key.to_hex
-
-let describe_request { id; op } =
-  match op with
-  | Insert k -> Printf.sprintf "%d insert %s" id (hex k)
-  | Remove k -> Printf.sprintf "%d remove %s" id (hex k)
-  | Update k -> Printf.sprintf "%d update %s" id (hex k)
-  | Find k -> Printf.sprintf "%d find %s" id (hex k)
-  | Scan (k, n) -> Printf.sprintf "%d scan %s n=%d" id (hex k) n
-
 let describe_reply { rid; status } =
   match status with
   | Applied r -> Printf.sprintf "%d applied %d" rid r

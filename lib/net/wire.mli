@@ -52,16 +52,14 @@ type 'a progress = 'a Ei_wal.Envelope.progress =
 
 val op_key : op -> string
 
-val describe_request : request -> string
 val describe_reply : reply -> string
-(** One-line renderings for diagnostics and test oracles. *)
+(** A one-line rendering for diagnostics and test oracles. *)
 
 val encode_request_into : Buffer.t -> request -> unit
 val encode_request : request -> string
 (** Raise [Invalid_argument] on a negative id, a key longer than
     65535 bytes, or a scan count outside [u32]. *)
 
-val encode_reply_into : Buffer.t -> reply -> unit
 val encode_reply : reply -> string
 
 val decode_request : string -> pos:int -> request progress

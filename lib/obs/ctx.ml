@@ -16,8 +16,6 @@
 
 type t = { trace : int; span : int; parent : int }
 
-let none = { trace = 0; span = 0; parent = 0 }
-
 (* Ids are process-global so a span id never collides across domains;
    0 is reserved for "no context". *)
 let next = Atomic.make 1

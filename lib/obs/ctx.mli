@@ -14,8 +14,6 @@
 
 type t = { trace : int; span : int; parent : int }
 
-val none : t
-
 val mint : unit -> t
 (** A fresh root context: new trace id, [span = trace], no parent. *)
 

@@ -57,7 +57,7 @@ let counter_value c = sum_cells c.ccells
 
 (* --- Gauges ----------------------------------------------------------- *)
 
-type gauge = { gname : string; gcell : int Atomic.t }
+type gauge = { gcell : int Atomic.t }
 
 let set_gauge g v = if Atomic.get on then Atomic.set g.gcell v
 
@@ -72,7 +72,6 @@ let gauge_value g = Atomic.get g.gcell
 let buckets = 63
 
 type histogram = {
-  hname : string;
   hcounts : int Atomic.t array;  (* shards * buckets, row per shard *)
   hsums : int Atomic.t array;    (* per-shard value sums *)
   hmins : int Atomic.t array;    (* per-shard min watermark; max_int = none *)
@@ -225,12 +224,11 @@ let counter name =
       { cname = name; ccells = Array.init shards (fun _ -> Atomic.make 0) })
 
 let gauge name =
-  intern gauges name (fun () -> { gname = name; gcell = Atomic.make 0 })
+  intern gauges name (fun () -> { gcell = Atomic.make 0 })
 
 let histogram name =
   intern histograms name (fun () ->
       {
-        hname = name;
         hcounts = Array.init (shards * buckets) (fun _ -> Atomic.make 0);
         hsums = Array.init shards (fun _ -> Atomic.make 0);
         hmins = Array.init shards (fun _ -> Atomic.make max_int);
@@ -322,7 +320,6 @@ let gauges_list () =
 
 let histograms_list () = with_lock (fun () -> sorted_bindings histograms)
 
-let histogram_name h = h.hname
 let histogram_buckets h = merged h
 
 (* Prometheus metric names allow [a-zA-Z0-9_:]; dotted registry names

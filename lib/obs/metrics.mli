@@ -38,8 +38,6 @@ val add_gauge : gauge -> int -> unit
 (** Atomically add a (possibly negative) delta — for level gauges
     moved by concurrent writers, e.g. open-connection counts. *)
 
-val gauge_value : gauge -> int
-
 (** {1 Histograms} *)
 
 type histogram
@@ -110,7 +108,6 @@ val dump_json : unit -> string
 val counters_list : unit -> (string * int) list
 val gauges_list : unit -> (string * int) list
 val histograms_list : unit -> (string * histogram) list
-val histogram_name : histogram -> string
 
 val histogram_buckets : histogram -> int array
 (** A fresh merged copy of the per-domain bucket rows. *)

@@ -25,7 +25,6 @@ module Strtbl = Ei_util.Strtbl
 
 let on = Atomic.make false
 let set_enabled b = Atomic.set on b
-let enabled () = Atomic.get on
 
 type hist_frame = {
   hf_count : int;  (* samples in this window *)
@@ -60,12 +59,6 @@ let with_lock f =
   let r = try f () with e -> Mutex.unlock lock; raise e in
   Mutex.unlock lock;
   r
-
-let set_capacity n =
-  if n < 4 then Invariant.brokenf "Timeline: frame capacity %d too small" n;
-  with_lock (fun () ->
-      frames_ring := Array.make n None;
-      next_seq := 0)
 
 let reset () =
   with_lock (fun () ->

@@ -13,12 +13,6 @@
 val set_enabled : bool -> unit
 (** Master switch; off by default.  {!capture} is a no-op when off. *)
 
-val enabled : unit -> bool
-
-val set_capacity : int -> unit
-(** Frames retained (oldest evicted); resets the ring.  Min 4,
-    default 256. *)
-
 (** {1 Frames} *)
 
 type hist_frame = {

@@ -624,8 +624,6 @@ let find t key =
       in
       go node nv)
 
-let mem t key = Option.is_some (find t key)
-
 (* Batched lookups: walk up to [group] keys through the tree in
    lockstep ({!Ei_btree.Interleave}), one descent step per cursor per
    round, prefetching each child node before touching its version

@@ -67,7 +67,6 @@ val update : t -> string -> int -> bool
     key is absent. *)
 
 val find : t -> string -> int option
-val mem : t -> string -> bool
 
 val multi_find : ?group:int -> t -> string array -> int option array
 (** Batched point lookup: slot [i] is [find t keys.(i)].  Walks up to

@@ -166,12 +166,6 @@ let close t =
   Condition.broadcast t.not_full;
   Mutex.unlock t.lock
 
-let is_closed t =
-  Mutex.lock t.lock;
-  let c = t.closed in
-  Mutex.unlock t.lock;
-  c
-
 let length t =
   Mutex.lock t.lock;
   let n = t.len in

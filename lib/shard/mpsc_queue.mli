@@ -45,7 +45,5 @@ val close : 'a t -> unit
 (** Reject future pushes and wake all waiters (blocked pushes raise
     {!Closed}); queued elements remain poppable. *)
 
-val is_closed : 'a t -> bool
-
 val length : 'a t -> int
 (** Current number of queued elements (racy under concurrency). *)

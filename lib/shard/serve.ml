@@ -965,7 +965,6 @@ let stop t =
       | None -> ())
     t.shards
 
-let router t = t.router
 let shard_sizes t = Array.map Atomic.get t.sizes
 let batches t = Atomic.get t.batches
 let rebalances t = Atomic.get t.rebalances
@@ -978,9 +977,6 @@ let recovery_log t =
   let l = List.rev t.log in
   Mutex.unlock t.log_lock;
   List.map (fun r -> (r.r_shard, r.r_cause, r.r_rows)) l
-
-let quarantined t =
-  Array.map (fun st -> Atomic.get st.status = st_quarantined) t.shards
 
 (* Running, with no current-generation failure awaiting recovery.  A
    stale-generation park (an abandoned zombie dying late) does not
@@ -1271,59 +1267,3 @@ let exec ?collect ?timeout_s ?(barrier = false) t (ops : op array) =
     end
   end;
   outcomes
-
-(* --- The serving layer as a uniform index ---------------------------- *)
-
-let index_ops ?(name = "served") t =
-  let one ?collect op = (exec ?collect t [| op |]).(0) in
-  let parts = Shard.parts t.router in
-  let applied = function Applied r -> r = 1 | Rejected | Timed_out -> false in
-  let found = function
-    | Applied tid when tid >= 0 -> Some tid
-    | Applied _ | Rejected | Timed_out -> None
-  in
-  let scanned = function Applied c -> c | Rejected | Timed_out -> 0 in
-  {
-    Index_ops.name;
-    backend = Index_ops.B_composite parts;
-    key_len = Shard.key_len t.router;
-    insert = (fun k tid -> applied (one (Insert (k, tid))));
-    remove = (fun k -> applied (one (Remove k)));
-    update = (fun k tid -> applied (one (Update (k, tid))));
-    find = (fun k -> found (one (Find k)));
-    multi_find =
-      (* one exec round: [run_round] buckets the reads per shard, and
-         each shard domain answers its sub-batch through the grouped
-         descent path of [shard_apply] *)
-      (fun keys ->
-        let ops = Arr.map ~fill:(Find "") (fun k -> Find k) keys in
-        Arr.map ~fill:None found (exec t ops));
-    scan = (fun start n -> scanned (one (Scan (start, n))));
-    scan_keys =
-      (fun start n visit -> scanned (one ~collect:visit (Scan (start, n))));
-    memory_bytes =
-      (* published sizes: safe to read while shard domains run *)
-      (fun () -> Array.fold_left ( + ) 0 (shard_sizes t));
-    count =
-      (* full per-part counts; quiesce mutators first (as with any
-         single-index [count] on a concurrent tree) *)
-      (fun () -> Array.fold_left (fun a p -> a + p.Index_ops.count ()) 0 parts);
-    set_size_bound =
-      (* even split through the queues; the periodic coordinator's
-         demand-weighted split supersedes it at the next interval *)
-      (fun bound ->
-        let per = max 1 (bound / Array.length t.shards) in
-        Array.iter
-          (fun st ->
-            match
-              Mpsc_queue.push ~inject:false (Atomic.get st.queue)
-                (Set_bound per)
-            with
-            | () -> ()
-            | exception Mpsc_queue.Closed -> ())
-          t.shards);
-    info =
-      (fun () ->
-        Printf.sprintf "%d shards, %d batches, %d rebalances, %d recoveries"
-          (Array.length parts) (batches t) (rebalances t) (recoveries t));
-  }

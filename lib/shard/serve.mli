@@ -6,8 +6,7 @@
     any sequential registry index domain-safe behind its queue.
     Clients submit operation batches with {!exec} — partitioned by
     shard, applied in parallel, scans continuing across shards in
-    follow-up rounds — or use the blocking single-op facade
-    {!index_ops}.
+    follow-up rounds.
 
     The coordinator (optional) periodically re-splits one global soft
     size bound across the shards from their published sizes — the
@@ -177,13 +176,6 @@ val exec :
     draw happens in the same fleet state on every equal-seed run.  The
     deterministic chaos soak submits with [barrier:true]. *)
 
-val index_ops : ?name:string -> t -> Ei_harness.Index_ops.t
-(** Blocking single-op facade over {!exec} ([backend = B_composite]).
-    Rejected / timed-out ops surface as failures ([false] / [None] /
-    0).  [memory_bytes] sums the published shard sizes (safe under
-    concurrency); [count] walks the parts (quiesce mutators first). *)
-
-val router : t -> Shard.t
 val shard_sizes : t -> int array
 (** Per-shard sizes as last published by the shard domains. *)
 
@@ -205,10 +197,6 @@ val wal_recoveries : t -> (int * Ei_wal.Wal.recovery) list
 (** Per-shard start-time WAL recovery reports ([[]] without a WAL):
     checkpoint loaded, records replayed, torn tails truncated, clean
     marker seen. *)
-
-val quarantined : t -> bool array
-(** Per-shard quarantine flags (racy snapshot: a shard may be
-    re-admitted concurrently). *)
 
 val healthy : t -> bool
 (** No shard is quarantined and no failure is awaiting recovery.  A

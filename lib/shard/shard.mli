@@ -1,11 +1,7 @@
 (** Range-partitioned shard router: N {!Ei_harness.Index_ops.t}
-    instances (any registry kind) behind one [Index_ops.t].
-
-    Point operations route to the owning shard ({!Shard_map}), scans
-    continue into successive shards with the same start key (the
-    partition is monotone in key order), aggregates sum over the parts.
-    The router adds no synchronisation — see {!Serve} for the
-    domain-per-shard executor. *)
+    instances (any registry kind) and the key-to-part map
+    ({!Shard_map}).  The router adds no synchronisation — see {!Serve}
+    for the domain-per-shard executor. *)
 
 type t
 
@@ -15,18 +11,7 @@ val create : Ei_harness.Index_ops.t array -> t
 
 val shard_count : t -> int
 val parts : t -> Ei_harness.Index_ops.t array
-val key_len : t -> int
 
 val shard_of_key : t -> string -> int
-val part_for : t -> string -> Ei_harness.Index_ops.t
 
-val memory_bytes : t -> int
 val count : t -> int
-
-val set_size_bound : t -> int -> unit
-(** Split a global bound evenly across the parts (static fallback; the
-    {!Serve} coordinator's demand-weighted split supersedes this). *)
-
-val index_ops : ?name:string -> t -> Ei_harness.Index_ops.t
-(** The router as a uniform index ([backend = B_composite]); single
-    domain — {!Ei_check.Check.run} recurses into every part. *)

@@ -12,15 +12,11 @@
    skewed prefixes make hot shards, which is exactly the imbalance the
    elastic memory coordinator compensates for. *)
 
-type t = { key_len : int; shards : int }
+type t = { shards : int }
 
-let create ~key_len ~shards =
-  assert (key_len >= 0);
+let create ~shards =
   assert (shards >= 1 && shards <= 65536);
-  { key_len; shards }
-
-let key_len t = t.key_len
-let shards t = t.shards
+  { shards }
 
 let prefix16 key =
   match String.length key with

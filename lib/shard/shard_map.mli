@@ -7,11 +7,8 @@
 
 type t
 
-val create : key_len:int -> shards:int -> t
-(** Requires [0 <= key_len], [1 <= shards <= 65536]. *)
-
-val key_len : t -> int
-val shards : t -> int
+val create : shards:int -> t
+(** Requires [1 <= shards <= 65536]. *)
 
 val shard_of_key : t -> string -> int
 (** The owning shard, in [0, shards); monotone in key order. *)

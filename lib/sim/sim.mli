@@ -45,9 +45,6 @@ val run_tape : ?slack:float -> ?check_mem:bool -> subject -> Tape.t -> trace
 
 type divergence = { d_index : int; d_a : string; d_b : string }
 
-val diff_traces : trace -> trace -> divergence option
-(** First differing entry (or length mismatch). *)
-
 val diff_pair :
   ?slack:float ->
   ?check_mem:bool ->
@@ -74,7 +71,6 @@ val pp_divergence : a:string -> b:string -> divergence -> string
 
 (** {2 Scenario registry (fiber engine)} *)
 
-val register_scenario : string -> (unit -> Sched.scenario) -> unit
 val scenario : string -> (unit -> Sched.scenario) option
 val scenario_names : unit -> string list
 (** Built-ins: ["lost-update"] (planted race, the explorer self-test),
@@ -137,13 +133,6 @@ type artifact =
     }
   | A_serve of { seed : int; shards : int; scale : float; error : string }
 
-val artifact_to_json : artifact -> Ei_util.Mini_json.t
-val artifact_of_json : Ei_util.Mini_json.t -> (artifact, string) result
 val write_artifact : path:string -> artifact -> unit
-val read_artifact : path:string -> (artifact, string) result
-
-val replay_artifact : artifact -> (bool * string, string) result
-(** [Ok (reproduced, message)]; [Error] when the artifact names an
-    unknown subject or scenario. *)
 
 val replay_file : path:string -> (bool * string, string) result

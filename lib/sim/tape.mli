@@ -58,8 +58,5 @@ val faulty_gen : ?pool:int -> ops:int -> unit -> gen
 val generate : ?key_len:int -> seed:int -> gen -> t
 (** Derive a tape: pure in [(seed, g)]. *)
 
-val op_to_string : op -> string
-val op_of_string : string -> (op, string) result
-
 val to_json : t -> Ei_util.Mini_json.t
 val of_json : Ei_util.Mini_json.t -> (t, string) result

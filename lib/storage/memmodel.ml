@@ -119,18 +119,9 @@ let hot_node_header = 8
 let hot_node_bytes ~entries ~discriminating_bits =
   hot_node_header + discriminating_bits + entries + (entries * word)
 
-(* Binary Patricia trie inner node: discriminating bit position plus two
-   child words. *)
-let patricia_node_bytes = node_header + 2 + (2 * word)
-
 (* Skip list node of a given tower height: key bytes, value word and
    [height] forward pointers. *)
 let skiplist_node_bytes ~key_len ~height =
   node_header + key_len + word + (height * word)
 
-(* ART node sizes (Leis et al.): header of 16 B plus the per-type arrays. *)
-let art_node4_bytes = node_header + 4 + (4 * word)
-let art_node16_bytes = node_header + 16 + (16 * word)
-let art_node48_bytes = node_header + 256 + (48 * word)
-let art_node256_bytes = node_header + (256 * word)
 let art_leaf_bytes ~key_len = node_header + key_len + word

@@ -54,16 +54,9 @@ val stringtrie_bytes : capacity:int -> key_len:int -> int
 (** String B-Trie compact leaf: per-node bit plus two child pointers
     (~3 B/key, §5.1). *)
 
-val hot_node_header : int
-
 val hot_node_bytes : entries:int -> discriminating_bits:int -> int
 (** HOT-substitute trie node, calibrated to HOT's reported space. *)
 
-val patricia_node_bytes : int
 val skiplist_node_bytes : key_len:int -> height:int -> int
 
-val art_node4_bytes : int
-val art_node16_bytes : int
-val art_node48_bytes : int
-val art_node256_bytes : int
 val art_leaf_bytes : key_len:int -> int

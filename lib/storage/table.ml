@@ -84,7 +84,3 @@ let restore_row t ~tid ~key =
   done;
   set_key t tid key;
   if tid >= t.n then t.n <- tid + 1
-
-(* Size of the row data itself (excluding any index), for the dataset-size
-   baselines of §6.3: row payloads are fixed-size. *)
-let data_bytes ?(row_bytes = 0) t = t.n * (t.key_len + row_bytes)

@@ -46,6 +46,3 @@ val restore_row : t -> tid:int -> key:string -> unit
     where the matching {!append}s never ran.  Grows the table as
     needed; intervening gap rows keep a key of zero bytes.
     Single-writer, like {!append}. *)
-
-val data_bytes : ?row_bytes:int -> t -> int
-(** Size of the stored row data: [n * (key_len + row_bytes)]. *)

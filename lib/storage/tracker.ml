@@ -5,21 +5,14 @@
    operation.  Tests cross-check the tracked total against a
    recomputed-from-scratch sum over all live nodes. *)
 
-type t = { mutable bytes : int; mutable high_water : int }
+type t = { mutable bytes : int }
 
-let create () = { bytes = 0; high_water = 0 }
-
-let add t n =
-  t.bytes <- t.bytes + n;
-  if t.bytes > t.high_water then t.high_water <- t.bytes
+let create () = { bytes = 0 }
+let add t n = t.bytes <- t.bytes + n
 
 let sub t n =
   t.bytes <- t.bytes - n;
   assert (t.bytes >= 0)
 
 let bytes t = t.bytes
-let high_water t = t.high_water
-
-let reset t =
-  t.bytes <- 0;
-  t.high_water <- 0
+let reset t = t.bytes <- 0

@@ -9,5 +9,4 @@ val create : unit -> t
 val add : t -> int -> unit
 val sub : t -> int -> unit
 val bytes : t -> int
-val high_water : t -> int
 val reset : t -> unit

@@ -6,9 +6,5 @@
     decisions (partition routing, bucket placement) stay deterministic
     and reproducible. *)
 
-val hash64 : ?seed:int -> string -> int64
-(** 64-bit FNV-1a of the string, with the seed bytes folded in first.
-    [seed] defaults to 0 (plain FNV-1a). *)
-
 val hash : ?seed:int -> string -> int
 (** [hash64] truncated to a non-negative OCaml [int]. *)

@@ -11,10 +11,6 @@ type t = string
 
 let compare = String.compare
 let equal = String.equal
-let length = String.length
-
-let of_string s = s
-let to_string k = k
 
 let of_int64 v =
   let b = Bytes.create 8 in
@@ -37,8 +33,6 @@ let of_int_pair hi lo =
   Bytes.set_int64_be b 0 (Int64.of_int hi);
   Bytes.set_int64_be b 8 (Int64.of_int lo);
   Bytes.unsafe_to_string b
-
-let bits k = 8 * String.length k
 
 (* Bit [i] of the key, MSB of byte 0 being bit 0. *)
 let bit k i =
@@ -173,8 +167,6 @@ let to_hex k =
 let of_hex s =
   String.init (String.length s / 2) (fun i ->
       Char.chr (int_of_string ("0x" ^ String.sub s (2 * i) 2)))
-
-let pp ppf k = Fmt.string ppf (to_hex k)
 
 (* Random key of [len] bytes. *)
 let random rng len =

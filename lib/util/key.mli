@@ -31,15 +31,9 @@ val sort_prefix : t -> int
     prefix-equal pairs need the full comparison. *)
 
 val equal : t -> t -> bool
-val length : t -> int
-
-val of_string : string -> t
-val to_string : t -> string
 
 val of_int64 : int64 -> t
 (** 8-byte big-endian encoding. *)
-
-val to_int64 : t -> int64
 
 val of_int : int -> t
 (** 8-byte big-endian encoding of a non-negative int. *)
@@ -48,9 +42,6 @@ val to_int : t -> int
 
 val of_int_pair : int -> int -> t
 (** [of_int_pair hi lo] is a 16-byte composite key, [hi] ordered first. *)
-
-val bits : t -> int
-(** Number of bits in the key. *)
 
 val bit : t -> int -> int
 (** [bit k i] is bit [i] of [k] (0 or 1), MSB-first. *)
@@ -64,8 +55,6 @@ val to_hex : t -> string
 
 val of_hex : string -> t
 (** Inverse of {!to_hex}.  Raises [Failure] on a non-hex digit. *)
-
-val pp : Format.formatter -> t -> unit
 
 val random : Rng.t -> int -> t
 (** [random rng len] is a uniformly random key of [len] bytes. *)

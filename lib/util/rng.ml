@@ -42,8 +42,6 @@ let shuffle t a =
     a.(j) <- tmp
   done
 
-let split t = create (Int64.to_int (next_int64 t))
-
 (* The [i]-th independent stream derived from [seed]: place a generator
    at state [seed + i * golden_gamma] (stream offsets a whole gamma
    apart) and seed a fresh generator from its first output, so streams

@@ -11,9 +11,6 @@ val create : int -> t
 val copy : t -> t
 (** Independent copy with the same state. *)
 
-val next_int64 : t -> int64
-(** Next raw 64-bit output. *)
-
 val next_int : t -> int
 (** Uniform non-negative int over [0, 2{^62}). *)
 
@@ -27,9 +24,6 @@ val bool : t -> bool
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
-
-val split : t -> t
-(** A new generator seeded from this one. *)
 
 val stream : int -> int -> t
 (** [stream seed i] is the [i]-th independent generator derived from

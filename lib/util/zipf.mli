@@ -5,9 +5,6 @@
 
 type t
 
-val default_theta : float
-(** YCSB's default skew, 0.99. *)
-
 val create : ?theta:float -> ?scramble:bool -> int -> t
 
 val next : t -> Rng.t -> int

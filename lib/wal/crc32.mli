@@ -8,5 +8,3 @@
 val string : ?pos:int -> ?len:int -> string -> int
 (** CRC-32 of [len] bytes of [s] starting at [pos] (defaults: the whole
     string).  The result is in [\[0, 2{^32})]. *)
-
-val bytes : ?pos:int -> ?len:int -> Bytes.t -> int

@@ -18,16 +18,6 @@ let lsn = function
     ->
     lsn
 
-let hex = Ei_util.Key.to_hex
-
-let describe = function
-  | Insert { lsn; key; tid } ->
-    Printf.sprintf "%d insert %s tid=%d" lsn (hex key) tid
-  | Remove { lsn; key } -> Printf.sprintf "%d remove %s" lsn (hex key)
-  | Update { lsn; key; tid } ->
-    Printf.sprintf "%d update %s tid=%d" lsn (hex key) tid
-  | Bound { lsn; bound } -> Printf.sprintf "%d bound %d" lsn bound
-
 (* The smallest payload is tag + lsn; the largest is tag + lsn +
    key_len + key + tid. *)
 let min_payload = 1 + 8
@@ -57,15 +47,10 @@ let encode_payload buf r =
     Envelope.add_i64 buf bound
 
 let encode_into buf r =
-  if lsn r < 0 then invalid_arg "Frame.encode: negative lsn";
+  if lsn r < 0 then invalid_arg "Frame.encode_into: negative lsn";
   let payload = Buffer.create 32 in
   encode_payload payload r;
   Envelope.add buf (Buffer.contents payload)
-
-let encode r =
-  let buf = Buffer.create 48 in
-  encode_into buf r;
-  Buffer.contents buf
 
 (* --- Decoding -------------------------------------------------------- *)
 

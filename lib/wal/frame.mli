@@ -16,25 +16,15 @@ type record =
 
 val lsn : record -> int
 
-val describe : record -> string
-(** One human-readable line (hex keys): the record printer of the
-    codec tests' qcheck and adversarial cases. *)
-
-val encode : record -> string
-(** A complete frame.  Raises [Invalid_argument] on a negative LSN or
-    a key longer than 65535 bytes (never produced by the writer). *)
-
 val encode_into : Buffer.t -> record -> unit
-
-val decode : string -> pos:int -> (record * int, string) result
-(** [decode s ~pos] reads one frame starting at [pos] and returns the
-    record plus the position one past it.  Any malformation — short
-    header, implausible length, truncated payload, CRC mismatch,
-    unknown tag, payload size disagreement — is [Error]; the function
-    never raises on any input. *)
+(** Append one complete frame.  Raises [Invalid_argument] on a
+    negative LSN or a key longer than 65535 bytes (never produced by
+    the writer). *)
 
 val decode_all : string -> record list * (int * string) option
 (** Decode frames from position 0 until the end of the string or the
     first malformed frame; returns the good prefix and, if decoding
     stopped early, the byte offset and reason — the torn-tail
-    truncation point. *)
+    truncation point.  Any malformation — short header, implausible
+    length, truncated payload, CRC mismatch, unknown tag, payload size
+    disagreement — stops it; it never raises on any input. *)

@@ -15,11 +15,9 @@ module Key = Ei_util.Key
 
 type row = { ts : int; op : int; obj : int; size : int }
 
-(* REST operation types observed in object-store logs. *)
-let op_types = [| "GET"; "PUT"; "HEAD"; "DELETE"; "LIST"; "COPY" |]
+(* Weights of the REST operation types observed in object-store logs,
+   by code: GET, PUT, HEAD, DELETE, LIST, COPY. *)
 let op_weights = [| 55; 25; 10; 5; 3; 2 |]
-
-let op_name i = op_types.(i)
 
 let pick_op rng =
   let total = Array.fold_left ( + ) 0 op_weights in

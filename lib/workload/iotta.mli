@@ -8,9 +8,8 @@
     categorical with GETs dominating; sizes are heavy-tailed. *)
 
 type row = { ts : int; op : int; obj : int; size : int }
-
-val op_name : int -> string
-(** Name of a request-type code ("GET", "PUT", ...). *)
+(** [op] is a request-type code: 0 GET, 1 PUT, 2 HEAD, 3 DELETE,
+    4 LIST, 5 COPY. *)
 
 val generate : ?seed:int -> rows:int -> objects:int -> unit -> row array
 (** Deterministic trace of [rows] rows over [objects] distinct objects. *)

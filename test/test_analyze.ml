@@ -4,19 +4,24 @@
    library, so their .cmt typedtrees sit in the build tree next to this
    test; the analyzer must fire on every planted violation at its exact
    file:line:col, and stay silent on the clean fixture and on every
-   deliberately-annotated declaration inside the others.  The baseline
-   machinery is exercised separately: a matching entry suppresses its
-   finding, a stale entry is reported as unused. *)
+   deliberately-annotated declaration inside the others.  The export
+   rules run over the fix_export* interfaces with fix_export_test.ml as
+   the only test-side unit.  The baseline machinery is exercised
+   separately: a matching entry suppresses its finding, a stale entry
+   is reported as unused. *)
 
 let fixture_dir = "fixtures_analyze/.analyze_fixtures.objs/byte"
 
-let fixture_cmts () =
+let fixture_files suffix =
   if not (Sys.file_exists fixture_dir) then
     Alcotest.failf "fixture cmts not found at %s (cwd %s)" fixture_dir
       (Sys.getcwd ());
   Sys.readdir fixture_dir |> Array.to_list
-  |> List.filter (fun f -> Filename.check_suffix f ".cmt")
+  |> List.filter (fun f -> Filename.check_suffix f suffix)
+  |> List.sort String.compare
   |> List.map (Filename.concat fixture_dir)
+
+let fixture_cmts () = fixture_files ".cmt"
 
 let result = lazy (Analyze_rules.analyze_cmts (fixture_cmts ()))
 
@@ -130,6 +135,65 @@ let test_version_words () =
 
 let test_clean () = check_firing ~file:"fix_clean.ml" []
 
+(* --- rule 5: exports without a caller ---------------------------------- *)
+
+let export_findings =
+  lazy
+    (let is_test f =
+       String.ends_with ~suffix:"__Fix_export_test.cmt" (Filename.basename f)
+     in
+     let test, prod = List.partition is_test (fixture_cmts ()) in
+     Analyze_rules.dead_exports ~interfaces:(fixture_files ".cmti") ~prod ~test)
+
+let test_exports () =
+  let got =
+    List.map
+      (fun (f : Analyze_rules.finding) ->
+        ( Filename.basename f.diag.Report.file,
+          f.diag.Report.line,
+          f.diag.Report.col,
+          f.diag.Report.rule,
+          f.slug ))
+      (Lazy.force export_findings)
+  in
+  (* Silent on the values reached through a module alias and an open
+     (fix_export.mli), as a functor argument (fix_export_arg.mli) and
+     as a first-class module (fix_export_packed.mli). *)
+  let expected =
+    [
+      ("fix_export.mli", 3, 0, "dead-export", "unused");
+      ("fix_export.mli", 4, 0, "test-only-export", "test_only");
+    ]
+  in
+  let show l =
+    String.concat "; "
+      (List.map
+         (fun (f, l, c, r, s) -> Printf.sprintf "%s:%d:%d %s %s" f l c r s)
+         l)
+  in
+  if List.sort compare got <> expected then
+    Alcotest.failf "expected [%s], got [%s]" (show expected) (show got)
+
+let test_export_baseline () =
+  let findings = Lazy.force export_findings in
+  let dead =
+    List.filter
+      (fun (f : Analyze_rules.finding) ->
+        String.equal f.diag.Report.rule "dead-export")
+      findings
+  in
+  let baseline = List.map Analyze_rules.finding_key dead in
+  Alcotest.(check (list string))
+    "key" [ "dead-export test/fixtures_analyze/fix_export.mli unused" ] baseline;
+  let remaining, suppressed, unused =
+    Analyze_rules.apply_baseline ~baseline findings
+  in
+  Alcotest.(check int) "suppressed" 1 suppressed;
+  Alcotest.(check (list string)) "unused" [] unused;
+  Alcotest.(check (list string))
+    "remaining" [ "test-only-export" ]
+    (List.map (fun (f : Analyze_rules.finding) -> f.diag.Report.rule) remaining)
+
 (* --- baseline ---------------------------------------------------------- *)
 
 let test_baseline () =
@@ -183,8 +247,14 @@ let () =
           Alcotest.test_case "version words: stubs only" `Quick
             test_version_words;
           Alcotest.test_case "clean fixture is silent" `Quick test_clean;
+          Alcotest.test_case "rule 5: exports without a caller" `Quick
+            test_exports;
         ] );
       ( "baseline",
-        [ Alcotest.test_case "suppress and stale entries" `Quick test_baseline ]
+        [
+          Alcotest.test_case "suppress and stale entries" `Quick test_baseline;
+          Alcotest.test_case "suppress an export finding" `Quick
+            test_export_baseline;
+        ]
       );
     ]

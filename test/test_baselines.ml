@@ -26,7 +26,6 @@ module type INDEX = sig
   val find : t -> string -> int option
   val count : t -> int
   val fold_range : t -> start:string -> n:int -> ('a -> string -> int -> 'a) -> 'a -> 'a
-  val iter : t -> (string -> int -> unit) -> unit
   val check_invariants : t -> unit
 end
 
@@ -83,44 +82,29 @@ let random_ops (type a) (module I : INDEX with type t = a) (index : a)
     if step mod 200 = 0 then I.check_invariants index
   done;
   I.check_invariants index;
-  let got = ref [] in
-  I.iter index (fun k tid -> got := (k, tid) :: !got);
-  if List.rev !got <> Smap.bindings !model then Alcotest.fail "final contents"
-
-module Radix_index : INDEX with type t = Radix.t = struct
-  include Radix
-
-  let iter t f = Radix.iter t f
-end
-
-module Skiplist_index : INDEX with type t = Skiplist.t = struct
-  include Skiplist
-
-  let iter t f = Skiplist.iter t f
-end
-
-module Hybrid_index : INDEX with type t = Hybrid.t = struct
-  include Hybrid
-
-  let iter t f = Hybrid.iter t f
-end
+  let got =
+    I.fold_range index ~start:(String.make key_len '\000') ~n:max_int
+      (fun acc k tid -> (k, tid) :: acc)
+      []
+  in
+  if List.rev got <> Smap.bindings !model then Alcotest.fail "final contents"
 
 let radix_case ~store_keys ~key_len ~seed () =
   let table = Table.create ~key_len () in
   let index = Radix.create ~store_keys ~key_len ~load:(Table.loader table) () in
-  random_ops (module Radix_index) index table ~key_len ~nops:3000 ~key_space:800
+  random_ops (module Radix) index table ~key_len ~nops:3000 ~key_space:800
     ~seed ()
 
 let hybrid_case ~merge_ratio ~key_len ~seed () =
   let table = Table.create ~key_len () in
   let index = Hybrid.create ~merge_ratio ~key_len ~load:(Table.loader table) () in
-  random_ops (module Hybrid_index) index table ~key_len ~nops:3000 ~key_space:800
+  random_ops (module Hybrid) index table ~key_len ~nops:3000 ~key_space:800
     ~seed ()
 
 let skiplist_case ~key_len ~seed () =
   let table = Table.create ~key_len () in
   let index = Skiplist.create ~key_len () in
-  random_ops (module Skiplist_index) index table ~key_len ~nops:3000
+  random_ops (module Skiplist) index table ~key_len ~nops:3000
     ~key_space:800 ~seed ()
 
 (* --- Directed tests ------------------------------------------------- *)

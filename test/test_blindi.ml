@@ -243,12 +243,12 @@ let seqtree_case ~key_len ~capacity ~levels ~breathing ~seed () =
     ~nops:(6 * capacity)
 
 let subtrie_case ~key_len ~capacity ~seed () =
-  let node = Subtrie.create ~key_len ~capacity () in
+  let node = Subtrie.of_sorted ~key_len ~capacity [||] [||] 0 in
   run_trial (module Subtrie_node) node ~capacity ~key_len ~seed
     ~nops:(6 * capacity)
 
 let stringtrie_case ~key_len ~capacity ~seed () =
-  let node = Stringtrie.create ~key_len ~capacity () in
+  let node = Stringtrie.of_sorted ~key_len ~capacity [||] [||] 0 in
   run_trial (module Stringtrie_node) node ~capacity ~key_len ~seed
     ~nops:(6 * capacity)
 

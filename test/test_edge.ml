@@ -263,7 +263,7 @@ let test_dense_then_sparse () =
   (* Scan across the dense/sparse boundary. *)
   let got =
     Btree.fold_range tree ~start:(Key.of_int 995) ~n:10
-      (fun acc k _ -> Key.to_int64 k :: acc)
+      (fun acc k _ -> k :: acc)
       []
   in
   Alcotest.(check int) "scan crosses boundary" 10 (List.length got)

@@ -458,7 +458,11 @@ let test_slash_moves_sweep_bound () =
   Fault.configure ~seed:1 [ (site, 1.0) ];
   let i = ref 0 in
   Fun.protect ~finally:Fault.clear (fun () ->
-      while Fault.fired (Fault.site site) = 0 do
+      let fired () =
+        List.exists (fun (name, _, fired) -> name = site && fired > 0)
+          (Fault.stats ())
+      in
+      while not (fired ()) do
         append !i;
         incr i
       done);

@@ -93,7 +93,6 @@ let test_queue_close_race () =
   Mpsc.close q;
   Alcotest.(check bool) "blocked producer woke with Closed" true
     (Domain.join producer);
-  Alcotest.(check bool) "closed" true (Mpsc.is_closed q);
   (* Elements admitted before the close stay poppable; a drained closed
      queue answers [] (the consumer's termination signal). *)
   Alcotest.(check (list int)) "admitted element drains" [ 1 ]

@@ -61,7 +61,17 @@ let request_gen =
     in
     map2 (fun id op -> { Wire.id; op }) id op)
 
-let request_arb = QCheck.make ~print:Wire.describe_request request_gen
+(* The request printer of the qcheck and adversarial cases (hex keys). *)
+let describe_request { Wire.id; op } =
+  let hex = Key.to_hex in
+  match op with
+  | Wire.Insert k -> Printf.sprintf "%d insert %s" id (hex k)
+  | Wire.Remove k -> Printf.sprintf "%d remove %s" id (hex k)
+  | Wire.Update k -> Printf.sprintf "%d update %s" id (hex k)
+  | Wire.Find k -> Printf.sprintf "%d find %s" id (hex k)
+  | Wire.Scan (k, n) -> Printf.sprintf "%d scan %s n=%d" id (hex k) n
+
+let request_arb = QCheck.make ~print:describe_request request_gen
 
 let reply_gen =
   QCheck.Gen.(
@@ -135,7 +145,7 @@ let damaged = function H.Rejected | H.Incomplete -> true | H.Accepted -> false
 let truncated = function H.Incomplete -> true | H.Rejected | H.Accepted -> false
 
 let test_request_bit_flips () =
-  H.check_bit_flips ~what:"request" ~describe:Wire.describe_request
+  H.check_bit_flips ~what:"request" ~describe:describe_request
     ~encode:Wire.encode_request ~verdict:req_verdict ~allowed:damaged
     fixed_requests
 
@@ -145,7 +155,7 @@ let test_reply_bit_flips () =
     fixed_replies
 
 let test_request_truncations () =
-  H.check_truncations ~what:"request" ~describe:Wire.describe_request
+  H.check_truncations ~what:"request" ~describe:describe_request
     ~encode:Wire.encode_request ~verdict:req_verdict ~allowed:truncated
     fixed_requests
 
@@ -155,7 +165,7 @@ let test_reply_truncations () =
     fixed_replies
 
 let test_length_lies () =
-  H.check_length_lies ~what:"request" ~describe:Wire.describe_request
+  H.check_length_lies ~what:"request" ~describe:describe_request
     ~encode:Wire.encode_request ~verdict:req_verdict ~allowed:damaged
     fixed_requests;
   H.check_length_lies ~what:"reply" ~describe:Wire.describe_reply

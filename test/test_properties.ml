@@ -574,35 +574,20 @@ let prop_multi_find =
 (* --- Bitsarr ---------------------------------------------------------- *)
 
 let prop_bitsarr =
-  (* Insert/remove against a reference list, both widths. *)
-  QCheck.Test.make ~name:"bitsarr insert/remove matches list model" ~count:300
-    QCheck.(pair (oneofl [ 1; 2 ]) (small_list (pair small_nat small_nat)))
+  (* Set/get against a reference array, both widths. *)
+  QCheck.Test.make ~name:"bitsarr set/get matches array model" ~count:300
+    QCheck.(pair (oneofl [ 1; 2 ]) (small_list (pair small_nat int)))
     (fun (width, ops) ->
       let cap = 40 in
       let arr = Bitsarr.create ~width ~capacity:cap in
-      let model = ref [] in
+      let model = Array.make cap 0 in
       List.iter
         (fun (pos, v) ->
           let v = v land if width = 1 then 0xff else 0xffff in
-          let n = List.length !model in
-          if n < cap && pos <= n then begin
-            Bitsarr.insert arr ~count:n pos v;
-            let before, after =
-              (List.filteri (fun i _ -> i < pos) !model,
-               List.filteri (fun i _ -> i >= pos) !model)
-            in
-            model := before @ (v :: after)
-          end
-          else if n > 0 then begin
-            let pos = pos mod n in
-            Bitsarr.remove arr ~count:n pos;
-            model := List.filteri (fun i _ -> i <> pos) !model
-          end)
+          Bitsarr.set arr (pos mod cap) v;
+          model.(pos mod cap) <- v)
         ops;
-      List.for_all2
-        (fun i v -> Bitsarr.get arr i = v)
-        (List.init (List.length !model) (fun i -> i))
-        !model)
+      Array.for_all Fun.id (Array.mapi (fun i v -> Bitsarr.get arr i = v) model))
 
 (* --- Memory model ------------------------------------------------------ *)
 

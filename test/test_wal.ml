@@ -111,14 +111,33 @@ let record_gen =
             lsn (int_range 0 (1 lsl 30)) );
       ])
 
-let record_arb = QCheck.make ~print:Frame.describe record_gen
+(* The record printer of the qcheck and adversarial cases (hex keys). *)
+let describe = function
+  | Frame.Insert { lsn; key; tid } ->
+    Printf.sprintf "%d insert %s tid=%d" lsn (Key.to_hex key) tid
+  | Frame.Remove { lsn; key } -> Printf.sprintf "%d remove %s" lsn (Key.to_hex key)
+  | Frame.Update { lsn; key; tid } ->
+    Printf.sprintf "%d update %s tid=%d" lsn (Key.to_hex key) tid
+  | Frame.Bound { lsn; bound } -> Printf.sprintf "%d bound %d" lsn bound
+
+(* One frame the way the writer makes it. *)
+let encode r =
+  let b = Buffer.create 48 in
+  Frame.encode_into b r;
+  Buffer.contents b
+
+(* The first frame of [s], read the way recovery reads it. *)
+let decode s =
+  match Frame.decode_all s with
+  | r :: _, _ -> Ok r
+  | [], Some (_, msg) -> Error msg
+  | [], None -> Error "no frame"
+
+let record_arb = QCheck.make ~print:describe record_gen
 
 let prop_roundtrip =
   QCheck.Test.make ~name:"frame round-trips" ~count:500 record_arb (fun r ->
-      let s = Frame.encode r in
-      match Frame.decode s ~pos:0 with
-      | Ok (r', n) -> r' = r && n = String.length s
-      | Error _ -> false)
+      Frame.decode_all (encode r) = ([ r ], None))
 
 let prop_stream_roundtrip =
   QCheck.Test.make ~name:"frame stream round-trips" ~count:200
@@ -147,7 +166,7 @@ let fixed_records =
 let flip_bit = Codec_harness.flip_bit
 
 let frame_verdict s =
-  match Frame.decode s ~pos:0 with
+  match decode s with
   | Ok _ -> Codec_harness.Accepted
   | Error _ -> Codec_harness.Rejected
 
@@ -156,23 +175,23 @@ let rejected = function
   | Codec_harness.Accepted | Codec_harness.Incomplete -> false
 
 let test_bit_flips () =
-  Codec_harness.check_bit_flips ~what:"wal frame" ~describe:Frame.describe
-    ~encode:Frame.encode ~verdict:frame_verdict ~allowed:rejected
+  Codec_harness.check_bit_flips ~what:"wal frame" ~describe
+    ~encode ~verdict:frame_verdict ~allowed:rejected
     fixed_records
 
 let test_truncations () =
-  Codec_harness.check_truncations ~what:"wal frame" ~describe:Frame.describe
-    ~encode:Frame.encode ~verdict:frame_verdict ~allowed:rejected
+  Codec_harness.check_truncations ~what:"wal frame" ~describe
+    ~encode ~verdict:frame_verdict ~allowed:rejected
     fixed_records
 
 let test_length_lies () =
-  Codec_harness.check_length_lies ~what:"wal frame" ~describe:Frame.describe
-    ~encode:Frame.encode ~verdict:frame_verdict ~allowed:rejected
+  Codec_harness.check_length_lies ~what:"wal frame" ~describe
+    ~encode ~verdict:frame_verdict ~allowed:rejected
     fixed_records
 
 let prop_random_flip =
   Codec_harness.prop_random_flip ~name:"random single-bit flip rejected"
-    ~arb:record_arb ~encode:Frame.encode ~verdict:frame_verdict
+    ~arb:record_arb ~encode ~verdict:frame_verdict
     ~allowed:rejected
 
 let test_torn_tail_decode () =
@@ -180,7 +199,7 @@ let test_torn_tail_decode () =
   let b = Buffer.create 256 in
   List.iter (Frame.encode_into b) rs;
   let whole = Buffer.contents b in
-  let last = Frame.encode (List.nth rs (List.length rs - 1)) in
+  let last = encode (List.nth rs (List.length rs - 1)) in
   let good = String.length whole - String.length last in
   (* cut anywhere inside the final frame: good prefix survives, and the
      reported truncation point is exactly where the last frame starts *)
@@ -200,10 +219,9 @@ let test_golden_frames () =
   List.iter
     (fun (name, r) ->
       let frame = Codec_harness.golden name in
-      Alcotest.(check string) name (Key.to_hex frame) (Key.to_hex (Frame.encode r));
-      match Frame.decode frame ~pos:0 with
-      | Ok (r', next) when r' = r && next = String.length frame -> ()
-      | Ok _ | Error _ -> Alcotest.failf "%s does not decode back" name)
+      Alcotest.(check string) name (Key.to_hex frame) (Key.to_hex (encode r));
+      if Frame.decode_all frame <> ([ r ], None) then
+        Alcotest.failf "%s does not decode back" name)
     [
       ("wal-insert", Frame.Insert { lsn = 7; key; tid = 42 });
       ("wal-remove", Frame.Remove { lsn = 8; key });
@@ -452,7 +470,7 @@ let test_valid_frames_lsn_gap () =
       List.iter
         (fun lsn ->
           Out_channel.output_string oc
-            (Frame.encode (Frame.Insert { lsn; key = Key.of_int lsn; tid = lsn })))
+            (encode (Frame.Insert { lsn; key = Key.of_int lsn; tid = lsn })))
         [ 1; 2; 4 ];
       Out_channel.output_string oc "\x07\x00");
   let before = shard_files dir in

@@ -33,7 +33,8 @@ let test_iotta_shape () =
   Alcotest.(check bool) "skewed objects" true (max_count > 20_000 / 5_000 * 10);
   (* Ops are valid indices and GETs dominate. *)
   let gets = Array.fold_left (fun a r -> if r.Iotta.op = 0 then a + 1 else a) 0 rows in
-  Array.iter (fun r -> ignore (Iotta.op_name r.Iotta.op)) rows;
+  Alcotest.(check bool) "request-type codes" true
+    (Array.for_all (fun r -> r.Iotta.op >= 0 && r.Iotta.op < 6) rows);
   Alcotest.(check bool) "GET-dominated" true (gets > Array.length rows / 3);
   (* Keys round-trip their ordering. *)
   let k1 = Iotta.key_of_row rows.(0) and k2 = Iotta.key_of_row rows.(1) in
@@ -167,19 +168,6 @@ let ycsb_matrix =
 
 (* --- MCAS --------------------------------------------------------------- *)
 
-let test_mcas_kv () =
-  let store = Ei_mcas.Store.create ~partitions:4 () in
-  for i = 0 to 999 do
-    Ei_mcas.Store.put store (string_of_int i) (string_of_int (i * i))
-  done;
-  for i = 0 to 999 do
-    match Ei_mcas.Store.get store (string_of_int i) with
-    | Some v -> Alcotest.(check string) "value" (string_of_int (i * i)) v
-    | None -> Alcotest.fail "kv lost"
-  done;
-  Alcotest.(check bool) "delete" true (Ei_mcas.Store.delete store "5");
-  Alcotest.(check bool) "gone" true (Ei_mcas.Store.get store "5" = None)
-
 let test_mcas_log_table () =
   let store = Ei_mcas.Store.create () in
   let table =
@@ -195,7 +183,7 @@ let test_mcas_log_table () =
       | Ei_mcas.Ado.Ack -> ()
       | _ -> Alcotest.fail "unexpected response")
     rows;
-  Alcotest.(check int) "rows" 5_000 (Ei_mcas.Log_table.row_count table);
+  Alcotest.(check int) "rows" 5_000 ((Ei_mcas.Log_table.index table).Index_ops.count ());
   (* Point lookups return the full row. *)
   Array.iter
     (fun r ->
@@ -233,7 +221,7 @@ let test_mcas_log_table () =
   Alcotest.(check bool) "index memory positive" true
     (Ei_mcas.Store.ado_memory_bytes store ~partition:0 > 0);
   Alcotest.(check int) "data bytes" (5_000 * 32)
-    (Ei_mcas.Store.ado_data_bytes store ~partition:0)
+    (Ei_mcas.Log_table.data_bytes table)
 
 let test_mcas_partitioned () =
   (* The partitioned architecture: one log-table ADO per partition, rows
@@ -278,7 +266,9 @@ let test_mcas_partitioned () =
       | _ -> Alcotest.fail "row leaked across partitions")
     rows;
   let total =
-    Array.fold_left (fun a t -> a + Ei_mcas.Log_table.row_count t) 0 tables
+    Array.fold_left
+      (fun a t -> a + (Ei_mcas.Log_table.index t).Index_ops.count ())
+      0 tables
   in
   Alcotest.(check int) "all rows stored once" (Array.length rows) total
 
@@ -288,11 +278,12 @@ let test_mcas_index_variants () =
   List.iter
     (fun kind ->
       let table = Ei_mcas.Log_table.create ~index_kind:kind () in
-      Array.iter (Ei_mcas.Log_table.ingest table) rows;
+      let ado = Ei_mcas.Log_table.ado table in
+      Array.iter (fun r -> ignore (ado.Ei_mcas.Ado.on_work (Ei_mcas.Ado.Ingest r))) rows;
       Array.iter
         (fun r ->
-          match Ei_mcas.Log_table.lookup table (Iotta.key_of_row r) with
-          | Some row when row = r -> ()
+          match ado.Ei_mcas.Ado.on_work (Ei_mcas.Ado.Lookup (Iotta.key_of_row r)) with
+          | Ei_mcas.Ado.Found (Some row) when row = r -> ()
           | _ -> Alcotest.failf "lost row under %s" (Registry.kind_name kind))
         rows)
     [ Registry.Stx; Registry.Seqtree 128; Registry.Hot ]
@@ -315,7 +306,6 @@ let () =
         :: ycsb_matrix );
       ( "mcas",
         [
-          Alcotest.test_case "kv pool" `Quick test_mcas_kv;
           Alcotest.test_case "log table ado" `Quick test_mcas_log_table;
           Alcotest.test_case "partitioned ado engines" `Quick test_mcas_partitioned;
           Alcotest.test_case "index variants" `Quick test_mcas_index_variants;

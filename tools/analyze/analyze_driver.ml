@@ -2,21 +2,27 @@
    subcommand: root resolution, cmt collection, baseline diffing and
    the text/JSON renderings. *)
 
+(* The concurrency rules' scope: every library that shares state
+   across domains or runs under ei_sim. *)
 let default_roots =
   [
     "lib/olc"; "lib/shard"; "lib/core"; "lib/fault"; "lib/obs"; "lib/btree";
-    "lib/wal"; "lib/blindi";
+    "lib/wal"; "lib/net"; "lib/blindi";
   ]
 
-let rec collect path acc =
+(* The export rules' scope beside lib/ itself: the callers of lib/'s
+   interfaces.  test/ only tells a test-only export from a dead one. *)
+let caller_dirs = [ "bin"; "bench"; "examples"; "tools" ]
+
+let rec collect ~suffix path acc =
   if Sys.is_directory path then
     Array.fold_left
-      (fun acc entry -> collect (Filename.concat path entry) acc)
+      (fun acc entry -> collect ~suffix (Filename.concat path entry) acc)
       acc
       (let entries = Sys.readdir path in
        Array.sort String.compare entries;
        entries)
-  else if Filename.check_suffix path ".cmt" then path :: acc
+  else if Filename.check_suffix path suffix then path :: acc
   else acc
 
 type run = {
@@ -34,64 +40,92 @@ let read_file f =
   close_in ic;
   content
 
-(* Collect a root's cmts; when the path as given holds none (a source
-   checkout — cmts live in the build tree), fall back to
-   _build/default/<root>, so [ei analyze lib/olc] works from a repo
-   root and from inside _build/default alike. *)
-let collect_root r =
-  let fallback =
-    let p = Filename.concat (Filename.concat "_build" "default") r in
-    if Sys.file_exists p then Some p else None
+(* Where a root's cmts live: the path as given when it holds some,
+   else _build/default/<root> (a source checkout keeps its cmts in the
+   build tree), so [ei analyze lib/olc] works from a repo root and
+   from inside _build/default alike. *)
+let root_dir r =
+  let fallback = Filename.concat (Filename.concat "_build" "default") r in
+  let has_cmts =
+    Sys.file_exists r
+    && match collect ~suffix:".cmt" r [] with [] -> false | _ -> true
   in
-  match (Sys.file_exists r, fallback) with
-  | false, None ->
-    Error (Printf.sprintf "no such file or directory: %s" r)
-  | false, Some p -> Ok (collect p [])
-  | true, fb -> (
-    match (collect r [], fb) with
-    | [], Some p -> Ok (collect p [])
-    | cmts, _ -> Ok cmts)
+  if has_cmts || (Sys.file_exists r && not (Sys.file_exists fallback)) then
+    Ok r
+  else if Sys.file_exists fallback then Ok fallback
+  else Error (Printf.sprintf "no such file or directory: %s" r)
 
-let execute ?baseline_file roots =
-  let roots = match roots with [] -> default_roots | _ -> roots in
+let all_ok results =
   match
     List.partition_map
-      (fun r ->
-        match collect_root r with
-        | Ok cmts -> Either.Left cmts
-        | Error msg -> Either.Right msg)
-      roots
+      (function Ok x -> Either.Left x | Error e -> Either.Right e)
+      results
   with
-  | _, msg :: _ -> Error msg
-  | per_root, [] -> (
-    let cmts = List.sort String.compare (List.concat per_root) in
-    let result = Analyze_rules.analyze_cmts cmts in
-    match baseline_file with
-    | Some f when not (Sys.file_exists f) ->
-      Error (Printf.sprintf "baseline file not found: %s" f)
-    | _ ->
-      let baseline =
-        match baseline_file with
-        | None -> []
-        | Some f -> Analyze_rules.parse_baseline (read_file f)
-      in
-      let remaining, suppressed, unused =
-        Analyze_rules.apply_baseline ~baseline result.findings
-      in
-      let diags =
-        List.sort Report.compare_diag
-          (List.map
-             (fun (f : Analyze_rules.finding) -> f.diag)
-             remaining)
-      in
-      Ok
-        {
-          diags;
-          suppressed;
-          unused;
-          inventory = result.inventory;
-          cmts_scanned = List.length cmts;
-        })
+  | oks, [] -> Ok oks
+  | _, e :: _ -> Error e
+
+(* One export-scope directory's [(cmts, cmtis)], refusing a partial
+   build: with a directory's implementations missing, every export only
+   it calls would look dead.  An executable's module with an interface
+   gets its .cmt from @check only. *)
+let built dir =
+  Result.bind (root_dir dir) (fun d ->
+      let cmts = collect ~suffix:".cmt" d [] in
+      let cmtis = collect ~suffix:".cmti" d [] in
+      let orphan i = not (Sys.file_exists (Filename.chop_suffix i "i")) in
+      match (cmts, List.find_opt orphan cmtis) with
+      | [], _ -> Error (Printf.sprintf "no .cmt under %s; run dune build @check" d)
+      | _, Some i ->
+        Error (Printf.sprintf "no .cmt beside %s; run dune build @check" i)
+      | _, None -> Ok (cmts, cmtis))
+
+let ( let* ) = Result.bind
+
+let export_findings () =
+  let* lib_cmts, interfaces = built "lib" in
+  let* callers = all_ok (List.map built caller_dirs) in
+  let* tests, _ = built "test" in
+  Ok
+    (Analyze_rules.dead_exports ~interfaces
+       ~prod:(lib_cmts @ List.concat_map fst callers)
+       ~test:tests)
+
+let execute ?baseline_file roots =
+  let whole_tree = match roots with [] -> true | _ -> false in
+  let roots = if whole_tree then default_roots else roots in
+  let* per_root =
+    all_ok
+      (List.map
+         (fun r -> Result.map (fun d -> collect ~suffix:".cmt" d []) (root_dir r))
+         roots)
+  in
+  let* exports = if whole_tree then export_findings () else Ok [] in
+  let cmts = List.sort String.compare (List.concat per_root) in
+  let result = Analyze_rules.analyze_cmts cmts in
+  match baseline_file with
+  | Some f when not (Sys.file_exists f) ->
+    Error (Printf.sprintf "baseline file not found: %s" f)
+  | _ ->
+    let baseline =
+      match baseline_file with
+      | None -> []
+      | Some f -> Analyze_rules.parse_baseline (read_file f)
+    in
+    let remaining, suppressed, unused =
+      Analyze_rules.apply_baseline ~baseline (result.findings @ exports)
+    in
+    let diags =
+      List.sort Report.compare_diag
+        (List.map (fun (f : Analyze_rules.finding) -> f.diag) remaining)
+    in
+    Ok
+      {
+        diags;
+        suppressed;
+        unused;
+        inventory = result.inventory;
+        cmts_scanned = List.length cmts;
+      }
 
 let print_text ~show_inventory r =
   List.iter (fun d -> Format.printf "%a@." Report.pp_diag d) r.diags;

@@ -1,9 +1,11 @@
-(* ei_race rules engine: typed concurrency-discipline analysis.
+(* ei_race rules engine: typed analysis over the .cmt binary
+   annotations dune produces for every module.
 
-   Loads the .cmt binary annotations dune produces for every library
-   module and walks the typedtree — where paths are resolved and
-   mutability is explicit — enforcing the concurrency discipline the
-   untyped ei_lint cannot see.  Four rule families:
+   The typedtree — where paths are resolved and mutability is explicit
+   — carries what the untyped ei_lint cannot see: the concurrency
+   discipline (four rule families below) and which unit references
+   which export ([dead-export] / [test-only-export], rule 5 at the end
+   of this file).  The concurrency families:
 
    - [unguarded-state] / [unguarded-access] (shared-state inventory):
      every module-level and record-level mutable datum is classified
@@ -1089,13 +1091,28 @@ let analyze_structure ~file ~reg (str : structure) =
 (* ------------------------------------------------------------------ *)
 (* Cmt loading.                                                        *)
 
-let load_cmt path =
+type cunit = {
+  modname : string;  (* Ei_btree__Btree *)
+  source : string;  (* lib/btree/btree.mli *)
+  annots : Cmt_format.binary_annots;
+}
+
+let load_unit path =
   match Cmt_format.read_cmt path with
-  | { cmt_annots = Cmt_format.Implementation str; cmt_sourcefile = Some src; _ }
-    when not (Filename.check_suffix src ".ml-gen") ->
-    Some (src, str)
+  | { cmt_modname; cmt_sourcefile = Some source; cmt_annots; _ } ->
+    Some { modname = cmt_modname; source; annots = cmt_annots }
   | _ -> None
   | exception _ -> None
+
+let structure_of u =
+  match u.annots with Cmt_format.Implementation s -> Some s | _ -> None
+
+let load_cmt path =
+  Option.bind (load_unit path) (fun u ->
+      match structure_of u with
+      | Some str when not (Filename.check_suffix u.source ".ml-gen") ->
+        Some (u.source, str)
+      | _ -> None)
 
 let analyze_cmts paths =
   let mods = List.filter_map load_cmt paths in
@@ -1124,6 +1141,156 @@ let analyze_cmts paths =
     findings = List.concat_map (fun (r : result) -> r.findings) results;
     inventory = List.concat_map (fun (r : result) -> r.inventory) results;
   }
+
+(* ------------------------------------------------------------------ *)
+(* Rule 5: exports without a caller.                                   *)
+
+(* Only a reference from another compilation unit keeps a top-level
+   [val] of an interface alive.  Reference paths are resolved to
+   [(unit, value)] through module aliases — dune's generated library
+   alias modules ([Ei_btree.Btree] is [Ei_btree__Btree]) and local
+   [module X = P] bindings — and the typer has already qualified every
+   name an [open] brought into scope.  A unit used as a whole (a
+   functor argument, a packed first-class module, an [include], a
+   signature constraint) uses every value it exports. *)
+
+(* Every cmt or cmti once (byte and native compilation may both emit
+   one per source), in source order. *)
+let load_units paths =
+  List.filter_map load_unit paths
+  |> List.sort_uniq (fun a b -> String.compare a.source b.source)
+
+(* [(unit, submodule)] -> the path a top-level [module X = P] names. *)
+type aliases = (string * string, string list) Hashtbl.t
+
+(* Rewrite a leading [U.X] alias until the head is a unit itself; the
+   fuel stops a (type-incorrect) alias cycle. *)
+let rec canon (aliases : aliases) ?(fuel = 16) comps =
+  match comps with
+  | u :: x :: rest when fuel > 0 -> (
+    match Hashtbl.find_opt aliases (u, x) with
+    | Some target -> canon aliases ~fuel:(fuel - 1) (target @ rest)
+    | None -> comps)
+  | _ -> comps
+
+(* Walk one implementation, reporting each [(unit, value)] reference
+   and each whole-unit use. *)
+let unit_refs aliases ~value ~whole (str : structure) =
+  let locals : (string, string list) Hashtbl.t = Hashtbl.create 8 in
+  let rec comps = function
+    | Path.Pident id when Ident.persistent id -> Some [ Ident.name id ]
+    | Path.Pident id -> Hashtbl.find_opt locals (Ident.unique_name id)
+    | Path.Pdot (p, s) -> Option.map (fun c -> canon aliases (c @ [ s ])) (comps p)
+    | Path.Papply _ | Path.Pextra_ty _ -> None
+  in
+  let bind_alias id (me : module_expr) =
+    match (id, me.mod_desc) with
+    | Some id, Tmod_ident (p, _) ->
+      Option.iter
+        (fun c -> Hashtbl.replace locals (Ident.unique_name id) c)
+        (comps p);
+      true
+    | _ -> false
+  in
+  let default = Tast_iterator.default_iterator in
+  let it =
+    {
+      default with
+      expr =
+        (fun sub e ->
+          match e.exp_desc with
+          | Texp_ident (Path.Pdot (m, v), _, _) ->
+            (match comps m with Some [ u ] -> value u v | _ -> ())
+          | Texp_letmodule (id, _, _, me, body) when bind_alias id me ->
+            sub.expr sub body
+          | _ -> default.expr sub e);
+      module_binding =
+        (fun sub mb ->
+          if not (bind_alias mb.mb_id mb.mb_expr) then
+            default.module_binding sub mb);
+      open_declaration =
+        (fun sub od ->
+          match od.open_expr.mod_desc with
+          | Tmod_ident _ -> ()
+          | _ -> default.open_declaration sub od);
+      module_expr =
+        (fun sub me ->
+          (match me.mod_desc with
+          | Tmod_ident (p, _) -> (
+            match comps p with Some [ u ] -> whole u | _ -> ())
+          | _ -> ());
+          default.module_expr sub me);
+    }
+  in
+  it.structure it str
+
+(* Top-level [module X = P] aliases of every implementation. *)
+let collect_aliases units =
+  let aliases : aliases = Hashtbl.create 256 in
+  List.iter
+    (fun u ->
+      match structure_of u with
+      | None -> ()
+      | Some str ->
+        List.iter
+          (fun item ->
+            match item.str_desc with
+            | Tstr_module
+                { mb_id = Some id; mb_expr = { mod_desc = Tmod_ident (p, _); _ }; _ }
+              ->
+              Hashtbl.replace aliases
+                (u.modname, Ident.name id)
+                (path_comps p)
+            | _ -> ())
+          str.str_items)
+    units;
+  aliases
+
+let dead_exports ~interfaces ~prod ~test =
+  let prod = load_units prod and test = load_units test in
+  let aliases = collect_aliases (prod @ test) in
+  let referenced units =
+    let values = Hashtbl.create 4096 and wholes = Hashtbl.create 64 in
+    List.iter
+      (fun u ->
+        Option.iter
+          (unit_refs aliases
+             ~value:(fun m v -> Hashtbl.replace values (m, v) ())
+             ~whole:(fun m -> Hashtbl.replace wholes m ()))
+          (structure_of u))
+      units;
+    fun m v -> Hashtbl.mem values (m, v) || Hashtbl.mem wholes m
+  in
+  let in_prod = referenced prod and in_test = referenced test in
+  List.concat_map
+    (fun u ->
+      match u.annots with
+      | Cmt_format.Interface sg ->
+        List.filter_map
+          (fun item ->
+            match item.sig_desc with
+            | Tsig_value vd when not (in_prod u.modname vd.val_name.txt) ->
+              let name = vd.val_name.txt in
+              let qualified = module_tail u.modname ^ "." ^ name in
+              let rule, msg =
+                if in_test u.modname name then
+                  ( "test-only-export",
+                    qualified ^ " is exported, but only test/ uses it" )
+                else
+                  ( "dead-export",
+                    qualified
+                    ^ " is exported, but no other unit in lib bin bench \
+                       examples tools test uses it" )
+              in
+              Some
+                {
+                  diag = Report.of_location ~rule ~msg vd.val_loc ~file:u.source;
+                  slug = name;
+                }
+            | _ -> None)
+          sg.sig_items
+      | _ -> [])
+    (load_units interfaces)
 
 (* ------------------------------------------------------------------ *)
 (* Baseline.                                                           *)
@@ -1177,4 +1344,9 @@ let rules_help () =
         "sync-touching retry loop without a Fault.point yield site";
       Printf.sprintf "%-16s %s" "atomic-rmw"
         "Atomic.set of a value derived from Atomic.get outside a lock";
+      Printf.sprintf "%-16s %s" "dead-export"
+        "top-level val of a lib/ interface no other unit in lib bin bench \
+         examples tools test references";
+      Printf.sprintf "%-16s %s" "test-only-export"
+        "top-level val of a lib/ interface only test/ references";
     ]

@@ -1,5 +1,6 @@
-(** ei_race rules engine: typed concurrency-discipline analysis over
-    the [.cmt] typedtrees dune produces.
+(** ei_race rules engine: typed analysis over the [.cmt] typedtrees
+    dune produces — the concurrency discipline and exports without a
+    caller.
 
     Rule families: [unguarded-state] / [unguarded-access] (every
     module-level and record-level mutable datum must be atomic,
@@ -14,7 +15,9 @@
     [Fault.point] site so the ei_sim scheduler can interleave them),
     and [atomic-rmw] ([Atomic.set a (f (Atomic.get a))] outside a
     lock-held region).  Findings carry a stable [slug] (the enclosing
-    top-level binding) used as the baseline suppression key. *)
+    top-level binding) used as the baseline suppression key.  The
+    export rules, [dead-export] and [test-only-export], are
+    {!dead_exports}. *)
 
 type finding = { diag : Report.diag; slug : string }
 
@@ -54,3 +57,13 @@ val apply_baseline :
 
 val rules_help : unit -> string
 (** One line per rule, for [--rules]. *)
+
+val dead_exports :
+  interfaces:string list -> prod:string list -> test:string list ->
+  finding list
+(** [dead-export] / [test-only-export]: every top-level [val] of the
+    [.cmti]s in [interfaces] that no unit among the [prod] [.cmt]s
+    references ([dead-export] when the [test] units do not either).
+    Paths are followed through module aliases; a whole-unit use (a
+    functor argument, a first-class module, an [include]) uses every
+    value.  The slug is the value's name. *)

@@ -1,14 +1,18 @@
-(* ei_race: typed concurrency-discipline analyzer driver.
+(* ei_race: typed analyzer driver (concurrency discipline, exports
+   without a caller).
 
    Usage:
      ei_race [--rules] [--baseline FILE] [--format=text|json]
              [--inventory] [DIR|FILE.cmt ...]
 
    Directories are searched recursively for .cmt files (dune keeps
-   them under <dir>/.<lib>.objs/byte/ inside _build, so pass build
-   paths — the @analyze alias runs this from _build/default with the
-   library source dirs; roots that only exist under _build/default are
-   resolved there).  Findings are diffed against the baseline file:
+   them under <dir>/.<lib>.objs/byte/ inside _build; roots that only
+   exist under _build/default are resolved there).  With no roots the
+   whole tree is analyzed: the concurrency rules over
+   Analyze_driver.default_roots and the export rules over every lib/
+   interface, refusing (exit 2) a build whose .cmt files are missing —
+   the @analyze alias runs it so from _build/default.  Findings are
+   diffed against the baseline file:
    baselined findings are suppressed, anything else exits 1, so a
    *new* finding fails the build without blocking on the accepted
    legacy patterns listed in the baseline. *)

@@ -78,7 +78,7 @@ let int_fns =
     "+"; "-"; "*"; "/"; "~-"; "mod"; "land"; "lor"; "lxor"; "lsl"; "lsr";
     "asr"; "abs"; "succ"; "pred"; "min"; "max"; "compare"; "length";
     "code"; "get"; "unsafe_get"; "count"; "capacity"; "level"; "levels";
-    "height"; "bit"; "key_bit"; "byte_at"; "diff_bit"; "first_byte";
+    "height"; "bit"; "key_bit"; "byte_at"; "diff_bit";
     "width_for_bits"; "tree_size"; "tid_slots_for"; "tid_at"; "tid_slots";
     "spec_capacity"; "std_capacity"; "memory_bytes";
     "bytes"; "node_bytes"; "leaf_bytes"; "inner_bytes"; "seqtree_bytes";
@@ -97,9 +97,9 @@ let int_fields =
     "inner_capacity"; "size_bound"; "cold_sweep_period";
     "cold_sweep_batch"; "seed"; "transitions";
     "segments"; "conversions"; "leaf_splits"; "leaf_merges";
-    "search_splits"; "searches"; "scan_steps"; "tree_steps"; "hi_slot";
+    "search_splits"; "searches"; "scan_steps"; "tree_steps";
     "key_compares"; "inserts"; "removes"; "rebuilds"; "merges";
-    "merge_work"; "key_loads"; "ops"; "width"; "seq_levels";
+    "merge_work"; "ops"; "width"; "seq_levels";
     "seq_breathing"; "static_n"; "compact_leaves"; "delta_count";
     "consolidate_at"; "prefix_len"; "leaf_capacity";
   ]
