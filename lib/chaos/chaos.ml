@@ -16,12 +16,12 @@
      draw on the client; crash / poison / op / slash sites draw on the
      shard domain or, during a rebuild, on the supervisor — and those
      two are serialised by the domain's death and the re-spawn);
-   - every batch is submitted with [barrier:true]: {!Ei_shard.Serve}
-     then waits — per sub-batch, bounded by the deadline — for the
-     target shard to be re-admitted before submitting, so no draw ever
-     depends on whether a submission raced a recovery (in particular a
-     scan continuation landing on a shard that crashed earlier in the
-     same batch is queued after its rebuild, not answered degraded);
+   - {!Ei_shard.Serve.exec} waits — per sub-batch, bounded by the
+     deadline — for the target shard to be re-admitted before
+     submitting, so no draw ever depends on whether a submission raced
+     a recovery (in particular a scan continuation landing on a shard
+     that crashed earlier in the same batch is queued after its
+     rebuild);
    - after any round containing a timed-out operation the client
      additionally spins until {!Ei_shard.Serve.healthy} — a crash
      parks its failure before acknowledging the batch, so this cannot
@@ -339,7 +339,7 @@ let soak cfg ~dir =
         (Domain.spawn (fun () ->
              Unix.sleepf 0.003;
              Unix.kill (Unix.getpid ()) Sys.sigkill));
-    let outs = Serve.exec ~barrier:true serve ops in
+    let outs = Serve.exec serve ops in
     Array.iteri
       (fun i out ->
         match (ops.(i), out) with

@@ -14,12 +14,13 @@
    expanding state may split a compact leaf.
 
    The paper's compact-leaf occupancy rule (capacity 2k holds >= k+1
-   keys, §4) is enforced lazily by the structures — expansion-state
-   search splits and shrink-state merges legitimately leave leaves below
-   threshold until the next structure-modification event — so that
-   validator reports [Advisory] findings by default and only hard
-   [Error]s under [~strict].  Everything else checked here is a hard
-   invariant. *)
+   keys, §4) applies to elastic trees only — a fixed-policy SeqTree
+   leaf half-splits by design — and they enforce it lazily:
+   expansion-state search splits and shrink-state merges legitimately
+   leave leaves below threshold until the next structure-modification
+   event.  So that validator reports [Advisory] findings by default and
+   only hard [Error]s under [~strict].  Everything else checked here is
+   a hard invariant. *)
 
 module Key = Ei_util.Key
 module Invariant = Ei_util.Invariant
@@ -213,7 +214,7 @@ let check_std_image ctx ~what (l : Std_leaf.t) =
 (* ------------------------------------------------------------------ *)
 (* B+-tree (any policy).                                               *)
 
-let check_btree_ctx ?(strict = false) ctx (tree : Btree.t) =
+let check_btree_ctx ctx (tree : Btree.t) =
   let v = "btree" in
   let it = Btree.introspect tree in
   let nleaves = Array.length it.Btree.leaves in
@@ -293,17 +294,9 @@ let check_btree_ctx ?(strict = false) ctx (tree : Btree.t) =
           | Some _ | None -> ());
           prev := Some k)
         ();
-      (* Deep-check compact SeqTree leaves; the occupancy rule is
-         advisory unless [strict] (see the header comment). *)
       match leaf.Leaf.repr with
       | Leaf.Seq seg ->
-        check_seqtree_ctx ctx ~what:(Printf.sprintf "leaf %d" i) ~load seg;
-        let cap = Seqtree.capacity seg in
-        if Hysteresis.underflows ~capacity:cap ~count then
-          emit ctx "occupancy"
-            (if strict then Error else Advisory)
-            "leaf %d: compact capacity %d holds %d keys (< %d)" i cap count
-            (Hysteresis.min_count cap)
+        check_seqtree_ctx ctx ~what:(Printf.sprintf "leaf %d" i) ~load seg
       | Leaf.Std l -> check_std_image ctx ~what:(Printf.sprintf "leaf %d" i) l
       | Leaf.Sub _ | Leaf.Pre _ | Leaf.Str _ | Leaf.Bw _ -> ())
     it.Btree.leaves;
@@ -324,7 +317,8 @@ let check_btree_ctx ?(strict = false) ctx (tree : Btree.t) =
       inner_total
 
 (* ------------------------------------------------------------------ *)
-(* Elastic B+-tree: everything above, plus elasticity legality (§4).   *)
+(* Elastic B+-tree: everything above, plus elasticity legality and     *)
+(* compact occupancy (§4).                                             *)
 
 (* A compact capacity [c] over standard capacity [std] must lie on §4's
    progression ({!Hysteresis.legal_capacity}). *)
@@ -335,16 +329,24 @@ let check_capacity ctx v ~what ~std c =
       what c initial std max_capacity
   end
 
-let check_elastic_ctx ?strict ctx (tree : Elastic_btree.t) =
-  check_btree_ctx ?strict ctx (Elastic_btree.tree tree);
+(* The occupancy rule is the elastic tree's alone: a fixed-policy
+   SeqTree leaf half-splits by design, as STX's leaves do.  It is
+   advisory unless [strict] (see the header comment). *)
+let check_elastic_ctx ?(strict = false) ctx (tree : Elastic_btree.t) =
+  check_btree_ctx ctx (Elastic_btree.tree tree);
   let std = Elastic_btree.std_capacity tree in
   ignore
     (Btree.fold_leaves (Elastic_btree.tree tree)
-       (fun i spec _count ->
+       (fun i spec count ->
          (match spec with
          | Policy.Spec_seq c ->
            check_capacity ctx "elasticity" ~what:(Printf.sprintf "leaf %d" i)
-             ~std c
+             ~std c;
+           if Hysteresis.underflows ~capacity:c ~count then
+             emit ctx "occupancy"
+               (if strict then Error else Advisory)
+               "leaf %d: compact capacity %d holds %d keys (< %d)" i c count
+               (Hysteresis.min_count c)
          | Policy.Spec_std -> ()
          | Policy.Spec_sub _ | Policy.Spec_pre | Policy.Spec_str _
          | Policy.Spec_bw ->
@@ -529,7 +531,7 @@ let check_generic_ctx ctx (ix : Index_ops.t) =
 
 let rec check_backend_ctx ?strict ctx (ix : Index_ops.t) =
   match ix.Index_ops.backend with
-  | Index_ops.B_btree t -> check_btree_ctx ?strict ctx t
+  | Index_ops.B_btree t -> check_btree_ctx ctx t
   | Index_ops.B_elastic t -> check_elastic_ctx ?strict ctx t
   | Index_ops.B_skiplist t -> check_skiplist_ctx ctx t
   | Index_ops.B_elastic_skiplist t -> check_elastic_skiplist_ctx ctx t

@@ -12,7 +12,9 @@
     elastic policy in the expanding state may split a leaf.
 
     The paper's compact-leaf occupancy rule (capacity 2k holds >= k+1
-    keys) is enforced lazily by the structures, so transiently
+    keys) is checked on elastic trees only (a fixed-policy SeqTree leaf
+    half-splits by design, as STX's leaves do).  Elastic trees enforce
+    it lazily, so transiently
     under-occupied leaves are reported as [Advisory] findings unless
     [~strict:true] upgrades them to [Error]s.  All other findings are
     hard errors. *)

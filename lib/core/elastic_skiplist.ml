@@ -72,8 +72,6 @@ type t = {
   mutable bytes : int;
   mutable segments : int;
   mutable state : Hysteresis.state;
-  mutable transitions : int;
-  mutable conversions : int;
 }
 [@@ei.single_domain]
 
@@ -94,8 +92,6 @@ let create ~key_len ~load ~size_bound () =
     bytes = 0;
     segments = 0;
     state = Hysteresis.Normal;
-    transitions = 0;
-    conversions = 0;
   }
 
 let count t = t.items
@@ -123,8 +119,6 @@ let fold_payloads t f acc =
     | None -> acc
   in
   go acc t.head.forward.(0)
-let transitions t = t.transitions
-let conversions t = t.conversions
 
 (* --- sizing ---------------------------------------------------------- *)
 
@@ -151,16 +145,9 @@ let update_state t =
   in
   if not (Hysteresis.state_equal t.state s) then begin
     t.state <- s;
-    t.transitions <- t.transitions + 1;
     Metrics.incr c_transitions;
     Trace.emit ev_state (Hysteresis.code s) t.bytes
   end
-
-(* Segment<->singleton conversions all funnel their count through here
-   so the shared registry sees every one. *)
-let note_conversion t =
-  t.conversions <- t.conversions + 1;
-  Metrics.incr c_conversions
 
 (* --- ordering ---------------------------------------------------------- *)
 
@@ -275,7 +262,7 @@ and dissolve t node =
   match node.payload with
   | Single _ -> ()
   | Segment seg ->
-    note_conversion t;
+    Metrics.incr c_conversions;
     let update = Array.make max_level t.head in
     ignore (find_predecessors t (min_key t node) update);
     unlink t update node;
@@ -314,7 +301,7 @@ let compact_run t update first =
   let run = collect_singles (Some first) capacity [] in
   let n = List.length run in
   if n >= capacity / 2 then begin
-    note_conversion t;
+    Metrics.incr c_conversions;
     let keys = Array.make n "" and tids = Array.make n 0 in
     List.iteri
       (fun i node ->
@@ -371,7 +358,7 @@ let insert_into_segment t node key tid =
       in
       node.payload <- Segment (seg_insert t grown key tid);
       t.bytes <- t.bytes + (node_bytes t node - before);
-      note_conversion t
+      Metrics.incr c_conversions
     | None ->
       (* Split in half; the right half becomes a new node. *)
       let before = node_bytes t node in
@@ -469,7 +456,7 @@ let remove_from_segment t update node key =
             Segment
               (Seqtree.with_capacity seg ~capacity ~levels:Hysteresis.seq_levels);
           t.bytes <- t.bytes + (node_bytes t node - before);
-          note_conversion t
+          Metrics.incr c_conversions
         | None ->
           if not (Hysteresis.state_equal t.state Hysteresis.Shrinking) then
             dissolve t node

@@ -33,8 +33,6 @@ val segments : t -> int
 (** Number of compact segment nodes. *)
 
 val state : t -> Ei_btree.Hysteresis.state
-val transitions : t -> int
-val conversions : t -> int
 
 val set_size_bound : t -> int -> unit
 (** Retune the soft size bound on the live list (coordinator lever). *)

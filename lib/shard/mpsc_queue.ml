@@ -71,14 +71,14 @@ let create ?fault_prefix ~capacity () =
    supervisor must not re-draw the fault streams, or first-attempt
    schedules would stop being deterministic.
 
-   Draw protocol (shared with {!draw_faults}): refuse first — a refused
-   push draws nothing else, exactly like a real [Closed] retry path —
-   then delay and drop together, {e before} admission.  Drawing drop up
-   front keeps the per-site call counts a pure function of the fault
-   streams alone: whether the queue happens to be closed (a recovery
-   racing this push) must not add or skip a draw, or equal-seed runs
-   would diverge on schedule.  A drop decided here and refused
-   admission is indistinguishable from one applied after it. *)
+   Draw protocol: refuse first — a refused push draws nothing else,
+   exactly like a real [Closed] retry path — then delay and drop
+   together, {e before} admission.  Drawing drop up front keeps the
+   per-site call counts a pure function of the fault streams alone:
+   whether the queue happens to be closed (a recovery racing this push)
+   must not add or skip a draw, or equal-seed runs would diverge on
+   schedule.  A drop decided here and refused admission is
+   indistinguishable from one applied after it. *)
 let draw t =
   match t.faults with
   | Some f when Fault.enabled () ->
@@ -90,8 +90,6 @@ let draw t =
       if dropped then `Drop else `Pass
     end
   | _ -> `Pass
-
-let draw_faults t = ignore (draw t)
 
 let push ?(inject = true) t x =
   let drawn = if inject then draw t else `Pass in

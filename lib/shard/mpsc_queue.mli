@@ -26,15 +26,8 @@ val push : ?inject:bool -> 'a t -> 'a -> unit
     Injecting pushes draw refuse first (a refused push draws nothing
     else), then delay and drop — always in that pattern, regardless of
     the queue's state, so per-site call counts are a pure function of
-    the fault streams. *)
-
-val draw_faults : 'a t -> unit
-(** Make exactly the fault-site draws an injecting {!push} would make,
-    without touching the queue (a fired delay still sleeps; refuse and
-    drop outcomes are discarded).  Callers that handle a submission
-    away from the queue — the serving layer's degraded quarantine path
-    — use this so the draw schedule stays pure whether or not the
-    queue was bypassed. *)
+    the fault streams.  The serving layer pushes only to a shard that
+    is ready, so every injecting push is one draw of that pattern. *)
 
 val pop_batch : 'a t -> max:int -> 'a list
 (** Dequeue up to [max] elements in FIFO order, blocking while the

@@ -15,9 +15,9 @@
    the fleet: a background domain periodically reads each shard's
    published size (shard domains store it into an [Atomic] after every
    drained batch) and re-splits one global soft bound across the shards
-   — [demand_weight] of the budget proportionally to current sizes, the
-   rest evenly, floored at [min_fraction] of the even share — delivering
-   the new per-shard bounds as control messages through the same queues.
+   — half of the budget proportionally to current sizes, half evenly —
+   delivering the new per-shard bounds as control messages through the
+   same queues.
    Hot shards keep more standard leaves; cold shards compact first.
 
    The supervisor (optional, and always paired with a WAL) makes the
@@ -27,14 +27,15 @@
    heartbeat counter bumped after every drained batch is the backstop
    for a wedged domain that stops making progress without dying.  The
    supervisor domain polls both signals and runs the recovery sequence:
-   quarantine the shard (reads degrade to direct single-threaded access
-   under the quarantine lock; writes retry with exponential backoff
-   until recovery or their deadline), close and drain the dead queue
+   quarantine the shard (clients submitting to it wait, bounded by their
+   deadline, until it is re-admitted), close and drain the dead queue
    (failing the pending sub-batches so clients observe [Timed_out]
    rather than hanging), fence the old WAL writer and rebuild the part
    from the log — the one recovery source: exactly the framed and
    fsynced writes, which include every acknowledged one — re-spawn the
-   domain on a fresh queue, and re-admit the shard.  A per-operation
+   domain on a fresh queue, and re-admit the shard.  Only a shard's
+   current domain ever applies operations to its part; the supervisor
+   swaps in the fresh part while no domain owns it.  A per-operation
    generation fence keeps an abandoned wedged domain from applying or
    acknowledging anything if it ever wakes: it stops within one op,
    never touches the replacement part (each domain captures its part at
@@ -162,18 +163,15 @@ type msg = Work of sub | Set_bound of int
 
 type coordinator_config = {
   global_bound : int;  (* bytes, split across the fleet *)
-  interval_s : float;  (* seconds between rebalances *)
-  demand_weight : float;  (* fraction of budget split by current size *)
-  min_fraction : float;  (* per-shard floor, as fraction of even share *)
 }
 
-let default_coordinator ~global_bound =
-  {
-    global_bound;
-    interval_s = 0.05;
-    demand_weight = 0.5;
-    min_fraction = 0.5;
-  }
+let default_coordinator ~global_bound = { global_bound }
+
+(* Seconds between coordinator passes, and the fraction of the budget
+   split proportionally to current shard sizes (the rest is split
+   evenly). *)
+let rebalance_interval_s = 0.05
+let demand_weight = 0.5
 
 type supervisor_config = {
   table : Table.t;  (* unused: recovery rebuilds from the WAL alone *)
@@ -201,8 +199,8 @@ let poll_interval_s = 0.002
    the properties the [wal-wedge] sim scenario explores. *)
 let stall_timeout_s = 1.0
 
-(* Shard status: running (clients enqueue) or quarantined (reads go
-   direct under [qlock], writes back off until recovery). *)
+(* Shard status: running (clients enqueue) or quarantined (clients wait
+   for re-admission, bounded by their deadline). *)
 let st_running = 0
 let st_quarantined = 1
 
@@ -216,7 +214,6 @@ type shard_state = {
   failed : (int * exn) option Atomic.t;
   (* failure parked by a dying domain, tagged with its generation: the
      supervisor acts only on current-generation failures *)
-  qlock : Mutex.t;  (* quarantined direct access vs. rebuild *)
   mix : shard_mix;  (* per-shard op-mix counters (timeline input) *)
   qdepth : Metrics.gauge;  (* queue depth at last batch drain *)
   faults : shard_faults option;
@@ -628,9 +625,9 @@ let shard_loop t i ~gen ?wal q =
 (* --- Coordinator ----------------------------------------------------- *)
 
 (* Demand-weighted split of the global bound: shard i gets
-   [G * (lambda * size_i / total + (1 - lambda) / n)], floored at
-   [min_fraction] of the even share, then scaled so the bounds sum to
-   [G].  Pure — the unit the coordinator edge-case tests drive. *)
+   [G * (w * size_i / total + (1 - w) / n)] with w = [demand_weight],
+   so never less than [(1 - w) * G / n], then scaled so the bounds sum
+   to [G].  Pure — the unit the coordinator edge-case tests drive. *)
 let split_bounds cfg ~sizes =
   let n = Array.length sizes in
   if n = 0 then [||]
@@ -638,19 +635,14 @@ let split_bounds cfg ~sizes =
     let total = Array.fold_left ( + ) 0 sizes in
     let g = float_of_int cfg.global_bound in
     let nf = float_of_int n in
-    let lambda = cfg.demand_weight in
-    let floor_share = cfg.min_fraction *. g /. nf in
     let raw =
       Array.map
         (fun s ->
-          let share =
-            if total = 0 then g /. nf
-            else
-              g
-              *. ((lambda *. float_of_int s /. float_of_int total)
-                 +. ((1. -. lambda) /. nf))
-          in
-          if Float.compare share floor_share < 0 then floor_share else share)
+          if total = 0 then g /. nf
+          else
+            g
+            *. ((demand_weight *. float_of_int s /. float_of_int total)
+               +. ((1. -. demand_weight) /. nf)))
         sizes
     in
     let sum = Array.fold_left ( +. ) 0. raw in
@@ -694,7 +686,7 @@ let pause t ~slice total =
 
 let coordinator_loop t cfg =
   while not (Atomic.get t.stopping) do
-    pause t ~slice:0.01 cfg.interval_s;
+    pause t ~slice:0.01 rebalance_interval_s;
     if not (Atomic.get t.stopping) then rebalance t cfg
   done
 
@@ -732,18 +724,12 @@ let drain_and_fail q =
 
 (* The recovery sequence: quarantine, fence, reap, fail pending work,
    rebuild from the WAL, swap part and queue, re-spawn, re-admit.  Runs
-   on the supervisor domain only. *)
+   on the supervisor domain only.  The part is swapped while no domain
+   owns it: the old domain is joined or abandoned behind the bumped
+   generation (which it checks before every op), clients wait for
+   re-admission, and the new domain is spawned after the swap. *)
 let recover t scfg wcfg i ~cause =
   let st = t.shards.(i) in
-  (* The quarantine lock is taken before the quarantine is published:
-     a client that observes [st_quarantined] and degrades to a direct
-     read then blocks on [qlock] until the rebuild below has swapped in
-     the fresh part, so degraded reads always see post-recovery state —
-     never the dying part mid-autopsy.  (Besides never exposing a
-     half-built or poisoned part, this keeps degraded-read results a
-     pure function of the acknowledged writes, which the deterministic
-     chaos soak relies on.) *)
-  Mutex.lock st.qlock;
   Atomic.set st.status st_quarantined;
   Trace.instant ~a:i ev_quarantine;
   Flight.trigger ~reason:"shard-quarantine"
@@ -783,7 +769,6 @@ let recover t scfg wcfg i ~cause =
   Atomic.set st.failed None;
   let q = make_queue ~fault_prefix:t.fault_prefix i in
   Atomic.set st.queue q;
-  Mutex.unlock st.qlock;
   let gen = Atomic.get st.gen in
   let w = st.wal in
   st.domain <- Some (Domain.spawn (fun () -> shard_loop t i ~gen ?wal:w q));
@@ -860,7 +845,6 @@ let start ?coordinator ?supervisor ?fault_prefix ?timeout_s ?wal ?wal_restore
           gen = Atomic.make 0;
           heartbeat = Atomic.make 0;
           failed = Atomic.make None;
-          qlock = Mutex.create ();
           mix = shard_mix i;
           qdepth = g_shard_queue i;
           faults =
@@ -1001,52 +985,18 @@ let rebalance_with t cfg = rebalance t cfg
 let op_key = function
   | Insert (k, _) | Remove k | Update (k, _) | Find k | Scan (k, _) -> k
 
-let is_read = function
-  | Find _ | Scan _ -> true
-  | Insert _ | Remove _ | Update _ -> false
-
-(* Degraded read on a quarantined shard: direct, single-threaded,
-   serialised against the rebuild by the quarantine lock.  A transient
-   injected fault or structural poison surfaces as a rejected op — the
-   degraded path must stay up even when the part is sick. *)
-let direct_read t s collect op =
-  let st = t.shards.(s) in
-  Mutex.lock st.qlock;
-  let r =
-    match apply (Shard.parts t.router).(s) collect op with
-    | v -> Ok v
-    | exception e -> Error e
-  in
-  Mutex.unlock st.qlock;
-  match r with
-  | Ok v -> v
-  | Error (Fault.Injected _) | Error (Ei_util.Invariant.Broken _) ->
-    rejected_code
-  | Error e -> raise e
-
-let backoff_s attempt =
-  let b = 0.001 *. float_of_int (1 lsl min attempt 6) in
-  if Float.compare b 0.05 > 0 then 0.05 else b
-
-(* Submit one sub-batch to its shard, riding out recovery.  Running:
-   enqueue (only the first attempt draws the queue fault sites — a
-   retry must not re-draw the schedule).  Quarantined: answer the reads
-   directly now, then keep backing off with the writes until the shard
-   is re-admitted or the deadline passes.  [Closed] from a push means
-   the queue is being recycled (or refused by fault): back off and
-   re-resolve the current queue.
-
-   [barrier] (the deterministic chaos soak) waits for the shard to be
-   re-admitted instead of taking the degraded path, bounded by the
-   deadline like any other wait: every fault-site draw then happens in
-   the same fleet state on every equal-seed run — a crash or poison
-   site is only ever drawn by the owning domain, never skipped because
-   a submission raced a recovery.  Without [barrier], a first attempt
-   that finds the shard quarantined still draws the queue sites
-   ({!Mpsc_queue.draw_faults}): recovery timing decides whether a
-   submission is queued or degraded, and must not add or remove
-   draws. *)
-let rec submit_sub t ~deadline ~barrier s sub attempt =
+(* Submit one sub-batch to its shard, riding out recovery: wait until
+   the shard is ready (re-admitted, no failure awaiting recovery), then
+   enqueue.  The wait is bounded by the deadline and by [stop], like any
+   other wait, and it keeps a shard's part single-owner — only the
+   current shard domain applies operations, never a client.  It also
+   keeps every fault-site draw in the same fleet state on every
+   equal-seed run: a crash or poison site is only ever drawn by the
+   owning domain, never skipped because a submission raced a recovery.
+   Only the first push draws the queue fault sites ([inject]); a push
+   that finds the queue closed — recycled by a recovery, or refused by
+   fault — goes round again without re-drawing the schedule. *)
+let rec submit_sub t ~deadline ~inject s sub =
   (* Preemption point per submission attempt (client side), pairing with
      [yp_op] on the shard side so the explorer can reorder
      submit/apply/recover interleavings. *)
@@ -1058,37 +1008,14 @@ let rec submit_sub t ~deadline ~barrier s sub attempt =
     | None -> false
   in
   if Atomic.get t.stopping || expired () then complete sub.waiter
-  else if barrier && not (shard_ready st) then begin
+  else if not (shard_ready st) then begin
     Unix.sleepf 0.0002;
-    submit_sub t ~deadline ~barrier s sub attempt
+    submit_sub t ~deadline ~inject s sub
   end
-  else if Atomic.get st.status = st_running then begin
-    match Mpsc_queue.push ~inject:(attempt = 0) (Atomic.get st.queue) (Work sub) with
+  else
+    match Mpsc_queue.push ~inject (Atomic.get st.queue) (Work sub) with
     | () -> ()
-    | exception Mpsc_queue.Closed ->
-      Unix.sleepf (backoff_s attempt);
-      submit_sub t ~deadline ~barrier s sub (attempt + 1)
-  end
-  else begin
-    if attempt = 0 then Mpsc_queue.draw_faults (Atomic.get st.queue);
-    let writes = ref [] in
-    Array.iteri
-      (fun j o ->
-        if is_read o then begin
-          if sub.results.(sub.dest.(j)) = pending_code then
-            sub.results.(sub.dest.(j)) <- direct_read t s sub.collect o
-        end
-        else writes := j :: !writes)
-      sub.sops;
-    match List.rev !writes with
-    | [] -> complete sub.waiter
-    | ws ->
-      let ws = Array.of_list ws in
-      let sops = Arr.map ~fill:(Find "") (fun j -> sub.sops.(j)) ws in
-      let dest = Array.map (fun j -> sub.dest.(j)) ws in
-      Unix.sleepf (backoff_s attempt);
-      submit_sub t ~deadline ~barrier s { sub with sops; dest } (attempt + 1)
-  end
+    | exception Mpsc_queue.Closed -> submit_sub t ~deadline ~inject:false s sub
 
 (* Block until every sub-batch completed, or poll until the deadline
    (the stdlib has no timed condition wait).  On timeout the client
@@ -1118,7 +1045,7 @@ let wait_waiter w ~deadline =
 (* One round: group (slot, shard, op) triples by shard, submit a
    sub-batch per shard, wait.  Results land in [results] at each
    triple's slot. *)
-let run_round t ?collect ~deadline ~barrier results triples =
+let run_round t ?collect ~deadline results triples =
   let nshards = Array.length t.shards in
   let counts = Array.make nshards 0 in
   List.iter (fun (_, s, _) -> counts.(s) <- counts.(s) + 1) triples;
@@ -1162,13 +1089,13 @@ let run_round t ?collect ~deadline ~barrier results triples =
     Array.iteri
       (fun s sub ->
         match sub with
-        | Some sub -> submit_sub t ~deadline ~barrier s sub 0
+        | Some sub -> submit_sub t ~deadline ~inject:true s sub
         | None -> ())
       subs;
     wait_waiter waiter ~deadline
   end
 
-let exec ?collect ?timeout_s ?(barrier = false) t (ops : op array) =
+let exec ?collect ?timeout_s t (ops : op array) =
   let n = Array.length ops in
   let outcomes = Array.make n Timed_out in
   if n > 0 then begin
@@ -1191,7 +1118,7 @@ let exec ?collect ?timeout_s ?(barrier = false) t (ops : op array) =
       List.init n (fun i ->
           (i, Shard.shard_of_key t.router (op_key ops.(i)), ops.(i)))
     in
-    run_round t ?collect ~deadline ~barrier results first;
+    run_round t ?collect ~deadline results first;
     (* Scans that exhausted their shard continue into the next one; the
        partition is monotone in key order, so the start key is
        unchanged.  Each round accumulates into [acc]; a round that
@@ -1244,7 +1171,7 @@ let exec ?collect ?timeout_s ?(barrier = false) t (ops : op array) =
       match continuations () with
       | [] -> ()
       | conts ->
-        run_round t ?collect ~deadline ~barrier results conts;
+        run_round t ?collect ~deadline results conts;
         settle ()
     in
     settle ();

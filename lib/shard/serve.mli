@@ -21,11 +21,11 @@
     {e ack ⇒ framed + fsynced} (at the default cadence).  The
     supervisor makes the fleet self-healing: a shard domain that dies
     or wedges is detected (parked exception / heartbeat stall), its
-    shard quarantined — reads degrade to direct single-threaded access,
-    writes back off exponentially until re-admission or their deadline
-    — its part rebuilt from disk (newest valid fingerprinted checkpoint
-    plus log replay, the same path as [start] and as a fresh process),
-    and a fresh domain re-admitted.  The WAL is the only recovery
+    shard quarantined — requests for it wait for re-admission, bounded
+    by their deadline — its part rebuilt from disk (newest valid
+    fingerprinted checkpoint plus log replay, the same path as [start]
+    and as a fresh process), and a fresh domain re-admitted.  Only a
+    shard's current domain ever applies operations to its part.  The WAL is the only recovery
     source, so recovery never loses an acknowledged write and
     acknowledged writes survive process death, not just domain death.
 
@@ -73,21 +73,16 @@ exception Crashed of string
 
 type coordinator_config = {
   global_bound : int;  (** bytes, split across the fleet *)
-  interval_s : float;  (** seconds between rebalances *)
-  demand_weight : float;
-      (** fraction of the budget split proportionally to current shard
-          sizes; the rest is split evenly *)
-  min_fraction : float;
-      (** per-shard floor, as a fraction of the even share *)
 }
 
 val default_coordinator : global_bound:int -> coordinator_config
-(** 50 ms interval, [demand_weight = 0.5], [min_fraction = 0.5]. *)
+(** The coordinator re-splits [global_bound] every 50 ms. *)
 
 val split_bounds : coordinator_config -> sizes:int array -> int array
-(** The coordinator's split as a pure function: demand-weighted,
-    floored at [min_fraction] of the even share, renormalised to sum
-    to [global_bound], each bound at least 1.  [[||]] for an empty
+(** The coordinator's split as a pure function: half of the budget
+    proportionally to current shard sizes, half evenly (so no shard
+    gets less than half the even share), renormalised to sum to
+    [global_bound], each bound at least 1.  [[||]] for an empty
     fleet. *)
 
 type supervisor_config = {
@@ -154,7 +149,6 @@ val stop : t -> unit
 val exec :
   ?collect:(string -> int -> unit) ->
   ?timeout_s:float ->
-  ?barrier:bool ->
   t ->
   op array ->
   outcome array
@@ -164,17 +158,14 @@ val exec :
     are positional.  Scans continue across shards until satisfied; a
     scan whose continuation fails reports the failure, never a partial
     count as if complete.  [collect] receives the key and tid of every
-    entry visited by scan ops (shared by all scans in the batch).  On a
-    quarantined shard, reads are answered directly (degraded
-    single-threaded path, serialised against the rebuild — a degraded
-    read always sees the rebuilt part, never the dying one) and writes
-    retry with exponential backoff until re-admission or the deadline.
+    entry visited by scan ops (shared by all scans in the batch).
 
-    [barrier] (default [false]) trades the degraded path for
-    determinism: each sub-batch submission first waits — bounded by
-    the deadline — until its shard is re-admitted, so every fault-site
-    draw happens in the same fleet state on every equal-seed run.  The
-    deterministic chaos soak submits with [barrier:true]. *)
+    A sub-batch for a quarantined shard first waits, bounded by the
+    deadline, until the shard is re-admitted; past the deadline its ops
+    settle as [Timed_out].  So only the shard's own domain ever applies
+    an op, and every fault-site draw happens in the same fleet state on
+    every equal-seed run, which the deterministic chaos soak relies
+    on. *)
 
 val shard_sizes : t -> int array
 (** Per-shard sizes as last published by the shard domains. *)

@@ -9,9 +9,10 @@ module Index_ops = Ei_harness.Index_ops
 
 type t = {
   map : Shard_map.t;
-  (* slot [i] is swapped only by shard [i]'s recovery, under that
-     shard's [qlock] (see {!Serve.recover}) *)
-  parts : Index_ops.t array [@ei.guarded_by "shards.(i).qlock"];
+  (* slot [i] is applied to only by shard [i]'s current domain and
+     swapped only by that shard's recovery while no domain owns it (see
+     {!Serve.recover}) *)
+  parts : Index_ops.t array [@ei.guarded_by "owning shard domain"];
 }
 
 let create parts =

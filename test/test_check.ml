@@ -6,7 +6,12 @@
    findings are expected while shrinking/expanding).
 
    Three seeded trials of 36k phased ops each (grow-heavy, mixed churn,
-   drain-heavy) put >= 100k operations through the wrapped index. *)
+   drain-heavy) put >= 100k operations through the wrapped index.
+
+   The §4 occupancy rule is the elastic tree's alone: a churned
+   fixed-policy SeqTree64 with half-split leaves is clean under
+   [~strict], while an elastic tree with an underfull compact leaf is
+   not. *)
 
 module Key = Ei_util.Key
 module Rng = Ei_util.Rng
@@ -136,6 +141,87 @@ let test_detects_corruption () =
   in
   Alcotest.(check bool) "corruption detected" true (List.exists is_error findings)
 
+(* --- The occupancy rule applies to elastic trees only ---------------- *)
+
+module Btree = Ei_btree.Btree
+module Hysteresis = Ei_btree.Hysteresis
+
+(* Compact leaves of [tree] holding fewer than §4's k+1 keys. *)
+let underfull tree =
+  Btree.fold_leaves tree
+    (fun n spec count ->
+      match spec with
+      | Ei_btree.Policy.Spec_seq c when Hysteresis.underflows ~capacity:c ~count
+        ->
+        n + 1
+      | _ -> n)
+    0
+
+let occupancy_errors (r : Check.report) =
+  List.filter (fun (f : Check.finding) -> f.Check.validator = "occupancy")
+    (Check.errors r)
+
+(* [ei check --index seqtree64]'s churn: a 2000-key load, then mixed
+   ops until some leaf holds fewer than k+1 keys.  The leaves half-split,
+   as STX's do, and that is no error even under [~strict]. *)
+let test_fixed_seqtree_strict_clean () =
+  let table = Table.create ~key_len:8 () in
+  let kind =
+    match Ei_harness.Registry.kind_of_name ~bound:1 "seqtree64" with
+    | Ok k -> k
+    | Error e -> Alcotest.fail e
+  in
+  let ix = Ei_harness.Registry.make ~key_len:8 ~load:(Table.loader table) kind in
+  let rng = Rng.stream seed 11 in
+  let pool = Array.init 2_000 (fun _ -> Key.random rng 8) in
+  let tids = Array.map (Table.append table) pool in
+  Array.iteri (fun i k -> ignore (ix.Index_ops.insert k tids.(i))) pool;
+  let tree =
+    match ix.Index_ops.backend with
+    | Index_ops.B_btree t -> t
+    | _ -> Alcotest.fail "seqtree64 is not a plain B+-tree"
+  in
+  let rec churn step =
+    if underfull tree = 0 then
+      if step = 5_000 then Alcotest.fail "no leaf fell below k+1 keys"
+      else begin
+        let i = Rng.int rng (Array.length pool) in
+        if Rng.int rng 100 < 55 then
+          ignore (ix.Index_ops.insert pool.(i) tids.(i))
+        else ignore (ix.Index_ops.remove pool.(i));
+        churn (step + 1)
+      end
+  in
+  churn 0;
+  let r = Check.run ~strict:true ix in
+  Alcotest.(check int) "no error under ~strict" 0 (List.length (Check.errors r))
+
+(* An elastic tree shrunk into compact leaves, then drained key by key
+   until one compact leaf holds fewer than k+1 keys: [~strict] reports
+   it as an occupancy error, the default as an advisory. *)
+let test_elastic_underfull_strict_error () =
+  let table = Table.create ~key_len:8 () in
+  let config = Elasticity.default_config ~size_bound:10_000 in
+  let tree = Elastic.create ~key_len:8 ~load:(Table.loader table) config () in
+  let ix = Index_ops.of_elastic "elastic" tree in
+  let rng = Rng.stream seed 13 in
+  let keys = Array.init 4_000 (fun _ -> Key.random rng 8) in
+  Array.iter (fun k -> ignore (Elastic.insert tree k (Table.append table k))) keys;
+  Alcotest.(check bool) "has compact leaves" true (Elastic.compact_leaves tree > 0);
+  let rec drain i =
+    if underfull (Elastic.tree tree) = 0 then
+      if i = Array.length keys then Alcotest.fail "no compact leaf underflowed"
+      else begin
+        ignore (Elastic.remove tree keys.(i));
+        drain (i + 1)
+      end
+  in
+  drain 0;
+  Alcotest.(check bool) "an occupancy error under ~strict" true
+    (occupancy_errors (Check.run ~strict:true ix) <> []);
+  Alcotest.(check int) "only advisories by default" 0
+    (List.length (Check.errors (Check.run ix)))
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "ei_check"
@@ -143,4 +229,11 @@ let () =
       ("sanitizer", [ qt prop_sanitizer_clean ]);
       ( "detection",
         [ Alcotest.test_case "seeded corruption found" `Quick test_detects_corruption ] );
+      ( "occupancy",
+        [
+          Alcotest.test_case "fixed seqtree64 clean under strict" `Quick
+            test_fixed_seqtree_strict_clean;
+          Alcotest.test_case "underfull elastic leaf is a strict error" `Quick
+            test_elastic_underfull_strict_error;
+        ] );
     ]

@@ -494,9 +494,17 @@ let pin_churn name =
   in
   let table = Table.create ~key_len:8 () in
   let ix = Registry.make ~key_len:8 ~load:(Table.loader table) kind in
-  let olc_transitions = Metrics.counter "olc.transitions" in
+  (* Transitions of the OLC tree and the skip list, and the skip list's
+     conversions, are read off the process-wide counters as deltas. *)
+  let delta name =
+    let c = Metrics.counter name in
+    let before = Metrics.counter_value c in
+    fun () -> Metrics.counter_value c - before
+  in
   Metrics.set_enabled true;
-  let before = Metrics.counter_value olc_transitions in
+  let olc_transitions = delta "olc.transitions" in
+  let sl_transitions = delta "skiplist.transitions" in
+  let sl_conversions = delta "skiplist.conversions" in
   let rng = Rng.create 0x91a5 in
   let pool = Array.init 6_000 (fun _ -> Key.random rng 8) in
   let tids = Array.make (Array.length pool) (-1) in
@@ -525,11 +533,11 @@ let pin_churn name =
             (Elastic.stats t).Btree.conversions,
             Elastic.transitions t )
         | Index_ops.B_elastic_skiplist t ->
-          (Esl.segments t, Esl.conversions t, Esl.transitions t)
+          (Esl.segments t, sl_conversions (), sl_transitions ())
         | Index_ops.B_olc t ->
           ( Olc.elastic_compact_leaves t,
             Olc.elastic_conversions t,
-            Metrics.counter_value olc_transitions - before )
+            olc_transitions () )
         | _ -> Alcotest.failf "%s: not an elastic backend" name
       in
       ( ix.Index_ops.memory_bytes (),

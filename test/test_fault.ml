@@ -7,8 +7,7 @@
       wake and raise Closed when the consumer closes — the original
       close/push race — and admitted elements stay poppable.
    c. split_bounds edge cases: empty fleet, zero-size fleet, a single
-      hot shard, min_fraction floors summing past the bound, and the
-      every-bound-at-least-one clamp.
+      hot shard, and the every-bound-at-least-one clamp.
    d. Supervisor crash recovery: injected shard-domain crashes under a
       live insert workload; every acknowledged insert must be present
       after the last recovery (zero lost acks) and the recovery count
@@ -106,46 +105,28 @@ let test_queue_close_race () =
 
 (* --- c. split_bounds edge cases -------------------------------------- *)
 
-let cfg ~global_bound ~min_fraction =
-  { (Serve.default_coordinator ~global_bound) with min_fraction }
-
 let test_split_bounds () =
   let check_arr name expect got = Alcotest.(check (array int)) name expect got in
+  let cfg global_bound = Serve.default_coordinator ~global_bound in
   (* Empty fleet. *)
-  check_arr "empty fleet" [||]
-    (Serve.split_bounds (cfg ~global_bound:1024 ~min_fraction:0.5) ~sizes:[||]);
+  check_arr "empty fleet" [||] (Serve.split_bounds (cfg 1024) ~sizes:[||]);
   (* Zero-size fleet: even split. *)
   check_arr "zero sizes split evenly"
     [| 256; 256; 256; 256 |]
-    (Serve.split_bounds
-       (cfg ~global_bound:1024 ~min_fraction:0.5)
-       ~sizes:[| 0; 0; 0; 0 |]);
-  (* Single hot shard: demand weight flows to it, the cold shards sit
-     on the min_fraction floor. *)
+    (Serve.split_bounds (cfg 1024) ~sizes:[| 0; 0; 0; 0 |]);
+  (* Single hot shard: demand weight flows to it, the cold shards keep
+     half the even share. *)
   check_arr "single hot shard"
     [| 640; 128; 128; 128 |]
-    (Serve.split_bounds
-       (cfg ~global_bound:1024 ~min_fraction:0.5)
-       ~sizes:[| 1000; 0; 0; 0 |]);
-  (* min_fraction floors summing past the bound: every shard is floored,
-     renormalisation scales the floors back inside the bound (an even
-     split — no shard may starve, no fleet may exceed the budget). *)
-  check_arr "floors past the bound renormalise"
-    [| 256; 256; 256; 256 |]
-    (Serve.split_bounds
-       (cfg ~global_bound:1024 ~min_fraction:3.0)
-       ~sizes:[| 100; 0; 0; 0 |]);
+    (Serve.split_bounds (cfg 1024) ~sizes:[| 1000; 0; 0; 0 |]);
   (* Degenerate budget: every bound is clamped to at least 1 so no
      shard ever receives a zero (or negative) bound. *)
   check_arr "bounds never drop below 1" [| 1; 1; 1 |]
-    (Serve.split_bounds (cfg ~global_bound:1 ~min_fraction:0.5)
-       ~sizes:[| 0; 0; 0 |]);
+    (Serve.split_bounds (cfg 1) ~sizes:[| 0; 0; 0 |]);
   (* Skewed but bounded: the sum never exceeds the budget (truncation
      may undershoot by at most one byte per shard). *)
   let sizes = [| 7; 7_000; 70; 700_000 |] in
-  let bounds =
-    Serve.split_bounds (cfg ~global_bound:100_000 ~min_fraction:0.25) ~sizes
-  in
+  let bounds = Serve.split_bounds (cfg 100_000) ~sizes in
   let sum = Array.fold_left ( + ) 0 bounds in
   Alcotest.(check bool) "sum within budget" true (sum <= 100_000);
   Alcotest.(check bool) "sum close to budget" true (sum >= 100_000 - 4);

@@ -19,7 +19,9 @@
       fresh parts); a crashing fleet under fault injection loses no
       acknowledged write across supervisor rebuild-from-disk; a failed
       WAL commit does not hang later batches that have no deadline,
-      because a durable fleet always runs the supervisor.
+      because a durable fleet always runs the supervisor; a request
+      for a shard under rebuild waits for it only until its deadline,
+      and no op is ever applied on the client's domain.
    d. A mini durable chaos soak: report clean, restart check clean,
       and two equal-seed runs agree on the (narrowed) schedule
       digest.
@@ -664,6 +666,80 @@ let test_serve_crash_rebuild_from_disk () =
     (recoveries >= 1);
   Alcotest.(check int) "count reconciles" n (Shard.count router)
 
+(* A request for a shard under rebuild waits for re-admission, but only
+   until its deadline, and only the shard's own domain applies it.  One
+   durable shard of 2000 keys; the injected crash kills its domain, and
+   the supervisor's rebuild blocks 300 ms in the part constructor.  A
+   [Find] with a 20 ms deadline sent during that rebuild comes back
+   [Timed_out] well before the rebuild ends.  Every part counts the ops
+   it applies on the test's own (client) domain: there must be none. *)
+let test_rebuild_wait_bounded () =
+  with_dir "serve-deadline" @@ fun dir ->
+  let client = (Domain.self () :> int) in
+  let on_client = Atomic.make 0 in
+  let owned (ix : Index_ops.t) =
+    let note () =
+      if Int.equal (Domain.self () :> int) client then Atomic.incr on_client
+    in
+    {
+      ix with
+      Index_ops.insert = (fun k tid -> note (); ix.Index_ops.insert k tid);
+      remove = (fun k -> note (); ix.Index_ops.remove k);
+      update = (fun k tid -> note (); ix.Index_ops.update k tid);
+      find = (fun k -> note (); ix.Index_ops.find k);
+      multi_find = (fun ks -> note (); ix.Index_ops.multi_find ks);
+      scan = (fun k n -> note (); ix.Index_ops.scan k n);
+      scan_keys = (fun k n f -> note (); ix.Index_ops.scan_keys k n f);
+    }
+  in
+  let armed = Atomic.make false and rebuilding = Atomic.make false in
+  let part table i =
+    if Atomic.get armed then begin
+      Atomic.set rebuilding true;
+      Unix.sleepf 0.3
+    end;
+    owned (mk_part table (Printf.sprintf "deadline/%d" i))
+  in
+  let { Fleet.table; serve; _ } =
+    Fleet.start ~shards:1 ~part ~fault_prefix:"serve"
+      ~wal:(Wal.default_config ~dir) ()
+  in
+  let keys = Array.init 2_000 (fun i -> Key.of_int (i * 7919)) in
+  let tids = Array.map (Table.append table) keys in
+  Array.iter
+    (function
+      | Serve.Applied 1 -> () | _ -> Alcotest.fail "insert not applied")
+    (Serve.exec serve (Array.mapi (fun i k -> Serve.Insert (k, tids.(i))) keys));
+  Atomic.set armed true;
+  Fault.configure ~seed:1 [ ("serve.crash.shard0", 1.0) ];
+  (match Serve.exec serve [| Serve.Find keys.(0) |] with
+  | [| Serve.Timed_out |] -> ()
+  | _ -> Alcotest.fail "the injected crash did not fail its op");
+  Fault.clear ();
+  while not (Atomic.get rebuilding) do
+    Unix.sleepf 0.001
+  done;
+  let t0 = Ei_util.Bench_clock.now_ns () in
+  let during = Serve.exec ~timeout_s:0.02 serve [| Serve.Find keys.(1) |] in
+  let waited_s = float_of_int (Ei_util.Bench_clock.now_ns () - t0) *. 1e-9 in
+  wait_healthy serve;
+  let after = Serve.exec serve [| Serve.Find keys.(1) |] in
+  Serve.stop serve;
+  (match during with
+  | [| Serve.Timed_out |] when Float.compare waited_s 0.1 < 0 -> ()
+  | [| o |] ->
+    Alcotest.failf "%s after %.1f ms; want Timed_out within 100 ms"
+      (match o with
+      | Serve.Applied r -> Printf.sprintf "Applied %d" r
+      | Serve.Rejected -> "Rejected"
+      | Serve.Timed_out -> "Timed_out")
+      (waited_s *. 1e3)
+  | _ -> Alcotest.fail "one op, one outcome");
+  Alcotest.(check bool) "applied after re-admission" true
+    (after = [| Serve.Applied tids.(1) |]);
+  Alcotest.(check int) "ops applied on the client's domain" 0
+    (Atomic.get on_client)
+
 (* One failed fsync kills both shard domains mid-commit.  The fleet has
    no deadline, so a dead shard whose queue stayed open would block the
    next batch forever; the supervisor every durable fleet runs rebuilds
@@ -845,6 +921,8 @@ let () =
             test_serve_crash_rebuild_from_disk;
           Alcotest.test_case "failed commit does not hang later batches"
             `Quick test_wal_fault_no_hang;
+          Alcotest.test_case "a rebuilding shard waits within the deadline"
+            `Quick test_rebuild_wait_bounded;
           Alcotest.test_case "a WAL needs a supervisor" `Quick
             test_wal_needs_supervisor;
           Alcotest.test_case "a supervisor needs a WAL" `Quick
