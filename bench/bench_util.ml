@@ -50,7 +50,7 @@ let median_mops ?(warmup = 1) ?(repeat = 3) ops f =
 
 (* Every experiment appends one JSON object per measurement, one per
    line (JSON Lines), so the perf trajectory of the repo is diffable
-   across commits.  [reset] truncates at suite start. *)
+   across commits.  The file is append-only: no run truncates it. *)
 
 let results_file = "BENCH_results.json"
 
@@ -67,10 +67,6 @@ let json_escape s =
       | c -> Buffer.add_char b c)
     s;
   Buffer.contents b
-
-let reset_results () =
-  let oc = open_out results_file in
-  close_out oc
 
 (* [emit ~name ~params ~ops_per_sec ~bytes] appends one record.
    [params] is a list of (key, value) strings describing the

@@ -76,7 +76,6 @@ let run_cell ~kind_of_shard ~bound ~shards ~record_count ~ops =
     mops ops (fun () -> shed := !shed + Fleet.run fleet read_ops)
   in
   let read_q = phase_quantiles Fig6_par.h_batch in
-  Serve.rebalance_now serve;
   let bytes = Fig6_par.aggregate_bytes serve in
   Serve.stop serve;
   Fig6_par.warn_shed (Printf.sprintf "%d shards" shards) !shed;

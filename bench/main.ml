@@ -37,7 +37,6 @@ let () =
   in
   Printf.printf "elastic-indexes benchmark suite (EI_SCALE=%.2f, EI_SEED=%d)\n%!"
     Bench_util.scale Bench_util.seed;
-  Bench_util.reset_results ();
   List.iter
     (fun name ->
       match List.assoc_opt name experiments with

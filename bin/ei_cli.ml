@@ -313,7 +313,7 @@ let preload ?stop (fleet : Ei_shard.Fleet.t) records =
 
 (* The fleet of [serve] and the observability commands: elastic
    BTreeOLC shards bounded at [pct] percent of STX for [records] keys,
-   with the periodic coordinator when [coordinated].  Returns the fleet
+   with the periodic coordinator passes when [coordinated].  Returns the fleet
    and its global bound. *)
 let elastic_fleet ~coordinated ~shards ~records ~pct ?wal () =
   let module Fleet = Ei_shard.Fleet in
@@ -366,7 +366,7 @@ let serve_cmd =
       let shed = ref load_shed in
       let batched a = shed := !shed + Fleet.run ~stop fleet a in
       Printf.printf
-        "%d shard domain(s) + coordinator%s; global bound %.1f MiB\n" shards
+        "%d shard domain(s), coordinated%s; global bound %.1f MiB\n" shards
         (if wal = None then "" else " + WAL")
         (Clock.mib global_bound);
       Printf.printf "load   %8d ops  %6.2f Mops\n" records
@@ -391,7 +391,6 @@ let serve_cmd =
       in
       Printf.printf "churn  %8d ops  %6.2f Mops\n" ops
         (Clock.mops ops churn_dt);
-      Serve.rebalance_now serve;
       let sizes = Serve.shard_sizes serve in
       let agg = Array.fold_left ( + ) 0 sizes in
       Array.iteri
@@ -954,9 +953,10 @@ let stats_cmd =
    timeline frames (ei timeline) or refresh a live view (ei top), and
    an optional WAL so the captured flows include the durability leg.
    Each [phase l] call closes the window named [l].  The periodic
-   coordinator is deliberately NOT started — it would restore the
+   coordinator is deliberately NOT configured — it would restore the
    original bound split on its next pass and blur the slash;
-   [Serve.rebalance_with] delivers each split exactly once.  Returns
+   [Serve.rebalance_with] leaves each split once, and every shard
+   applies it at its next batch.  Returns
    the shed count, the sub-batches applied and the global bound. *)
 let run_obs_fleet ~shards ~records ~ops ~update_pct ~pct ~seed ?wal ~phase () =
   let module Serve = Ei_shard.Serve in
@@ -968,7 +968,7 @@ let run_obs_fleet ~shards ~records ~ops ~update_pct ~pct ~seed ?wal ~phase () =
   let shed = ref load_shed in
   let batched a = shed := !shed + Fleet.run fleet a in
   let serve = fleet.Fleet.serve in
-  (* One explicit coordinator pass delivers the configured split. *)
+  (* One explicit coordinator pass leaves the configured split. *)
   Serve.rebalance_with serve (Serve.default_coordinator ~global_bound);
   phase "load";
   let rng = Ei_util.Rng.stream seed 0 in

@@ -27,8 +27,10 @@
      parks its failure before acknowledging the batch, so this cannot
      miss a recovery in flight — keeping whole rounds aligned with
      recoveries;
-   - the coordinator domain is not used; rebalances are client-driven
-     at fixed round numbers ({!Ei_shard.Serve.rebalance_with});
+   - no periodic coordinator is configured; rebalances are
+     client-driven at fixed round numbers
+     ({!Ei_shard.Serve.rebalance_with}), each shard taking its split at
+     the start of its next batch;
    - retries ([inject:false] pushes, rebuild re-inserts) never re-draw
      a fault stream out of schedule.
 

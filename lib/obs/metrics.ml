@@ -31,8 +31,8 @@ let set_enabled b = Atomic.set on b
 let enabled () = Atomic.get on
 
 (* Power of two; domain ids map onto cells by masking.  16 ways covers
-   the shard counts the serving layer runs (1..8 domains plus
-   supervisor/coordinator) with few collisions, and a collision only
+   the shard counts the serving layer runs (1..8 domains plus the
+   supervisor) with few collisions, and a collision only
    costs contention, never a lost count. *)
 let shards = 16
 

@@ -12,12 +12,14 @@
    is monotone in key order).
 
    The coordinator lifts the paper's elasticity policy from one tree to
-   the fleet: a background domain periodically reads each shard's
-   published size (shard domains store it into an [Atomic] after every
-   drained batch) and re-splits one global soft bound across the shards
-   — half of the budget proportionally to current sizes, half evenly —
-   delivering the new per-shard bounds as control messages through the
-   same queues.
+   the fleet: it re-splits one global soft bound across the shards from
+   the sizes they publish (each shard domain stores its size into an
+   [Atomic] after every drained batch) — half of the budget
+   proportionally to current sizes, half evenly.  It owns no domain: a
+   pass runs on whichever shard domain first finishes a batch after the
+   pass falls due, so an idle fleet makes none, and it leaves each
+   shard's new bound in a per-shard slot that the owning domain takes
+   at the start of its next batch.
    Hot shards keep more standard leaves; cold shards compact first.
 
    The supervisor (optional, and always paired with a WAL) makes the
@@ -159,18 +161,16 @@ type sub = {
   tspan : int;
 }
 
-type msg = Work of sub | Set_bound of int
-
 type coordinator_config = {
   global_bound : int;  (* bytes, split across the fleet *)
 }
 
 let default_coordinator ~global_bound = { global_bound }
 
-(* Seconds between coordinator passes, and the fraction of the budget
-   split proportionally to current shard sizes (the rest is split
-   evenly). *)
-let rebalance_interval_s = 0.05
+(* Nanoseconds between coordinator passes, and the fraction of the
+   budget split proportionally to current shard sizes (the rest is
+   split evenly). *)
+let rebalance_interval_ns = 50_000_000
 let demand_weight = 0.5
 
 type supervisor_config = {
@@ -207,7 +207,8 @@ let st_quarantined = 1
 type shard_faults = { crash : Fault.site; poison : Fault.site }
 
 type shard_state = {
-  queue : msg Mpsc_queue.t Atomic.t;  (* swapped at every recovery *)
+  queue : sub Mpsc_queue.t Atomic.t;  (* swapped at every recovery *)
+  bound : int Atomic.t;  (* newest coordinator split not yet taken; 0 = none *)
   status : int Atomic.t;
   gen : int Atomic.t;  (* bumped per recovery; fences out zombies *)
   heartbeat : int Atomic.t;  (* bumped per drained batch *)
@@ -239,6 +240,7 @@ type t = {
   sizes : int Atomic.t array;  (* published by shard domains *)
   batches : int Atomic.t;  (* sub-batches applied, fleet-wide *)
   rebalances : int Atomic.t;
+  next_pass : int Atomic.t;  (* monotonic ns at which a pass falls due *)
   recoveries_n : int Atomic.t;
   coordinator : coordinator_config option;
   timeout_s : float option;  (* default exec deadline *)
@@ -249,14 +251,72 @@ type t = {
   log_lock : Mutex.t;
   (* newest first *)
   mutable log : recovery list [@ei.guarded_by "log_lock"];
-  (* coordinator + supervisor; written by create/stop only *)
-  mutable aux : unit Domain.t list [@ei.single_domain];
+  (* written by create/stop only *)
+  mutable supervisor : unit Domain.t option [@ei.single_domain];
 }
 
 (* Seconds on the monotonic clock (arbitrary origin): client deadlines
    and stall detection compare only differences, so a wall-clock step
    cannot expire in-flight requests or hide a wedged shard. *)
 let now () = float_of_int (Clock.now_ns ()) *. 1e-9
+
+(* --- Coordinator ----------------------------------------------------- *)
+
+(* Demand-weighted split of the global bound: shard i gets
+   [G * (w * size_i / total + (1 - w) / n)] with w = [demand_weight],
+   so never less than [(1 - w) * G / n], then scaled so the bounds sum
+   to [G].  Pure — the unit the coordinator edge-case tests drive. *)
+let split_bounds cfg ~sizes =
+  let n = Array.length sizes in
+  if n = 0 then [||]
+  else begin
+    let total = Array.fold_left ( + ) 0 sizes in
+    let g = float_of_int cfg.global_bound in
+    let nf = float_of_int n in
+    let raw =
+      Array.map
+        (fun s ->
+          if total = 0 then g /. nf
+          else
+            g
+            *. ((demand_weight *. float_of_int s /. float_of_int total)
+               +. ((1. -. demand_weight) /. nf)))
+        sizes
+    in
+    let sum = Array.fold_left ( +. ) 0. raw in
+    Array.map
+      (fun r ->
+        let b =
+          if Float.compare sum 0. > 0 then int_of_float (r *. g /. sum)
+          else int_of_float (g /. nf)
+        in
+        if b < 1 then 1 else b)
+      raw
+  end
+
+(* Leave each shard's split in its slot for the owning domain to take
+   at the start of its next batch, so only that domain touches its
+   index.  A newer split replaces one not yet taken, and a slot outlives
+   a recovery: the rebuilt shard's first batch takes it. *)
+let rebalance_with t cfg =
+  let bounds = split_bounds cfg ~sizes:(Array.map Atomic.get t.sizes) in
+  Array.iteri (fun i b -> Atomic.set t.shards.(i).bound b) bounds;
+  Atomic.incr t.rebalances
+
+(* The periodic pass, run by a shard domain after it publishes a new
+   size — the only time a size changes, so an idle fleet makes no pass.
+   The CAS on the deadline lets one of the domains finishing a batch
+   once the pass falls due claim it. *)
+let maybe_rebalance t =
+  match t.coordinator with
+  | None -> ()
+  | Some cfg ->
+    let due = Atomic.get t.next_pass in
+    let now_ns = Clock.now_ns () in
+    if
+      now_ns >= due
+      && Atomic.compare_and_set t.next_pass due (now_ns + rebalance_interval_ns)
+    then rebalance_with t cfg
 
 (* --- Shard domains --------------------------------------------------- *)
 
@@ -473,25 +533,24 @@ let shard_apply i ~gen (st : shard_state) part ~wal ~defer sub =
 let shard_loop t i ~gen ?wal q =
   let st = t.shards.(i) in
   let part = (Shard.parts t.router).(i) in
-  (* Complete the waiters of popped-but-unapplied work: the slots stay
-     at the pending sentinel, so clients observe [Timed_out] instead of
-     hanging on messages a stale domain will never apply (with no
-     deadline, an uncompleted waiter would block its client forever). *)
-  let fail_popped msgs =
-    List.iter
-      (function Work sub -> complete sub.waiter | Set_bound _ -> ())
-      msgs
-  in
+  (* Complete the waiters of popped-but-unapplied sub-batches: the slots
+     stay at the pending sentinel, so clients observe [Timed_out]
+     instead of hanging on work a stale or dying domain will never apply
+     (with no deadline, an uncompleted waiter would block its client
+     forever). *)
+  let fail_popped subs = List.iter (fun sub -> complete sub.waiter) subs in
   let rec loop () =
     match Mpsc_queue.pop_batch q ~max:max_batch with
     | [] -> ()  (* closed and drained: the domain exits *)
-    | msgs ->
+    | subs ->
       (* Generation fence: a wedged domain the supervisor abandoned and
          replaced must not apply or acknowledge anything if it wakes.
-         Messages it raced away from the supervisor's [drain_and_fail]
-         are failed here, exactly as the supervisor would have. *)
-      if Atomic.get st.gen <> gen then fail_popped msgs
+         Sub-batches it raced away from the supervisor's
+         [drain_and_fail] are failed here, exactly as the supervisor
+         would have. *)
+      if Atomic.get st.gen <> gen then fail_popped subs
       else begin
+        let nsubs = List.length subs in
         (* Clock read gated on the master switches so the disabled-path
            cost of the batch span is one or two atomic loads. *)
         let t0 =
@@ -499,10 +558,56 @@ let shard_loop t i ~gen ?wal q =
           else 0
         in
         if t0 <> 0 then begin
-          let depth = List.length msgs + Mpsc_queue.length q in
+          let depth = nsubs + Mpsc_queue.length q in
           Metrics.observe h_queue_depth depth;
           Metrics.set_gauge st.qdepth depth
         end;
+        (* With a WAL, outcomes are group-committed: results go to
+           [buf] and waiters to [acked], and both are released only
+           after one [Wal.commit] at the end of the batch has made every
+           accepted mutation durable — ack ⇒ framed + fsynced.  Without
+           a WAL each sub-batch completes as soon as it is applied. *)
+        let buf = ref [] in
+        let defer = Option.map (fun _ -> buf) wal in
+        let acked = ref [] in
+        (* Dying (crash, poison, failed commit) or abandoned mid-batch:
+           nothing of this batch was released, so every popped waiter
+           wakes with its unreleased slots at the pending sentinel —
+           [Timed_out] — and with a WAL the supervisor rebuilds the part
+           from disk, so acknowledged and durable stay the same set.  A
+           death is parked before any client wakes, so a client that
+           observed the timeout also observes the fleet as unhealthy.
+           Without a WAL there is no supervisor, hence no generation
+           bump: a death there is final. *)
+        let die e unapplied =
+          (match e with Stale_generation -> () | e -> park st ~gen e);
+          List.iter complete (List.rev !acked);
+          fail_popped unapplied;
+          raise e
+        in
+        (* The newest coordinator split rides this batch: applied before
+           its sub-batches and, with a WAL, framed into its commit. *)
+        (match Atomic.exchange st.bound 0 with
+        | 0 -> ()
+        | b -> (
+          match
+            part.Index_ops.set_size_bound b;
+            Option.iter (fun w -> Wal.log_bound w b) wal
+          with
+          | () -> ()
+          | exception e -> die e subs));
+        let rec process = function
+          | [] -> ()
+          | sub :: rest as unapplied ->
+            (match shard_apply i ~gen st part ~wal ~defer sub with
+            | () -> ()
+            | exception e -> die e unapplied);
+            (match wal with
+            | None -> complete sub.waiter
+            | Some _ -> acked := sub.waiter :: !acked);
+            process rest
+        in
+        process subs;
         let finish_batch () =
           (* Publish the size the coordinator rebalances from.  Every
              registry index tracks its size in O(1); the OLC trees'
@@ -510,107 +615,36 @@ let shard_loop t i ~gen ?wal q =
              mutation. *)
           Atomic.set t.sizes.(i) (part.Index_ops.memory_bytes ());
           Atomic.incr st.heartbeat;
-          ignore (Atomic.fetch_and_add t.batches (List.length msgs));
+          ignore (Atomic.fetch_and_add t.batches nsubs);
           if t0 <> 0 then begin
             Metrics.observe h_batch (Clock.now_ns () - t0);
             (* The batch span belongs to no single request: drop the
                last sub's ambient context before emitting it. *)
             Ctx.clear ();
-            Trace.span ev_batch ~start_ns:t0 (List.length msgs)
+            Trace.span ev_batch ~start_ns:t0 nsubs
           end;
+          maybe_rebalance t;
           loop ()
         in
         match wal with
-        | None ->
-          let rec process = function
-            | [] -> finish_batch ()
-            | Set_bound b :: rest ->
-              part.Index_ops.set_size_bound b;
-              process rest
-            | Work sub :: rest -> (
-              (* Without a WAL there is no supervisor, hence no
-                 generation bump: a death here is final.  Park it before
-                 waking the client, so a client that observed the
-                 timeout also observes the fleet as unhealthy.  Applied
-                 slots stand; untouched slots read as timed out. *)
-              match shard_apply i ~gen st part ~wal:None ~defer:None sub with
-              | () ->
-                complete sub.waiter;
-                process rest
-              | exception e ->
-                park st ~gen e;
-                complete sub.waiter;
-                raise e)
-          in
-          process msgs
+        | None -> finish_batch ()
         | Some w ->
-          (* Group commit: results and acks for the whole drained batch
-             are held back until one [Wal.commit] at the end has made
-             every accepted mutation durable — ack ⇒ framed + fsynced.
-             If the commit (or anything before it) dies, the deferred
-             results are discarded: slots keep the pending sentinel,
-             clients observe [Timed_out], and the supervisor rebuilds
-             the shard from disk — acknowledged and durable stay the
-             same set. *)
-          let defer = ref [] in
-          let acked = ref [] in
-          let release_acks () = List.iter complete (List.rev !acked) in
-          let rec process_wal = function
-            | [] -> (
-              match Wal.commit w ~part with
-              | () ->
-                (* Generation re-check: a domain abandoned while inside
-                   the commit scatters nothing and exits — its waiters
-                   see [Timed_out], and the published size and
-                   heartbeat stay the replacement's.  (The commit itself
-                   already raised if the supervisor fenced the writer
-                   before the fsync returned.) *)
-                if Atomic.get st.gen = gen then begin
-                  List.iter
-                    (fun (res, s, v) -> res.(s) <- v)
-                    (List.rev !defer);
-                  release_acks ();
-                  finish_batch ()
-                end
-                else release_acks ()
-              | exception e ->
-                (* The batch is applied in memory but not durable: wake
-                   the waiters with their slots untouched (Timed_out)
-                   and let the supervisor replace this part with the
-                   recovered-from-disk one. *)
-                Flight.trigger ~reason:"wal-commit-failure"
-                  ~detail:
-                    (Printf.sprintf "shard %d: %s" i (Printexc.to_string e));
-                park st ~gen e;
-                release_acks ();
-                raise e)
-            | Set_bound b :: rest -> (
-              part.Index_ops.set_size_bound b;
-              match Wal.log_bound w b with
-              | () -> process_wal rest
-              | exception e ->
-                park st ~gen e;
-                release_acks ();
-                raise e)
-            | Work sub :: rest -> (
-              match shard_apply i ~gen st part ~wal ~defer:(Some defer) sub with
-              | () ->
-                acked := sub.waiter :: !acked;
-                process_wal rest
-              | exception Stale_generation ->
-                (* Abandoned mid-batch: nothing of this batch was
-                   released, so waking every collected waiter with its
-                   slots still pending is the usual Timed_out path. *)
-                release_acks ();
-                complete sub.waiter;
-                fail_popped rest
-              | exception e ->
-                park st ~gen e;
-                release_acks ();
-                complete sub.waiter;
-                raise e)
-          in
-          process_wal msgs
+          (match Wal.commit w ~part with
+          | () -> ()
+          | exception e ->
+            Flight.trigger ~reason:"wal-commit-failure"
+              ~detail:(Printf.sprintf "shard %d: %s" i (Printexc.to_string e));
+            die e []);
+          (* Generation re-check: a domain abandoned while inside the
+             commit scatters nothing and exits — its waiters see
+             [Timed_out], and the published size and heartbeat stay the
+             replacement's.  (The commit itself already raised if the
+             supervisor fenced the writer before the fsync returned.) *)
+          let current = Atomic.get st.gen = gen in
+          if current then
+            List.iter (fun (res, s, v) -> res.(s) <- v) (List.rev !buf);
+          List.iter complete (List.rev !acked);
+          if current then finish_batch ()
       end
   in
   try loop ()
@@ -621,74 +655,6 @@ let shard_loop t i ~gen ?wal q =
     (* With a WAL the supervisor joins this domain and recovers it;
        without one the death is final and surfaces at [stop]. *)
     if Option.is_none wal then raise e
-
-(* --- Coordinator ----------------------------------------------------- *)
-
-(* Demand-weighted split of the global bound: shard i gets
-   [G * (w * size_i / total + (1 - w) / n)] with w = [demand_weight],
-   so never less than [(1 - w) * G / n], then scaled so the bounds sum
-   to [G].  Pure — the unit the coordinator edge-case tests drive. *)
-let split_bounds cfg ~sizes =
-  let n = Array.length sizes in
-  if n = 0 then [||]
-  else begin
-    let total = Array.fold_left ( + ) 0 sizes in
-    let g = float_of_int cfg.global_bound in
-    let nf = float_of_int n in
-    let raw =
-      Array.map
-        (fun s ->
-          if total = 0 then g /. nf
-          else
-            g
-            *. ((demand_weight *. float_of_int s /. float_of_int total)
-               +. ((1. -. demand_weight) /. nf)))
-        sizes
-    in
-    let sum = Array.fold_left ( +. ) 0. raw in
-    Array.map
-      (fun r ->
-        let b =
-          if Float.compare sum 0. > 0 then int_of_float (r *. g /. sum)
-          else int_of_float (g /. nf)
-        in
-        if b < 1 then 1 else b)
-      raw
-  end
-
-(* Deliver through the queues so only the owning domain touches its
-   index.  Control messages bypass the fault sites ([inject:false]) —
-   coordinator timing is not deterministic, and must not perturb the
-   workload's fault schedule.  A queue closed for recovery just misses
-   this round's bound; the next pass delivers a fresh one. *)
-let rebalance t cfg =
-  let bounds = split_bounds cfg ~sizes:(Array.map Atomic.get t.sizes) in
-  Array.iteri
-    (fun i b ->
-      match
-        Mpsc_queue.push ~inject:false (Atomic.get t.shards.(i).queue)
-          (Set_bound b)
-      with
-      | () -> ()
-      | exception Mpsc_queue.Closed -> ())
-    bounds;
-  ignore (Atomic.fetch_and_add t.rebalances 1)
-
-(* Sleep in short slices so [stop] is prompt. *)
-let pause t ~slice total =
-  let rec go left =
-    if Float.compare left 0. > 0 && not (Atomic.get t.stopping) then begin
-      Unix.sleepf (if Float.compare left slice < 0 then left else slice);
-      go (left -. slice)
-    end
-  in
-  go total
-
-let coordinator_loop t cfg =
-  while not (Atomic.get t.stopping) do
-    pause t ~slice:0.01 rebalance_interval_s;
-    if not (Atomic.get t.stopping) then rebalance t cfg
-  done
 
 (* --- Supervisor ------------------------------------------------------ *)
 
@@ -714,10 +680,8 @@ let drain_and_fail q =
   let rec go () =
     match Mpsc_queue.pop_batch q ~max:64 with
     | [] -> ()
-    | msgs ->
-      List.iter
-        (function Work sub -> complete sub.waiter | Set_bound _ -> ())
-        msgs;
+    | subs ->
+      List.iter (fun sub -> complete sub.waiter) subs;
       go ()
   in
   go ()
@@ -817,7 +781,7 @@ let supervisor_loop t scfg wcfg =
     done
   in
   while not (Atomic.get t.stopping) do
-    pause t ~slice:0.001 poll_interval_s;
+    Unix.sleepf poll_interval_s;
     if not (Atomic.get t.stopping) then pass ()
   done
 
@@ -841,6 +805,7 @@ let start ?coordinator ?supervisor ?fault_prefix ?timeout_s ?wal ?wal_restore
     Array.init n (fun i ->
         {
           queue = Atomic.make (make_queue ~fault_prefix i);
+          bound = Atomic.make 0;
           status = Atomic.make st_running;
           gen = Atomic.make 0;
           heartbeat = Atomic.make 0;
@@ -891,6 +856,7 @@ let start ?coordinator ?supervisor ?fault_prefix ?timeout_s ?wal ?wal_restore
       sizes = Array.init n (fun _ -> Atomic.make 0);
       batches = Atomic.make 0;
       rebalances = Atomic.make 0;
+      next_pass = Atomic.make (Clock.now_ns () + rebalance_interval_ns);
       recoveries_n = Atomic.make 0;
       coordinator;
       timeout_s;
@@ -900,7 +866,7 @@ let start ?coordinator ?supervisor ?fault_prefix ?timeout_s ?wal ?wal_restore
       stopping = Atomic.make false;
       log_lock = Mutex.create ();
       log = [];
-      aux = [];
+      supervisor = None;
     }
   in
   Array.iteri
@@ -912,26 +878,18 @@ let start ?coordinator ?supervisor ?fault_prefix ?timeout_s ?wal ?wal_restore
       let w = st.wal in
       st.domain <- Some (Domain.spawn (fun () -> shard_loop t i ~gen:0 ?wal:w q)))
     t.shards;
-  let aux =
-    match coordinator with
-    | Some cfg -> [ Domain.spawn (fun () -> coordinator_loop t cfg) ]
-    | None -> []
-  in
-  let aux =
-    match supervision with
-    | Some (scfg, wcfg) ->
-      Domain.spawn (fun () -> supervisor_loop t scfg wcfg) :: aux
-    | None -> aux
-  in
-  t.aux <- aux;
+  t.supervisor <-
+    Option.map
+      (fun (scfg, wcfg) -> Domain.spawn (fun () -> supervisor_loop t scfg wcfg))
+      supervision;
   t
 
 let stop t =
   Atomic.set t.stopping true;
-  (* Supervisor and coordinator first, so no recovery re-spawns a shard
-     after its queue is closed below. *)
-  List.iter Domain.join t.aux;
-  t.aux <- [];
+  (* Supervisor first, so no recovery re-spawns a shard after its queue
+     is closed below. *)
+  Option.iter Domain.join t.supervisor;
+  t.supervisor <- None;
   Array.iter (fun st -> Mpsc_queue.close (Atomic.get st.queue)) t.shards;
   Array.iter
     (fun st ->
@@ -975,11 +933,6 @@ let shard_ready st =
 
 let healthy t = Array.for_all shard_ready t.shards
 
-let rebalance_now t =
-  match t.coordinator with Some cfg -> rebalance t cfg | None -> ()
-
-let rebalance_with t cfg = rebalance t cfg
-
 (* --- Client side ----------------------------------------------------- *)
 
 let op_key = function
@@ -1013,7 +966,7 @@ let rec submit_sub t ~deadline ~inject s sub =
     submit_sub t ~deadline ~inject s sub
   end
   else
-    match Mpsc_queue.push ~inject (Atomic.get st.queue) (Work sub) with
+    match Mpsc_queue.push ~inject (Atomic.get st.queue) sub with
     | () -> ()
     | exception Mpsc_queue.Closed -> submit_sub t ~deadline ~inject:false s sub
 

@@ -11,7 +11,9 @@
     The coordinator (optional) periodically re-splits one global soft
     size bound across the shards from their published sizes — the
     paper's elasticity policy lifted from one tree to the fleet: hot
-    shards keep more standard leaves, cold shards compact first.
+    shards keep more standard leaves, cold shards compact first.  It
+    owns no domain: the shard domains run its passes between batches,
+    and each takes its own new bound at the start of its next batch.
 
     The supervisor and durability come together (optional, both or
     neither).  [start ~supervisor ~wal:cfg] gives every shard a
@@ -76,7 +78,9 @@ type coordinator_config = {
 }
 
 val default_coordinator : global_bound:int -> coordinator_config
-(** The coordinator re-splits [global_bound] every 50 ms. *)
+(** The coordinator re-splits [global_bound] at most every 50 ms: the
+    first shard domain to finish a batch once a pass falls due runs it,
+    so an idle fleet makes no pass. *)
 
 val split_bounds : coordinator_config -> sizes:int array -> int array
 (** The coordinator's split as a pure function: half of the budget
@@ -121,8 +125,8 @@ val start :
   ?wal_restore:(tid:int -> key:string -> unit) ->
   Shard.t ->
   t
-(** Spawn one domain per shard (plus the coordinator and supervisor
-    domains when configured).  Each shard's request queue holds 64
+(** Spawn one domain per shard, plus the supervisor's domain when
+    configured.  Each shard's request queue holds 64
     sub-batches (producers block when full) and its domain drains up to
     32 per wakeup; [fault_prefix] arms the injection sites; [timeout_s]
     is the default {!exec} deadline (none: block until applied).
@@ -141,9 +145,10 @@ val start :
     is given. *)
 
 val stop : t -> unit
-(** Join the coordinator and supervisor, close the queues, drain
-    remaining work, join all shard domains, and cleanly close the WAL
-    writers (final fsync + clean-shutdown marker).  The underlying
+(** Join the supervisor, close the queues, drain remaining work, join
+    all shard domains, and cleanly close the WAL writers (final fsync +
+    clean-shutdown marker).  A bound left by a pass after the last
+    batch is not applied.  The underlying
     indexes remain usable single-threaded afterwards. *)
 
 val exec :
@@ -174,7 +179,7 @@ val batches : t -> int
 (** Sub-batches applied so far, fleet-wide. *)
 
 val rebalances : t -> int
-(** Coordinator passes completed so far. *)
+(** Coordinator passes completed so far, periodic and explicit. *)
 
 val recoveries : t -> int
 (** Shard recoveries completed so far. *)
@@ -196,12 +201,10 @@ val healthy : t -> bool
     crash observes [healthy = false] until that shard is rebuilt and
     re-admitted — the barrier the deterministic chaos soak spins on. *)
 
-val rebalance_now : t -> unit
-(** Run one coordinator pass immediately (no-op without a coordinator
-    config); deterministic-test support. *)
-
 val rebalance_with : t -> coordinator_config -> unit
-(** Run one coordinator pass with an explicit config — the
-    deterministic, client-driven rebalance used by the chaos soak
-    (which runs without the coordinator domain so its fault schedule
-    stays a pure function of the seed). *)
+(** Run one coordinator pass with an explicit config now: each shard's
+    split replaces any it has not yet taken, and its domain applies it
+    — with a WAL, logs it inside that batch's commit — at the start of
+    its next batch.  The deterministic, client-driven rebalance of the
+    chaos soak, which starts no periodic coordinator so its fault
+    schedule stays a pure function of the seed. *)

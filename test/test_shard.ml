@@ -7,15 +7,16 @@
       byte accounting against a recomputed walk) and an exact count
       reconciliation.
 
-   b. A 4-shard elastic fleet behind Serve with the global memory
-      coordinator, churned by two concurrent producer domains (4 shard
-      domains + coordinator + 2 producers), ending with Check.run
-      recursing into every shard plus total-count and total-bytes
-      reconciliation and the global-bound check.
+   b. A 4-shard elastic fleet behind Serve with explicit global memory
+      coordinator passes, churned by two concurrent producer domains (4
+      shard domains + 2 producers), ending with Check.run recursing into
+      every shard plus total-count and total-bytes reconciliation and
+      the global-bound check.
 
    c. Fleet.run: its shed count under queue faults matches the outcomes
       of the same sub-batches through Serve.exec, and a stop request
-      ends the run at a sub-batch boundary. *)
+      ends the run at a sub-batch boundary; the periodic coordinator
+      makes no pass while the fleet is idle. *)
 
 module Key = Ei_util.Key
 module Rng = Ei_util.Rng
@@ -109,7 +110,7 @@ let test_serve_churn () =
   let shards = 4 in
   let n = 16_000 in
   let bound = n * 20 in
-  (* No periodic coordinator domain: rebalances are driven explicitly
+  (* No periodic coordinator passes: rebalances are driven explicitly
      below, so the pass count is exact instead of timing-dependent. *)
   let { Fleet.table; router; serve } =
     Fleet.start ~shards
@@ -148,8 +149,8 @@ let test_serve_churn () =
   in
   let ds = List.init producers (fun p -> Domain.spawn (producer p)) in
   List.iter Domain.join ds;
-  (* Two explicit coordinator passes: the first re-splits the budget
-     from the post-churn sizes, the second sees the fleet's reaction. *)
+  (* Two explicit coordinator passes from the post-churn sizes; no batch
+     follows them, so they are counted but never applied. *)
   Serve.rebalance_with serve (Serve.default_coordinator ~global_bound:bound);
   Serve.rebalance_with serve (Serve.default_coordinator ~global_bound:bound);
   let published = Array.fold_left ( + ) 0 (Serve.shard_sizes serve) in
@@ -228,6 +229,47 @@ let test_run_stops_at_boundary () =
   Alcotest.(check int) "ran exactly two sub-batches" 1024
     (Shard.count f.Fleet.router)
 
+(* The periodic coordinator runs on the shard domains as they finish
+   batches, so an idle fleet makes no pass.  Under load the first batch
+   claims a pass at once and later ones at most every 50 ms: 250 ms of
+   load makes 1 to 6 passes, and the last exec may run into a seventh
+   window. *)
+let test_no_pass_while_idle () =
+  let n = 16_000 in
+  let bound = n * 20 in
+  let { Fleet.table; serve; _ } =
+    Fleet.start ~shards:2
+      ~part:(Fleet.part (Fleet.olc_elastic ~global_bound:bound ~shards:2))
+      ~coordinator:(Serve.default_coordinator ~global_bound:bound)
+      ()
+  in
+  Unix.sleepf 0.2;
+  let idle = Serve.rebalances serve in
+  let keys = Array.init n (fun i -> Ycsb.key_of_seq i) in
+  let tids = Array.map (Table.append table) keys in
+  let step = 256 in
+  let stop_ns = Ei_util.Bench_clock.now_ns () + 250_000_000 in
+  let i = ref 0 in
+  while Ei_util.Bench_clock.now_ns () < stop_ns do
+    let base = !i mod n in
+    let len = min step (n - base) in
+    ignore
+      (Serve.exec serve
+         (Array.init len (fun j ->
+              let s = base + j in
+              if !i < n then Serve.Insert (keys.(s), tids.(s))
+              else Serve.Find keys.(s))));
+    i := !i + len
+  done;
+  let loaded = Serve.rebalances serve in
+  let published = Array.fold_left ( + ) 0 (Serve.shard_sizes serve) in
+  Serve.stop serve;
+  Alcotest.(check int) "no pass while idle" 0 idle;
+  if loaded < 1 || loaded > 7 then
+    Alcotest.failf "%d passes in 250 ms of load (want 1..7)" loaded;
+  Alcotest.(check bool) "aggregate within global bound (+10%)" true
+    (float_of_int published <= 1.1 *. float_of_int bound)
+
 (* A run of reads longer than [Max_young_wosize] (256) must not force a
    minor collection: [caml_make_vect] forces one for a large array
    seeded with a young value, and in OCaml 5 that stops every domain.
@@ -275,5 +317,7 @@ let () =
             test_run_stops_at_boundary;
           Alcotest.test_case "a read run forces no minor collection" `Quick
             test_read_run_no_forced_minor;
+          Alcotest.test_case "no coordinator pass while idle" `Quick
+            test_no_pass_while_idle;
         ] );
     ]

@@ -257,13 +257,13 @@ let write_tape cfg ~name ~n ~stride =
   Wal.close w;
   (r0, part)
 
-(* Recover shard 0 into a fresh table and part, then close the writer;
-   returns the recovery record and the part. *)
-let recover_fresh cfg ~name =
+(* Recover a shard (default 0) into a fresh table and part, then close
+   the writer; returns the recovery record and the part. *)
+let recover_fresh ?(shard = 0) cfg ~name =
   let t = Table.create ~key_len:8 () in
   let p = mk_part t name in
   let w, r =
-    Wal.recover cfg ~shard:0
+    Wal.recover cfg ~shard
       ~restore:(fun ~tid ~key -> Table.restore_row t ~tid ~key)
       ~part:p
   in
@@ -839,6 +839,37 @@ let test_supervised_remove_one_lookup () =
 
 (* --- d. mini durable chaos soak --------------------------------------- *)
 
+(* An explicit pass leaves each shard's split in its slot; the shard's
+   next batch applies it and logs it inside that batch's commit, so a
+   restart recovers exactly the split. *)
+let test_bound_rides_commit () =
+  with_dir "bound" @@ fun dir ->
+  let wal = Wal.default_config ~dir in
+  let { Fleet.table; router; serve } = wal_fleet ~wal "bound-wal" in
+  let cfg = Serve.default_coordinator ~global_bound:100_000 in
+  let want = Serve.split_bounds cfg ~sizes:(Serve.shard_sizes serve) in
+  Serve.rebalance_with serve cfg;
+  (* One insert per shard: the key's top bit picks the half of the
+     range partition. *)
+  let ops =
+    Array.init 2 (fun s ->
+        let k = Key.of_int64 (Int64.shift_left (Int64.of_int s) 63) in
+        Alcotest.(check int) "routed" s (Shard.shard_of_key router k);
+        Serve.Insert (k, Table.append table k))
+  in
+  Array.iter
+    (function
+      | Serve.Applied 1 -> () | _ -> Alcotest.fail "insert not applied")
+    (Serve.exec serve ops);
+  Serve.stop serve;
+  Array.iteri
+    (fun shard b ->
+      let r, _ = recover_fresh ~shard wal ~name:"bound-wal-rec" in
+      Alcotest.(check int)
+        (Printf.sprintf "shard %d recovers its split" shard)
+        b r.Wal.r_bound)
+    want
+
 let test_chaos_wal () =
   with_dir "chaos" @@ fun dir ->
   let config =
@@ -929,6 +960,8 @@ let () =
             test_supervisor_needs_wal;
           Alcotest.test_case "a supervised remove is one lookup" `Quick
             test_supervised_remove_one_lookup;
+          Alcotest.test_case "a rebalanced bound rides the next batch's commit"
+            `Quick test_bound_rides_commit;
         ] );
       ( "chaos",
         [ Alcotest.test_case "durable soak + digest" `Quick test_chaos_wal ] );
